@@ -60,7 +60,6 @@ from .dynamics import (
 )
 from .spectra import (
     AREA_2PI,
-    AREA_ONE,
     RAW_COUNTS,
     EmitterModel,
     SidebandShape,

@@ -51,9 +51,6 @@ class EfficiencyChain:
             raise ValueError(f"stage {name!r} appears more than once in chain {self.path!r}")
         return hits[0]
 
-    def without(self, name):
-        return EfficiencyChain(self.path, tuple(s for s in self.stages if s.name != name))
-
 
 def chain_efficiency(chain):
     """Product of the stage efficiencies."""

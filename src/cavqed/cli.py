@@ -7,8 +7,8 @@ Configuration is a single JSON document; `--fixture paper` preloads the
 shipped default parameter set and fixture tables, with any config file
 overlaid on top.  Every command is deterministic for a given (config,
 seed): stochastic sweeps draw from counter-based Philox streams keyed by
-(seed, task index), so results are byte-identical regardless of
---parallel.
+(seed, task index).  --parallel is accepted and ignored: every sweep
+task takes milliseconds, so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 4 I/O error.  Diagnostics go to stderr as single-line JSON.
@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import budget as budget_mod
 from . import cavity as cavity_mod
 from . import cqed, dynamics, fixtures, spectra, svg
-from .units import HBAR_UEV_PS, energy_from_wavelength
+from .units import energy_from_wavelength, lifetime_from_rate, rate_from_lifetime
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,6 +59,22 @@ def _deep_merge(base, overlay):
     return out
 
 
+def _read_input(path, what):
+    """Text of an input file; a missing or empty file is an InputError."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"{what} not found: {path}")
+    text = path.read_text()
+    if not text.strip():
+        raise InputError(f"{what} is empty: {path}")
+    return text
+
+
+def _load_csv(path, header):
+    """The two columns of an input CSV (see spectra.parse_two_column_csv)."""
+    return spectra.parse_two_column_csv(_read_input(path, "input file"), header, path)
+
+
 def load_config(config_path, fixture):
     config = {}
     if fixture:
@@ -67,12 +82,7 @@ def load_config(config_path, fixture):
             raise ConfigError(f"unknown fixture set {fixture!r} (only 'paper')")
         config = fixtures.paper_defaults()
     if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise InputError(f"config file not found: {config_path}")
-        text = path.read_text()
-        if not text.strip():
-            raise InputError(f"config file is empty: {config_path}")
+        text = _read_input(config_path, "config file")
         try:
             user = json.loads(text)
         except json.JSONDecodeError as err:
@@ -103,7 +113,7 @@ def emitter_from_config(config):
             sideband=spectra.SidebandShape(
                 sideband.get("exponent", 1.0), sideband.get("cutoff_uev", 1000.0)),
             temperature_k=em.get("temperature_k", 4.2),
-            gamma_fs_uev=HBAR_UEV_PS / em["lifetime_fs_ps"],
+            gamma_fs_uev=rate_from_lifetime(em["lifetime_fs_ps"]),
             eta_qy=em.get("eta_qy", 0.01),
         )
     except KeyError as err:
@@ -134,7 +144,7 @@ def scheme_from_config(config):
     try:
         return dynamics.LevelScheme(
             pump_uev=g2["pump_uev"],
-            gamma_total_uev=HBAR_UEV_PS / em["lifetime_fs_ps"],
+            gamma_total_uev=rate_from_lifetime(em["lifetime_fs_ps"]),
             k_shelve_uev=g2.get("k_shelve_uev", 0.0),
             k_deshelve_uev=g2.get("k_deshelve_uev", 0.0),
             background=g2.get("background", 0.0),
@@ -156,16 +166,8 @@ def _mode_kappa(config, mode_order):
 
 def task_rng(seed, index):
     """Counter-based per-task generator: identical streams regardless of
-    execution order or parallelism."""
+    execution order."""
     return np.random.Generator(np.random.Philox(seed=[seed, index]))
-
-
-def run_indexed(function, n_tasks, parallel):
-    """Evaluate function(i) for i in range(n_tasks), results ordered by i."""
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(function, range(n_tasks)))
-    return [function(i) for i in range(n_tasks)]
 
 
 def _write_json(path, payload):
@@ -180,38 +182,10 @@ def _require_converged(results, what):
         raise FitError(f"{what}: {len(bad)} fit(s) did not converge")
 
 
-def load_trace_csv(path, columns=("time_ps", "counts")):
-    """Two-column CSV loader shared by the lifetime/saturation/g2 inputs."""
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"input file not found: {path}")
-    text = p.read_text()
-    if not text.strip():
-        raise InputError(f"input file is empty: {path}")
-    lines = text.strip().splitlines()
-    header = [h.strip() for h in lines[0].split(",")]
-    if header != list(columns):
-        raise ConfigError(f"{path}: expected header {','.join(columns)}, got {lines[0]!r}")
-    try:
-        data = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-    except ValueError as err:
-        raise ConfigError(f"{path}: malformed numeric row: {err}") from err
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(columns):
-        raise ConfigError(f"{path}: need at least two rows of {len(columns)} columns")
-    return tuple(data[:, i] for i in range(len(columns)))
-
-
-def save_trace_csv(path, columns, *arrays):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_spectrum(config, out_dir, seed, parallel):
+def cmd_spectrum(config, out_dir, seed):
     model = emitter_from_config(config)
     options = config.get("analysis", {}).get("spectrum", {})
     half_span = options.get("half_span_uev", 6000.0)
@@ -246,7 +220,7 @@ def cmd_spectrum(config, out_dir, seed, parallel):
     return report
 
 
-def cmd_purcell(config, out_dir, seed, parallel):
+def cmd_purcell(config, out_dir, seed):
     model = emitter_from_config(config)
     measured = _section(config, "measured")
     cav = _section(config, "cavity")
@@ -303,21 +277,19 @@ def cmd_purcell(config, out_dir, seed, parallel):
     return report
 
 
-def _synthetic_envelope(model, grid, g_uev, gamma_uev, kappa_uev, noise_frac, rng):
-    s_fs = spectra.build_fs_spectrum(model, grid)
-    s_dtilde = spectra.convolve_lorentzian(
-        spectra.convolve_lorentzian(s_fs, kappa_uev), kappa_uev)
+def _synthetic_envelope(s_tilde, g_uev, gamma_uev, kappa_uev, noise_frac, rng):
+    s_dtilde = spectra.convolve_lorentzian(s_tilde, kappa_uev)
     if g_uev > 0:
         values = cqed.hill_envelope(g_uev ** 2 / gamma_uev, s_dtilde)
         values = values / values.max()
     else:
-        values = np.zeros_like(grid)
+        values = np.zeros_like(s_tilde.values)
     if noise_frac > 0:
         values = np.maximum(values * (1.0 + noise_frac * rng.standard_normal(values.size)), 0.0)
-    return spectra.Spectrum(grid, values, spectra.RAW_COUNTS), s_fs
+    return spectra.Spectrum(s_tilde.energies, values, spectra.RAW_COUNTS)
 
 
-def cmd_brightness(config, out_dir, seed, parallel):
+def cmd_brightness(config, out_dir, seed):
     model = emitter_from_config(config)
     options = config.get("analysis", {}).get("brightness", {})
     gamma = model.gamma_fs_uev
@@ -331,7 +303,8 @@ def cmd_brightness(config, out_dir, seed, parallel):
         # measured path: one envelope, one mode order
         p = _section(config, "cavity").get("mode_order", 6)
         kappa, row = _mode_kappa(config, p)
-        envelope = spectra.load_spectrum_csv(options["envelope_csv"])
+        envelope = spectra.Spectrum(*_load_csv(options["envelope_csv"],
+                                                spectra.SPECTRUM_HEADER))
         s_fs = spectra.build_fs_spectrum(model, envelope.energies)
         fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa, gamma)
         if not fit.converged:
@@ -344,31 +317,25 @@ def cmd_brightness(config, out_dir, seed, parallel):
     g_max = options.get("g_max_uev", _section(config, "measured").get("g_spectral_max_uev", 25.0))
     noise_frac = options.get("noise_frac", 0.01)
     v_ref = table[min(orders)]["v_eff_lambda3"]
+    s_fs = spectra.build_fs_spectrum(model, grid)
 
-    def run_mode(index):
-        p = orders[index]
+    modes = []
+    for index, p in enumerate(orders):
         row = table[p]
         kappa = cavity_mod.kappa_from_q(model.zpl_energy_uev, row["q_exp"])
         g_true = g_max * np.sqrt(v_ref / row["v_eff_lambda3"]) if g_max > 0 else 0.0
-        envelope, s_fs = _synthetic_envelope(
-            model, grid, g_true, gamma, kappa, noise_frac, task_rng(seed, index))
+        s_tilde = spectra.convolve_lorentzian(s_fs, kappa)
+        envelope = _synthetic_envelope(
+            s_tilde, g_true, gamma, kappa, noise_frac, task_rng(seed, index))
         fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa, gamma)
         coupling = cqed.CouplingParams(max(fit.g_uev, 0.0), gamma, kappa)
-        s_tilde = spectra.convolve_lorentzian(s_fs, kappa)
         beta = cqed.brightness_profile(coupling, s_tilde)
-        # c was chosen so the measured maximum sits strictly below it;
-        # the envelope inverts as-is
-        recovered = (cqed.invert_envelope(envelope, fit.a, fit.c)
-                     if fit.g_uev > 0 and not fit.flag else None)
-        return p, row, kappa, g_true, envelope, beta, recovered, fit
-
-    results = run_indexed(run_mode, len(orders), parallel)
-
-    modes = []
-    for p, row, kappa, g_true, envelope, beta, recovered, fit in results:
         spectra.save_spectrum_csv(envelope, out_dir / f"envelope_p{p}.csv")
         spectra.save_spectrum_csv(beta, out_dir / f"beta_p{p}.csv")
-        if recovered is not None:
+        if fit.g_uev > 0 and not fit.flag:
+            # c was chosen so the measured maximum sits strictly below it;
+            # the envelope inverts as-is
+            recovered = cqed.invert_envelope(envelope, fit.a, fit.c)
             spectra.save_spectrum_csv(recovered, out_dir / f"recovered_s_dtilde_p{p}.csv")
         modes.append({
             "p": p, "kappa_uev": kappa,
@@ -401,15 +368,15 @@ def cmd_brightness(config, out_dir, seed, parallel):
     return report
 
 
-def cmd_lifetime(config, out_dir, seed, parallel):
+def cmd_lifetime(config, out_dir, seed):
     model = emitter_from_config(config)
     em = _section(config, "emitter")
     options = config.get("analysis", {}).get("lifetime", {})
     irf = options.get("irf_fwhm_ps", 32.0)
 
     if options.get("fs_trace_csv"):
-        t_fs, c_fs = load_trace_csv(options["fs_trace_csv"])
-        t_cav, c_cav = load_trace_csv(options["cavity_trace_csv"])
+        t_fs, c_fs = _load_csv(options["fs_trace_csv"], "time_ps,counts")
+        t_cav, c_cav = _load_csv(options["cavity_trace_csv"], "time_ps,counts")
         trace_fs = dynamics.DecayTrace(t_fs, c_fs, irf)
         trace_cav = dynamics.DecayTrace(t_cav, c_cav, irf)
     else:
@@ -419,7 +386,7 @@ def cmd_lifetime(config, out_dir, seed, parallel):
         weights = tuple(em.get("decay_weights", (2.0, 1.0)))
         tau_short = em.get("tau_short_ps", 23.0)
         bin_ps = options.get("bin_ps", 4.0)
-        tau_fs = HBAR_UEV_PS / model.gamma_fs_uev
+        tau_fs = lifetime_from_rate(model.gamma_fs_uev)
         time_grid = np.arange(-np.ceil(160.0 / bin_ps),
                               np.ceil(6.0 * tau_fs / bin_ps) + 1) * bin_ps
 
@@ -438,10 +405,10 @@ def cmd_lifetime(config, out_dir, seed, parallel):
     fit_cav = dynamics.fit_biexponential(trace_cav)
     _require_converged([fit_fs, fit_cav], "lifetime")
 
-    save_trace_csv(out_dir / "decay_fs.csv", ("time_ps", "counts"),
-                   trace_fs.time_ps, trace_fs.counts)
-    save_trace_csv(out_dir / "decay_cavity.csv", ("time_ps", "counts"),
-                   trace_cav.time_ps, trace_cav.counts)
+    spectra.write_two_column_csv(out_dir / "decay_fs.csv", "time_ps,counts",
+                                 trace_fs.time_ps, trace_fs.counts)
+    spectra.write_two_column_csv(out_dir / "decay_cavity.csv", "time_ps,counts",
+                                 trace_cav.time_ps, trace_cav.counts)
     svg.write_line_svg(out_dir / "lifetime.svg", trace_fs.time_ps,
                        [("free space", np.maximum(trace_fs.counts, 1e-1)),
                         ("cavity", np.maximum(trace_cav.counts, 1e-1))],
@@ -456,13 +423,13 @@ def cmd_lifetime(config, out_dir, seed, parallel):
     return report
 
 
-def cmd_saturation(config, out_dir, seed, parallel):
+def cmd_saturation(config, out_dir, seed):
     options = config.get("analysis", {}).get("saturation", {})
     measured = _section(config, "measured")
     mode = options.get("mode", "pulsed")
 
     if options.get("curve_csv"):
-        powers, counts = load_trace_csv(options["curve_csv"], ("power", "counts"))
+        powers, counts = _load_csv(options["curve_csv"], "power,counts")
     else:
         i_sat = options.get("i_sat", 1768.0)
         p_sat = options.get("p_sat", 1000.0)
@@ -481,7 +448,7 @@ def cmd_saturation(config, out_dir, seed, parallel):
     eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, measured["f_rep_hz"]) \
         if mode == "pulsed" else None
 
-    save_trace_csv(out_dir / "saturation.csv", ("power", "counts"), powers, counts)
+    spectra.write_two_column_csv(out_dir / "saturation.csv", "power,counts", powers, counts)
     svg.write_line_svg(out_dir / "saturation.svg", powers,
                        [("measured", counts),
                         ("fit", dynamics.saturation_curve(powers, fit.i_sat, fit.p_sat, mode))],
@@ -497,7 +464,7 @@ def cmd_saturation(config, out_dir, seed, parallel):
     return report
 
 
-def cmd_g2(config, out_dir, seed, parallel):
+def cmd_g2(config, out_dir, seed):
     scheme = scheme_from_config(config)
     g2cfg = _section(config, "g2_scheme")
     options = config.get("analysis", {}).get("g2", {})
@@ -507,7 +474,7 @@ def cmd_g2(config, out_dir, seed, parallel):
     tau = spectra.energy_grid(0.0, span, step)
 
     g2 = dynamics.g2_correlation(scheme, "cw", tau, irf=irf)
-    save_trace_csv(out_dir / "g2.csv", ("tau_ps", "g2"), tau, g2)
+    spectra.write_two_column_csv(out_dir / "g2.csv", "tau_ps,g2", tau, g2)
     svg.write_line_svg(out_dir / "g2.svg", tau, [("g2(tau)", g2)],
                        title="Intensity correlation (cw)", x_label="tau (ps)", y_label="g2")
 
@@ -531,7 +498,7 @@ def cmd_g2(config, out_dir, seed, parallel):
     return report
 
 
-def cmd_budget(config, out_dir, seed, parallel):
+def cmd_budget(config, out_dir, seed):
     measured = _section(config, "measured")
     extractions, chains = fixtures.load_table_s2()
     summary = fixtures.load_table_s3()
@@ -609,7 +576,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help=f"seed for stochastic sweeps (default {DEFAULT_SEED})")
     parser.add_argument("--parallel", type=int, default=1,
-                        help="workers for independent sweep evaluations")
+                        help="accepted for compatibility and ignored: sweeps run in one thread")
     args = parser.parse_args(argv)
 
     try:
@@ -617,7 +584,7 @@ def main(argv=None):
         seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = _COMMANDS[args.command](config, out_dir, seed, args.parallel)
+        report = _COMMANDS[args.command](config, out_dir, seed)
     except ConfigError as err:
         _diagnostic(args.command, EXIT_CONFIG, err)
         return EXIT_CONFIG

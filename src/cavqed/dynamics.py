@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import fftconvolve
 
+from .spectra import convolve_same, uniform_step
 from .units import HBAR_UEV_PS
 
 # relative tau1/tau2 separation below which a biexponential fit collapses
@@ -33,13 +33,11 @@ class DecayTrace:
     def __post_init__(self):
         t = np.asarray(self.time_ps, dtype=float)
         c = np.asarray(self.counts, dtype=float)
-        if t.ndim != 1 or t.size < 2 or c.shape != t.shape:
+        uniform_step(t)
+        if c.shape != t.shape:
             raise ValueError("trace needs matching 1-d time and count arrays")
-        steps = np.diff(t)
-        if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])) or steps[0] <= 0:
-            raise ValueError("time bins must be uniform and ascending")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise ValueError("counts must be finite and nonnegative")
         t.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "time_ps", t)
@@ -47,7 +45,7 @@ class DecayTrace:
 
     @property
     def bin_ps(self):
-        return (self.time_ps[-1] - self.time_ps[0]) / (self.time_ps.size - 1)
+        return uniform_step(self.time_ps)
 
 
 @dataclass(frozen=True)
@@ -132,9 +130,7 @@ def _convolve_centered(values, kernel):
     """Convolve with a centered kernel, preserving total counts."""
     if kernel is None:
         return values
-    half = (kernel.size - 1) // 2
-    full = fftconvolve(values, kernel)
-    out = full[half:half + values.size]
+    out = convolve_same(values, kernel)
     # fold edge spillover back so the discrete sum is conserved
     total = values.sum()
     got = out.sum()
@@ -400,7 +396,7 @@ def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
         raise ValueError("tau grid needs at least 3 points")
     if abs(tau[0] + tau[-1]) > 1e-6 * max(abs(tau[0]), abs(tau[-1])):
         raise ValueError("tau grid must be symmetric about zero")
-    bin_ps = tau[1] - tau[0]
+    bin_ps = uniform_step(tau)
     kernel = _irf_kernel(irf, bin_ps, tau.size)
 
     if mode == "cw":
@@ -408,8 +404,7 @@ def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
         if kernel is not None:
             # pad with the asymptotic value so the edge bins stay near 1
             half = (kernel.size - 1) // 2
-            padded = np.concatenate([np.full(half, g2[0]), g2, np.full(half, g2[-1])])
-            g2 = np.convolve(padded, kernel, mode="valid")
+            g2 = convolve_same(np.pad(g2, half, mode="edge"), kernel)[half:half + tau.size]
         return g2
 
     if mode == "pulsed":

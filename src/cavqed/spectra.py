@@ -6,26 +6,62 @@ Sign convention used everywhere: detuning = energy - zpl_energy, so the
 red (phonon emission) sideband sits at negative detuning.  Spectra are
 sampled on uniform energy grids and carry an explicit normalization tag;
 the "area-2pi" tag means the trapezoid integral is 2*pi, which is the
-normalization the coupled-dynamics equations expect.
+normalization the coupled-dynamics equations expect.  The grid check,
+convolution and two-column CSV format the whole package uses live here.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .units import bose_occupation
 
-AREA_ONE = "area-one"
 AREA_2PI = "area-2pi"
 RAW_COUNTS = "raw-counts"
-_NORMALIZATIONS = (AREA_ONE, AREA_2PI, RAW_COUNTS)
+_NORMALIZATIONS = (AREA_2PI, RAW_COUNTS)
+
+SPECTRUM_HEADER = "energy_ueV,value"
 
 # relative nonuniformity tolerated in a grid, and the relative window
 # around 2*pi accepted for area-2pi spectra
 _GRID_RTOL = 1e-9
 _AREA_2PI_RTOL = 1e-6
+
+
+def uniform_step(grid):
+    """Step of a finite, 1-d, ascending grid that is uniform to 1 part in
+    1e9; raises ValueError for any other grid."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be a 1-d array with >= 2 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid values must be finite")
+    steps = np.diff(grid)
+    if steps[0] <= 0:
+        raise ValueError("grid must be ascending")
+    if np.any(np.abs(steps - steps[0]) > _GRID_RTOL * steps[0]):
+        raise ValueError("grid must be uniform to 1 part in 1e9")
+    return (grid[-1] - grid[0]) / (grid.size - 1)
+
+
+def convolve_same(values, kernel):
+    """Convolution of `values` with an odd-length kernel centred on zero
+    offset, sampled at the `values.size` input positions.
+
+    Uses scipy.fft at the next fast length of the full convolution: the
+    result feeds Poisson sampling, where round-off decides which bins are
+    exactly zero, so another FFT library changes the simulated counts.
+    """
+    values = np.asarray(values, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 1 or kernel.size % 2 == 0:
+        raise ValueError(f"kernel must be 1-d with an odd length, got shape {kernel.shape}")
+    n, k = values.size, kernel.size
+    size = fft.next_fast_len(n + k - 1, real=True)
+    full = fft.irfft(fft.rfft(values, size) * fft.rfft(kernel, size), size)
+    half = (k - 1) // 2
+    return full[half:half + n]
 
 
 @dataclass(frozen=True)
@@ -40,7 +76,7 @@ class Spectrum:
     values : ndarray
         Nonnegative spectral density per ueV (or raw counts).
     normalization : str
-        One of "area-one", "area-2pi", "raw-counts".
+        One of "area-2pi", "raw-counts".
     """
 
     energies: np.ndarray
@@ -50,17 +86,11 @@ class Spectrum:
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if energies.ndim != 1 or energies.size < 2:
-            raise ValueError("spectrum grid must be a 1-d array with >= 2 points")
+        uniform_step(energies)
         if values.shape != energies.shape:
             raise ValueError("energies and values must have the same shape")
-        steps = np.diff(energies)
-        if steps[0] <= 0:
-            raise ValueError("spectrum grid must be ascending")
-        if np.any(np.abs(steps - steps[0]) > _GRID_RTOL * abs(steps[0])):
-            raise ValueError("spectrum grid must be uniform to 1 part in 1e9")
-        if np.any(values < 0):
-            raise ValueError("spectral values must be nonnegative")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError("spectral values must be finite and nonnegative")
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(
                 f"unknown normalization {self.normalization!r}, "
@@ -81,7 +111,7 @@ class Spectrum:
     @property
     def step(self):
         """Grid spacing in ueV."""
-        return (self.energies[-1] - self.energies[0]) / (self.energies.size - 1)
+        return uniform_step(self.energies)
 
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""
@@ -266,22 +296,6 @@ def debye_waller(spectrum, zpl_window_uev):
     return float(num / den)
 
 
-def _truncated_convolve(values, step, kappa_uev):
-    """Discrete convolution with a unit-area Lorentzian, edge-truncated.
-
-    The kernel is sampled over the full +-(N-1) offset range and scaled
-    to unit discrete area, so the center of the grid sees the exact
-    convolution; mass convolved past the grid edges is dropped.
-    """
-    n = values.size
-    offsets = np.arange(-(n - 1), n) * step
-    kernel = lorentzian(offsets, 0.0, kappa_uev)
-    kernel /= kernel.sum() * step
-    full = fftconvolve(values, kernel) * step
-    out = full[n - 1:2 * n - 1]
-    return np.maximum(out, 0.0)
-
-
 def convolve_lorentzian(spectrum, kappa_uev):
     """Convolve a spectrum with a unit-area Lorentzian of FWHM `kappa_uev`.
 
@@ -300,7 +314,12 @@ def convolve_lorentzian(spectrum, kappa_uev):
             f"kappa below grid resolution: spacing {step:g} ueV exceeds "
             f"kappa/5 = {kappa_uev / 5.0:g} ueV"
         )
-    out = _truncated_convolve(spectrum.values, step, kappa_uev)
+    # kernel over the full +-(N-1) offset range at unit discrete area: the
+    # grid center sees the exact convolution, mass past the edges is dropped
+    n = spectrum.values.size
+    kernel = lorentzian(np.arange(-(n - 1), n) * step, 0.0, kappa_uev)
+    kernel /= kernel.sum() * step
+    out = np.maximum(convolve_same(spectrum.values, kernel) * step, 0.0)
     total_in = spectrum.area()
     total_out = np.trapezoid(out, spectrum.energies)
     if total_in > 0:
@@ -346,40 +365,52 @@ def absorption_spectrum(s_emi, model):
     return Spectrum(s_emi.energies.copy(), values, AREA_2PI)
 
 
+def parse_two_column_csv(text, header, source):
+    """Parse CSV text whose first line is exactly `header` ("a,b") and
+    whose other lines are each two finite numbers; at least two rows.
+
+    Returns the two columns as float arrays.  `source` (the file name)
+    prefixes every error message.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        got = lines[0] if lines else ""
+        raise ValueError(f"{source}: expected header {header!r}, got {got!r}")
+    rows = [line.split(",") for line in lines[1:]]
+    if len(rows) < 2 or any(len(row) != 2 for row in rows):
+        raise ValueError(f"{source}: need at least two data rows of two columns")
+    xs, ys = zip(*rows)
+    try:
+        x = np.array(list(map(float, xs)))
+        y = np.array(list(map(float, ys)))
+    except ValueError as err:
+        raise ValueError(f"{source}: malformed number: {err}") from err
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"{source}: non-finite value in data row {int(np.argmin(finite)) + 1}")
+    return x, y
+
+
+def write_two_column_csv(path, header, x, y):
+    """Write two columns under `header`, floats with 17 significant digits
+    so that parsing the file back is bit-exact."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist())))
+
+
 def load_spectrum_csv(path, normalization=RAW_COUNTS):
-    """Load a spectrum from CSV with header `energy_ueV,value`.
+    """Load a spectrum from a two-column CSV with header `energy_ueV,value`.
 
     Rows must be in ascending energy order on a uniform grid.  The
     normalization tag is supplied by the caller (it is not stored in the
     file).
     """
-    energies = []
-    values = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["energy_ueV", "value"]:
-            raise ValueError(f"{path}: expected header 'energy_ueV,value', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            energies.append(float(row[0]))
-            values.append(float(row[1]))
-    if len(energies) < 2:
-        raise ValueError(f"{path}: spectrum needs at least two rows")
-    return Spectrum(np.array(energies), np.array(values), normalization)
+        energies, values = parse_two_column_csv(fh.read(), SPECTRUM_HEADER, path)
+    return Spectrum(energies, values, normalization)
 
 
 def save_spectrum_csv(spectrum, path):
-    """Write a spectrum as CSV with header `energy_ueV,value`.
-
-    Floats are written with 17 significant digits so a load round-trips
-    bit-exactly.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["energy_ueV", "value"])
-        for e, v in zip(spectrum.energies, spectrum.values):
-            writer.writerow([f"{e:.17g}", f"{v:.17g}"])
+    """Write a spectrum as a two-column CSV with header `energy_ueV,value`."""
+    write_two_column_csv(path, SPECTRUM_HEADER, spectrum.energies, spectrum.values)

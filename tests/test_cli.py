@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cavqed
 from cavqed import fixtures, spectra
 from cavqed.cli import (
     EXIT_CONFIG,
@@ -264,12 +269,71 @@ class TestExitCodes:
     def test_fit_nonconvergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         import cavqed.cli as cli_mod
 
-        def explode(config, out_dir, seed, parallel):
+        def explode(config, out_dir, seed):
             raise cli_mod.FitError("synthetic non-convergence")
 
         monkeypatch.setitem(cli_mod._COMMANDS, "purcell", explode)
         code = main(["purcell", "--fixture", "paper", "--out", str(tmp_path / "x")])
         assert code == EXIT_FIT
+
+    @pytest.mark.parametrize("command", ["spectrum", "g2"])
+    def test_zero_lifetime_is_config_error(self, tmp_path, command):
+        code, _ = run(tmp_path, command, config={"emitter": {"lifetime_fs_ps": 0}})
+        assert code == EXIT_CONFIG
+
+
+class TestInputData:
+    """Exit codes for bad input CSVs: unreadable or empty files are I/O
+    errors (4), bad contents are validation errors (2)."""
+
+    @pytest.fixture(scope="class")
+    def envelope_text(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("envelope")
+        _, out = run(tmp_path, "brightness")
+        return (out / "envelope_p6.csv").read_text()
+
+    def run_envelope(self, tmp_path, text):
+        path = tmp_path / "envelope.csv"
+        path.write_text(text)
+        cfg = {"analysis": {"brightness": {"envelope_csv": str(path)}}}
+        return run(tmp_path, "brightness", config=cfg, name="measured")[0]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_envelope_is_config_error(self, tmp_path, envelope_text, bad, capsys):
+        lines = envelope_text.splitlines(keepends=True)
+        energy = lines[100].split(",")[0]
+        lines[100] = f"{energy},{bad}\n"
+        assert self.run_envelope(tmp_path, "".join(lines)) == EXIT_CONFIG
+        assert "envelope.csv" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_empty_envelope_is_io_error(self, tmp_path):
+        assert self.run_envelope(tmp_path, "") == EXIT_IO
+
+    def test_missing_envelope_is_io_error(self, tmp_path):
+        cfg = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "nope.csv")}}}
+        assert run(tmp_path, "brightness", config=cfg)[0] == EXIT_IO
+
+    def test_nan_in_trace_names_the_file(self, tmp_path, capsys):
+        _, out = run(tmp_path, "lifetime", name="synth")
+        lines = (out / "decay_cavity.csv").read_text().splitlines(keepends=True)
+        lines[60] = lines[60].split(",")[0] + ",nan\n"
+        bad = tmp_path / "nan_trace.csv"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(out / "decay_fs.csv"),
+                                         "cavity_trace_csv": str(bad)}}}
+        code, _ = run(tmp_path, "lifetime", config=cfg, name="measured")
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "nan_trace.csv" in message and "non-finite" in message
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    code = "import sys, cavqed.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    assert done.stdout.strip() == "False"
 
 
 class TestFixtureDirOverride:

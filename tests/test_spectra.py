@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavqed import spectra
+from cavqed.dynamics import DecayTrace, LevelScheme, g2_correlation
 from cavqed.spectra import (
     AREA_2PI,
     RAW_COUNTS,
@@ -13,11 +14,14 @@ from cavqed.spectra import (
     absorption_spectrum,
     build_fs_spectrum,
     convolve_lorentzian,
+    convolve_same,
     debye_waller,
     energy_grid,
     lorentzian,
+    parse_two_column_csv,
     s_tilde_max,
     sideband_profile,
+    uniform_step,
 )
 from cavqed.units import bose_occupation
 
@@ -55,6 +59,63 @@ class TestSpectrumType:
         s = Spectrum(np.arange(4.0), np.ones(4))
         with pytest.raises(ValueError):
             s.values[0] = 2.0
+
+
+# every grid below is symmetric about zero, so the g2 tau-grid symmetry
+# check passes and only the uniform-grid check can reject it
+_GOOD_GRID = np.arange(-4.0, 5.0)
+_BAD_GRIDS = {
+    "nan": (np.where(_GOOD_GRID == 2.0, np.nan, _GOOD_GRID), "finite"),
+    "inf": (np.where(_GOOD_GRID == 1.0, np.inf, _GOOD_GRID), "finite"),
+    "nonuniform": (np.array([-4.0, -3.0, -2.0, -0.5, 0.0, 0.5, 2.0, 3.0, 4.0]), "uniform"),
+    "descending": (_GOOD_GRID[::-1].copy(), "ascending"),
+}
+_GRID_USERS = {
+    "Spectrum": lambda grid, values: Spectrum(grid, values),
+    "DecayTrace": lambda grid, values: DecayTrace(grid, values),
+    "g2_correlation": lambda grid, values: g2_correlation(
+        LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), "cw", grid, irf=None),
+}
+
+
+class TestUniformGrid:
+    def test_step_of_a_uniform_grid(self):
+        assert uniform_step(0.5 * _GOOD_GRID) == 0.5
+
+    @pytest.mark.parametrize("user", sorted(_GRID_USERS))
+    def test_good_grid_accepted(self, user):
+        _GRID_USERS[user](_GOOD_GRID, np.ones(_GOOD_GRID.size))
+
+    @pytest.mark.parametrize("user", sorted(_GRID_USERS))
+    @pytest.mark.parametrize("bad", sorted(_BAD_GRIDS))
+    def test_bad_grid_rejected(self, user, bad):
+        grid, message = _BAD_GRIDS[bad]
+        with pytest.raises(ValueError, match=message):
+            _GRID_USERS[user](grid, np.ones(grid.size))
+
+    @pytest.mark.parametrize("user", ["Spectrum", "DecayTrace"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_value_rejected(self, user, bad):
+        values = np.ones(_GOOD_GRID.size)
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            _GRID_USERS[user](_GOOD_GRID, values)
+
+
+class TestConvolveSame:
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 3), (4, 9), (50, 101), (1000, 41), (257, 513)])
+    def test_matches_direct_convolution(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        values, kernel = rng.standard_normal(n), rng.standard_normal(k)
+        half = (k - 1) // 2
+        expected = np.convolve(values, kernel)[half:half + n]
+        got = convolve_same(values, kernel)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_even_kernel_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            convolve_same(np.ones(10), np.ones(4))
 
 
 class TestBuildFsSpectrum:
@@ -313,3 +374,24 @@ class TestCsvRoundTrip:
         path.write_text("energy,value\n1.0,2.0\n2.0,3.0\n")
         with pytest.raises(ValueError, match="header"):
             spectra.load_spectrum_csv(path)
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "two.csv"
+        spectra.write_two_column_csv(path, "a,b", np.array([0.1, 2.0]), np.array([1e-300, 3]))
+        assert path.read_text() == "a,b\n0.10000000000000001,1e-300\n2,3\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header"),
+        ("energy_ueV, value\n1,2\n2,3\n", "header"),
+        ("energy_ueV,value,extra\n1,2,3\n2,3,4\n", "header"),
+        ("energy_ueV,value\n1,2\n", "two data rows"),
+        ("energy_ueV,value\n1,2\n2,3,4\n", "two columns"),
+        ("energy_ueV,value\n1,2\n\n2,3\n", "two columns"),
+        ("energy_ueV,value\n1,2\n2,x\n", "malformed"),
+        ("energy_ueV,value\n1,2\n2,nan\n", "non-finite value in data row 2"),
+        ("energy_ueV,value\n-inf,2\n2,3\n", "non-finite value in data row 1"),
+    ])
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message) as info:
+            parse_two_column_csv(text, spectra.SPECTRUM_HEADER, "in.csv")
+        assert str(info.value).startswith("in.csv: ")
