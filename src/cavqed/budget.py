@@ -7,7 +7,6 @@ stage is either a user value, a fixture value, or the solved unknown) and
 nothing here ever silently substitutes one for another.
 """
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -35,13 +34,8 @@ class EfficiencyChain:
     stages: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        stages = tuple(
-            s if isinstance(s, Stage) else Stage(s["name"], s.get("eff", s.get("efficiency")))
-            for s in self.stages
-        )
-        if not stages:
+        if not self.stages:
             raise ValueError("a chain needs at least one stage")
-        object.__setattr__(self, "stages", stages)
 
     def stage_named(self, name):
         hits = [s for s in self.stages if s.name == name]
@@ -140,15 +134,3 @@ def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
     physical = 0.0 < value <= 1.0
     return value, physical
 
-
-def chain_from_json(text_or_dict):
-    """Build a chain from {"path": ..., "stages": [{"name":..., "eff":...}]}."""
-    data = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
-    return EfficiencyChain(data["path"], tuple(data["stages"]))
-
-
-def chain_to_json(chain):
-    return {
-        "path": chain.path,
-        "stages": [{"name": s.name, "eff": s.efficiency} for s in chain.stages],
-    }

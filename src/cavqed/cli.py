@@ -5,17 +5,22 @@
 
 Configuration is a single JSON document; `--fixture paper` preloads the
 shipped default parameter set and fixture tables, with any config file
-overlaid on top.  Every command is deterministic for a given (config,
-seed): stochastic sweeps draw from counter-based Philox streams keyed by
-(seed, task index).  --parallel is accepted and ignored: every sweep
-task takes milliseconds, so it runs in one thread.
+overlaid on top.  A run has three steps: `load_config` checks the merged
+config against CONFIG_KEYS and fills in the defaults, the command computes
+`(report, files)` without touching the disk, and `write_outputs` writes
+them.  Every command is deterministic for a given (config, seed):
+stochastic sweeps draw from counter-based Philox streams keyed by (seed,
+task index).  --parallel is accepted and ignored: every sweep task takes
+milliseconds, so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
-4 I/O error.  Diagnostics go to stderr as single-line JSON.
+4 I/O error.  Diagnostics go to stderr as single-line JSON.  A run that
+fails writes nothing.
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +38,43 @@ EXIT_IO = 4
 
 DEFAULT_SEED = 12345
 
+REQUIRED = object()
+
+# Every config key a command reads, with its one default; a nested dict is
+# a section.  A REQUIRED key has none: reading it from a config that lacks
+# it is a config error.  A None default is derived by the one command that
+# reads the key (cavity.mode_orders: every row of table S1;
+# dw_window_uev: 3 ZPL widths; g_max_uev: measured.g_spectral_max_uev;
+# analysis.lifetime.decay_ratio: measured.decay_ratio) or, for an input
+# file, selects the synthetic path.
+CONFIG_KEYS = {
+    "seed": DEFAULT_SEED,
+    "emitter": {
+        "wavelength_nm": REQUIRED, "zpl_fwhm_uev": REQUIRED, "debye_waller": REQUIRED,
+        "sideband": {"exponent": 1.0, "cutoff_uev": 1000.0},
+        "temperature_k": 4.2, "lifetime_fs_ps": REQUIRED, "eta_qy": 0.01,
+        "decay_weights": (2.0, 1.0), "tau_short_ps": 23.0},
+    "cavity": {"refractive_index": 1.0, "radius_of_curvature_um": 10.0, "mode_order": 6,
+               "mode_orders": None},
+    "measured": {
+        "flux_ratio_sat": REQUIRED, "decay_ratio": REQUIRED, "g_spectral_max_uev": 25.0,
+        "f_rep_hz": REQUIRED, "ccd_rate_at_saturation_per_s": REQUIRED,
+        "photons_into_fiber_per_ccd_count": REQUIRED,
+        "detected_port_ratio_sspd_over_ccd": REQUIRED,
+        "exit_ratio_fiber_over_planar": REQUIRED, "cryostat_optics_quoted": REQUIRED},
+    "g2_scheme": {"pump_uev": REQUIRED, "k_shelve_uev": 0.0, "k_deshelve_uev": 0.0,
+                  "background": 0.0, "irf_fwhm_ps": 32.0},
+    "analysis": {
+        "spectrum": {"half_span_uev": 6000.0, "step_uev": 4.0, "dw_window_uev": None},
+        "brightness": {"half_span_uev": 6000.0, "step_uev": 4.0, "envelope_csv": None,
+                       "g_max_uev": None, "noise_frac": 0.01},
+        "lifetime": {"irf_fwhm_ps": 32.0, "fs_trace_csv": None, "cavity_trace_csv": REQUIRED,
+                     "decay_ratio": None, "peak_counts": 1e5, "bin_ps": 4.0},
+        "saturation": {"mode": "pulsed", "curve_csv": None, "i_sat": 1768.0,
+                       "p_sat": 1000.0, "noise_frac": 0.01, "n_points": 25},
+        "g2": {"tau_span_ps": 60000.0, "tau_step_ps": 4.0}},
+}
+
 
 class ConfigError(Exception):
     """Invalid configuration or input contents (exit 2)."""
@@ -49,13 +91,50 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+class _Section(dict):
+    """One checked config section; `prefix` is its dotted path plus "."."""
+
+    def __init__(self, prefix):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, key):
+        raise ConfigError(f"config key {self.prefix}{key} is required")
+
+
 def _deep_merge(base, overlay):
     out = dict(base)
     for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
+        if isinstance(value, dict) and key in out and isinstance(out[key], dict):
             out[key] = _deep_merge(out[key], value)
         else:
             out[key] = value
+    return out
+
+
+def _checked(tree, table=CONFIG_KEYS, prefix=""):
+    """Copy of a config (sub)tree with every key checked against `table`
+    and every absent default filled in.  Keys must be in the table,
+    sections JSON objects and numbers finite."""
+    for key in tree:
+        if key not in table:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    out = _Section(prefix)
+    for key, default in table.items():
+        path = prefix + key
+        if isinstance(default, dict):
+            value = tree[key] if key in tree else {}
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {path} must be a JSON object")
+            out[key] = _checked(value, default, path + ".")
+        elif key in tree:
+            value = tree[key]
+            items = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"config key {path} must be finite, got {value!r}")
+            out[key] = value
+        elif default is not REQUIRED:
+            out[key] = default
     return out
 
 
@@ -76,6 +155,8 @@ def _load_csv(path, header):
 
 
 def load_config(config_path, fixture):
+    """The user config merged over the fixture, checked against
+    CONFIG_KEYS, with every default filled in."""
     config = {}
     if fixture:
         if fixture != "paper":
@@ -92,88 +173,35 @@ def load_config(config_path, fixture):
         config = _deep_merge(config, user)
     if not config:
         raise ConfigError("no configuration given (use --config and/or --fixture paper)")
-    return config
-
-
-def _section(config, name):
-    section = config.get(name)
-    if not isinstance(section, dict):
-        raise ConfigError(f"config is missing the {name!r} section")
-    return section
+    return _checked(config)
 
 
 def emitter_from_config(config):
-    em = _section(config, "emitter")
-    try:
-        sideband = em.get("sideband", {})
-        return spectra.EmitterModel(
-            zpl_energy_uev=energy_from_wavelength(em["wavelength_nm"]),
-            zpl_fwhm_uev=em["zpl_fwhm_uev"],
-            debye_waller=em["debye_waller"],
-            sideband=spectra.SidebandShape(
-                sideband.get("exponent", 1.0), sideband.get("cutoff_uev", 1000.0)),
-            temperature_k=em.get("temperature_k", 4.2),
-            gamma_fs_uev=rate_from_lifetime(em["lifetime_fs_ps"]),
-            eta_qy=em.get("eta_qy", 0.01),
-        )
-    except KeyError as err:
-        raise ConfigError(f"emitter config is missing {err}") from err
-    except ValueError as err:
-        raise ConfigError(f"emitter config invalid: {err}") from err
+    em = config["emitter"]
+    return spectra.EmitterModel(
+        zpl_energy_uev=energy_from_wavelength(em["wavelength_nm"]),
+        zpl_fwhm_uev=em["zpl_fwhm_uev"],
+        debye_waller=em["debye_waller"],
+        sideband=spectra.SidebandShape(em["sideband"]["exponent"],
+                                       em["sideband"]["cutoff_uev"]),
+        temperature_k=em["temperature_k"],
+        gamma_fs_uev=rate_from_lifetime(em["lifetime_fs_ps"]),
+        eta_qy=em["eta_qy"],
+    )
 
 
-def geometry_from_config(config, mode_order=None):
-    em = _section(config, "emitter")
-    cav = _section(config, "cavity")
-    try:
-        return cavity_mod.CavityGeometry(
-            wavelength_nm=em["wavelength_nm"],
-            refractive_index=cav.get("refractive_index", 1.0),
-            radius_of_curvature_um=cav.get("radius_of_curvature_um", 10.0),
-            mode_order=mode_order if mode_order is not None else cav.get("mode_order", 6),
-        )
-    except KeyError as err:
-        raise ConfigError(f"cavity config is missing {err}") from err
-    except ValueError as err:
-        raise ConfigError(f"cavity config invalid: {err}") from err
-
-
-def scheme_from_config(config):
-    g2 = _section(config, "g2_scheme")
-    em = _section(config, "emitter")
-    try:
-        return dynamics.LevelScheme(
-            pump_uev=g2["pump_uev"],
-            gamma_total_uev=rate_from_lifetime(em["lifetime_fs_ps"]),
-            k_shelve_uev=g2.get("k_shelve_uev", 0.0),
-            k_deshelve_uev=g2.get("k_deshelve_uev", 0.0),
-            background=g2.get("background", 0.0),
-        )
-    except KeyError as err:
-        raise ConfigError(f"g2_scheme config is missing {err}") from err
-    except ValueError as err:
-        raise ConfigError(f"g2_scheme config invalid: {err}") from err
-
-
-def _mode_kappa(config, mode_order):
+def _mode_kappa(energy, mode_order):
     """Cavity linewidth for one longitudinal order, from the fixture Q."""
     table = fixtures.load_table_s1()
     if mode_order not in table:
         raise ConfigError(f"mode order {mode_order} not in the fixture mode table")
-    energy = energy_from_wavelength(_section(config, "emitter")["wavelength_nm"])
-    return cavity_mod.kappa_from_q(energy, table[mode_order]["q_exp"]), table[mode_order]
+    return cavity_mod.kappa_from_q(energy, table[mode_order]["q_exp"])
 
 
 def task_rng(seed, index):
     """Counter-based per-task generator: identical streams regardless of
     execution order."""
     return np.random.Generator(np.random.Philox(seed=[seed, index]))
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _require_converged(results, what):
@@ -183,49 +211,47 @@ def _require_converged(results, what):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (report, files) and writes nothing.  `files` maps
+# an output name to a Spectrum, a (header, x, y) CSV or an
+# (x, series, labels) plot; see write_outputs.
 
-def cmd_spectrum(config, out_dir, seed):
+def cmd_spectrum(config, seed):
     model = emitter_from_config(config)
-    options = config.get("analysis", {}).get("spectrum", {})
-    half_span = options.get("half_span_uev", 6000.0)
-    step = options.get("step_uev", 4.0)
-    kappa, _ = _mode_kappa(config, _section(config, "cavity").get("mode_order", 6))
+    options = config["analysis"]["spectrum"]
+    kappa = _mode_kappa(model.zpl_energy_uev, config["cavity"]["mode_order"])
 
-    grid = spectra.energy_grid(model.zpl_energy_uev, half_span, step)
+    grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
+                               options["step_uev"])
     s_fs = spectra.build_fs_spectrum(model, grid)
     s_abs = spectra.absorption_spectrum(s_fs, model)
     s_emi_t = spectra.convolve_lorentzian(s_fs, kappa)
     s_abs_t = spectra.convolve_lorentzian(s_abs, kappa)
 
-    spectra.save_spectrum_csv(s_fs, out_dir / "fs_spectrum.csv")
-    spectra.save_spectrum_csv(s_emi_t, out_dir / "s_emi_tilde.csv")
-    spectra.save_spectrum_csv(s_abs_t, out_dir / "s_abs_tilde.csv")
-    detuning = grid - model.zpl_energy_uev
-    svg.write_line_svg(
-        out_dir / "spectrum.svg", detuning,
-        [("free-space", s_fs.values), ("emission, filtered", s_emi_t.values),
-         ("absorption, filtered", s_abs_t.values)],
-        title="Emitter spectra", x_label="detuning (ueV)", y_label="density (1/ueV)")
-
+    files = {"fs_spectrum.csv": s_fs, "s_emi_tilde.csv": s_emi_t, "s_abs_tilde.csv": s_abs_t,
+             "spectrum.svg": (
+                 grid - model.zpl_energy_uev,
+                 [("free-space", s_fs.values), ("emission, filtered", s_emi_t.values),
+                  ("absorption, filtered", s_abs_t.values)],
+                 {"title": "Emitter spectra", "x_label": "detuning (ueV)",
+                  "y_label": "density (1/ueV)"})}
+    window = options["dw_window_uev"]
     report = {
         "kappa_uev": kappa,
         "fs_area": s_fs.area(),
         "fs_peak_per_uev": float(s_fs.values.max()),
-        "debye_waller_measured": spectra.debye_waller(s_fs, options.get(
-            "dw_window_uev", 3.0 * model.zpl_fwhm_uev)),
-        "files": ["fs_spectrum.csv", "s_emi_tilde.csv", "s_abs_tilde.csv", "spectrum.svg"],
+        "debye_waller_measured": spectra.debye_waller(
+            s_fs, window if window is not None else 3.0 * model.zpl_fwhm_uev),
+        "files": list(files),
     }
-    _write_json(out_dir / "spectrum_report.json", report)
-    return report
+    return report, files
 
 
-def cmd_purcell(config, out_dir, seed):
+def cmd_purcell(config, seed):
     model = emitter_from_config(config)
-    measured = _section(config, "measured")
-    cav = _section(config, "cavity")
+    measured = config["measured"]
+    cav = config["cavity"]
     table = fixtures.load_table_s1()
-    orders = cav.get("mode_orders", sorted(table))
+    orders = cav["mode_orders"] if cav["mode_orders"] is not None else sorted(table)
     energy = model.zpl_energy_uev
     q_emitter = energy / model.zpl_fwhm_uev
 
@@ -234,7 +260,9 @@ def cmd_purcell(config, out_dir, seed):
         if p not in table:
             raise ConfigError(f"mode order {p} not in the fixture mode table")
         row = table[p]
-        geometry = geometry_from_config(config, mode_order=p)
+        geometry = cavity_mod.CavityGeometry(
+            config["emitter"]["wavelength_nm"], cav["refractive_index"],
+            cav["radius_of_curvature_um"], p)
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
         f_p = cqed.purcell_factor(geometry.wavelength_nm, geometry.refractive_index,
                                   row["v_eff_lambda3"], q_eff)
@@ -268,13 +296,12 @@ def cmd_purcell(config, out_dir, seed):
             "eta_qy": eta_solved,
         },
     }
-    _write_json(out_dir / "purcell_report.json", report)
-    svg.write_line_svg(
-        out_dir / "purcell.svg", [m["p"] for m in modes],
+    files = {"purcell.svg": (
+        [m["p"] for m in modes],
         [("V_eff fixture (lambda^3)", [m["v_eff_lambda3_fixture"] for m in modes]),
          ("V_eff Gaussian (lambda^3)", [m["v_eff_lambda3_gaussian"] for m in modes])],
-        title="Mode volume vs longitudinal order", x_label="p", y_label="V_eff")
-    return report
+        {"title": "Mode volume vs longitudinal order", "x_label": "p", "y_label": "V_eff"})}
+    return report, files
 
 
 def _synthetic_envelope(s_tilde, g_uev, gamma_uev, kappa_uev, noise_frac, rng):
@@ -289,37 +316,38 @@ def _synthetic_envelope(s_tilde, g_uev, gamma_uev, kappa_uev, noise_frac, rng):
     return spectra.Spectrum(s_tilde.energies, values, spectra.RAW_COUNTS)
 
 
-def cmd_brightness(config, out_dir, seed):
+def cmd_brightness(config, seed):
     model = emitter_from_config(config)
-    options = config.get("analysis", {}).get("brightness", {})
+    options = config["analysis"]["brightness"]
     gamma = model.gamma_fs_uev
     table = fixtures.load_table_s1()
-    orders = _section(config, "cavity").get("mode_orders", sorted(table))
-    half_span = options.get("half_span_uev", 6000.0)
-    step = options.get("step_uev", 4.0)
-    grid = spectra.energy_grid(model.zpl_energy_uev, half_span, step)
 
-    if options.get("envelope_csv"):
+    if options["envelope_csv"]:
         # measured path: one envelope, one mode order
-        p = _section(config, "cavity").get("mode_order", 6)
-        kappa, row = _mode_kappa(config, p)
+        p = config["cavity"]["mode_order"]
+        kappa = _mode_kappa(model.zpl_energy_uev, p)
         envelope = spectra.Spectrum(*_load_csv(options["envelope_csv"],
                                                 spectra.SPECTRUM_HEADER))
         s_fs = spectra.build_fs_spectrum(model, envelope.energies)
         fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa, gamma)
-        if not fit.converged:
-            raise FitError("envelope fit did not converge")
+        _require_converged([fit], "envelope")
         report = {"mode": "measured", "p": p, "kappa_uev": kappa,
                   "fit": fit.to_record()}
-        _write_json(out_dir / "brightness_report.json", report)
-        return report
+        return report, {}
 
-    g_max = options.get("g_max_uev", _section(config, "measured").get("g_spectral_max_uev", 25.0))
-    noise_frac = options.get("noise_frac", 0.01)
+    cav = config["cavity"]
+    orders = cav["mode_orders"] if cav["mode_orders"] is not None else sorted(table)
+    g_max = options["g_max_uev"]
+    if g_max is None:
+        g_max = config["measured"]["g_spectral_max_uev"]
+    noise_frac = options["noise_frac"]
     v_ref = table[min(orders)]["v_eff_lambda3"]
+    grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
+                               options["step_uev"])
     s_fs = spectra.build_fs_spectrum(model, grid)
 
     modes = []
+    files = {}
     for index, p in enumerate(orders):
         row = table[p]
         kappa = cavity_mod.kappa_from_q(model.zpl_energy_uev, row["q_exp"])
@@ -329,14 +357,13 @@ def cmd_brightness(config, out_dir, seed):
             s_tilde, g_true, gamma, kappa, noise_frac, task_rng(seed, index))
         fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa, gamma)
         coupling = cqed.CouplingParams(max(fit.g_uev, 0.0), gamma, kappa)
-        beta = cqed.brightness_profile(coupling, s_tilde)
-        spectra.save_spectrum_csv(envelope, out_dir / f"envelope_p{p}.csv")
-        spectra.save_spectrum_csv(beta, out_dir / f"beta_p{p}.csv")
+        files[f"envelope_p{p}.csv"] = envelope
+        files[f"beta_p{p}.csv"] = cqed.brightness_profile(coupling, s_tilde)
         if fit.g_uev > 0 and not fit.flag:
             # c was chosen so the measured maximum sits strictly below it;
             # the envelope inverts as-is
-            recovered = cqed.invert_envelope(envelope, fit.a, fit.c)
-            spectra.save_spectrum_csv(recovered, out_dir / f"recovered_s_dtilde_p{p}.csv")
+            files[f"recovered_s_dtilde_p{p}.csv"] = cqed.invert_envelope(
+                envelope, fit.a, fit.c)
         modes.append({
             "p": p, "kappa_uev": kappa,
             "v_eff_lambda3": row["v_eff_lambda3"],
@@ -360,39 +387,38 @@ def cmd_brightness(config, out_dir, seed):
             "intercept": float(intercept),
             "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
         }
-        svg.write_line_svg(out_dir / "g2_vs_inverse_volume.svg", inv_v,
-                           [("g^2 (ueV^2)", g_sq), ("linear fit", predicted)],
-                           title="Coupling vs inverse mode volume",
-                           x_label="1/V_eff (1/lambda^3)", y_label="g^2")
-    _write_json(out_dir / "brightness_report.json", report)
-    return report
+        files["g2_vs_inverse_volume.svg"] = (
+            inv_v, [("g^2 (ueV^2)", g_sq), ("linear fit", predicted)],
+            {"title": "Coupling vs inverse mode volume",
+             "x_label": "1/V_eff (1/lambda^3)", "y_label": "g^2"})
+    return report, files
 
 
-def cmd_lifetime(config, out_dir, seed):
+def cmd_lifetime(config, seed):
     model = emitter_from_config(config)
-    em = _section(config, "emitter")
-    options = config.get("analysis", {}).get("lifetime", {})
-    irf = options.get("irf_fwhm_ps", 32.0)
+    em = config["emitter"]
+    options = config["analysis"]["lifetime"]
+    irf = options["irf_fwhm_ps"]
 
-    if options.get("fs_trace_csv"):
+    if options["fs_trace_csv"]:
         t_fs, c_fs = _load_csv(options["fs_trace_csv"], "time_ps,counts")
         t_cav, c_cav = _load_csv(options["cavity_trace_csv"], "time_ps,counts")
         trace_fs = dynamics.DecayTrace(t_fs, c_fs, irf)
         trace_cav = dynamics.DecayTrace(t_cav, c_cav, irf)
     else:
-        decay_ratio = options.get("decay_ratio",
-                                  _section(config, "measured").get("decay_ratio", 1.19))
-        peak = options.get("peak_counts", 1e5)
-        weights = tuple(em.get("decay_weights", (2.0, 1.0)))
-        tau_short = em.get("tau_short_ps", 23.0)
-        bin_ps = options.get("bin_ps", 4.0)
+        decay_ratio = options["decay_ratio"]
+        if decay_ratio is None:
+            decay_ratio = config["measured"]["decay_ratio"]
+        peak = options["peak_counts"]
+        weights = tuple(em["decay_weights"])
+        bin_ps = options["bin_ps"]
         tau_fs = lifetime_from_rate(model.gamma_fs_uev)
         time_grid = np.arange(-np.ceil(160.0 / bin_ps),
                               np.ceil(6.0 * tau_fs / bin_ps) + 1) * bin_ps
 
         def synthesize(index, ratio):
             clean = dynamics.simulate_decay(model.gamma_fs_uev, ratio, weights,
-                                            tau_short, irf, time_grid)
+                                            em["tau_short_ps"], irf, time_grid)
             scale = peak / clean.counts.max()
             rng = task_rng(seed, index)
             noisy = rng.poisson(clean.counts * scale).astype(float)
@@ -405,54 +431,47 @@ def cmd_lifetime(config, out_dir, seed):
     fit_cav = dynamics.fit_biexponential(trace_cav)
     _require_converged([fit_fs, fit_cav], "lifetime")
 
-    spectra.write_two_column_csv(out_dir / "decay_fs.csv", "time_ps,counts",
-                                 trace_fs.time_ps, trace_fs.counts)
-    spectra.write_two_column_csv(out_dir / "decay_cavity.csv", "time_ps,counts",
-                                 trace_cav.time_ps, trace_cav.counts)
-    svg.write_line_svg(out_dir / "lifetime.svg", trace_fs.time_ps,
-                       [("free space", np.maximum(trace_fs.counts, 1e-1)),
-                        ("cavity", np.maximum(trace_cav.counts, 1e-1))],
-                       title="Decay traces", x_label="time (ps)", y_label="counts",
-                       log_y=True)
+    files = {"decay_fs.csv": ("time_ps,counts", trace_fs.time_ps, trace_fs.counts),
+             "decay_cavity.csv": ("time_ps,counts", trace_cav.time_ps, trace_cav.counts),
+             "lifetime.svg": (trace_fs.time_ps,
+                              [("free space", np.maximum(trace_fs.counts, 1e-1)),
+                               ("cavity", np.maximum(trace_cav.counts, 1e-1))],
+                              {"title": "Decay traces", "x_label": "time (ps)",
+                               "y_label": "counts", "log_y": True})}
     report = {
         "free_space": fit_fs.to_record(),
         "cavity": fit_cav.to_record(),
         "lifetime_ratio": fit_fs.tau2_ps / fit_cav.tau2_ps,
     }
-    _write_json(out_dir / "lifetime_report.json", report)
-    return report
+    return report, files
 
 
-def cmd_saturation(config, out_dir, seed):
-    options = config.get("analysis", {}).get("saturation", {})
-    measured = _section(config, "measured")
-    mode = options.get("mode", "pulsed")
+def cmd_saturation(config, seed):
+    options = config["analysis"]["saturation"]
+    mode = options["mode"]
 
-    if options.get("curve_csv"):
+    if options["curve_csv"]:
         powers, counts = _load_csv(options["curve_csv"], "power,counts")
     else:
-        i_sat = options.get("i_sat", 1768.0)
-        p_sat = options.get("p_sat", 1000.0)
-        noise_frac = options.get("noise_frac", 0.01)
-        powers = np.geomspace(p_sat / 30.0, 30.0 * p_sat, options.get("n_points", 25))
-        clean = dynamics.saturation_curve(powers, i_sat, p_sat, mode)
+        p_sat = options["p_sat"]
+        powers = np.geomspace(p_sat / 30.0, 30.0 * p_sat, options["n_points"])
+        clean = dynamics.saturation_curve(powers, options["i_sat"], p_sat, mode)
         rng = task_rng(seed, 0)
-        counts = np.maximum(clean * (1.0 + noise_frac * rng.standard_normal(clean.size)), 0.0)
+        noise = options["noise_frac"] * rng.standard_normal(clean.size)
+        counts = np.maximum(clean * (1.0 + noise), 0.0)
 
     fit = dynamics.fit_saturation(powers, counts, mode)
-    if not fit.converged:
-        raise FitError("saturation fit did not converge")
+    _require_converged([fit], "saturation")
 
-    overall = fixtures.load_table_s3()
-    eta_coll = overall["free_space"]["overall"]
-    eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, measured["f_rep_hz"]) \
+    eta_coll = fixtures.load_table_s3()["free_space"]["overall"]
+    eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, config["measured"]["f_rep_hz"]) \
         if mode == "pulsed" else None
 
-    spectra.write_two_column_csv(out_dir / "saturation.csv", "power,counts", powers, counts)
-    svg.write_line_svg(out_dir / "saturation.svg", powers,
-                       [("measured", counts),
-                        ("fit", dynamics.saturation_curve(powers, fit.i_sat, fit.p_sat, mode))],
-                       title=f"Saturation ({mode})", x_label="power", y_label="counts")
+    fitted = dynamics.saturation_curve(powers, fit.i_sat, fit.p_sat, mode)
+    files = {"saturation.csv": ("power,counts", powers, counts),
+             "saturation.svg": (powers, [("measured", counts), ("fit", fitted)],
+                                {"title": f"Saturation ({mode})", "x_label": "power",
+                                 "y_label": "counts"})}
     report = {
         "mode": mode,
         "i_sat": fit.i_sat, "p_sat": fit.p_sat,
@@ -460,23 +479,24 @@ def cmd_saturation(config, out_dir, seed):
         "eta_coll": eta_coll,
         "eta_qy": eta_qy,
     }
-    _write_json(out_dir / "saturation_report.json", report)
-    return report
+    return report, files
 
 
-def cmd_g2(config, out_dir, seed):
-    scheme = scheme_from_config(config)
-    g2cfg = _section(config, "g2_scheme")
-    options = config.get("analysis", {}).get("g2", {})
-    irf = g2cfg.get("irf_fwhm_ps", 32.0)
-    span = options.get("tau_span_ps", 60000.0)
-    step = options.get("tau_step_ps", 4.0)
-    tau = spectra.energy_grid(0.0, span, step)
+def cmd_g2(config, seed):
+    g2cfg = config["g2_scheme"]
+    scheme = dynamics.LevelScheme(
+        pump_uev=g2cfg["pump_uev"],
+        gamma_total_uev=rate_from_lifetime(config["emitter"]["lifetime_fs_ps"]),
+        k_shelve_uev=g2cfg["k_shelve_uev"], k_deshelve_uev=g2cfg["k_deshelve_uev"],
+        background=g2cfg["background"])
+    options = config["analysis"]["g2"]
+    span = options["tau_span_ps"]
+    tau = spectra.energy_grid(0.0, span, options["tau_step_ps"])
 
-    g2 = dynamics.g2_correlation(scheme, "cw", tau, irf=irf)
-    spectra.write_two_column_csv(out_dir / "g2.csv", "tau_ps,g2", tau, g2)
-    svg.write_line_svg(out_dir / "g2.svg", tau, [("g2(tau)", g2)],
-                       title="Intensity correlation (cw)", x_label="tau (ps)", y_label="g2")
+    g2 = dynamics.g2_correlation(scheme, "cw", tau, irf=g2cfg["irf_fwhm_ps"])
+    files = {"g2.csv": ("tau_ps,g2", tau, g2),
+             "g2.svg": (tau, [("g2(tau)", g2)], {"title": "Intensity correlation (cw)",
+                                                 "x_label": "tau (ps)", "y_label": "g2"})}
 
     izero = tau.size // 2
     fast, slow = dynamics.g2_eigenrates(scheme)
@@ -494,17 +514,14 @@ def cmd_g2(config, out_dir, seed):
         "bunching_time_ps": 1.0 / slow if slow > 0 else None,
         "bunching_time_fit_ps": bunching_fit_ps,
     }
-    _write_json(out_dir / "g2_report.json", report)
-    return report
+    return report, files
 
 
-def cmd_budget(config, out_dir, seed):
-    measured = _section(config, "measured")
+def cmd_budget(config, seed):
+    measured = config["measured"]
     extractions, chains = fixtures.load_table_s2()
     summary = fixtures.load_table_s3()
-    mode_table = fixtures.load_table_s1()
-    p = _section(config, "cavity").get("mode_order", 6)
-    exits = mode_table[p]
+    exits = fixtures.load_table_s1()[config["cavity"]["mode_order"]]
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])
                for name in chains}
@@ -542,8 +559,7 @@ def cmd_budget(config, out_dir, seed):
         "cryostat_optics_quoted": measured["cryostat_optics_quoted"],
         "exit_probabilities_pct": {"planar": exits["p_subs_pct"], "fiber": exits["p_fiber_pct"]},
     }
-    _write_json(out_dir / "budget_report.json", report)
-    return report
+    return report, {}
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +576,33 @@ _COMMANDS = {
 }
 
 
-def _diagnostic(command, code, error):
+def write_outputs(out_dir, command, report, files):
+    """Write a command's files and `<command>_report.json` into out_dir,
+    creating it.  A Spectrum or a (header, x, y) triple becomes a CSV; an
+    `.svg` name takes an (x, series, labels) plot, `labels` being the
+    keyword arguments of svg.write_line_svg."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, item in files.items():
+        path = out_dir / name
+        if isinstance(item, spectra.Spectrum):
+            spectra.save_spectrum_csv(item, path)
+        elif name.endswith(".svg"):
+            x, series, labels = item
+            svg.write_line_svg(path, x, series, **labels)
+        else:
+            spectra.write_two_column_csv(path, *item)
+    with open(out_dir / f"{command}_report.json", "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _fail(command, code, error):
+    """Print the single-line JSON diagnostic and return the exit code."""
     payload = {"command": command, "exit_code": code,
                "error": type(error).__name__, "message": str(error)}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv=None):
@@ -578,28 +617,19 @@ def main(argv=None):
     parser.add_argument("--parallel", type=int, default=1,
                         help="accepted for compatibility and ignored: sweeps run in one thread")
     args = parser.parse_args(argv)
+    out_dir = Path(args.out)
 
     try:
         config = load_config(args.config, args.fixture)
-        seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report = _COMMANDS[args.command](config, out_dir, seed)
-    except ConfigError as err:
-        _diagnostic(args.command, EXIT_CONFIG, err)
-        return EXIT_CONFIG
+        seed = args.seed if args.seed is not None else config["seed"]
+        report, files = _COMMANDS[args.command](config, seed)
+        write_outputs(out_dir, args.command, report, files)
+    except (ConfigError, KeyError, ValueError, TypeError) as err:
+        return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:
-        _diagnostic(args.command, EXIT_FIT, err)
-        return EXIT_FIT
-    except InputError as err:
-        _diagnostic(args.command, EXIT_IO, err)
-        return EXIT_IO
-    except (KeyError, ValueError, TypeError) as err:
-        _diagnostic(args.command, EXIT_CONFIG, err)
-        return EXIT_CONFIG
-    except OSError as err:
-        _diagnostic(args.command, EXIT_IO, err)
-        return EXIT_IO
+        return _fail(args.command, EXIT_FIT, err)
+    except (InputError, OSError) as err:
+        return _fail(args.command, EXIT_IO, err)
 
     print(json.dumps({"command": args.command, "out_dir": str(out_dir),
                       "report": report}, sort_keys=True, default=str))

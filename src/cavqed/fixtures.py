@@ -49,17 +49,6 @@ def load_table_s1(path=None):
     return rows
 
 
-def save_table_s1(rows, path):
-    """Inverse of load_table_s1, reproducing the canonical formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "v_eff_lambda3", "q_th", "q_exp", "p_subs_pct", "p_fiber_pct"])
-        for p in sorted(rows):
-            r = rows[p]
-            writer.writerow([p] + [f"{r[k]:g}" for k in
-                                   ("v_eff_lambda3", "q_th", "q_exp", "p_subs_pct", "p_fiber_pct")])
-
-
 def _load_stage_table(path):
     table = {name: [] for name in _PATHS}
     with open(path, newline="") as fh:

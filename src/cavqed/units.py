@@ -21,28 +21,28 @@ KB_UEV_PER_K = 86.17333262
 
 def energy_from_wavelength(wavelength_nm):
     """Photon energy in ueV for a vacuum wavelength in nm."""
-    if wavelength_nm <= 0:
+    if not wavelength_nm > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
     return HC_UEV_NM / wavelength_nm
 
 
 def wavelength_from_energy(energy_uev):
     """Vacuum wavelength in nm for a photon energy in ueV."""
-    if energy_uev <= 0:
+    if not energy_uev > 0:
         raise ValueError(f"energy must be positive, got {energy_uev}")
     return HC_UEV_NM / energy_uev
 
 
 def rate_from_lifetime(tau_ps):
     """Decay rate in ueV equivalent to a lifetime in ps."""
-    if tau_ps <= 0:
+    if not tau_ps > 0:
         raise ValueError(f"lifetime must be positive, got {tau_ps}")
     return HBAR_UEV_PS / tau_ps
 
 
 def lifetime_from_rate(gamma_uev):
     """Lifetime in ps equivalent to a decay rate in ueV."""
-    if gamma_uev <= 0:
+    if not gamma_uev > 0:
         raise ValueError(f"rate must be positive, got {gamma_uev}")
     return HBAR_UEV_PS / gamma_uev
 

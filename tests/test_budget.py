@@ -9,8 +9,6 @@ from cavqed.budget import (
     Stage,
     calibrate_unknown_stage,
     chain_efficiency,
-    chain_from_json,
-    chain_to_json,
     collection_ratio_fs_over_cav,
     detected_port_ratio,
     fiber_flux_from_ccd,
@@ -254,15 +252,3 @@ class TestCalibrateUnknownStage:
         solved, _ = calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
                                             measured, "u")
         assert solved == pytest.approx(unknown, rel=1e-10)
-
-
-class TestChainJson:
-    def test_round_trip(self, tables):
-        _, chains, _ = tables
-        for chain in chains.values():
-            again = chain_from_json(chain_to_json(chain))
-            assert again == chain
-
-    def test_accepts_text(self):
-        chain = chain_from_json('{"path": "x", "stages": [{"name": "a", "eff": 0.5}]}')
-        assert chain_efficiency(chain) == 0.5

@@ -226,13 +226,6 @@ class TestFixtureTable:
         assert table[6]["q_exp"] == 11200.0
         assert [table[p]["v_eff_lambda3"] for p in (6, 7, 8, 9)] == [2.49, 2.86, 3.53, 4.23]
 
-    def test_round_trips_through_csv(self, tmp_path):
-        table = fixtures.load_table_s1()
-        path = tmp_path / "modes.csv"
-        fixtures.save_table_s1(table, path)
-        again = fixtures.load_table_s1(path)
-        assert again == table
-
     def test_gaussian_volume_within_25_percent_everywhere(self):
         table = fixtures.load_table_s1()
         for p, row in table.items():

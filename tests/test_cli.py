@@ -12,10 +12,14 @@ import pytest
 import cavqed
 from cavqed import fixtures, spectra
 from cavqed.cli import (
+    DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_FIT,
     EXIT_IO,
     EXIT_OK,
+    cmd_brightness,
+    cmd_spectrum,
+    load_config,
     main,
 )
 
@@ -24,8 +28,9 @@ def run(tmp_path, command, *extra, config=None, name="run"):
     out = tmp_path / name
     argv = [command, "--fixture", "paper", "--out", str(out)]
     if config is not None:
+        # a str is written as-is, for JSON that json.dumps would not produce
         cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg_path)]
     argv += list(extra)
     code = main(argv)
@@ -269,7 +274,7 @@ class TestExitCodes:
     def test_fit_nonconvergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         import cavqed.cli as cli_mod
 
-        def explode(config, out_dir, seed):
+        def explode(config, seed):
             raise cli_mod.FitError("synthetic non-convergence")
 
         monkeypatch.setitem(cli_mod._COMMANDS, "purcell", explode)
@@ -280,6 +285,58 @@ class TestExitCodes:
     def test_zero_lifetime_is_config_error(self, tmp_path, command):
         code, _ = run(tmp_path, command, config={"emitter": {"lifetime_fs_ps": 0}})
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["spectrum", "lifetime", "g2"])
+    def test_nan_lifetime_is_config_error(self, tmp_path, command):
+        code, _ = run(tmp_path, command, config='{"emitter": {"lifetime_fs_ps": NaN}}')
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config, key", [
+        ({"colour": "red"}, "colour"),
+        ({"emitter": {"temperatur_k": 300}}, "emitter.temperatur_k"),
+        ({"analysis": {"spectrum": {"step": 2.0}}}, "analysis.spectrum.step"),
+        ({"emitter": 5}, "emitter"),
+        ('{"emitter": {"temperature_k": Infinity}}', "emitter.temperature_k"),
+        ('{"cavity": {"refractive_index": 1e999}}', "cavity.refractive_index"),
+        ('{"emitter": {"decay_weights": [2.0, NaN]}}', "emitter.decay_weights"),
+    ])
+    def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
+        code, out = run(tmp_path, "spectrum", config=config)
+        assert code == EXIT_CONFIG
+        assert key in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    def test_missing_required_key_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        code = main(["purcell", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "emitter.wavelength_nm" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("code", [EXIT_CONFIG, EXIT_FIT, EXIT_IO])
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, code):
+        import cavqed.cli as cli_mod
+
+        def explode(config, seed):
+            raise cli_mod.FitError("synthetic non-convergence")
+
+        config = None
+        if code == EXIT_CONFIG:
+            config = {"emitter": {"debye_waller": 2.0}}
+        elif code == EXIT_FIT:
+            monkeypatch.setitem(cli_mod._COMMANDS, "brightness", explode)
+        else:
+            config = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "no.csv")}}}
+        assert run(tmp_path, "brightness", config=config)[0] == code
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [cmd_spectrum, cmd_brightness])
+def test_commands_compute_without_writing(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    report, files = command(load_config(None, "paper"), DEFAULT_SEED)
+    assert isinstance(report, dict) and files
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestInputData:
