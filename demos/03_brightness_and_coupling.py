@@ -37,7 +37,7 @@ envelope = cqed.modulation_envelope(beta, kappa6)
 # the closed-form envelope in terms of the doubly-filtered spectrum is
 # algebraically invertible
 s_dtilde = spectra.convolve_lorentzian(s_tilde, kappa6)
-closed = cqed.hill_envelope(coupling.a, s_dtilde, c=1.0)
+closed = cqed.hill_envelope(coupling.a, s_dtilde.values, c=1.0)
 recovered = cqed.invert_envelope(
     spectra.Spectrum(grid, closed, spectra.RAW_COUNTS), coupling.a, 1.0)
 round_trip = np.max(np.abs(recovered.values - s_dtilde.values) / s_dtilde.values.max())
@@ -52,10 +52,10 @@ for p in sorted(table):
     kappa = zpl_energy / row["q_exp"]
     g_true = 25.0 * np.sqrt(table[6]["v_eff_lambda3"] / row["v_eff_lambda3"])
     s_dt = spectra.convolve_lorentzian(spectra.convolve_lorentzian(s_fs, kappa), kappa)
-    clean = cqed.hill_envelope(g_true ** 2 / gamma, s_dt)
+    clean = cqed.hill_envelope(g_true ** 2 / gamma, s_dt.values)
     noisy = np.maximum(clean / clean.max() * (1 + 0.01 * rng.standard_normal(grid.size)), 0)
     fit = cqed.fit_g_from_envelope(
-        spectra.Spectrum(grid, noisy, spectra.RAW_COUNTS), s_fs, kappa, gamma)
+        spectra.Spectrum(grid, noisy, spectra.RAW_COUNTS), s_dt, gamma)
     print(f"{p}   {kappa:5.1f}   {g_true:5.2f}  {fit.g_uev:5.2f}   {fit.residual:.2e}")
     inv_v.append(1.0 / row["v_eff_lambda3"])
     g_sq.append(fit.g_uev ** 2)

@@ -68,7 +68,9 @@ def photons_per_count(chain):
 
 def detected_port_ratio(chain_a, chain_b, exit_a, exit_b):
     """Ratio of detected rates on two ports fed by one source:
-    (exit_a * path_a) / (exit_b * path_b)."""
+    (exit_a * path_a) / (exit_b * path_b).  With the extraction
+    efficiencies of two collection paths as the exits, it is the ratio of
+    their overall collection efficiencies."""
     if exit_a <= 0 or exit_b <= 0:
         raise ValueError("exit probabilities must be positive")
     return (exit_a * chain_efficiency(chain_a)) / (exit_b * chain_efficiency(chain_b))
@@ -80,15 +82,6 @@ def fiber_flux_from_ccd(ccd_counts_per_s, photons_per_ccd_count_into_fiber):
     if ccd_counts_per_s <= 0 or photons_per_ccd_count_into_fiber <= 0:
         raise ValueError("rates and conversion factors must be positive")
     return ccd_counts_per_s * photons_per_ccd_count_into_fiber
-
-
-def collection_ratio_fs_over_cav(chain_fs, chain_cav, extraction_fs, extraction_cav):
-    """Overall free-space collection efficiency over the cavity-planar
-    one, both as extraction * path-and-detector products."""
-    if extraction_fs <= 0 or extraction_cav <= 0:
-        raise ValueError("extraction efficiencies must be positive")
-    return (extraction_fs * chain_efficiency(chain_fs)) / (
-        extraction_cav * chain_efficiency(chain_cav))
 
 
 def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,

@@ -14,14 +14,15 @@ task index).  --parallel is accepted and ignored: every sweep task takes
 milliseconds, so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
-4 I/O error.  Diagnostics go to stderr as single-line JSON.  A run that
-fails writes nothing.
+4 I/O error.  Diagnostics, Python warnings included, go to stderr as
+single-line JSON.  A run that fails writes nothing.
 """
 
 import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,12 +191,29 @@ def emitter_from_config(config):
     )
 
 
-def _mode_kappa(energy, mode_order):
-    """Cavity linewidth for one longitudinal order, from the fixture Q."""
+def _mode_rows(config, key="mode_orders"):
+    """[(p, fixture table S1 row)] for the mode orders of config key
+    cavity.<key>: the list cavity.mode_orders (None: every row) or the one
+    cavity.mode_order."""
     table = fixtures.load_table_s1()
-    if mode_order not in table:
-        raise ConfigError(f"mode order {mode_order} not in the fixture mode table")
-    return cavity_mod.kappa_from_q(energy, table[mode_order]["q_exp"])
+    orders = config["cavity"][key]
+    if key == "mode_order":
+        orders = [orders]
+    elif orders is None:
+        orders = sorted(table)
+    elif not isinstance(orders, list) or not orders:
+        raise ConfigError(f"config key cavity.{key} must be a nonempty list, got {orders!r}")
+    for p in orders:
+        if p not in table:
+            raise ConfigError(f"config key cavity.{key}: mode order {p!r} "
+                              "is not in the fixture mode table")
+    return [(p, table[p]) for p in orders]
+
+
+def _mode_kappa(config, energy):
+    """(p, cavity linewidth) of cavity.mode_order, from the fixture Q."""
+    [(p, row)] = _mode_rows(config, "mode_order")
+    return p, cavity_mod.kappa_from_q(energy, row["q_exp"])
 
 
 def task_rng(seed, index):
@@ -218,7 +236,7 @@ def _require_converged(results, what):
 def cmd_spectrum(config, seed):
     model = emitter_from_config(config)
     options = config["analysis"]["spectrum"]
-    kappa = _mode_kappa(model.zpl_energy_uev, config["cavity"]["mode_order"])
+    _, kappa = _mode_kappa(config, model.zpl_energy_uev)
 
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
                                options["step_uev"])
@@ -250,16 +268,11 @@ def cmd_purcell(config, seed):
     model = emitter_from_config(config)
     measured = config["measured"]
     cav = config["cavity"]
-    table = fixtures.load_table_s1()
-    orders = cav["mode_orders"] if cav["mode_orders"] is not None else sorted(table)
     energy = model.zpl_energy_uev
     q_emitter = energy / model.zpl_fwhm_uev
 
     modes = []
-    for p in orders:
-        if p not in table:
-            raise ConfigError(f"mode order {p} not in the fixture mode table")
-        row = table[p]
+    for p, row in _mode_rows(config):
         geometry = cavity_mod.CavityGeometry(
             config["emitter"]["wavelength_nm"], cav["refractive_index"],
             cav["radius_of_curvature_um"], p)
@@ -304,58 +317,55 @@ def cmd_purcell(config, seed):
     return report, files
 
 
-def _synthetic_envelope(s_tilde, g_uev, gamma_uev, kappa_uev, noise_frac, rng):
-    s_dtilde = spectra.convolve_lorentzian(s_tilde, kappa_uev)
+def _synthetic_envelope(s_dtilde, g_uev, gamma_uev, noise_frac, rng):
     if g_uev > 0:
-        values = cqed.hill_envelope(g_uev ** 2 / gamma_uev, s_dtilde)
+        values = cqed.hill_envelope(g_uev ** 2 / gamma_uev, s_dtilde.values)
         values = values / values.max()
     else:
-        values = np.zeros_like(s_tilde.values)
+        values = np.zeros_like(s_dtilde.values)
     if noise_frac > 0:
         values = np.maximum(values * (1.0 + noise_frac * rng.standard_normal(values.size)), 0.0)
-    return spectra.Spectrum(s_tilde.energies, values, spectra.RAW_COUNTS)
+    return spectra.Spectrum(s_dtilde.energies, values, spectra.RAW_COUNTS)
 
 
 def cmd_brightness(config, seed):
     model = emitter_from_config(config)
     options = config["analysis"]["brightness"]
     gamma = model.gamma_fs_uev
-    table = fixtures.load_table_s1()
 
     if options["envelope_csv"]:
         # measured path: one envelope, one mode order
-        p = config["cavity"]["mode_order"]
-        kappa = _mode_kappa(model.zpl_energy_uev, p)
+        p, kappa = _mode_kappa(config, model.zpl_energy_uev)
         envelope = spectra.Spectrum(*_load_csv(options["envelope_csv"],
                                                 spectra.SPECTRUM_HEADER))
         s_fs = spectra.build_fs_spectrum(model, envelope.energies)
-        fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa, gamma)
+        s_dtilde = spectra.convolve_lorentzian(spectra.convolve_lorentzian(s_fs, kappa), kappa)
+        fit = cqed.fit_g_from_envelope(envelope, s_dtilde, gamma)
         _require_converged([fit], "envelope")
         report = {"mode": "measured", "p": p, "kappa_uev": kappa,
                   "fit": fit.to_record()}
         return report, {}
 
-    cav = config["cavity"]
-    orders = cav["mode_orders"] if cav["mode_orders"] is not None else sorted(table)
+    rows = _mode_rows(config)
     g_max = options["g_max_uev"]
     if g_max is None:
         g_max = config["measured"]["g_spectral_max_uev"]
     noise_frac = options["noise_frac"]
-    v_ref = table[min(orders)]["v_eff_lambda3"]
+    v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
                                options["step_uev"])
     s_fs = spectra.build_fs_spectrum(model, grid)
 
     modes = []
     files = {}
-    for index, p in enumerate(orders):
-        row = table[p]
+    for index, (p, row) in enumerate(rows):
         kappa = cavity_mod.kappa_from_q(model.zpl_energy_uev, row["q_exp"])
         g_true = g_max * np.sqrt(v_ref / row["v_eff_lambda3"]) if g_max > 0 else 0.0
         s_tilde = spectra.convolve_lorentzian(s_fs, kappa)
+        s_dtilde = spectra.convolve_lorentzian(s_tilde, kappa)
         envelope = _synthetic_envelope(
-            s_tilde, g_true, gamma, kappa, noise_frac, task_rng(seed, index))
-        fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa, gamma)
+            s_dtilde, g_true, gamma, noise_frac, task_rng(seed, index))
+        fit = cqed.fit_g_from_envelope(envelope, s_dtilde, gamma)
         coupling = cqed.CouplingParams(max(fit.g_uev, 0.0), gamma, kappa)
         files[f"envelope_p{p}.csv"] = envelope
         files[f"beta_p{p}.csv"] = cqed.brightness_profile(coupling, s_tilde)
@@ -521,7 +531,7 @@ def cmd_budget(config, seed):
     measured = config["measured"]
     extractions, chains = fixtures.load_table_s2()
     summary = fixtures.load_table_s3()
-    exits = fixtures.load_table_s1()[config["cavity"]["mode_order"]]
+    [(_, exits)] = _mode_rows(config, "mode_order")
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])
                for name in chains}
@@ -532,7 +542,7 @@ def cmd_budget(config, seed):
     fiber_flux = budget_mod.fiber_flux_from_ccd(
         measured["ccd_rate_at_saturation_per_s"],
         measured["photons_into_fiber_per_ccd_count"])
-    collection_ratio = budget_mod.collection_ratio_fs_over_cav(
+    collection_ratio = budget_mod.detected_port_ratio(
         chains["free_space"], chains["cavity_planar"],
         extractions["free_space"], extractions["cavity_planar"])
 
@@ -597,11 +607,15 @@ def write_outputs(out_dir, command, report, files):
         fh.write("\n")
 
 
-def _fail(command, code, error):
-    """Print the single-line JSON diagnostic and return the exit code."""
-    payload = {"command": command, "exit_code": code,
-               "error": type(error).__name__, "message": str(error)}
+def _diagnostic(**payload):
+    """Print one single-line JSON diagnostic on stderr."""
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+
+
+def _fail(command, code, error):
+    """Print the JSON diagnostic of a failed run and return the exit code."""
+    _diagnostic(command=command, exit_code=code, error=type(error).__name__,
+                message=str(error))
     return code
 
 
@@ -619,11 +633,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
 
+    def show_warning(message, category, *rest, **kwargs):
+        _diagnostic(command=args.command, warning=category.__name__, message=str(message))
+
     try:
-        config = load_config(args.config, args.fixture)
-        seed = args.seed if args.seed is not None else config["seed"]
-        report, files = _COMMANDS[args.command](config, seed)
-        write_outputs(out_dir, args.command, report, files)
+        with warnings.catch_warnings():
+            warnings.showwarning = show_warning
+            if args.parallel < 1:
+                raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+            config = load_config(args.config, args.fixture)
+            seed = args.seed if args.seed is not None else config["seed"]
+            if not (isinstance(seed, int) and seed >= 0):
+                name = "--seed" if args.seed is not None else "config key seed"
+                raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
+            report, files = _COMMANDS[args.command](config, seed)
+            write_outputs(out_dir, args.command, report, files)
     except (ConfigError, KeyError, ValueError, TypeError) as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:

@@ -20,6 +20,9 @@ from .spectra import RAW_COUNTS, Spectrum, lorentzian
 # exciton/photon populations above this are outside the weak-pump regime
 WEAK_PUMP_THRESHOLD = 0.1
 
+# range of couplings g (ueV) the envelope fit searches
+_G_BOUNDS_UEV = (1e-2, 1e3)
+
 
 @dataclass(frozen=True)
 class CouplingParams:
@@ -232,11 +235,10 @@ def modulation_envelope(beta, kappa_uev):
     return beta.with_values(filtered.values)
 
 
-def hill_envelope(a, s_dtilde, c=1.0):
-    """Closed-form envelope c * a*S / (1 + a*S) for a doubly-filtered
-    spectrum S (ndarray or Spectrum values)."""
-    s = s_dtilde.values if isinstance(s_dtilde, Spectrum) else np.asarray(s_dtilde, float)
-    rate = a * s
+def hill_envelope(a, s_dtilde_values, c=1.0):
+    """Closed-form envelope c * a*S / (1 + a*S) for the values S of a
+    doubly-filtered spectrum."""
+    rate = a * np.asarray(s_dtilde_values, dtype=float)
     return c * rate / (1.0 + rate)
 
 
@@ -271,27 +273,26 @@ def normalized_envelope_model(a, s_dtilde_values):
     s_max = float(np.max(s_dtilde_values))
     if s_max <= 0:
         raise ValueError("spectrum has no positive values")
-    rate = a * s_dtilde_values
-    return (1.0 + a * s_max) / (a * s_max) * rate / (1.0 + rate)
+    return hill_envelope(a, s_dtilde_values, c=(1.0 + a * s_max) / (a * s_max))
 
 
-def fit_g_from_envelope(e_mod_measured, s_fs, kappa_uev, gamma_uev,
-                        g_bounds_uev=(1e-2, 1e3)):
+def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     """Extract the Rabi coupling g from a measured modulation envelope.
 
-    The free-space spectrum is convolved twice with the cavity
-    Lorentzian, the measured envelope is divided by its maximum, and the
-    single parameter a = g**2/gamma of the peak-normalized closed-form
-    envelope is fitted by bounded scalar minimization on log(a)
-    (Brent-style, relative tolerance 1e-6, at most 200 iterations).
+    `s_dtilde` is the free-space spectrum convolved twice with the cavity
+    Lorentzian, on the envelope's grid.  The measured envelope is divided
+    by its maximum, and the single parameter a = g**2/gamma of the
+    peak-normalized closed-form envelope is fitted by bounded scalar
+    minimization on log(a) over g in _G_BOUNDS_UEV (Brent-style,
+    relative tolerance 1e-6, at most 200 iterations).
 
     Returns an EnvelopeFit; `c` is the envelope scale consistent with the
     fitted a and the measured maximum, and `residual` is the root mean
     square difference of the normalized profiles.
     """
-    if (e_mod_measured.energies.shape != s_fs.energies.shape
-            or not np.array_equal(e_mod_measured.energies, s_fs.energies)):
-        raise ValueError("envelope and free-space spectrum must share one grid")
+    if (e_mod_measured.energies.shape != s_dtilde.energies.shape
+            or not np.array_equal(e_mod_measured.energies, s_dtilde.energies)):
+        raise ValueError("envelope and filtered spectrum must share one grid")
     if np.any(e_mod_measured.values < 0):
         raise ValueError("measured envelope must be nonnegative")
 
@@ -299,14 +300,11 @@ def fit_g_from_envelope(e_mod_measured, s_fs, kappa_uev, gamma_uev,
     if measured_max <= 0:
         return EnvelopeFit(0.0, 0.0, 0.0, 0.0, 0, True, flag="below-noise-floor")
 
-    s_dtilde = spectra.convolve_lorentzian(
-        spectra.convolve_lorentzian(s_fs, kappa_uev), kappa_uev
-    )
     s_values = s_dtilde.values
     target = e_mod_measured.values / measured_max
 
-    log_lo = np.log(g_bounds_uev[0] ** 2 / gamma_uev)
-    log_hi = np.log(g_bounds_uev[1] ** 2 / gamma_uev)
+    log_lo = np.log(_G_BOUNDS_UEV[0] ** 2 / gamma_uev)
+    log_hi = np.log(_G_BOUNDS_UEV[1] ** 2 / gamma_uev)
 
     def cost(log_a):
         model = normalized_envelope_model(np.exp(log_a), s_values)

@@ -23,12 +23,11 @@ _DEGENERATE_TAU_RTOL = 0.05
 @dataclass(frozen=True)
 class DecayTrace:
     """Time-binned photon counts with the instrument response that
-    produced them.  `irf` is a Gaussian FWHM in ps when scalar, or a
-    tabulated kernel (same bin width as the trace) when an array."""
+    produced them: `irf` is its Gaussian FWHM in ps, 0 for none."""
 
     time_ps: np.ndarray
     counts: np.ndarray
-    irf: object = 32.0
+    irf: float = 32.0
 
     def __post_init__(self):
         t = np.asarray(self.time_ps, dtype=float)
@@ -107,22 +106,17 @@ class LevelScheme:
             raise ValueError(f"background fraction must be in [0, 1), got {self.background}")
 
 
-def _irf_kernel(irf, bin_ps, n_bins):
-    """Unit-sum discrete IRF kernel centered on zero delay."""
-    if irf is None:
+def _irf_kernel(fwhm_ps, bin_ps, n_bins):
+    """Unit-sum discrete Gaussian IRF kernel of FWHM `fwhm_ps` centered on
+    zero delay; None for a zero FWHM."""
+    if not fwhm_ps >= 0:
+        raise ValueError(f"IRF FWHM must be >= 0 ps, got {fwhm_ps}")
+    if fwhm_ps == 0:
         return None
-    if np.isscalar(irf):
-        fwhm = float(irf)
-        if fwhm <= 0:
-            return None
-        sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        half = min(int(np.ceil(5.0 * sigma / bin_ps)), n_bins - 1)
-        t = np.arange(-half, half + 1) * bin_ps
-        kernel = np.exp(-0.5 * (t / sigma) ** 2)
-    else:
-        kernel = np.asarray(irf, dtype=float)
-        if kernel.ndim != 1 or kernel.size == 0 or np.any(kernel < 0) or kernel.sum() <= 0:
-            raise ValueError("tabulated IRF must be a nonnegative 1-d array with weight")
+    sigma = fwhm_ps / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    half = min(int(np.ceil(5.0 * sigma / bin_ps)), n_bins - 1)
+    t = np.arange(-half, half + 1) * bin_ps
+    kernel = np.exp(-0.5 * (t / sigma) ** 2)
     return kernel / kernel.sum()
 
 
@@ -149,23 +143,20 @@ def _biexp_model(time_ps, tau1, tau2, a1, a2, kernel):
     return _convolve_centered(decay, kernel)
 
 
-def simulate_decay(gamma_fs_uev, decay_ratio=1.0, weights=(2.0, 1.0),
-                   tau_short_ps=23.0, irf=32.0, time_grid_ps=None):
+def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_grid_ps):
     """Noiseless biexponential decay trace convolved with the IRF.
 
     The long component is the emitter lifetime HBAR/gamma_fs divided by
     `decay_ratio` (the cavity acceleration of the total decay); the short
     component `tau_short_ps` is untouched by the cavity.  `weights` are
-    the (short, long) amplitudes at t = 0.
+    the (short, long) amplitudes at t = 0 and `irf` the Gaussian IRF FWHM
+    in ps (0 for none).
 
     The time grid must extend to at least 5 long lifetimes.
     """
     if gamma_fs_uev <= 0 or decay_ratio <= 0 or tau_short_ps <= 0:
         raise ValueError("rates, ratios and lifetimes must be positive")
     tau_long = HBAR_UEV_PS / gamma_fs_uev / decay_ratio
-    if time_grid_ps is None:
-        bin_ps = max(tau_short_ps / 8.0, 1.0)
-        time_grid_ps = np.arange(-np.ceil(160.0 / bin_ps), np.ceil(6.0 * tau_long / bin_ps) + 1) * bin_ps
     time_grid_ps = np.asarray(time_grid_ps, dtype=float)
     if time_grid_ps[-1] < 5.0 * tau_long:
         raise ValueError(
@@ -179,7 +170,7 @@ def simulate_decay(gamma_fs_uev, decay_ratio=1.0, weights=(2.0, 1.0),
     return DecayTrace(time_grid_ps, np.maximum(counts, 0.0), irf)
 
 
-def fit_biexponential(trace, x0=None):
+def fit_biexponential(trace):
     """Weighted least-squares biexponential fit of an IRF-convolved trace.
 
     Residuals carry Poisson weights 1/sqrt(max(counts, 1)).  If the two
@@ -198,8 +189,7 @@ def fit_biexponential(trace, x0=None):
     kernel = _irf_kernel(trace.irf, bin_ps, t.size)
     sigma = np.sqrt(np.maximum(c, 1.0))
 
-    if x0 is None:
-        x0 = _initial_biexp_guess(t, c, kernel)
+    x0 = _initial_biexp_guess(t, c, kernel)
 
     def residuals(params):
         tau1, tau2, a1, a2 = params
@@ -383,7 +373,8 @@ def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
     """Measured g2(tau) of the three-level emitter.
 
     cw: closed-form correlation with the scheme's background fraction
-    folded in, convolved with the (pair) timing response.
+    folded in, convolved with the (pair) timing response: a Gaussian of
+    FWHM `irf` ps, 0 for none.
 
     pulsed: comb of correlation peaks at multiples of 1/f_rep whose areas
     follow the cw correlation sampled at the peak centers (the zero-delay

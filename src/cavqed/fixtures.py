@@ -28,12 +28,12 @@ def fixture_path(name):
     return Path(str(resources.files("cavqed") / "fixtures" / name))
 
 
-def load_table_s1(path=None):
+def load_table_s1():
     """Simulated/measured mode table, keyed by longitudinal order p.
 
     Columns: p, v_eff_lambda3, q_th, q_exp, p_subs_pct, p_fiber_pct.
     """
-    path = fixture_path("table_s1.csv") if path is None else path
+    path = fixture_path("table_s1.csv")
     rows = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -60,14 +60,14 @@ def _load_stage_table(path):
     return table
 
 
-def load_table_s2(path=None):
+def load_table_s2():
     """Measured stage efficiencies per path.
 
     Returns (extractions, chains): the extraction-in-first-lens
     efficiency per path, and the ordered downstream chain (path optics
     plus detector) per path.
     """
-    path = fixture_path("table_s2.csv") if path is None else path
+    path = fixture_path("table_s2.csv")
     table = _load_stage_table(path)
     extractions = {}
     chains = {}
@@ -80,10 +80,10 @@ def load_table_s2(path=None):
     return extractions, chains
 
 
-def load_table_s3(path=None):
+def load_table_s3():
     """Summary efficiencies per path: extraction, path-and-detector
     product, and their overall product, keyed by path name."""
-    path = fixture_path("table_s3.csv") if path is None else path
+    path = fixture_path("table_s3.csv")
     out = {name: {} for name in _PATHS}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -99,8 +99,7 @@ def load_table_s3(path=None):
     return out
 
 
-def paper_defaults(path=None):
+def paper_defaults():
     """Default emitter/cavity/scheme parameter set used by `--fixture paper`."""
-    path = fixture_path("paper_defaults.json") if path is None else path
-    with open(path) as fh:
+    with open(fixture_path("paper_defaults.json")) as fh:
         return json.load(fh)

@@ -121,13 +121,9 @@ class Spectrum:
         """Linear interpolation of the spectrum (0 outside the grid)."""
         return np.interp(energy, self.energies, self.values, left=0.0, right=0.0)
 
-    def with_values(self, values, normalization=None):
-        """Copy of this spectrum with new values (same grid)."""
-        return Spectrum(
-            self.energies.copy(),
-            values,
-            self.normalization if normalization is None else normalization,
-        )
+    def with_values(self, values):
+        """Copy of this spectrum with new values (same grid and tag)."""
+        return Spectrum(self.energies.copy(), values, self.normalization)
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def test_criterion_6b_si_approximation_residual():
     coupling = CouplingParams(g, GAMMA, KAPPA)
     beta = cqed.brightness_profile(coupling, s_tilde)
     swept = cqed.modulation_envelope(beta, KAPPA).values
-    closed = cqed.hill_envelope(coupling.a, s_dtilde)
+    closed = cqed.hill_envelope(coupling.a, s_dtilde.values)
     residual = float(np.std(swept / swept.max() - closed / closed.max()))
     ok = residual < 5e-5
     assert report("6b", "swept-envelope closed-form residual", ok,
@@ -168,21 +168,20 @@ def test_criterion_7_g_extraction():
     noiseless_errors = {}
     for g_true in (5.0, 10.0, 25.0):
         a_true = g_true ** 2 / GAMMA
-        envelope = Spectrum(grid, cqed.hill_envelope(a_true, s_dtilde, c=2.9), RAW_COUNTS)
-        fit = cqed.fit_g_from_envelope(envelope, s_fs, KAPPA, GAMMA)
+        envelope = Spectrum(grid, cqed.hill_envelope(a_true, s_dtilde.values, c=2.9), RAW_COUNTS)
+        fit = cqed.fit_g_from_envelope(envelope, s_dtilde, GAMMA)
         noiseless_errors[g_true] = abs(fit.g_uev - g_true) / g_true
     noiseless_ok = max(noiseless_errors.values()) < 1e-3
 
     # 1% multiplicative noise, 100 seeded trials, 95th percentile < 5%
     g_true = 25.0
-    clean = cqed.hill_envelope(g_true ** 2 / GAMMA, s_dtilde)
+    clean = cqed.hill_envelope(g_true ** 2 / GAMMA, s_dtilde.values)
     clean = clean / clean.max()
     errors = []
     for trial in range(100):
         rng = np.random.Generator(np.random.Philox(seed=[2024, trial]))
         noisy = np.maximum(clean * (1.0 + 0.01 * rng.standard_normal(clean.size)), 0.0)
-        fit = cqed.fit_g_from_envelope(Spectrum(grid, noisy, RAW_COUNTS),
-                                       s_fs, KAPPA, GAMMA)
+        fit = cqed.fit_g_from_envelope(Spectrum(grid, noisy, RAW_COUNTS), s_dtilde, GAMMA)
         errors.append(abs(fit.g_uev - g_true) / g_true)
     p95 = float(np.percentile(errors, 95))
     noise_ok = p95 < 0.05
@@ -196,8 +195,8 @@ def test_criterion_7_g_extraction():
         g_p = 25.0 * np.sqrt(TABLE_V_EFF[6] / row["v_eff_lambda3"])
         s_dt_p = spectra.convolve_lorentzian(
             spectra.convolve_lorentzian(s_fs, kappa_p), kappa_p)
-        envelope = Spectrum(grid, cqed.hill_envelope(g_p ** 2 / GAMMA, s_dt_p), RAW_COUNTS)
-        fit = cqed.fit_g_from_envelope(envelope, s_fs, kappa_p, GAMMA)
+        envelope = Spectrum(grid, cqed.hill_envelope(g_p ** 2 / GAMMA, s_dt_p.values), RAW_COUNTS)
+        fit = cqed.fit_g_from_envelope(envelope, s_dt_p, GAMMA)
         inv_v.append(1.0 / row["v_eff_lambda3"])
         g_sq.append(fit.g_uev ** 2)
     slope, intercept = np.polyfit(inv_v, g_sq, 1)
@@ -252,7 +251,7 @@ def test_criterion_10_g2_model():
     # clean three-level scheme: full antibunching, unit tails
     clean = dynamics.LevelScheme(0.374, GAMMA, 0.0, 0.0, 0.0)
     tau_clean = np.arange(-6000, 6001) * 2.0
-    g2_clean = dynamics.g2_correlation(clean, "cw", tau_clean, irf=None)
+    g2_clean = dynamics.g2_correlation(clean, "cw", tau_clean, irf=0.0)
     clean_ok = abs(g2_clean[tau_clean.size // 2]) <= 1e-12 \
         and abs(g2_clean[-1] - 1.0) <= 1e-6
     tau = np.arange(-3000, 3001) * 1.0

@@ -9,7 +9,6 @@ from cavqed.budget import (
     Stage,
     calibrate_unknown_stage,
     chain_efficiency,
-    collection_ratio_fs_over_cav,
     detected_port_ratio,
     fiber_flux_from_ccd,
     photons_per_count,
@@ -151,10 +150,13 @@ class TestFiberFlux:
 
 
 class TestCollectionRatio:
+    """The free-space over cavity-planar collection ratio is the port ratio
+    with the extraction efficiencies as the exits."""
+
     def test_summary_values(self, tables):
         # 0.66 % / 0.135 % = 4.89, quoted 4.9 +- 0.2
         extractions, chains, summary = tables
-        ratio = collection_ratio_fs_over_cav(
+        ratio = detected_port_ratio(
             chains["free_space"], chains["cavity_planar"],
             extractions["free_space"], extractions["cavity_planar"])
         assert ratio == pytest.approx(4.9, abs=0.1)
@@ -164,13 +166,13 @@ class TestCollectionRatio:
     def test_equal_chains_give_one(self, tables):
         _, chains, _ = tables
         chain = chains["free_space"]
-        assert collection_ratio_fs_over_cav(chain, chain, 0.19, 0.19) == 1.0
+        assert detected_port_ratio(chain, chain, 0.19, 0.19) == 1.0
 
     def test_feeds_purcell_closure(self, tables):
         # raw count ratio x collection ratio ~ 19 feeds the F_P solver
         from cavqed.cqed import solve_fp_and_qy
         extractions, chains, _ = tables
-        ratio = collection_ratio_fs_over_cav(
+        ratio = detected_port_ratio(
             chains["free_space"], chains["cavity_planar"],
             extractions["free_space"], extractions["cavity_planar"])
         raw_count_ratio = 19.0 / ratio

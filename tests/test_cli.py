@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -299,11 +300,27 @@ class TestExitCodes:
         ('{"emitter": {"temperature_k": Infinity}}', "emitter.temperature_k"),
         ('{"cavity": {"refractive_index": 1e999}}', "cavity.refractive_index"),
         ('{"emitter": {"decay_weights": [2.0, NaN]}}', "emitter.decay_weights"),
+        ({"seed": -1}, "seed"),
+        # (command, extra arguments, config) for checks that spectrum does
+        # not reach; a negative IRF is named by the library, as "IRF FWHM"
+        (("lifetime", (), {"analysis": {"lifetime": {"irf_fwhm_ps": -5.0}}}), "IRF FWHM"),
+        (("g2", (), {"g2_scheme": {"irf_fwhm_ps": -5.0}}), "IRF FWHM"),
+        (("purcell", (), {"cavity": {"mode_orders": []}}), "cavity.mode_orders"),
+        (("brightness", (), {"cavity": {"mode_orders": []}}), "cavity.mode_orders"),
+        (("purcell", (), {"cavity": {"mode_orders": [6, 42]}}), "cavity.mode_orders"),
+        (("brightness", (), {"cavity": {"mode_orders": [6, 42]}}), "cavity.mode_orders"),
+        (("spectrum", ("--seed", "-1"), None), "--seed"),
+        (("brightness", ("--seed", "-1"), None), "--seed"),
+        (("budget", ("--parallel", "-3"), None), "--parallel"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
-        code, out = run(tmp_path, "spectrum", config=config)
+        command, extra = "spectrum", ()
+        if isinstance(config, tuple):
+            command, extra, config = config
+        code, out = run(tmp_path, command, *extra, config=config)
         assert code == EXIT_CONFIG
-        assert key in json.loads(capsys.readouterr().err)["message"]
+        [line] = capsys.readouterr().err.splitlines()
+        assert key in json.loads(line)["message"]
         assert not out.exists()
 
     def test_missing_required_key_names_it(self, tmp_path, capsys):
@@ -312,6 +329,28 @@ class TestExitCodes:
         code = main(["purcell", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "emitter.wavelength_nm" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_warnings_are_single_line_json(self, tmp_path, capsys):
+        # a 1 kHz repetition rate puts the pulsed quantum yield above one
+        code, _ = run(tmp_path, "saturation", config={"measured": {"f_rep_hz": 1000.0}})
+        assert code == EXIT_OK
+        [record] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert record["command"] == "saturation"
+        assert record["warning"] == "UserWarning"
+        assert "quantum yield" in record["message"]
+
+    def test_fit_warning_precedes_exit_3(self, tmp_path, monkeypatch, capsys):
+        import cavqed.cli as cli_mod
+
+        def explode(config, seed):
+            warnings.warn("fit did not converge; returning best iterate")
+            raise cli_mod.FitError("synthetic non-convergence")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "lifetime", explode)
+        assert run(tmp_path, "lifetime")[0] == EXIT_FIT
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(r.get("warning"), r.get("exit_code")) for r in records] \
+            == [("UserWarning", None), (None, EXIT_FIT)]
 
     @pytest.mark.parametrize("code", [EXIT_CONFIG, EXIT_FIT, EXIT_IO])
     def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, code):

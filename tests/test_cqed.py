@@ -312,7 +312,7 @@ class TestInvertEnvelope:
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
         a = 25.0 ** 2 / GAMMA
         c = 2.9
-        envelope = Spectrum(paper_grid, hill_envelope(a, s_dtilde, c=c), RAW_COUNTS)
+        envelope = Spectrum(paper_grid, hill_envelope(a, s_dtilde.values, c=c), RAW_COUNTS)
         recovered = invert_envelope(envelope, a, c)
         peak = int(np.argmax(s_dtilde.values))
         assert recovered.values[peak] == pytest.approx(s_dtilde.values[peak], rel=1e-3)
@@ -324,9 +324,9 @@ class TestFitGFromEnvelope:
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
         for g_true in (5.0, 25.0):
             a_true = g_true ** 2 / GAMMA
-            envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde, c=3.3),
+            envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde.values, c=3.3),
                                 RAW_COUNTS)
-            fit = fit_g_from_envelope(envelope, paper_fs_spectrum, KAPPA, GAMMA)
+            fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
             assert fit.converged
             assert fit.g_uev == pytest.approx(g_true, rel=1e-3)
 
@@ -335,14 +335,14 @@ class TestFitGFromEnvelope:
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
         a_true = 10.0 ** 2 / GAMMA
         c_true = 3.3
-        envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde, c=c_true),
+        envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde.values, c=c_true),
                             RAW_COUNTS)
-        fit = fit_g_from_envelope(envelope, paper_fs_spectrum, KAPPA, GAMMA)
+        fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
         assert fit.c == pytest.approx(c_true, rel=1e-3)
 
     def test_zero_envelope_flags_noise_floor(self, paper_grid, paper_fs_spectrum):
         envelope = Spectrum(paper_grid, np.zeros(paper_grid.size), RAW_COUNTS)
-        fit = fit_g_from_envelope(envelope, paper_fs_spectrum, KAPPA, GAMMA)
+        fit = fit_g_from_envelope(envelope, paper_fs_spectrum, GAMMA)
         assert fit.flag == "below-noise-floor"
         assert fit.g_uev == 0.0
 
@@ -357,7 +357,7 @@ class TestFitGFromEnvelope:
         grid = energy_grid(ZPL_ENERGY, 1000.0, 10.0)
         envelope = Spectrum(grid, np.ones(grid.size), RAW_COUNTS)
         with pytest.raises(ValueError, match="grid"):
-            fit_g_from_envelope(envelope, paper_fs_spectrum, KAPPA, GAMMA)
+            fit_g_from_envelope(envelope, paper_fs_spectrum, GAMMA)
 
 
 class TestGFromLifetime:

@@ -75,6 +75,13 @@ class TestSimulateDecay:
         blurred = simulate_decay(GAMMA_FS, 1.0, (2.0, 1.0), 23.0, 32.0, grid)
         assert blurred.counts.sum() == pytest.approx(sharp.counts.sum(), rel=1e-4)
 
+    @pytest.mark.parametrize("irf", [-5.0, float("nan")])
+    def test_negative_or_nan_irf_rejected(self, irf):
+        with pytest.raises(ValueError, match="IRF FWHM"):
+            simulate_decay(GAMMA_FS, 1.0, (2.0, 1.0), 23.0, irf, default_grid())
+        with pytest.raises(ValueError, match="IRF FWHM"):
+            g2_correlation(PAPER_SCHEME, "cw", np.arange(-100, 101) * 4.0, irf=irf)
+
 
 class TestFitBiexponential:
     def test_poisson_monte_carlo(self):
@@ -195,7 +202,7 @@ class TestG2:
     def test_no_shelving_no_background(self):
         scheme = LevelScheme(pump_uev=0.374, gamma_total_uev=GAMMA_FS)
         tau = np.arange(-5000, 5001) * 2.0
-        g2 = g2_correlation(scheme, "cw", tau, irf=None)
+        g2 = g2_correlation(scheme, "cw", tau, irf=0.0)
         izero = tau.size // 2
         assert g2[izero] == pytest.approx(0.0, abs=1e-12)
         assert g2[-1] == pytest.approx(1.0, abs=1e-6)
@@ -225,7 +232,7 @@ class TestG2:
         tau = np.arange(-30000, 30001) * 8.0
         for scheme in (PAPER_SCHEME,
                        LevelScheme(0.1, GAMMA_FS, 0.05, 0.02, 0.0)):
-            g2 = g2_correlation(scheme, "cw", tau, irf=None)
+            g2 = g2_correlation(scheme, "cw", tau, irf=0.0)
             assert g2[0] == pytest.approx(1.0, abs=1e-3)
             assert g2[-1] == pytest.approx(1.0, abs=1e-3)
 
@@ -267,5 +274,5 @@ class TestG2:
     def test_g2_zero_formula_property(self, pump, k_s, k_d, b):
         scheme = LevelScheme(pump, GAMMA_FS, k_s, k_d, b)
         tau = np.arange(-500, 501) * 2.0
-        g2 = g2_correlation(scheme, "cw", tau, irf=None)
+        g2 = g2_correlation(scheme, "cw", tau, irf=0.0)
         assert g2[tau.size // 2] == pytest.approx(b * (2.0 - b), rel=1e-9, abs=1e-12)

@@ -74,7 +74,7 @@ _GRID_USERS = {
     "Spectrum": lambda grid, values: Spectrum(grid, values),
     "DecayTrace": lambda grid, values: DecayTrace(grid, values),
     "g2_correlation": lambda grid, values: g2_correlation(
-        LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), "cw", grid, irf=None),
+        LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), "cw", grid, irf=0.0),
 }
 
 
