@@ -139,6 +139,16 @@ def _checked(tree, table=CONFIG_KEYS, prefix=""):
     return out
 
 
+def _number(section, key, positive):
+    """section[key], which must be a number > 0 if `positive`, else >= 0;
+    a ConfigError names the dotted key."""
+    value = section[key]
+    if not (isinstance(value, (int, float)) and (value > 0 if positive else value >= 0)):
+        bound = "positive" if positive else "nonnegative"
+        raise ConfigError(f"config key {section.prefix}{key} must be {bound}, got {value!r}")
+    return value
+
+
 def _read_input(path, what):
     """Text of an input file; a missing or empty file is an InputError."""
     path = Path(path)
@@ -350,7 +360,7 @@ def cmd_brightness(config, seed):
     g_max = options["g_max_uev"]
     if g_max is None:
         g_max = config["measured"]["g_spectral_max_uev"]
-    noise_frac = options["noise_frac"]
+    noise_frac = _number(options, "noise_frac", positive=False)
     v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
                                options["step_uev"])
@@ -419,9 +429,9 @@ def cmd_lifetime(config, seed):
         decay_ratio = options["decay_ratio"]
         if decay_ratio is None:
             decay_ratio = config["measured"]["decay_ratio"]
-        peak = options["peak_counts"]
+        peak = _number(options, "peak_counts", positive=True)
         weights = tuple(em["decay_weights"])
-        bin_ps = options["bin_ps"]
+        bin_ps = _number(options, "bin_ps", positive=True)
         tau_fs = lifetime_from_rate(model.gamma_fs_uev)
         time_grid = np.arange(-np.ceil(160.0 / bin_ps),
                               np.ceil(6.0 * tau_fs / bin_ps) + 1) * bin_ps
@@ -467,7 +477,7 @@ def cmd_saturation(config, seed):
         powers = np.geomspace(p_sat / 30.0, 30.0 * p_sat, options["n_points"])
         clean = dynamics.saturation_curve(powers, options["i_sat"], p_sat, mode)
         rng = task_rng(seed, 0)
-        noise = options["noise_frac"] * rng.standard_normal(clean.size)
+        noise = _number(options, "noise_frac", positive=False) * rng.standard_normal(clean.size)
         counts = np.maximum(clean * (1.0 + noise), 0.0)
 
     fit = dynamics.fit_saturation(powers, counts, mode)

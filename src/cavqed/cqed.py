@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import spectra
 from .spectra import RAW_COUNTS, Spectrum, lorentzian
@@ -290,6 +289,8 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     fitted a and the measured maximum, and `residual` is the root mean
     square difference of the normalized profiles.
     """
+    from scipy.optimize import minimize_scalar  # deferred: most of a cold start
+
     if (e_mod_measured.energies.shape != s_dtilde.energies.shape
             or not np.array_equal(e_mod_measured.energies, s_dtilde.energies)):
         raise ValueError("envelope and filtered spectrum must share one grid")

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .spectra import convolve_same, uniform_step
 from .units import HBAR_UEV_PS
@@ -178,6 +177,8 @@ def fit_biexponential(trace):
     monoexponential and is flagged; non-convergence returns the best
     iterate with a flag and a warning.
     """
+    from scipy.optimize import least_squares  # deferred: most of a cold start
+
     if trace.time_ps.size < 50:
         raise ValueError("need at least 50 bins for a biexponential fit")
     if trace.counts.max() <= 0:
@@ -240,6 +241,8 @@ def _initial_biexp_guess(t, c, kernel):
 
 
 def _monoexp_collapse(t, c, sigma, kernel, tau0, a0):
+    from scipy.optimize import least_squares
+
     def residuals(params):
         tau, a = params
         return (_biexp_model(t, tau, tau, 0.0, a, kernel) - c) / sigma
@@ -285,6 +288,8 @@ def saturation_curve(powers, i_sat, p_sat, mode="cw"):
 
 def fit_saturation(powers, counts, mode="cw"):
     """Least-squares fit of a saturation curve, returns SaturationFit."""
+    from scipy.optimize import least_squares
+
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if powers.shape != counts.shape or powers.size < 3:

@@ -13,7 +13,6 @@ convolution and two-column CSV format the whole package uses live here.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .units import bose_occupation
 
@@ -45,21 +44,40 @@ def uniform_step(grid):
     return (grid[-1] - grid[0]) / (grid.size - 1)
 
 
+def _fast_length(n):
+    """Smallest 2**a * 3**b * 5**c >= n: a transform length pocketfft
+    handles fast for real input."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve_same(values, kernel):
     """Convolution of `values` with an odd-length kernel centred on zero
     offset, sampled at the `values.size` input positions.
 
-    Uses scipy.fft at the next fast length of the full convolution: the
-    result feeds Poisson sampling, where round-off decides which bins are
-    exactly zero, so another FFT library changes the simulated counts.
+    A real FFT product at the first 5-smooth length that holds the full
+    convolution.  numpy.fft (numpy >= 2.0) and scipy.fft run the same
+    pocketfft code, so at that length the result is scipy's bit for bit,
+    also in the round-off at exactly-zero bins that decides simulated
+    Poisson counts.
     """
     values = np.asarray(values, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError(f"kernel must be 1-d with an odd length, got shape {kernel.shape}")
     n, k = values.size, kernel.size
-    size = fft.next_fast_len(n + k - 1, real=True)
-    full = fft.irfft(fft.rfft(values, size) * fft.rfft(kernel, size), size)
+    size = _fast_length(n + k - 1)
+    full = np.fft.irfft(np.fft.rfft(values, size) * np.fft.rfft(kernel, size), size)
     half = (k - 1) // 2
     return full[half:half + n]
 

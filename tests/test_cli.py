@@ -312,6 +312,18 @@ class TestExitCodes:
         (("spectrum", ("--seed", "-1"), None), "--seed"),
         (("brightness", ("--seed", "-1"), None), "--seed"),
         (("budget", ("--parallel", "-3"), None), "--parallel"),
+        (("lifetime", (), {"analysis": {"lifetime": {"bin_ps": 0}}}),
+         "analysis.lifetime.bin_ps"),
+        (("lifetime", (), {"analysis": {"lifetime": {"bin_ps": -4}}}),
+         "analysis.lifetime.bin_ps"),
+        (("lifetime", (), {"analysis": {"lifetime": {"peak_counts": 0}}}),
+         "analysis.lifetime.peak_counts"),
+        (("lifetime", (), {"analysis": {"lifetime": {"peak_counts": -1e5}}}),
+         "analysis.lifetime.peak_counts"),
+        (("brightness", (), {"analysis": {"brightness": {"noise_frac": -0.01}}}),
+         "analysis.brightness.noise_frac"),
+        (("saturation", (), {"analysis": {"saturation": {"noise_frac": -0.01}}}),
+         "analysis.saturation.noise_frac"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()
@@ -424,12 +436,34 @@ class TestInputData:
         assert "nan_trace.csv" in message and "non-finite" in message
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    code = "import sys, cavqed.cli; print('scipy.signal' in sys.modules)"
+def _run_python(code):
+    """The completed fresh interpreter that ran `code` with this cavqed."""
     env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120, env=env)
-    assert done.stdout.strip() == "False"
+
+
+_SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+
+def test_cli_import_loads_no_scipy():
+    code = f"import sys, cavqed.cli; print({_SCIPY_LOADED})"
+    assert _run_python(code).stdout.strip() == "False"
+
+
+def test_fit_free_commands_load_no_scipy(tmp_path):
+    # scipy.optimize, the one scipy module left, is imported by the fits only
+    commands = ["spectrum", "purcell", "g2", "budget"]
+    code = (
+        "import sys, cavqed.cli\n"
+        f"for command in {commands!r}:\n"
+        f"    out = {str(tmp_path)!r} + '/' + command\n"
+        "    code = cavqed.cli.main([command, '--fixture', 'paper', '--out', out])\n"
+        f"    print(command, code, {_SCIPY_LOADED}, file=sys.stderr)\n"
+    )
+    # main prints each report on stdout, so the probe writes to stderr
+    lines = _run_python(code).stderr.splitlines()
+    assert lines == [f"{command} 0 False" for command in commands]
 
 
 class TestFixtureDirOverride:

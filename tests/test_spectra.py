@@ -117,6 +117,28 @@ class TestConvolveSame:
         with pytest.raises(ValueError, match="odd"):
             convolve_same(np.ones(10), np.ones(4))
 
+    def test_fast_length_is_scipys(self):
+        from scipy import fft
+
+        for n in range(1, 20001):
+            assert spectra._fast_length(n) == fft.next_fast_len(n, real=True), n
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_bit_identical_to_scipy_fft(self, case):
+        # round-off at the leading run of exact zeros (the bins before t0
+        # of a decay trace) decides which simulated counts are zero
+        from scipy import fft
+
+        rng = np.random.default_rng(case)
+        n, k = int(rng.integers(50, 5000)), 2 * int(rng.integers(0, 400)) + 1
+        values = rng.exponential(size=n)
+        values[:int(rng.integers(1, n // 2))] = 0.0
+        kernel = np.exp(-np.linspace(-3.0, 3.0, k) ** 2)
+        size = fft.next_fast_len(n + k - 1, real=True)
+        full = fft.irfft(fft.rfft(values, size) * fft.rfft(kernel, size), size)
+        half = (k - 1) // 2
+        assert np.array_equal(convolve_same(values, kernel), full[half:half + n])
+
 
 class TestBuildFsSpectrum:
     def test_pure_lorentzian_peak(self):
