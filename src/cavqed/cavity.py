@@ -9,7 +9,7 @@ simulations of short cavities; simulated values should be loaded as
 fixtures where that matters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +26,13 @@ class CavityGeometry:
     mode_order: int = 6
 
     def __post_init__(self):
-        if self.wavelength_nm <= 0:
+        if not self.wavelength_nm > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength_nm}")
-        if self.refractive_index <= 0:
+        if not self.refractive_index > 0:
             raise ValueError(f"refractive index must be positive, got {self.refractive_index}")
-        if self.mode_order < 1:
+        if not self.mode_order >= 1:
             raise ValueError(f"mode order must be >= 1, got {self.mode_order}")
-        if self.length_um >= self.radius_of_curvature_um:
+        if not self.length_um < self.radius_of_curvature_um:
             raise ValueError(
                 f"unstable cavity: length {self.length_um:g} um >= radius of "
                 f"curvature {self.radius_of_curvature_um:g} um"
@@ -67,12 +67,12 @@ class LossBudget:
 
     def __post_init__(self):
         for name in ("t_flat", "t_fiber", "internal_per_pass", "spillout", "cladding"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"loss channel {name} must be >= 0")
         unknown = set(self.useful_channels) - {"t_flat", "t_fiber", "spillout", "cladding"}
         if unknown:
             raise ValueError(f"unknown useful channels: {sorted(unknown)}")
-        if self.round_trip_ppm <= 0:
+        if not self.round_trip_ppm > 0:
             raise ValueError("total round-trip loss must be positive")
 
     @property
@@ -89,29 +89,6 @@ class LossBudget:
             "spillout": self.spillout,
             "cladding": self.cladding,
         }
-
-
-@dataclass(frozen=True)
-class CavityMode:
-    """One longitudinal mode with its derived figures of merit."""
-
-    resonance_energy_uev: float
-    kappa_uev: float
-    q_factor: float
-    finesse: float
-    mode_order: int
-    v_eff_lambda3: float
-    exit_probabilities: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if abs(self.kappa_uev * self.q_factor - self.resonance_energy_uev) \
-                > 1e-9 * self.resonance_energy_uev:
-            raise ValueError("kappa, Q and resonance energy are inconsistent (kappa != E/Q)")
-        if abs(self.finesse * self.mode_order - self.q_factor) > 1e-9 * self.q_factor:
-            raise ValueError("finesse, mode order and Q are inconsistent (Q != F*p)")
-        total = sum(self.exit_probabilities.values())
-        if any(not 0.0 <= v <= 1.0 for v in self.exit_probabilities.values()) or total > 1.0 + 1e-12:
-            raise ValueError("exit probabilities must lie in [0, 1] and sum to <= 1")
 
 
 def mode_volume_gaussian(geometry):
@@ -157,7 +134,7 @@ def internal_loss_from_q(q_measured, q_theory, mode_order):
     The excess round-trip loss is 2 pi p (1/Q_meas - 1/Q_th); half of it
     is assigned to each pass through the intracavity layer.
     """
-    if q_measured <= 0 or q_theory <= 0:
+    if not (q_measured > 0 and q_theory > 0):
         raise ValueError("quality factors must be positive")
     if q_measured >= q_theory:
         raise ValueError(
@@ -182,13 +159,13 @@ def exit_probabilities(budget):
 
 def q_eff(q_cav, q_emitter):
     """Harmonic combination (1/Q_cav + 1/Q_em)**-1, never above either input."""
-    if q_cav <= 0 or q_emitter <= 0:
+    if not (q_cav > 0 and q_emitter > 0):
         raise ValueError("quality factors must be positive")
     return 1.0 / (1.0 / q_cav + 1.0 / q_emitter)
 
 
 def kappa_from_q(energy_uev, q):
     """Cavity linewidth kappa = E / Q in ueV."""
-    if energy_uev <= 0 or q <= 0:
+    if not (energy_uev > 0 and q > 0):
         raise ValueError("energy and Q must be positive")
     return energy_uev / q

@@ -5,10 +5,12 @@
 
 Configuration is a single JSON document; `--fixture paper` preloads the
 shipped default parameter set and fixture tables, with any config file
-overlaid on top.  A run has three steps: `load_config` checks the merged
-config against CONFIG_KEYS and fills in the defaults, the command computes
+overlaid on top.  A run has three steps: `load_config` checks every value
+of the merged config against its rule in CONFIG_KEYS (a failure exits 2,
+naming the dotted key) and fills in the defaults, the command computes
 `(report, files)` without touching the disk, and `write_outputs` writes
-them.  Every command is deterministic for a given (config, seed):
+them.  --seed and --parallel pass the same one-value check as a config
+value.  Every command is deterministic for a given (config, seed):
 stochastic sweeps draw from counter-based Philox streams keyed by (seed,
 task index).  --parallel is accepted and ignored: every sweep task takes
 milliseconds, so it runs in one thread.
@@ -20,7 +22,6 @@ single-line JSON.  A run that fails writes nothing.
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -41,39 +42,73 @@ DEFAULT_SEED = 12345
 
 REQUIRED = object()
 
-# Every config key a command reads, with its one default; a nested dict is
-# a section.  A REQUIRED key has none: reading it from a config that lacks
-# it is a config error.  A None default is derived by the one command that
-# reads the key (cavity.mode_orders: every row of table S1;
-# dw_window_uev: 3 ZPL widths; g_max_uev: measured.g_spectral_max_uev;
-# analysis.lifetime.decay_ratio: measured.decay_ratio) or, for an input
-# file, selects the synthetic path.
+
+def _is_real(v):
+    """True for a finite int or float; a bool is not a number."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def int_at_least(least):
+    """The rule for an integer >= `least`; a bool is not an integer."""
+    return f"an integer >= {least}", lambda v: type(v) is int and v >= least
+
+
+# The rules a config value can have, each (what a value must be, test).
+POSITIVE = ("a positive number", lambda v: _is_real(v) and v > 0)
+NONNEGATIVE = ("a nonnegative number", lambda v: _is_real(v) and v >= 0)
+UNIT = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
+FRACTION = ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)
+BELOW_ONE = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
+PATH = ("a nonempty path string", lambda v: type(v) is str and v != "")
+PUMPING = ("'cw' or 'pulsed'", lambda v: v in ("cw", "pulsed"))
+WEIGHTS = ("two nonnegative numbers with a positive sum", lambda v: type(v) in (list, tuple)
+           and len(v) == 2 and all(_is_real(w) and w >= 0 for w in v) and sum(v) > 0)
+MODE_ORDERS = ("a nonempty list of integers >= 1", lambda v: type(v) is list and v != []
+               and all(type(p) is int and p >= 1 for p in v))
+
+# Every config key a command reads, as (default, rule); a nested dict is
+# a section.  load_config checks every value given against its rule.  A
+# REQUIRED key has no default: reading it from a config that lacks it is
+# a config error.  Where the default is None, null is also accepted and
+# the one command that reads the key derives the value (cavity.mode_orders:
+# every row of table S1; dw_window_uev: 3 ZPL widths; g_max_uev:
+# measured.g_spectral_max_uev; analysis.lifetime.decay_ratio:
+# measured.decay_ratio) or, for an input file, takes the synthetic path.
 CONFIG_KEYS = {
-    "seed": DEFAULT_SEED,
+    "seed": (DEFAULT_SEED, int_at_least(0)),
     "emitter": {
-        "wavelength_nm": REQUIRED, "zpl_fwhm_uev": REQUIRED, "debye_waller": REQUIRED,
-        "sideband": {"exponent": 1.0, "cutoff_uev": 1000.0},
-        "temperature_k": 4.2, "lifetime_fs_ps": REQUIRED, "eta_qy": 0.01,
-        "decay_weights": (2.0, 1.0), "tau_short_ps": 23.0},
-    "cavity": {"refractive_index": 1.0, "radius_of_curvature_um": 10.0, "mode_order": 6,
-               "mode_orders": None},
+        "wavelength_nm": (REQUIRED, POSITIVE), "zpl_fwhm_uev": (REQUIRED, POSITIVE),
+        "debye_waller": (REQUIRED, UNIT),
+        "sideband": {"exponent": (1.0, POSITIVE), "cutoff_uev": (1000.0, POSITIVE)},
+        "temperature_k": (4.2, NONNEGATIVE), "lifetime_fs_ps": (REQUIRED, POSITIVE),
+        "eta_qy": (0.01, FRACTION), "decay_weights": ((2.0, 1.0), WEIGHTS),
+        "tau_short_ps": (23.0, POSITIVE)},
+    "cavity": {"refractive_index": (1.0, POSITIVE), "radius_of_curvature_um": (10.0, POSITIVE),
+               "mode_order": (6, int_at_least(1)), "mode_orders": (None, MODE_ORDERS)},
     "measured": {
-        "flux_ratio_sat": REQUIRED, "decay_ratio": REQUIRED, "g_spectral_max_uev": 25.0,
-        "f_rep_hz": REQUIRED, "ccd_rate_at_saturation_per_s": REQUIRED,
-        "photons_into_fiber_per_ccd_count": REQUIRED,
-        "detected_port_ratio_sspd_over_ccd": REQUIRED,
-        "exit_ratio_fiber_over_planar": REQUIRED, "cryostat_optics_quoted": REQUIRED},
-    "g2_scheme": {"pump_uev": REQUIRED, "k_shelve_uev": 0.0, "k_deshelve_uev": 0.0,
-                  "background": 0.0, "irf_fwhm_ps": 32.0},
+        "flux_ratio_sat": (REQUIRED, POSITIVE), "decay_ratio": (REQUIRED, POSITIVE),
+        "g_spectral_max_uev": (25.0, NONNEGATIVE), "f_rep_hz": (REQUIRED, POSITIVE),
+        "ccd_rate_at_saturation_per_s": (REQUIRED, POSITIVE),
+        "photons_into_fiber_per_ccd_count": (REQUIRED, POSITIVE),
+        "detected_port_ratio_sspd_over_ccd": (REQUIRED, POSITIVE),
+        "exit_ratio_fiber_over_planar": (REQUIRED, POSITIVE),
+        "cryostat_optics_quoted": (REQUIRED, FRACTION)},
+    "g2_scheme": {"pump_uev": (REQUIRED, POSITIVE), "k_shelve_uev": (0.0, NONNEGATIVE),
+                  "k_deshelve_uev": (0.0, NONNEGATIVE), "background": (0.0, BELOW_ONE),
+                  "irf_fwhm_ps": (32.0, NONNEGATIVE)},
     "analysis": {
-        "spectrum": {"half_span_uev": 6000.0, "step_uev": 4.0, "dw_window_uev": None},
-        "brightness": {"half_span_uev": 6000.0, "step_uev": 4.0, "envelope_csv": None,
-                       "g_max_uev": None, "noise_frac": 0.01},
-        "lifetime": {"irf_fwhm_ps": 32.0, "fs_trace_csv": None, "cavity_trace_csv": REQUIRED,
-                     "decay_ratio": None, "peak_counts": 1e5, "bin_ps": 4.0},
-        "saturation": {"mode": "pulsed", "curve_csv": None, "i_sat": 1768.0,
-                       "p_sat": 1000.0, "noise_frac": 0.01, "n_points": 25},
-        "g2": {"tau_span_ps": 60000.0, "tau_step_ps": 4.0}},
+        "spectrum": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
+                     "dw_window_uev": (None, POSITIVE)},
+        "brightness": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
+                       "envelope_csv": (None, PATH), "g_max_uev": (None, NONNEGATIVE),
+                       "noise_frac": (0.01, NONNEGATIVE)},
+        "lifetime": {"irf_fwhm_ps": (32.0, NONNEGATIVE), "fs_trace_csv": (None, PATH),
+                     "cavity_trace_csv": (REQUIRED, PATH), "decay_ratio": (None, POSITIVE),
+                     "peak_counts": (1e5, POSITIVE), "bin_ps": (4.0, POSITIVE)},
+        "saturation": {"mode": ("pulsed", PUMPING), "curve_csv": (None, PATH),
+                       "i_sat": (1768.0, POSITIVE), "p_sat": (1000.0, POSITIVE),
+                       "noise_frac": (0.01, NONNEGATIVE), "n_points": (25, int_at_least(3))},
+        "g2": {"tau_span_ps": (60000.0, POSITIVE), "tau_step_ps": (4.0, POSITIVE)}},
 }
 
 
@@ -113,40 +148,39 @@ def _deep_merge(base, overlay):
     return out
 
 
+def _check_value(name, value, rule):
+    """Raise a ConfigError naming `name` unless `value` passes `rule`."""
+    what, test = rule
+    if not test(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _checked(tree, table=CONFIG_KEYS, prefix=""):
     """Copy of a config (sub)tree with every key checked against `table`
     and every absent default filled in.  Keys must be in the table,
-    sections JSON objects and numbers finite."""
+    sections JSON objects, and values must pass their rule or be null
+    where the default is None."""
     for key in tree:
         if key not in table:
             raise ConfigError(f"unknown config key {prefix}{key}")
     out = _Section(prefix)
-    for key, default in table.items():
+    for key, entry in table.items():
         path = prefix + key
-        if isinstance(default, dict):
+        if isinstance(entry, dict):
             value = tree[key] if key in tree else {}
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {path} must be a JSON object")
-            out[key] = _checked(value, default, path + ".")
-        elif key in tree:
+            out[key] = _checked(value, entry, path + ".")
+            continue
+        default, rule = entry
+        if key in tree:
             value = tree[key]
-            items = value if isinstance(value, list) else [value]
-            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-                raise ConfigError(f"config key {path} must be finite, got {value!r}")
+            if value is not None or default is not None:
+                _check_value(f"config key {path}", value, rule)
             out[key] = value
         elif default is not REQUIRED:
             out[key] = default
     return out
-
-
-def _number(section, key, positive):
-    """section[key], which must be a number > 0 if `positive`, else >= 0;
-    a ConfigError names the dotted key."""
-    value = section[key]
-    if not (isinstance(value, (int, float)) and (value > 0 if positive else value >= 0)):
-        bound = "positive" if positive else "nonnegative"
-        raise ConfigError(f"config key {section.prefix}{key} must be {bound}, got {value!r}")
-    return value
 
 
 def _read_input(path, what):
@@ -211,8 +245,6 @@ def _mode_rows(config, key="mode_orders"):
         orders = [orders]
     elif orders is None:
         orders = sorted(table)
-    elif not isinstance(orders, list) or not orders:
-        raise ConfigError(f"config key cavity.{key} must be a nonempty list, got {orders!r}")
     for p in orders:
         if p not in table:
             raise ConfigError(f"config key cavity.{key}: mode order {p!r} "
@@ -360,7 +392,7 @@ def cmd_brightness(config, seed):
     g_max = options["g_max_uev"]
     if g_max is None:
         g_max = config["measured"]["g_spectral_max_uev"]
-    noise_frac = _number(options, "noise_frac", positive=False)
+    noise_frac = options["noise_frac"]
     v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
                                options["step_uev"])
@@ -429,9 +461,9 @@ def cmd_lifetime(config, seed):
         decay_ratio = options["decay_ratio"]
         if decay_ratio is None:
             decay_ratio = config["measured"]["decay_ratio"]
-        peak = _number(options, "peak_counts", positive=True)
+        peak = options["peak_counts"]
         weights = tuple(em["decay_weights"])
-        bin_ps = _number(options, "bin_ps", positive=True)
+        bin_ps = options["bin_ps"]
         tau_fs = lifetime_from_rate(model.gamma_fs_uev)
         time_grid = np.arange(-np.ceil(160.0 / bin_ps),
                               np.ceil(6.0 * tau_fs / bin_ps) + 1) * bin_ps
@@ -477,7 +509,7 @@ def cmd_saturation(config, seed):
         powers = np.geomspace(p_sat / 30.0, 30.0 * p_sat, options["n_points"])
         clean = dynamics.saturation_curve(powers, options["i_sat"], p_sat, mode)
         rng = task_rng(seed, 0)
-        noise = _number(options, "noise_frac", positive=False) * rng.standard_normal(clean.size)
+        noise = options["noise_frac"] * rng.standard_normal(clean.size)
         counts = np.maximum(clean * (1.0 + noise), 0.0)
 
     fit = dynamics.fit_saturation(powers, counts, mode)
@@ -649,16 +681,14 @@ def main(argv=None):
     try:
         with warnings.catch_warnings():
             warnings.showwarning = show_warning
-            if args.parallel < 1:
-                raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+            _check_value("--parallel", args.parallel, int_at_least(1))
+            if args.seed is not None:
+                _check_value("--seed", args.seed, int_at_least(0))
             config = load_config(args.config, args.fixture)
             seed = args.seed if args.seed is not None else config["seed"]
-            if not (isinstance(seed, int) and seed >= 0):
-                name = "--seed" if args.seed is not None else "config key seed"
-                raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
             report, files = _COMMANDS[args.command](config, seed)
             write_outputs(out_dir, args.command, report, files)
-    except (ConfigError, KeyError, ValueError, TypeError) as err:
+    except (ConfigError, KeyError, ValueError) as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:
         return _fail(args.command, EXIT_FIT, err)

@@ -34,9 +34,9 @@ class CouplingParams:
     kappa_uev: float
 
     def __post_init__(self):
-        if self.g_uev < 0:
+        if not self.g_uev >= 0:
             raise ValueError(f"coupling g must be >= 0, got {self.g_uev}")
-        if self.gamma_uev <= 0 or self.kappa_uev <= 0:
+        if not (self.gamma_uev > 0 and self.kappa_uev > 0):
             raise ValueError("gamma and kappa must be positive")
 
     @property

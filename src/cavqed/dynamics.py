@@ -95,7 +95,7 @@ class LevelScheme:
 
     def __post_init__(self):
         for name in ("pump_uev", "gamma_total_uev", "k_shelve_uev", "k_deshelve_uev"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.gamma_total_uev == 0:
             raise ValueError("the bright state must decay (gamma_total > 0)")

@@ -153,9 +153,9 @@ class SidebandShape:
     cutoff_uev: float = 1000.0
 
     def __post_init__(self):
-        if self.exponent <= 0:
+        if not self.exponent > 0:
             raise ValueError(f"sideband exponent must be > 0, got {self.exponent}")
-        if self.cutoff_uev <= 0:
+        if not self.cutoff_uev > 0:
             raise ValueError(f"sideband cutoff must be > 0, got {self.cutoff_uev}")
 
     def density(self, energy_uev):
@@ -184,11 +184,11 @@ class EmitterModel:
     def __post_init__(self):
         if not 0.0 < self.debye_waller <= 1.0:
             raise ValueError(f"Debye-Waller factor must be in (0, 1], got {self.debye_waller}")
-        if self.zpl_fwhm_uev <= 0:
+        if not self.zpl_fwhm_uev > 0:
             raise ValueError(f"ZPL width must be > 0, got {self.zpl_fwhm_uev}")
-        if self.gamma_fs_uev <= 0:
+        if not self.gamma_fs_uev > 0:
             raise ValueError(f"free-space decay rate must be > 0, got {self.gamma_fs_uev}")
-        if self.temperature_k < 0:
+        if not self.temperature_k >= 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature_k}")
         if not 0.0 <= self.eta_qy <= 1.0:
             raise ValueError(f"quantum yield must be in [0, 1], got {self.eta_qy}")

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cavqed import fixtures
 from cavqed.cavity import (
     CavityGeometry,
-    CavityMode,
     LossBudget,
     exit_probabilities,
     fsr,
@@ -192,29 +191,6 @@ class TestKappaFromQ:
         # close to the quoted ~30 within 15%
         assert kappa / gamma == pytest.approx(33.8, abs=0.1)
         assert abs(kappa / gamma - 30.0) / 30.0 < 0.15
-
-
-class TestCavityModeType:
-    def test_consistent_mode_passes(self):
-        energy = energy_from_wavelength(1275.0)
-        CavityMode(energy, energy / 1.12e4, 1.12e4, 1.12e4 / 6, 6, 2.49,
-                   {"planar": 0.0785, "fiber": 0.0603})
-
-    def test_inconsistent_kappa_rejected(self):
-        energy = energy_from_wavelength(1275.0)
-        with pytest.raises(ValueError, match="kappa"):
-            CavityMode(energy, 99.0, 1.12e4, 1.12e4 / 6, 6, 2.49)
-
-    def test_inconsistent_finesse_rejected(self):
-        energy = energy_from_wavelength(1275.0)
-        with pytest.raises(ValueError, match="finesse"):
-            CavityMode(energy, energy / 1.12e4, 1.12e4, 1000.0, 6, 2.49)
-
-    def test_exit_probabilities_bounded(self):
-        energy = energy_from_wavelength(1275.0)
-        with pytest.raises(ValueError, match="probabilities"):
-            CavityMode(energy, energy / 1.12e4, 1.12e4, 1.12e4 / 6, 6, 2.49,
-                       {"planar": 0.7, "fiber": 0.5})
 
 
 class TestFixtureTable:

@@ -13,11 +13,13 @@ import pytest
 import cavqed
 from cavqed import fixtures, spectra
 from cavqed.cli import (
+    CONFIG_KEYS,
     DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_FIT,
     EXIT_IO,
     EXIT_OK,
+    REQUIRED,
     cmd_brightness,
     cmd_spectrum,
     load_config,
@@ -301,10 +303,10 @@ class TestExitCodes:
         ('{"cavity": {"refractive_index": 1e999}}', "cavity.refractive_index"),
         ('{"emitter": {"decay_weights": [2.0, NaN]}}', "emitter.decay_weights"),
         ({"seed": -1}, "seed"),
-        # (command, extra arguments, config) for checks that spectrum does
-        # not reach; a negative IRF is named by the library, as "IRF FWHM"
-        (("lifetime", (), {"analysis": {"lifetime": {"irf_fwhm_ps": -5.0}}}), "IRF FWHM"),
-        (("g2", (), {"g2_scheme": {"irf_fwhm_ps": -5.0}}), "IRF FWHM"),
+        # a (command, extra arguments, config) tuple runs another command
+        (("lifetime", (), {"analysis": {"lifetime": {"irf_fwhm_ps": -5.0}}}),
+         "analysis.lifetime.irf_fwhm_ps"),
+        (("g2", (), {"g2_scheme": {"irf_fwhm_ps": -5.0}}), "g2_scheme.irf_fwhm_ps"),
         (("purcell", (), {"cavity": {"mode_orders": []}}), "cavity.mode_orders"),
         (("brightness", (), {"cavity": {"mode_orders": []}}), "cavity.mode_orders"),
         (("purcell", (), {"cavity": {"mode_orders": [6, 42]}}), "cavity.mode_orders"),
@@ -324,6 +326,31 @@ class TestExitCodes:
          "analysis.brightness.noise_frac"),
         (("saturation", (), {"analysis": {"saturation": {"noise_frac": -0.01}}}),
          "analysis.saturation.noise_frac"),
+        (("saturation", (), {"analysis": {"saturation": {"n_points": 0}}}),
+         "analysis.saturation.n_points"),
+        (("saturation", (), {"analysis": {"saturation": {"n_points": 2.5}}}),
+         "analysis.saturation.n_points"),
+        (("saturation", (), {"analysis": {"saturation": {"mode": "pulse"}}}),
+         "analysis.saturation.mode"),
+        (("saturation", (), {"analysis": {"saturation": {"p_sat": -5}}}),
+         "analysis.saturation.p_sat"),
+        (("g2", (), {"analysis": {"g2": {"tau_step_ps": 0}}}), "analysis.g2.tau_step_ps"),
+        (("g2", (), {"g2_scheme": {"background": 1.2}}), "g2_scheme.background"),
+        (("brightness", (), {"analysis": {"brightness": {"step_uev": -4}}}),
+         "analysis.brightness.step_uev"),
+        (("brightness", (), {"analysis": {"brightness": {"g_max_uev": -3}}}),
+         "analysis.brightness.g_max_uev"),
+        (("brightness", (), {"seed": True}), "seed"),
+        (("lifetime", (), {"emitter": {"decay_weights": [1]}}), "emitter.decay_weights"),
+        (("purcell", (), {"cavity": {"refractive_index": "x"}}), "cavity.refractive_index"),
+        (("purcell", (), {"emitter": {"eta_qy": 7}}), "emitter.eta_qy"),
+        (("budget", (), {"measured": {"cryostat_optics_quoted": "abc"}}),
+         "measured.cryostat_optics_quoted"),
+        ({"analysis": {"spectrum": {"step_uev": 0}}}, "analysis.spectrum.step_uev"),
+        ({"emitter": {"debye_waller": 1.5}}, "emitter.debye_waller"),
+        ({"emitter": {"temperature_k": -3}}, "emitter.temperature_k"),
+        ({"emitter": {"sideband": {"cutoff_uev": -5}}}, "emitter.sideband.cutoff_uev"),
+        ({"emitter": {"zpl_fwhm_uev": True}}, "emitter.zpl_fwhm_uev"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()
@@ -334,6 +361,17 @@ class TestExitCodes:
         [line] = capsys.readouterr().err.splitlines()
         assert key in json.loads(line)["message"]
         assert not out.exists()
+
+    def test_type_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # every config type is checked at load, so a TypeError is a bug
+        import cavqed.cli as cli_mod
+
+        def explode(config, seed):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "purcell", explode)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run(tmp_path, "purcell")
 
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -380,6 +418,15 @@ class TestExitCodes:
             config = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "no.csv")}}}
         assert run(tmp_path, "brightness", config=config)[0] == code
         assert not (tmp_path / "run").exists()
+
+
+def test_every_default_passes_its_rule():
+    def leaves(table):
+        for entry in table.values():
+            yield from leaves(entry) if isinstance(entry, dict) else [entry]
+
+    for default, (what, test) in leaves(CONFIG_KEYS):
+        assert default in (REQUIRED, None) or test(default), (default, what)
 
 
 @pytest.mark.parametrize("command", [cmd_spectrum, cmd_brightness])
