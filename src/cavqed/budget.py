@@ -71,7 +71,7 @@ def detected_port_ratio(chain_a, chain_b, exit_a, exit_b):
     (exit_a * path_a) / (exit_b * path_b).  With the extraction
     efficiencies of two collection paths as the exits, it is the ratio of
     their overall collection efficiencies."""
-    if exit_a <= 0 or exit_b <= 0:
+    if not (exit_a > 0 and exit_b > 0):
         raise ValueError("exit probabilities must be positive")
     return (exit_a * chain_efficiency(chain_a)) / (exit_b * chain_efficiency(chain_b))
 
@@ -79,7 +79,7 @@ def detected_port_ratio(chain_a, chain_b, exit_a, exit_b):
 def fiber_flux_from_ccd(ccd_counts_per_s, photons_per_ccd_count_into_fiber):
     """Photon flux in the fiber inferred from the cross-calibrated CCD
     rate on the other port."""
-    if ccd_counts_per_s <= 0 or photons_per_ccd_count_into_fiber <= 0:
+    if not (ccd_counts_per_s > 0 and photons_per_ccd_count_into_fiber > 0):
         raise ValueError("rates and conversion factors must be positive")
     return ccd_counts_per_s * photons_per_ccd_count_into_fiber
 
@@ -97,7 +97,7 @@ def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
     Returns (efficiency, physical) with physical False when the solved
     value is not a valid transmission.
     """
-    if measured_ratio <= 0:
+    if not measured_ratio > 0:
         raise ValueError("measured ratio must be positive")
     in_a = chain_a.stage_named(unknown_stage_name) is not None
     in_b = chain_b.stage_named(unknown_stage_name) is not None

@@ -8,6 +8,7 @@ where S~ is the free-space spectrum convolved with the cavity Lorentzian
 (see the spectra module); beta saturates as a Hill function of that rate.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -91,7 +92,7 @@ def purcell_factor(wavelength_nm, refractive_index, v_eff_lambda3, q_eff):
     for microcavity modes); the refractive index converts it to the
     (lambda/n)**3 units of the formula.
     """
-    if min(wavelength_nm, refractive_index, v_eff_lambda3, q_eff) <= 0:
+    if not all(v > 0 for v in (wavelength_nm, refractive_index, v_eff_lambda3, q_eff)):
         raise ValueError("purcell_factor requires strictly positive inputs")
     v_in_lambda_over_n = v_eff_lambda3 * refractive_index ** 3
     return (3.0 / (4.0 * np.pi ** 2)) * q_eff / v_in_lambda_over_n
@@ -108,7 +109,7 @@ def brightening_ratios(dw, f_p, eta_qy):
     """
     if not 0.0 < dw <= 1.0:
         raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")
-    if f_p < 0:
+    if not f_p >= 0:
         raise ValueError(f"Purcell factor must be >= 0, got {f_p}")
     if not 0.0 <= eta_qy <= 1.0:
         raise ValueError(f"quantum yield must be in [0, 1], got {eta_qy}")
@@ -127,9 +128,9 @@ def solve_fp_and_qy(flux_ratio_sat, decay_ratio, dw):
     F_P = flux_ratio_sat / DW and eta_QY = (decay_ratio - 1) / (DW * F_P),
     the exact inverse of brightening_ratios.
     """
-    if flux_ratio_sat <= 0:
+    if not flux_ratio_sat > 0:
         raise ValueError(f"saturation flux ratio must be > 0, got {flux_ratio_sat}")
-    if decay_ratio < 1.0:
+    if not decay_ratio >= 1.0:
         raise ValueError(
             f"decay ratio {decay_ratio} < 1: cavity coupling cannot slow the decay"
         )
@@ -182,9 +183,9 @@ def steady_state(pump_rate_uev, coupling, s_emi_tilde_at, s_abs_tilde_at=0.0):
     Populations above WEAK_PUMP_THRESHOLD clear the weak-pump assumption;
     the values are still returned with weak_pump=False.
     """
-    if pump_rate_uev < 0:
+    if not pump_rate_uev >= 0:
         raise ValueError(f"pump rate must be >= 0, got {pump_rate_uev}")
-    if s_emi_tilde_at < 0 or s_abs_tilde_at < 0:
+    if not (s_emi_tilde_at >= 0 and s_abs_tilde_at >= 0):
         raise ValueError("spectral densities must be >= 0")
     r_emi = coupling.g_uev ** 2 * s_emi_tilde_at
     r_abs = coupling.g_uev ** 2 * s_abs_tilde_at
@@ -207,7 +208,7 @@ def emitted_spectrum(omega_cav_uev, coupling, s_emi_tilde, pump_rate_uev, energi
     renormalized on the grid so that integral holds exactly at any
     detuning.
     """
-    if pump_rate_uev < 0:
+    if not pump_rate_uev >= 0:
         raise ValueError(f"pump rate must be >= 0, got {pump_rate_uev}")
     energies = np.asarray(energies, dtype=float)
     s_at = float(s_emi_tilde.value_at(omega_cav_uev))
@@ -248,7 +249,7 @@ def invert_envelope(e_mod, a, c):
     envelope E = c * a*S/(1 + a*S).  Every envelope value must stay
     strictly below c.
     """
-    if a <= 0 or c <= 0:
+    if not (a > 0 and c > 0):
         raise ValueError("a and c must be positive")
     values = e_mod.values
     denom = a * (c - values)
@@ -282,15 +283,13 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     Lorentzian, on the envelope's grid.  The measured envelope is divided
     by its maximum, and the single parameter a = g**2/gamma of the
     peak-normalized closed-form envelope is fitted by bounded scalar
-    minimization on log(a) over g in _G_BOUNDS_UEV (Brent-style,
-    relative tolerance 1e-6, at most 200 iterations).
+    minimization on log(a) over g in _G_BOUNDS_UEV (Brent's method,
+    absolute tolerance 1e-6 in log(a), at most 200 evaluations).
 
     Returns an EnvelopeFit; `c` is the envelope scale consistent with the
     fitted a and the measured maximum, and `residual` is the root mean
     square difference of the normalized profiles.
     """
-    from scipy.optimize import minimize_scalar  # deferred: most of a cold start
-
     if (e_mod_measured.energies.shape != s_dtilde.energies.shape
             or not np.array_equal(e_mod_measured.energies, s_dtilde.energies)):
         raise ValueError("envelope and filtered spectrum must share one grid")
@@ -311,20 +310,16 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
         model = normalized_envelope_model(np.exp(log_a), s_values)
         return float(np.mean((model - target) ** 2))
 
-    result = minimize_scalar(
-        cost, bounds=(log_lo, log_hi), method="bounded",
-        options={"xatol": 1e-6, "maxiter": 200},
-    )
-    a_fit = float(np.exp(result.x))
+    log_a, fun, iterations, converged = _brent_bounded(
+        cost, float(log_lo), float(log_hi), xatol=1e-6, maxiter=200)
+    a_fit = float(np.exp(log_a))
     g_fit = float(np.sqrt(a_fit * gamma_uev))
-    rms = float(np.sqrt(result.fun))
-    iterations = int(result.nfev)
-    converged = bool(result.success)
+    rms = float(np.sqrt(fun))
 
     flag = ""
-    if result.x <= log_lo + 1e-3:
+    if log_a <= log_lo + 1e-3:
         flag = "below-noise-floor"
-    elif result.x >= log_hi - 1e-3:
+    elif log_a >= log_hi - 1e-3:
         flag = "at-upper-bound"
     if not converged:
         flag = (flag + ";" if flag else "") + "not-converged"
@@ -335,6 +330,87 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     return EnvelopeFit(g_fit, a_fit, c, rms, iterations, converged, flag)
 
 
+def _sign(v):
+    """sign(v), taking 0 to +1 (nan stays nan)."""
+    return float(np.sign(v)) + (v == 0)
+
+
+def _brent_bounded(f, lo, hi, xatol, maxiter):
+    """Minimize the scalar function f on [lo, hi] by Brent's method
+    (the fminbound of Forsythe, Malcolm & Moler, 1977): golden-section
+    steps, parabolic where acceptable.
+
+    The arithmetic is that of scipy.optimize.minimize_scalar with
+    method="bounded", in the same order, so the iterates are its own bit
+    for bit.  Returns (x, f(x), evaluations, converged); converged is
+    False after `maxiter` evaluations or on a nan.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            return xf, fx, num, False
+
+    return xf, fx, num, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+
+
 def g_from_lifetime(gamma_star_uev, delta_gamma_uev, dw):
     """Rabi coupling from the Purcell lifetime change,
     g = sqrt(zpl_fwhm * delta_gamma / DW) / 2.
@@ -343,7 +419,7 @@ def g_from_lifetime(gamma_star_uev, delta_gamma_uev, dw):
     width, so it bounds g from below when fast diffusion broadens the
     line.
     """
-    if gamma_star_uev <= 0 or delta_gamma_uev <= 0:
+    if not (gamma_star_uev > 0 and delta_gamma_uev > 0):
         raise ValueError("widths and rate changes must be positive")
     if not 0.0 < dw <= 1.0:
         raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")

@@ -153,7 +153,7 @@ def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_g
 
     The time grid must extend to at least 5 long lifetimes.
     """
-    if gamma_fs_uev <= 0 or decay_ratio <= 0 or tau_short_ps <= 0:
+    if not (gamma_fs_uev > 0 and decay_ratio > 0 and tau_short_ps > 0):
         raise ValueError("rates, ratios and lifetimes must be positive")
     tau_long = HBAR_UEV_PS / gamma_fs_uev / decay_ratio
     time_grid_ps = np.asarray(time_grid_ps, dtype=float)
@@ -275,9 +275,9 @@ def saturation_curve(powers, i_sat, p_sat, mode="cw"):
     Both are strictly increasing and approach I_sat from below.
     """
     powers = np.asarray(powers, dtype=float)
-    if np.any(powers < 0):
+    if not np.all(powers >= 0):
         raise ValueError("powers must be >= 0")
-    if i_sat <= 0 or p_sat <= 0:
+    if not (i_sat > 0 and p_sat > 0):
         raise ValueError("I_sat and P_sat must be positive")
     if mode == "cw":
         return i_sat * powers / (powers + p_sat)
@@ -313,7 +313,7 @@ def qy_from_saturation(i_sat, eta_coll, f_rep_hz):
     Warns (without raising) if the result exceeds one, which signals an
     inconsistent collection efficiency.
     """
-    if i_sat <= 0 or eta_coll <= 0 or f_rep_hz <= 0:
+    if not (i_sat > 0 and eta_coll > 0 and f_rep_hz > 0):
         raise ValueError("saturation rate, efficiency and repetition rate must be positive")
     eta_qy = i_sat / (eta_coll * f_rep_hz)
     if eta_qy > 1.0:
@@ -404,7 +404,7 @@ def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
         return g2
 
     if mode == "pulsed":
-        if not f_rep_hz or f_rep_hz <= 0:
+        if f_rep_hz is None or not f_rep_hz > 0:
             raise ValueError("pulsed correlations need a positive f_rep_hz")
         period_ps = 1e12 / f_rep_hz
         tau_e = HBAR_UEV_PS / scheme.gamma_total_uev

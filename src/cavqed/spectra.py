@@ -205,7 +205,7 @@ def energy_grid(center_uev, half_span_uev, step_uev):
     The grid always contains the center point, with an odd number of
     points spanning at least +- half_span_uev.
     """
-    if step_uev <= 0 or half_span_uev <= 0:
+    if not (step_uev > 0 and half_span_uev > 0):
         raise ValueError("grid step and half-span must be positive")
     n_half = int(np.ceil(half_span_uev / step_uev))
     offsets = np.arange(-n_half, n_half + 1) * step_uev
@@ -293,7 +293,7 @@ def debye_waller(spectrum, zpl_window_uev):
     plain ratio of the windowed trapezoid integral to the total one;
     no correction is applied for ZPL tails leaking out of the window.
     """
-    if zpl_window_uev <= 0:
+    if not zpl_window_uev > 0:
         raise ValueError("window half-width must be positive")
     center = spectrum.energies[int(np.argmax(spectrum.values))]
     if (center - zpl_window_uev < spectrum.energies[0]
@@ -320,7 +320,7 @@ def convolve_lorentzian(spectrum, kappa_uev):
 
     Returns a Spectrum with the same grid and normalization tag.
     """
-    if kappa_uev <= 0:
+    if not kappa_uev > 0:
         raise ValueError(f"kappa must be positive, got {kappa_uev}")
     step = spectrum.step
     if step > kappa_uev / 5.0:
@@ -352,7 +352,7 @@ def s_tilde_max(dw, gamma_star_uev, kappa_uev):
     """
     if not 0.0 < dw <= 1.0:
         raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")
-    if gamma_star_uev <= 0 or kappa_uev < 0:
+    if not (gamma_star_uev > 0 and kappa_uev >= 0):
         raise ValueError("widths must be positive (kappa may be zero)")
     return 4.0 * dw / (gamma_star_uev + kappa_uev)
 
@@ -408,9 +408,10 @@ def parse_two_column_csv(text, header, source):
 def write_two_column_csv(path, header, x, y):
     """Write two columns under `header`, floats with 17 significant digits
     so that parsing the file back is bit-exact."""
+    rows = np.column_stack((x, y)).ravel().tolist()
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.write("".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist())))
+        fh.write(("%.17g,%.17g\n" * (len(rows) // 2)) % tuple(rows))
 
 
 def load_spectrum_csv(path, normalization=RAW_COUNTS):

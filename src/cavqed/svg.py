@@ -3,6 +3,13 @@
 CSV files are the authoritative outputs of the command-line tools; these
 plots are advisory, built from plain polylines with fixed-precision
 coordinates so identical data produces identical bytes.
+
+Each polyline is M4-decimated (Jugel et al., PVLDB 7(10), 2014): the
+points are split into runs of consecutive points in the same pixel
+column, floor of the pixel x; a run of more than 4 points keeps only its
+first, last, lowest and highest point, in their original order, and a
+run of 4 or fewer keeps every point.  That draws the same line at the
+plot's width, with at most 4 points per pixel column.
 """
 
 import numpy as np
@@ -17,6 +24,26 @@ def _scale(values, lo, hi, out_lo, out_hi):
     if span <= 0:
         span = 1.0
     return out_lo + (np.asarray(values, float) - lo) * (out_hi - out_lo) / span
+
+
+def _m4_keep(px, py):
+    """Boolean mask of the points the M4 rule keeps (module docstring)."""
+    column = np.floor(px)
+    new_run = np.r_[True, column[1:] != column[:-1]]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], px.size) - 1
+    keep = np.repeat(ends - starts < 4, ends - starts + 1)
+    # stable sort by run, then by y: each run's lowest and highest point
+    # sit at its first and last sorted slot
+    by_y = np.lexsort((py, np.cumsum(new_run)))
+    keep[starts] = keep[ends] = keep[by_y[starts]] = keep[by_y[ends]] = True
+    return keep
+
+
+def _points_attr(px, py):
+    """The `points` attribute "x,y x,y ..." at 2 decimals, formatted in
+    one % operation."""
+    return (("%.2f,%.2f " * px.size) % tuple(np.column_stack((px, py)).ravel().tolist()))[:-1]
 
 
 def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=False):
@@ -60,10 +87,11 @@ def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=Fals
         lines.append(f'<text x="{_ML - 6:.1f}" y="{py + 4:.1f}" text-anchor="end" '
                      f'font-size="11">{label}</text>')
 
+    px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
     for i, (label, y) in enumerate(ys):
-        px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
         py = _scale(y, y_lo, y_hi, _H - _MB, _MT)
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        keep = _m4_keep(px, py)
+        points = _points_attr(px[keep], py[keep])
         color = _COLORS[i % len(_COLORS)]
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')

@@ -54,9 +54,9 @@ def bose_occupation(energy_uev, temperature_k):
     energies >> kT); energies must be strictly positive.
     """
     energy = np.asarray(energy_uev, dtype=float)
-    if np.any(energy <= 0):
+    if not np.all(energy > 0):
         raise ValueError("bose_occupation requires strictly positive energies")
-    if temperature_k < 0:
+    if not temperature_k >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature_k}")
     if temperature_k == 0:
         return np.zeros_like(energy) if energy.ndim else 0.0

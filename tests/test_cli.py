@@ -499,8 +499,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_fit_free_commands_load_no_scipy(tmp_path):
-    # scipy.optimize, the one scipy module left, is imported by the fits only
-    commands = ["spectrum", "purcell", "g2", "budget"]
+    # scipy.optimize, the one scipy module left, is imported by the
+    # least-squares fits of lifetime and saturation only; brightness fits
+    # its envelope with cqed's own bounded Brent minimizer
+    commands = ["spectrum", "purcell", "g2", "budget", "brightness"]
     code = (
         "import sys, cavqed.cli\n"
         f"for command in {commands!r}:\n"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cavqed import spectra
 from cavqed.cqed import (
     CouplingParams,
+    _brent_bounded,
     brightening_ratios,
     brightness_profile,
     emitted_spectrum,
@@ -358,6 +359,40 @@ class TestFitGFromEnvelope:
         envelope = Spectrum(grid, np.ones(grid.size), RAW_COUNTS)
         with pytest.raises(ValueError, match="grid"):
             fit_g_from_envelope(envelope, paper_fs_spectrum, GAMMA)
+
+
+def _costs(c, w):
+    return {
+        "smooth": lambda x: float((x - c) ** 2 + w * np.sin(3.0 * x)),
+        "kink": lambda x: float(abs(x - c) ** 1.5),
+        "slope": lambda x: -x,
+        "flat": lambda x: 1.0,
+    }
+
+
+class TestBrentBounded:
+    @given(c=st.floats(-5.0, 5.0), w=st.floats(-1.0, 1.0),
+           lo=st.floats(-20.0, 0.0), width=st.floats(1e-3, 30.0),
+           cost=st.sampled_from(["smooth", "kink", "slope", "flat"]),
+           xatol=st.sampled_from([1e-9, 1e-6, 1e-3]), maxiter=st.sampled_from([12, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_iterate_as_scipy_bit_for_bit(self, c, w, lo, width, cost, xatol, maxiter):
+        from scipy.optimize import minimize_scalar
+
+        f = _costs(c, w)[cost]
+        hi = lo + width
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol, "maxiter": maxiter})
+        x, fx, nfev, converged = _brent_bounded(f, lo, hi, xatol, maxiter)
+        assert (x, fx, nfev, converged) == (ref.x, ref.fun, ref.nfev, ref.success)
+
+    def test_stops_at_maxiter_unconverged(self):
+        x, fx, nfev, converged = _brent_bounded(lambda x: (x - 0.3) ** 2, -1.0, 1.0, 1e-12, 5)
+        assert (nfev, converged) == (5, False)
+        assert fx == (x - 0.3) ** 2
+
+    def test_nan_cost_is_not_converged(self):
+        assert _brent_bounded(lambda x: float("nan"), 0.0, 1.0, 1e-6, 200)[3] is False
 
 
 class TestGFromLifetime:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavqed import spectra
@@ -401,6 +401,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "two.csv"
         spectra.write_two_column_csv(path, "a,b", np.array([0.1, 2.0]), np.array([1e-300, 3]))
         assert path.read_text() == "a,b\n0.10000000000000001,1e-300\n2,3\n"
+
+    @given(rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=2, max_size=40))
+    @example(rows=[(-0.0, 5e-324), (1e308, -1e308), (2.2250738585072014e-308, -1e-310),
+                   (1.7976931348623157e308, 0.0), (1e16, 123456789012345678.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_are_the_format_generators_and_read_back_bit_exact(self, tmp_path_factory,
+                                                                     rows):
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        x, y = (np.array(column) for column in zip(*rows))
+        spectra.write_two_column_csv(path, "a,b", x, y)
+        text = path.read_text()
+        old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
+        assert text == "a,b\n" + old
+        x_back, y_back = parse_two_column_csv(text, "a,b", "property.csv")
+        assert x_back.tobytes() == x.tobytes() and y_back.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("text, message", [
         ("", "header"),

@@ -1,0 +1,81 @@
+import xml.etree.ElementTree as ET
+
+import numpy as np
+import pytest
+
+from cavqed import spectra, svg
+from cavqed.cli import EXIT_OK, main
+
+
+def polyline_points(path):
+    """The (x, y) pairs of each polyline of an SVG file, as strings."""
+    root = ET.parse(path).getroot()
+    return [[tuple(pair.split(",")) for pair in el.get("points").split(" ")]
+            for el in root.iter() if el.tag.endswith("polyline")]
+
+
+def old_points_attr(px, py):
+    """The per-point formatting the writer used before M4 decimation."""
+    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+
+
+def test_g2_plot_keeps_first_last_min_max_of_each_column(tmp_path):
+    out = tmp_path / "g2"
+    assert main(["g2", "--fixture", "paper", "--out", str(out)]) == EXIT_OK
+    [kept] = polyline_points(out / "g2.svg")
+    assert len(kept) <= 3100
+
+    # the undecimated pixel points, as write_line_svg scales them
+    tau, g2 = spectra.parse_two_column_csv((out / "g2.csv").read_text(), "tau_ps,g2", "g2.csv")
+    px = svg._scale(tau, tau.min(), tau.max(), svg._ML, svg._W - svg._MR)
+    py = svg._scale(g2, g2.min(), g2.max(), svg._H - svg._MB, svg._MT)
+    full = [(f"{a:.2f}", f"{b:.2f}") for a, b in zip(px, py)]
+
+    # pixel x grows by more than 0.01 per point, so its string names the point
+    index = {x: i for i, (x, _) in enumerate(full)}
+    assert len(index) == len(full)
+    kept_idx = np.array([index[x] for x, _ in kept])
+    assert np.all(np.diff(kept_idx) > 0)
+    assert [full[i] for i in kept_idx] == kept
+
+    column = np.floor(px)
+    assert kept[0] == full[0] and kept[-1] == full[-1]
+    for c in np.unique(column):
+        members = np.flatnonzero(column == c)
+        mine = kept_idx[column[kept_idx] == c]
+        assert 1 <= mine.size <= 4
+        assert mine[0] == members[0] and mine[-1] == members[-1]
+        ys = [float(full[i][1]) for i in members]
+        kept_ys = [float(full[i][1]) for i in mine]
+        assert (min(kept_ys), max(kept_ys)) == (min(ys), max(ys))
+
+
+@pytest.mark.parametrize("n", [2, 5, 700, 3000])
+def test_at_most_four_points_per_column_are_all_kept(tmp_path, n):
+    # 3000 points over 770 pixels: 3 or 4 in every column
+    x = np.linspace(-5.0, 5.0, n)
+    y = np.sin(7.0 * x) - 1e-3
+    svg.write_line_svg(tmp_path / "p.svg", x, [("a", y), ("b", -y)])
+    px = svg._scale(x, x[0], x[-1], svg._ML, svg._W - svg._MR)
+    assert np.max(np.unique(np.floor(px), return_counts=True)[1]) <= 4
+    lo, hi = float(min(y.min(), -y.max())), float(max(y.max(), -y.min()))
+    for got, values in zip(polyline_points(tmp_path / "p.svg"), (y, -y)):
+        py = svg._scale(values, lo, hi, svg._H - svg._MB, svg._MT)
+        assert " ".join(",".join(pair) for pair in got) == old_points_attr(px, py)
+
+
+def test_points_attr_matches_per_point_formatting():
+    px = np.array([-0.004, -0.0, 0.0, 0.005, 1.125, -3.999, 1e6, 70.0])
+    py = np.array([0.001, -0.001, -0.0049, 2.675, -2.675, 0.0, -1e-9, 469.995])
+    got = svg._points_attr(px, py)
+    assert got == old_points_attr(px, py)
+    assert got.startswith("-0.00,0.00 -0.00,-0.00 0.00,-0.00 ")
+    assert svg._points_attr(px[:1], py[:1]) == "-0.00,0.00"
+
+
+def test_decimation_needs_no_sorted_x():
+    # a run is consecutive points in one column, wherever x goes next
+    px = np.array([10.1, 10.2, 10.3, 10.4, 10.5, 3.0, 10.6, 10.7])
+    py = np.array([5.0, 9.0, 1.0, 4.0, 6.0, 0.0, 2.0, 2.0])
+    keep = svg._m4_keep(px, py)
+    assert keep.tolist() == [True, True, True, False, True, True, True, True]
