@@ -1,10 +1,11 @@
 """Photon-budget accounting: multiplicative efficiency chains for the
 collection paths, count-to-flux conversion, detected port ratios, and
-algebraic calibration of a single unknown stage.
+algebraic calibration of one stage from a measured port ratio.
 
-Chains are ordered lists of named stages; provenance stays explicit (a
-stage is either a user value, a fixture value, or the solved unknown) and
-nothing here ever silently substitutes one for another.
+Chains are ordered lists of named stages, each with an efficiency in
+(0, 1].  A calibration names the stage it solves and leaves that stage's
+listed efficiency out, so the same chains serve both the forward budget
+and the calibration.
 """
 
 from dataclasses import dataclass, field
@@ -12,14 +13,13 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Stage:
-    """One transmission/detection stage; efficiency None marks the single
-    unknown a calibration should solve for."""
+    """One transmission/detection stage with its efficiency in (0, 1]."""
 
     name: str
-    efficiency: float | None
+    efficiency: float
 
     def __post_init__(self):
-        if self.efficiency is not None and not 0.0 < self.efficiency <= 1.0:
+        if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(
                 f"stage {self.name!r}: efficiency must be in (0, 1], got {self.efficiency}"
             )
@@ -28,7 +28,7 @@ class Stage:
 @dataclass(frozen=True)
 class EfficiencyChain:
     """Ordered stages of one optical path (free-space, cavity-planar or
-    cavity-fiber)."""
+    cavity-fiber); stage names are unique within a chain."""
 
     path: str
     stages: tuple = field(default_factory=tuple)
@@ -36,25 +36,16 @@ class EfficiencyChain:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a chain needs at least one stage")
-
-    def stage_named(self, name):
-        hits = [s for s in self.stages if s.name == name]
-        if not hits:
-            return None
-        if len(hits) > 1:
-            raise ValueError(f"stage {name!r} appears more than once in chain {self.path!r}")
-        return hits[0]
+        names = [stage.name for stage in self.stages]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"stage {name!r} appears more than once in chain {self.path!r}")
 
 
 def chain_efficiency(chain):
     """Product of the stage efficiencies."""
     product = 1.0
     for stage in chain.stages:
-        if stage.efficiency is None:
-            raise ValueError(
-                f"chain {chain.path!r} has unresolved stage {stage.name!r}; "
-                "calibrate it before taking the product"
-            )
         product *= stage.efficiency
     return product
 
@@ -86,39 +77,38 @@ def fiber_flux_from_ccd(ccd_counts_per_s, photons_per_ccd_count_into_fiber):
 
 def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
                             measured_ratio, unknown_stage_name):
-    """Solve the efficiency of the single unknown stage from a measured
-    detected-rate ratio between the two ports.
+    """Solve the efficiency of one stage from a measured detected-rate
+    ratio between the two ports.
 
-    The unknown must appear in exactly one of the chains.  The solution
-    makes detected_port_ratio(chain_a, chain_b, ...) equal
-    `measured_ratio`; values outside (0, 1] are returned with a warning
-    flag rather than clipped.
+    The named stage must appear in exactly one of the chains; the
+    efficiency listed for it is ignored.  The solution makes
+    detected_port_ratio(chain_a, chain_b, ...) equal `measured_ratio`;
+    values outside (0, 1] are returned with a warning flag rather than
+    clipped.
 
     Returns (efficiency, physical) with physical False when the solved
     value is not a valid transmission.
     """
+    if not (exit_a > 0 and exit_b > 0):
+        raise ValueError("exit probabilities must be positive")
     if not measured_ratio > 0:
         raise ValueError("measured ratio must be positive")
-    in_a = chain_a.stage_named(unknown_stage_name) is not None
-    in_b = chain_b.stage_named(unknown_stage_name) is not None
+
+    def known_product(chain):
+        product, found = 1.0, False
+        for stage in chain.stages:
+            if stage.name == unknown_stage_name:
+                found = True
+            else:
+                product *= stage.efficiency
+        return product, found
+
+    known_a, in_a = known_product(chain_a)
+    known_b, in_b = known_product(chain_b)
     if in_a and in_b:
         raise ValueError(f"unknown stage {unknown_stage_name!r} appears in both chains")
     if not in_a and not in_b:
         raise ValueError(f"unknown stage {unknown_stage_name!r} is in neither chain")
-
-    def known_product(chain):
-        product = 1.0
-        for stage in chain.stages:
-            if stage.name == unknown_stage_name:
-                continue
-            if stage.efficiency is None:
-                raise ValueError(
-                    f"chain {chain.path!r} has a second unresolved stage {stage.name!r}")
-            product *= stage.efficiency
-        return product
-
-    known_a = known_product(chain_a)
-    known_b = known_product(chain_b)
     full_ratio_without_unknown = (exit_a * known_a) / (exit_b * known_b)
     if in_a:
         value = measured_ratio / full_ratio_without_unknown
@@ -126,4 +116,3 @@ def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
         value = full_ratio_without_unknown / measured_ratio
     physical = 0.0 < value <= 1.0
     return value, physical
-

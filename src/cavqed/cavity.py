@@ -54,8 +54,8 @@ class LossBudget:
 
     `internal_per_pass` is the scattering/absorption loss of the
     intracavity layer for a single pass; it is counted twice per round
-    trip.  Channels named in `useful_channels` are the transmissions that
-    deliver photons to a port; everything else is a pure loss.
+    trip.  The transmissions `t_flat` and `t_fiber` deliver photons to a
+    port; everything else is a pure loss.
     """
 
     t_flat: float = 500.0
@@ -63,15 +63,11 @@ class LossBudget:
     internal_per_pass: float = 0.0
     spillout: float = 0.0
     cladding: float = 0.0
-    useful_channels: tuple = ("t_flat", "t_fiber")
 
     def __post_init__(self):
         for name in ("t_flat", "t_fiber", "internal_per_pass", "spillout", "cladding"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"loss channel {name} must be >= 0")
-        unknown = set(self.useful_channels) - {"t_flat", "t_fiber", "spillout", "cladding"}
-        if unknown:
-            raise ValueError(f"unknown useful channels: {sorted(unknown)}")
         if not self.round_trip_ppm > 0:
             raise ValueError("total round-trip loss must be positive")
 

@@ -71,9 +71,8 @@ MODE_ORDERS = ("a nonempty list of integers >= 1", lambda v: type(v) is list and
 # REQUIRED key has no default: reading it from a config that lacks it is
 # a config error.  Where the default is None, null is also accepted and
 # the one command that reads the key derives the value (cavity.mode_orders:
-# every row of table S1; dw_window_uev: 3 ZPL widths; g_max_uev:
-# measured.g_spectral_max_uev; analysis.lifetime.decay_ratio:
-# measured.decay_ratio) or, for an input file, takes the synthetic path.
+# every row of table S1; dw_window_uev: 3 ZPL widths) or, for an input
+# file, takes the synthetic path.
 CONFIG_KEYS = {
     "seed": (DEFAULT_SEED, int_at_least(0)),
     "emitter": {
@@ -100,11 +99,10 @@ CONFIG_KEYS = {
         "spectrum": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
                      "dw_window_uev": (None, POSITIVE)},
         "brightness": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
-                       "envelope_csv": (None, PATH), "g_max_uev": (None, NONNEGATIVE),
-                       "noise_frac": (0.01, NONNEGATIVE)},
+                       "envelope_csv": (None, PATH), "noise_frac": (0.01, NONNEGATIVE)},
         "lifetime": {"irf_fwhm_ps": (32.0, NONNEGATIVE), "fs_trace_csv": (None, PATH),
-                     "cavity_trace_csv": (REQUIRED, PATH), "decay_ratio": (None, POSITIVE),
-                     "peak_counts": (1e5, POSITIVE), "bin_ps": (4.0, POSITIVE)},
+                     "cavity_trace_csv": (REQUIRED, PATH), "peak_counts": (1e5, POSITIVE),
+                     "bin_ps": (4.0, POSITIVE)},
         "saturation": {"mode": ("pulsed", PUMPING), "curve_csv": (None, PATH),
                        "i_sat": (1768.0, POSITIVE), "p_sat": (1000.0, POSITIVE),
                        "noise_frac": (0.01, NONNEGATIVE), "n_points": (25, int_at_least(3))},
@@ -389,9 +387,7 @@ def cmd_brightness(config, seed):
         return report, {}
 
     rows = _mode_rows(config)
-    g_max = options["g_max_uev"]
-    if g_max is None:
-        g_max = config["measured"]["g_spectral_max_uev"]
+    g_max = config["measured"]["g_spectral_max_uev"]
     noise_frac = options["noise_frac"]
     v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
@@ -458,9 +454,7 @@ def cmd_lifetime(config, seed):
         trace_fs = dynamics.DecayTrace(t_fs, c_fs, irf)
         trace_cav = dynamics.DecayTrace(t_cav, c_cav, irf)
     else:
-        decay_ratio = options["decay_ratio"]
-        if decay_ratio is None:
-            decay_ratio = config["measured"]["decay_ratio"]
+        decay_ratio = config["measured"]["decay_ratio"]
         peak = options["peak_counts"]
         weights = tuple(em["decay_weights"])
         bin_ps = options["bin_ps"]
@@ -589,12 +583,8 @@ def cmd_budget(config, seed):
         extractions["free_space"], extractions["cavity_planar"])
 
     # solve the in-cryostat optics from the measured fiber/planar exit ratio
-    planar_unknown = budget_mod.EfficiencyChain(
-        "cavity_planar",
-        tuple(budget_mod.Stage(s.name, None if s.name == "cryostat_optics" else s.efficiency)
-              for s in chains["cavity_planar"].stages))
     cryostat_solved, physical = budget_mod.calibrate_unknown_stage(
-        chains["cavity_fiber"], planar_unknown,
+        chains["cavity_fiber"], chains["cavity_planar"],
         exits["p_fiber_pct"] / 100.0, exits["p_subs_pct"] / 100.0,
         measured["exit_ratio_fiber_over_planar"], "cryostat_optics")
 

@@ -28,36 +28,31 @@ def fixture_path(name):
     return Path(str(resources.files("cavqed") / "fixtures" / name))
 
 
+def _read_table(name):
+    """Fixture CSV `name` as {row key: {column: float}}, keyed by its first
+    column in file order; blank cells are left out."""
+    path = fixture_path(name)
+    table = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            (key_column, key), *cells = row.items()
+            if key in table:
+                raise ValueError(f"{path}: {key_column} {key!r} appears more than once")
+            if None in row:
+                raise ValueError(f"{path}: {key_column} {key!r} has more cells than the header")
+            table[key] = {column: float(cell) for column, cell in cells if cell and cell.strip()}
+    return table
+
+
 def load_table_s1():
     """Simulated/measured mode table, keyed by longitudinal order p.
 
     Columns: p, v_eff_lambda3, q_th, q_exp, p_subs_pct, p_fiber_pct.
     """
-    path = fixture_path("table_s1.csv")
-    rows = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows[int(row["p"])] = {
-                "v_eff_lambda3": float(row["v_eff_lambda3"]),
-                "q_th": float(row["q_th"]),
-                "q_exp": float(row["q_exp"]),
-                "p_subs_pct": float(row["p_subs_pct"]),
-                "p_fiber_pct": float(row["p_fiber_pct"]),
-            }
-    if not rows:
-        raise ValueError(f"{path}: no mode rows")
-    return rows
-
-
-def _load_stage_table(path):
-    table = {name: [] for name in _PATHS}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            for name in _PATHS:
-                cell = row.get(name, "").strip()
-                if cell:
-                    table[name].append(Stage(row[list(row)[0]], float(cell)))
-    return table
+    table = _read_table("table_s1.csv")
+    if not table:
+        raise ValueError("table_s1.csv: no mode rows")
+    return {int(p): row for p, row in table.items()}
 
 
 def load_table_s2():
@@ -67,14 +62,13 @@ def load_table_s2():
     efficiency per path, and the ordered downstream chain (path optics
     plus detector) per path.
     """
-    path = fixture_path("table_s2.csv")
-    table = _load_stage_table(path)
+    table = _read_table("table_s2.csv")
     extractions = {}
     chains = {}
     for name in _PATHS:
-        stages = table[name]
+        stages = [Stage(stage, row[name]) for stage, row in table.items() if name in row]
         if not stages or stages[0].name != "extraction_first_lens":
-            raise ValueError(f"{path}: path {name} must start with extraction_first_lens")
+            raise ValueError(f"table_s2.csv: path {name} must start with extraction_first_lens")
         extractions[name] = stages[0].efficiency
         chains[name] = EfficiencyChain(name, tuple(stages[1:]))
     return extractions, chains
@@ -83,19 +77,13 @@ def load_table_s2():
 def load_table_s3():
     """Summary efficiencies per path: extraction, path-and-detector
     product, and their overall product, keyed by path name."""
-    path = fixture_path("table_s3.csv")
-    out = {name: {} for name in _PATHS}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = row[list(row)[0]]
-            for name in _PATHS:
-                cell = row.get(name, "").strip()
-                if cell:
-                    out[name][key] = float(cell)
+    table = _read_table("table_s3.csv")
+    out = {name: {key: row[name] for key, row in table.items() if name in row}
+           for name in _PATHS}
     for name in _PATHS:
         for key in ("extraction_first_lens", "path_and_detector", "overall"):
             if key not in out[name]:
-                raise ValueError(f"{path}: missing {key} for {name}")
+                raise ValueError(f"table_s3.csv: missing {key} for {name}")
     return out
 
 

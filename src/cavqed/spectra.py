@@ -205,8 +205,8 @@ def energy_grid(center_uev, half_span_uev, step_uev):
     The grid always contains the center point, with an odd number of
     points spanning at least +- half_span_uev.
     """
-    if not (step_uev > 0 and half_span_uev > 0):
-        raise ValueError("grid step and half-span must be positive")
+    if not (np.isfinite(center_uev) and step_uev > 0 and half_span_uev > 0):
+        raise ValueError("grid centre must be finite, grid step and half-span positive")
     n_half = int(np.ceil(half_span_uev / step_uev))
     offsets = np.arange(-n_half, n_half + 1) * step_uev
     return center_uev + offsets

@@ -54,10 +54,9 @@ class TestChainEfficiency:
         right = chain_efficiency(EfficiencyChain("x", tuple(stages[2:])))
         assert forward == pytest.approx(left * right, rel=1e-15)
 
-    def test_unresolved_stage_rejected(self):
-        chain = EfficiencyChain("x", (Stage("a", 0.5), Stage("b", None)))
-        with pytest.raises(ValueError, match="unresolved"):
-            chain_efficiency(chain)
+    def test_repeated_stage_name_rejected(self):
+        with pytest.raises(ValueError, match="'a' appears more than once in chain 'x'"):
+            EfficiencyChain("x", (Stage("a", 0.5), Stage("b", 0.9), Stage("a", 0.5)))
 
     def test_stage_bounds(self):
         with pytest.raises(ValueError):
@@ -191,9 +190,8 @@ class TestCalibrateUnknownStage:
             chain_b_full = EfficiencyChain("b", b_known + (Stage("mystery", unknown_true),))
             exit_a, exit_b = rng.uniform(0.01, 0.2, 2)
             measured = detected_port_ratio(chain_a, chain_b_full, exit_a, exit_b)
-            chain_b = EfficiencyChain("b", b_known + (Stage("mystery", None),))
             solved, physical = calibrate_unknown_stage(
-                chain_a, chain_b, exit_a, exit_b, measured, "mystery")
+                chain_a, chain_b_full, exit_a, exit_b, measured, "mystery")
             assert physical
             assert solved == pytest.approx(unknown_true, rel=1e-10)
 
@@ -202,9 +200,8 @@ class TestCalibrateUnknownStage:
             chain_a = EfficiencyChain("a", (Stage("s", 0.5),))
             chain_b_full = EfficiencyChain("b", (Stage("u", planted),))
             measured = detected_port_ratio(chain_a, chain_b_full, 0.1, 0.1)
-            chain_b = EfficiencyChain("b", (Stage("u", None),))
             solved, physical = calibrate_unknown_stage(
-                chain_a, chain_b, 0.1, 0.1, measured, "u")
+                chain_a, chain_b_full, 0.1, 0.1, measured, "u")
             assert physical
             assert solved == pytest.approx(planted, rel=1e-12)
 
@@ -213,11 +210,8 @@ class TestCalibrateUnknownStage:
         # transmission near 0.70, not the quoted 0.33; both are reported
         extractions, chains, _ = tables
         mode = fixtures.load_table_s1()[6]
-        planar_unknown = EfficiencyChain("cavity_planar", tuple(
-            Stage(s.name, None if s.name == "cryostat_optics" else s.efficiency)
-            for s in chains["cavity_planar"].stages))
         solved, physical = calibrate_unknown_stage(
-            chains["cavity_fiber"], planar_unknown,
+            chains["cavity_fiber"], chains["cavity_planar"],
             mode["p_fiber_pct"] / 100.0, mode["p_subs_pct"] / 100.0,
             2.3, "cryostat_optics")
         assert physical
@@ -225,8 +219,8 @@ class TestCalibrateUnknownStage:
         assert abs(solved - 0.33) > 0.2
 
     def test_unknown_in_both_chains_rejected(self):
-        chain_a = EfficiencyChain("a", (Stage("u", None),))
-        chain_b = EfficiencyChain("b", (Stage("u", None),))
+        chain_a = EfficiencyChain("a", (Stage("u", 0.5),))
+        chain_b = EfficiencyChain("b", (Stage("u", 0.5),))
         with pytest.raises(ValueError, match="both"):
             calibrate_unknown_stage(chain_a, chain_b, 0.1, 0.1, 1.0, "u")
 
@@ -238,7 +232,7 @@ class TestCalibrateUnknownStage:
 
     def test_out_of_range_solution_flagged(self):
         chain_a = EfficiencyChain("a", (Stage("s", 1.0),))
-        chain_b = EfficiencyChain("b", (Stage("u", None),))
+        chain_b = EfficiencyChain("b", (Stage("u", 0.5),))
         solved, physical = calibrate_unknown_stage(chain_a, chain_b, 0.1, 0.1, 0.2, "u")
         assert solved == pytest.approx(5.0, rel=1e-12)
         assert not physical
@@ -250,7 +244,26 @@ class TestCalibrateUnknownStage:
         chain_a = EfficiencyChain("a", (Stage("fixed", 0.4),))
         chain_b_full = EfficiencyChain("b", (Stage("u", unknown), Stage("k", 0.6)))
         measured = detected_port_ratio(chain_a, chain_b_full, exit_a, exit_b)
-        chain_b = EfficiencyChain("b", (Stage("u", None), Stage("k", 0.6)))
-        solved, _ = calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
+        solved, _ = calibrate_unknown_stage(chain_a, chain_b_full, exit_a, exit_b,
                                             measured, "u")
         assert solved == pytest.approx(unknown, rel=1e-10)
+
+    @given(listed=st.floats(1e-6, 1.0), in_a=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_listed_efficiency_of_solved_stage_is_ignored(self, tables, listed, in_a):
+        # the solution depends on the other stages only, bit for bit
+        extractions, chains, _ = tables
+        planar = chains["cavity_planar"]
+        relisted = EfficiencyChain(planar.path, tuple(
+            Stage(s.name, listed if s.name == "cryostat_optics" else s.efficiency)
+            for s in planar.stages))
+        exits = extractions["cavity_fiber"], extractions["cavity_planar"]
+
+        def solve(chain):
+            if in_a:
+                return calibrate_unknown_stage(chain, chains["cavity_fiber"], *exits[::-1],
+                                               0.4, "cryostat_optics")
+            return calibrate_unknown_stage(chains["cavity_fiber"], chain, *exits,
+                                           2.3, "cryostat_optics")
+
+        assert solve(relisted) == solve(planar)

@@ -114,7 +114,7 @@ class TestBrightnessCommand:
 
     def test_zero_coupling_flags_noise_floor(self, tmp_path):
         code, out = run(tmp_path, "brightness",
-                        config={"analysis": {"brightness": {"g_max_uev": 0.0}}})
+                        config={"measured": {"g_spectral_max_uev": 0.0}})
         assert code == EXIT_OK
         report = read_report(out, "brightness_report.json")
         for mode in report["modes"]:
@@ -338,7 +338,8 @@ class TestExitCodes:
         (("g2", (), {"g2_scheme": {"background": 1.2}}), "g2_scheme.background"),
         (("brightness", (), {"analysis": {"brightness": {"step_uev": -4}}}),
          "analysis.brightness.step_uev"),
-        (("brightness", (), {"analysis": {"brightness": {"g_max_uev": -3}}}),
+        # an alias removed in favour of measured.g_spectral_max_uev
+        (("brightness", (), {"analysis": {"brightness": {"g_max_uev": 25.0}}}),
          "analysis.brightness.g_max_uev"),
         (("brightness", (), {"seed": True}), "seed"),
         (("lifetime", (), {"emitter": {"decay_weights": [1]}}), "emitter.decay_weights"),
@@ -351,6 +352,11 @@ class TestExitCodes:
         ({"emitter": {"temperature_k": -3}}, "emitter.temperature_k"),
         ({"emitter": {"sideband": {"cutoff_uev": -5}}}, "emitter.sideband.cutoff_uev"),
         ({"emitter": {"zpl_fwhm_uev": True}}, "emitter.zpl_fwhm_uev"),
+        (("brightness", (), {"measured": {"g_spectral_max_uev": -3}}),
+         "measured.g_spectral_max_uev"),
+        # an alias removed in favour of measured.decay_ratio
+        (("lifetime", (), {"analysis": {"lifetime": {"decay_ratio": 1.19}}}),
+         "analysis.lifetime.decay_ratio"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()
@@ -532,6 +538,27 @@ class TestFixtureDirOverride:
         assert code == EXIT_OK
         report = read_report(out, "purcell_report.json")
         assert report["modes"][0]["v_eff_lambda3_fixture"] == 2.60
+
+    @pytest.mark.parametrize("command, name, row, problem", [
+        # a repeated row would otherwise overwrite (S1) or multiply in
+        # twice (S2) without a word
+        ("purcell", "table_s1.csv", "6,2.49,56900,11200,7.85,6.03", "appears more than once"),
+        ("budget", "table_s2.csv", "beamsplitter,0.612,0.98,", "appears more than once"),
+        ("budget", "table_s3.csv", "note,1,1,1,1", "more cells than the header"),
+    ])
+    def test_bad_fixture_row_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                             command, name, row, problem):
+        alt = tmp_path / "fixtures"
+        shutil.copytree(fixtures.fixture_path(name).parent, alt)
+        with open(alt / name, "a") as fh:
+            fh.write(row + "\n")
+        monkeypatch.setenv("PL_FIXTURE_DIR", str(alt))
+        code, out = run(tmp_path, command)
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        message = json.loads(line)["message"]
+        assert str(alt / name) in message and problem in message
+        assert not out.exists()
 
     def test_missing_override_file_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PL_FIXTURE_DIR", str(tmp_path / "nowhere"))

@@ -98,6 +98,10 @@ COUPLING = CouplingParams(10.0, 2.5, 100.0)
     (spectra.s_tilde_max, (0.65, 200.0, NAN)),
     (bose_occupation, (NAN, 4.2)),
     (bose_occupation, (100.0, NAN)),
+    (budget.calibrate_unknown_stage, (None, None, NAN, 0.5, 2.0, "stage")),
+    (budget.calibrate_unknown_stage, (None, None, 0.5, -0.5, 2.0, "stage")),
+    (spectra.energy_grid, (NAN, 10.0, 1.0)),
+    (spectra.energy_grid, (float("inf"), 10.0, 1.0)),
 ], ids=lambda item: getattr(item, "__name__", None))
 def test_scalar_checks_reject_nan(check, args):
     # the check's own message, not a numpy error further on
