@@ -8,13 +8,13 @@ where S~ is the free-space spectrum convolved with the cavity Lorentzian
 (see the spectra module); beta saturates as a Hill function of that rate.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectra
+from .optimize import _brent_bounded
 from .spectra import RAW_COUNTS, Spectrum, lorentzian
 
 # exciton/photon populations above this are outside the weak-pump regime
@@ -328,87 +328,6 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     s_max = float(np.max(s_values))
     c = measured_max * (1.0 + a_fit * s_max) / (a_fit * s_max)
     return EnvelopeFit(g_fit, a_fit, c, rms, iterations, converged, flag)
-
-
-def _sign(v):
-    """sign(v), taking 0 to +1 (nan stays nan)."""
-    return float(np.sign(v)) + (v == 0)
-
-
-def _brent_bounded(f, lo, hi, xatol, maxiter):
-    """Minimize the scalar function f on [lo, hi] by Brent's method
-    (the fminbound of Forsythe, Malcolm & Moler, 1977): golden-section
-    steps, parabolic where acceptable.
-
-    The arithmetic is that of scipy.optimize.minimize_scalar with
-    method="bounded", in the same order, so the iterates are its own bit
-    for bit.  Returns (x, f(x), evaluations, converged); converged is
-    False after `maxiter` evaluations or on a nan.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            return xf, fx, num, False
-
-    return xf, fx, num, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
 def g_from_lifetime(gamma_star_uev, delta_gamma_uev, dw):

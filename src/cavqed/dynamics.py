@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimize import _trf_lower_bounded
 from .spectra import convolve_same, uniform_step
 from .units import HBAR_UEV_PS
 
@@ -177,8 +178,6 @@ def fit_biexponential(trace):
     monoexponential and is flagged; non-convergence returns the best
     iterate with a flag and a warning.
     """
-    from scipy.optimize import least_squares  # deferred: most of a cold start
-
     if trace.time_ps.size < 50:
         raise ValueError("need at least 50 bins for a biexponential fit")
     if trace.counts.max() <= 0:
@@ -197,8 +196,8 @@ def fit_biexponential(trace):
         return (_biexp_model(t, tau1, tau2, a1, a2, kernel) - c) / sigma
 
     lower = [bin_ps / 10.0, bin_ps / 10.0, 0.0, 0.0]
-    result = least_squares(residuals, x0, bounds=(lower, np.inf),
-                           xtol=1e-10, ftol=1e-10, max_nfev=500 * 4)
+    result = _trf_lower_bounded(residuals, x0, lower, ftol=1e-10, xtol=1e-10,
+                                max_nfev=500 * 4)
     tau1, tau2, a1, a2 = result.x
     if tau1 > tau2:
         tau1, tau2, a1, a2 = tau2, tau1, a2, a1
@@ -241,13 +240,11 @@ def _initial_biexp_guess(t, c, kernel):
 
 
 def _monoexp_collapse(t, c, sigma, kernel, tau0, a0):
-    from scipy.optimize import least_squares
-
     def residuals(params):
         tau, a = params
         return (_biexp_model(t, tau, tau, 0.0, a, kernel) - c) / sigma
 
-    result = least_squares(residuals, [tau0, a0], bounds=([1e-6, 0.0], np.inf))
+    result = _trf_lower_bounded(residuals, [tau0, a0], [1e-6, 0.0])
     tau, a = result.x
     sig = _parameter_sigmas(result)
     return BiexpFit(float(tau), float(tau), 0.0, float(a), 1.0, sig[0], sig[0],
@@ -288,8 +285,6 @@ def saturation_curve(powers, i_sat, p_sat, mode="cw"):
 
 def fit_saturation(powers, counts, mode="cw"):
     """Least-squares fit of a saturation curve, returns SaturationFit."""
-    from scipy.optimize import least_squares
-
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if powers.shape != counts.shape or powers.size < 3:
@@ -300,7 +295,7 @@ def fit_saturation(powers, counts, mode="cw"):
     def residuals(params):
         return saturation_curve(powers, params[0], params[1], mode) - counts
 
-    result = least_squares(residuals, [i0, p0], bounds=([0.0, 0.0], np.inf))
+    result = _trf_lower_bounded(residuals, [i0, p0], [0.0, 0.0])
     sig = _parameter_sigmas(result)
     return SaturationFit(float(result.x[0]), float(result.x[1]),
                          sig[0], sig[1], bool(result.status > 0))

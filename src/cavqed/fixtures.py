@@ -28,9 +28,10 @@ def fixture_path(name):
     return Path(str(resources.files("cavqed") / "fixtures" / name))
 
 
-def _read_table(name):
+def _read_table(name, required=()):
     """Fixture CSV `name` as {row key: {column: float}}, keyed by its first
-    column in file order; blank cells are left out."""
+    column in file order; blank cells are left out, except that every row
+    must have a value in each `required` column."""
     path = fixture_path(name)
     table = {}
     with open(path, newline="") as fh:
@@ -41,15 +42,20 @@ def _read_table(name):
             if None in row:
                 raise ValueError(f"{path}: {key_column} {key!r} has more cells than the header")
             table[key] = {column: float(cell) for column, cell in cells if cell and cell.strip()}
+            for column in required:
+                if column not in table[key]:
+                    raise ValueError(f"{path}: {key_column} {key!r} has no {column} value")
     return table
 
 
 def load_table_s1():
     """Simulated/measured mode table, keyed by longitudinal order p.
 
-    Columns: p, v_eff_lambda3, q_th, q_exp, p_subs_pct, p_fiber_pct.
+    Columns: p, v_eff_lambda3, q_th, q_exp, p_subs_pct, p_fiber_pct; a
+    row missing any of them is a ValueError naming the file, p and column.
     """
-    table = _read_table("table_s1.csv")
+    table = _read_table("table_s1.csv", required=(
+        "v_eff_lambda3", "q_th", "q_exp", "p_subs_pct", "p_fiber_pct"))
     if not table:
         raise ValueError("table_s1.csv: no mode rows")
     return {int(p): row for p, row in table.items()}

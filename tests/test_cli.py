@@ -504,11 +504,10 @@ def test_cli_import_loads_no_scipy():
     assert _run_python(code).stdout.strip() == "False"
 
 
-def test_fit_free_commands_load_no_scipy(tmp_path):
-    # scipy.optimize, the one scipy module left, is imported by the
-    # least-squares fits of lifetime and saturation only; brightness fits
-    # its envelope with cqed's own bounded Brent minimizer
-    commands = ["spectrum", "purcell", "g2", "budget", "brightness"]
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is a test dependency only: the fits of brightness, lifetime and
+    # saturation run the numpy ports of its bounded Brent and TRF methods
+    commands = ["spectrum", "purcell", "brightness", "lifetime", "saturation", "g2", "budget"]
     code = (
         "import sys, cavqed.cli\n"
         f"for command in {commands!r}:\n"
@@ -558,6 +557,24 @@ class TestFixtureDirOverride:
         [line] = capsys.readouterr().err.splitlines()
         message = json.loads(line)["message"]
         assert str(alt / name) in message and problem in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5])
+    def test_blank_fixture_cell_is_config_error(self, tmp_path, monkeypatch, capsys, column):
+        alt = tmp_path / "fixtures"
+        shutil.copytree(fixtures.fixture_path("table_s1.csv").parent, alt)
+        path = alt / "table_s1.csv"
+        header, row_6, *rest = path.read_text().splitlines()
+        cells = row_6.split(",")
+        cells[column] = ""
+        path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        monkeypatch.setenv("PL_FIXTURE_DIR", str(alt))
+        code, out = run(tmp_path, "purcell")
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        message = json.loads(line)["message"]
+        name = header.split(",")[column]
+        assert message == f"{path}: p '6' has no {name} value"
         assert not out.exists()
 
     def test_missing_override_file_raises(self, tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cavqed import spectra
 from cavqed.cqed import (
     CouplingParams,
-    _brent_bounded,
     brightening_ratios,
     brightness_profile,
     emitted_spectrum,
@@ -20,6 +19,7 @@ from cavqed.cqed import (
     solve_fp_and_qy,
     steady_state,
 )
+from cavqed.optimize import _brent_bounded
 from cavqed.spectra import RAW_COUNTS, Spectrum, energy_grid, lorentzian
 
 from conftest import GAMMA, KAPPA, ZPL_ENERGY, measure_fwhm
