@@ -16,8 +16,9 @@ task index).  --parallel is accepted and ignored: every sweep task takes
 milliseconds, so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
-4 I/O error.  Diagnostics, Python warnings included, go to stderr as
-single-line JSON.  A run that fails writes nothing.
+4 I/O error.  Diagnostics, Python warnings and command-line errors
+included, go to stderr as single-line JSON.  A run that fails writes
+nothing.
 """
 
 import argparse
@@ -192,9 +193,14 @@ def _read_input(path, what):
     return text
 
 
-def _load_csv(path, header):
-    """The two columns of an input CSV (see spectra.parse_two_column_csv)."""
-    return spectra.parse_two_column_csv(_read_input(path, "input file"), header, path)
+def _load_csv(path, header, build):
+    """`build(x, y)` of the two columns of an input CSV (see
+    spectra.parse_two_column_csv); a content error names the file."""
+    x, y = spectra.parse_two_column_csv(_read_input(path, "input file"), header, path)
+    try:
+        return build(x, y)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def load_config(config_path, fixture):
@@ -376,8 +382,8 @@ def cmd_brightness(config, seed):
     if options["envelope_csv"]:
         # measured path: one envelope, one mode order
         p, kappa = _mode_kappa(config, model.zpl_energy_uev)
-        envelope = spectra.Spectrum(*_load_csv(options["envelope_csv"],
-                                                spectra.SPECTRUM_HEADER))
+        envelope = _load_csv(options["envelope_csv"], spectra.SPECTRUM_HEADER,
+                             spectra.Spectrum)
         s_fs = spectra.build_fs_spectrum(model, envelope.energies)
         s_dtilde = spectra.convolve_lorentzian(spectra.convolve_lorentzian(s_fs, kappa), kappa)
         fit = cqed.fit_g_from_envelope(envelope, s_dtilde, gamma)
@@ -449,10 +455,11 @@ def cmd_lifetime(config, seed):
     irf = options["irf_fwhm_ps"]
 
     if options["fs_trace_csv"]:
-        t_fs, c_fs = _load_csv(options["fs_trace_csv"], "time_ps,counts")
-        t_cav, c_cav = _load_csv(options["cavity_trace_csv"], "time_ps,counts")
-        trace_fs = dynamics.DecayTrace(t_fs, c_fs, irf)
-        trace_cav = dynamics.DecayTrace(t_cav, c_cav, irf)
+        def trace(t, c):
+            return dynamics.DecayTrace(t, c, irf)
+
+        trace_fs = _load_csv(options["fs_trace_csv"], "time_ps,counts", trace)
+        trace_cav = _load_csv(options["cavity_trace_csv"], "time_ps,counts", trace)
     else:
         decay_ratio = config["measured"]["decay_ratio"]
         peak = options["peak_counts"]
@@ -497,7 +504,8 @@ def cmd_saturation(config, seed):
     mode = options["mode"]
 
     if options["curve_csv"]:
-        powers, counts = _load_csv(options["curve_csv"], "power,counts")
+        powers, counts = _load_csv(options["curve_csv"], "power,counts",
+                                   dynamics._saturation_data)
     else:
         p_sat = options["p_sat"]
         powers = np.geomspace(p_sat / 30.0, 30.0 * p_sat, options["n_points"])
@@ -651,9 +659,16 @@ def _fail(command, code, error):
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a ConfigError for a bad command line instead of printing
+    the usage text and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="pl", description="Cavity-QED analysis workflows")
+    parser = _ArgumentParser(prog="pl", description="Cavity-QED analysis workflows")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--fixture", help="named fixture set to preload ('paper')")
@@ -662,7 +677,12 @@ def main(argv=None):
                         help=f"seed for stochastic sweeps (default {DEFAULT_SEED})")
     parser.add_argument("--parallel", type=int, default=1,
                         help="accepted for compatibility and ignored: sweeps run in one thread")
-    args = parser.parse_args(argv)
+    # argparse fills in the command word only once it has read a valid one
+    args = argparse.Namespace(command=None)
+    try:
+        parser.parse_args(argv, args)
+    except ConfigError as err:
+        return _fail(args.command, EXIT_CONFIG, err)
     out_dir = Path(args.out)
 
     def show_warning(message, category, *rest, **kwargs):
@@ -678,7 +698,7 @@ def main(argv=None):
             seed = args.seed if args.seed is not None else config["seed"]
             report, files = _COMMANDS[args.command](config, seed)
             write_outputs(out_dir, args.command, report, files)
-    except (ConfigError, KeyError, ValueError) as err:
+    except (ConfigError, ValueError) as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:
         return _fail(args.command, EXIT_FIT, err)

@@ -9,7 +9,7 @@ where S~ is the free-space spectrum convolved with the cavity Lorentzian
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,15 +74,9 @@ class EnvelopeFit:
     flag: str = ""
 
     def to_record(self):
-        return {
-            "g_ueV": self.g_uev,
-            "a": self.a,
-            "c": self.c,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "flag": self.flag,
-        }
+        record = asdict(self)
+        record["g_ueV"] = record.pop("g_uev")
+        return record
 
 
 def purcell_factor(wavelength_nm, refractive_index, v_eff_lambda3, q_eff):
@@ -161,12 +155,11 @@ def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):
     """
     abs_values = None
     if s_abs_tilde is not None:
-        if (s_abs_tilde.energies.shape != s_emi_tilde.energies.shape
-                or not np.array_equal(s_abs_tilde.energies, s_emi_tilde.energies)):
+        if not np.array_equal(s_abs_tilde.energies, s_emi_tilde.energies):
             raise ValueError("emission and absorption spectra must share one grid")
         abs_values = s_abs_tilde.values
     beta = _beta_values(coupling, s_emi_tilde.values, abs_values)
-    return Spectrum(s_emi_tilde.energies.copy(), beta, RAW_COUNTS)
+    return Spectrum(s_emi_tilde.energies, beta, RAW_COUNTS)
 
 
 def steady_state(pump_rate_uev, coupling, s_emi_tilde_at, s_abs_tilde_at=0.0):
@@ -229,10 +222,7 @@ def modulation_envelope(beta, kappa_uev):
     preserving convolution as the spectra module, so sweeping the cavity
     conserves the emitted flux on the grid.
     """
-    filtered = spectra.convolve_lorentzian(
-        Spectrum(beta.energies.copy(), beta.values, RAW_COUNTS), kappa_uev
-    )
-    return beta.with_values(filtered.values)
+    return spectra.convolve_lorentzian(beta, kappa_uev)
 
 
 def hill_envelope(a, s_dtilde_values, c=1.0):
@@ -290,8 +280,7 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     fitted a and the measured maximum, and `residual` is the root mean
     square difference of the normalized profiles.
     """
-    if (e_mod_measured.energies.shape != s_dtilde.energies.shape
-            or not np.array_equal(e_mod_measured.energies, s_dtilde.energies)):
+    if not np.array_equal(e_mod_measured.energies, s_dtilde.energies):
         raise ValueError("envelope and filtered spectrum must share one grid")
     if np.any(e_mod_measured.values < 0):
         raise ValueError("measured envelope must be nonnegative")

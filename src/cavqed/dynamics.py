@@ -8,12 +8,12 @@ in ps, like everywhere else in the package.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .optimize import _trf_lower_bounded
-from .spectra import convolve_same, uniform_step
+from .spectra import _sampled, convolve_same, uniform_step
 from .units import HBAR_UEV_PS
 
 # relative tau1/tau2 separation below which a biexponential fit collapses
@@ -23,28 +23,19 @@ _DEGENERATE_TAU_RTOL = 0.05
 @dataclass(frozen=True)
 class DecayTrace:
     """Time-binned photon counts with the instrument response that
-    produced them: `irf` is its Gaussian FWHM in ps, 0 for none."""
+    produced them: `irf` is its Gaussian FWHM in ps, 0 for none, and
+    `bin_ps` the bin width."""
 
     time_ps: np.ndarray
     counts: np.ndarray
     irf: float = 32.0
+    bin_ps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.time_ps, dtype=float)
-        c = np.asarray(self.counts, dtype=float)
-        uniform_step(t)
-        if c.shape != t.shape:
-            raise ValueError("trace needs matching 1-d time and count arrays")
-        if not np.all(np.isfinite(c) & (c >= 0)):
-            raise ValueError("counts must be finite and nonnegative")
-        t.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "time_ps", t)
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def bin_ps(self):
-        return uniform_step(self.time_ps)
+        time_ps, counts, bin_ps = _sampled(self.time_ps, self.counts, "counts")
+        object.__setattr__(self, "time_ps", time_ps)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "bin_ps", bin_ps)
 
 
 @dataclass(frozen=True)
@@ -60,17 +51,7 @@ class BiexpFit:
     flag: str = ""
 
     def to_record(self):
-        return {
-            "tau1_ps": self.tau1_ps,
-            "tau2_ps": self.tau2_ps,
-            "a1": self.a1,
-            "a2": self.a2,
-            "long_weight": self.long_weight,
-            "sigma_tau1_ps": self.sigma_tau1_ps,
-            "sigma_tau2_ps": self.sigma_tau2_ps,
-            "converged": self.converged,
-            "flag": self.flag,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -283,12 +264,23 @@ def saturation_curve(powers, i_sat, p_sat, mode="cw"):
     raise ValueError(f"mode must be 'cw' or 'pulsed', got {mode!r}")
 
 
-def fit_saturation(powers, counts, mode="cw"):
-    """Least-squares fit of a saturation curve, returns SaturationFit."""
+def _saturation_data(powers, counts):
+    """Float (powers, counts) of a saturation curve that can be fitted:
+    matching, >= 3 points, no negative power and a positive count."""
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if powers.shape != counts.shape or powers.size < 3:
         raise ValueError("need matching power/count arrays with >= 3 points")
+    if not np.all(powers >= 0):
+        raise ValueError("powers must be >= 0")
+    if not np.any(counts > 0):
+        raise ValueError("counts have no positive value to fit")
+    return powers, counts
+
+
+def fit_saturation(powers, counts, mode="cw"):
+    """Least-squares fit of a saturation curve, returns SaturationFit."""
+    powers, counts = _saturation_data(powers, counts)
     i0 = float(counts.max()) * 1.2
     p0 = float(np.median(powers))
 

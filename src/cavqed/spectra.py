@@ -44,6 +44,29 @@ def uniform_step(grid):
     return (grid[-1] - grid[0]) / (grid.size - 1)
 
 
+def _sampled(grid, values, what):
+    """Read-only (grid, values, step) of a curve sampled on a uniform grid,
+    with finite, nonnegative `what` values: the one check of every
+    Spectrum and DecayTrace.  A writable input is copied before it is
+    frozen, so the caller's arrays stay writable; a read-only one, such as
+    another curve's grid, is shared."""
+
+    def read_only(array):
+        array = np.asarray(array, dtype=float)
+        if array.flags.writeable:
+            array = array.copy()
+            array.setflags(write=False)
+        return array
+
+    grid, values = read_only(grid), read_only(values)
+    step = uniform_step(grid)
+    if values.shape != grid.shape:
+        raise ValueError(f"grid and {what} must have the same shape")
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError(f"{what} must be finite and nonnegative")
+    return grid, values, step
+
+
 def _fast_length(n):
     """Smallest 2**a * 3**b * 5**c >= n: a transform length pocketfft
     handles fast for real input."""
@@ -95,29 +118,25 @@ class Spectrum:
         Nonnegative spectral density per ueV (or raw counts).
     normalization : str
         One of "area-2pi", "raw-counts".
+
+    `step` is the grid spacing in ueV.
     """
 
     energies: np.ndarray
     values: np.ndarray
     normalization: str = RAW_COUNTS
+    step: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        uniform_step(energies)
-        if values.shape != energies.shape:
-            raise ValueError("energies and values must have the same shape")
-        if not np.all(np.isfinite(values) & (values >= 0)):
-            raise ValueError("spectral values must be finite and nonnegative")
+        energies, values, step = _sampled(self.energies, self.values, "spectral values")
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(
                 f"unknown normalization {self.normalization!r}, "
                 f"expected one of {_NORMALIZATIONS}"
             )
-        energies.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "step", step)
         if self.normalization == AREA_2PI:
             area = self.area()
             if abs(area - 2.0 * np.pi) > _AREA_2PI_RTOL * 2.0 * np.pi:
@@ -125,11 +144,6 @@ class Spectrum:
                     f"area-2pi spectrum has trapezoid integral {area:.9g}, "
                     f"outside 2*pi*(1 +- {_AREA_2PI_RTOL:g})"
                 )
-
-    @property
-    def step(self):
-        """Grid spacing in ueV."""
-        return uniform_step(self.energies)
 
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""
@@ -140,8 +154,8 @@ class Spectrum:
         return np.interp(energy, self.energies, self.values, left=0.0, right=0.0)
 
     def with_values(self, values):
-        """Copy of this spectrum with new values (same grid and tag)."""
-        return Spectrum(self.energies.copy(), values, self.normalization)
+        """This spectrum's grid and tag with new values."""
+        return Spectrum(self.energies, values, self.normalization)
 
 
 @dataclass(frozen=True)
@@ -376,7 +390,7 @@ def absorption_spectrum(s_emi, model):
     if area <= 0:
         raise ValueError("mirrored spectrum has no weight on the grid; is the ZPL on-grid?")
     values *= 2.0 * np.pi / area
-    return Spectrum(s_emi.energies.copy(), values, AREA_2PI)
+    return Spectrum(s_emi.energies, values, AREA_2PI)
 
 
 def parse_two_column_csv(text, header, source):

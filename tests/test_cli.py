@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cavqed
-from cavqed import fixtures, spectra
+from cavqed import dynamics, fixtures, spectra
 from cavqed.cli import (
     CONFIG_KEYS,
     DEFAULT_SEED,
@@ -368,16 +368,36 @@ class TestExitCodes:
         assert key in json.loads(line)["message"]
         assert not out.exists()
 
-    def test_type_error_is_not_a_config_error(self, tmp_path, monkeypatch):
-        # every config type is checked at load, so a TypeError is a bug
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_type_error_is_not_a_config_error(self, tmp_path, monkeypatch, error):
+        # every config value is checked and every fixture column required
+        # at load, so a TypeError or a KeyError is a bug
         import cavqed.cli as cli_mod
 
         def explode(config, seed):
-            raise TypeError("synthetic bug")
+            raise error("synthetic bug")
 
         monkeypatch.setitem(cli_mod._COMMANDS, "purcell", explode)
-        with pytest.raises(TypeError, match="synthetic bug"):
+        with pytest.raises(error, match="synthetic bug"):
             run(tmp_path, "purcell")
+
+    @pytest.mark.parametrize("argv, command", [
+        (["spectrum", "--seed", "abc"], "spectrum"),
+        (["spectrum", "--parallel", "x"], "spectrum"),
+        (["nosuch"], None),
+        (["spectrum", "--bogus"], "spectrum"),
+        ([], None),
+    ], ids=["seed", "parallel", "command", "flag", "empty"])
+    def test_bad_command_line_is_one_json_line(self, tmp_path, monkeypatch, capsys,
+                                               argv, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["command"] == command
+        assert payload["exit_code"] == EXIT_CONFIG
+        assert payload["error"] and payload["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -487,6 +507,39 @@ class TestInputData:
         assert code == EXIT_CONFIG
         message = json.loads(capsys.readouterr().err)["message"]
         assert "nan_trace.csv" in message and "non-finite" in message
+
+    @pytest.mark.parametrize("command, key, rows, problem", [
+        ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n1,1\n3,1",
+         "grid must be uniform to 1 part in 1e9"),
+        ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,-2\n8,1",
+         "counts must be finite and nonnegative"),
+        ("saturation", "curve_csv", "power,counts\n0,-1\n1,-2\n2,-3\n4,-3.5",
+         "counts have no positive value to fit"),
+        ("saturation", "curve_csv", "power,counts\n-1,1\n1,2\n2,3\n4,3.5",
+         "powers must be >= 0"),
+    ], ids=["envelope-grid", "trace-count", "curve-counts", "curve-power"])
+    def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
+        path = tmp_path / "input.csv"
+        path.write_text(rows + "\n")
+        options = {key: str(path)}
+        if command == "lifetime":
+            options["fs_trace_csv"] = str(path)
+        code, out = run(tmp_path, command, config={"analysis": {command: options}})
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == f"{path}: {problem}"
+        assert not out.exists()
+
+    def test_curve_with_a_negative_count_is_fitted(self, tmp_path):
+        powers = [0.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0]
+        counts = [-1.0, 400.0, 900.0, 1300.0, 1600.0, 1750.0]
+        path = tmp_path / "curve.csv"
+        path.write_text("power,counts\n" + "".join(f"{p},{c}\n" for p, c in zip(powers, counts)))
+        code, out = run(tmp_path, "saturation",
+                        config={"analysis": {"saturation": {"curve_csv": str(path)}}})
+        assert code == EXIT_OK
+        fit = dynamics.fit_saturation(powers, counts, "pulsed")
+        assert read_report(out, "saturation_report.json")["i_sat"] == fit.i_sat
 
 
 def _run_python(code):

@@ -340,6 +340,9 @@ class TestFitGFromEnvelope:
                             RAW_COUNTS)
         fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
         assert fit.c == pytest.approx(c_true, rel=1e-3)
+        record = fit.to_record()
+        assert set(record) == {"g_ueV", "a", "c", "residual", "iterations", "converged", "flag"}
+        assert record["g_ueV"] == fit.g_uev
 
     def test_zero_envelope_flags_noise_floor(self, paper_grid, paper_fs_spectrum):
         envelope = Spectrum(paper_grid, np.zeros(paper_grid.size), RAW_COUNTS)

@@ -124,6 +124,8 @@ class TestFitBiexponential:
         expected = fit.a2 * fit.tau2_ps / (fit.a1 * fit.tau1_ps + fit.a2 * fit.tau2_ps)
         assert fit.long_weight == pytest.approx(expected, rel=1e-12)
         assert fit.tau1_ps < fit.tau2_ps
+        assert set(fit.to_record()) == {"tau1_ps", "tau2_ps", "a1", "a2", "long_weight",
+                                        "sigma_tau1_ps", "sigma_tau2_ps", "converged", "flag"}
 
     def test_needs_enough_bins(self):
         with pytest.raises(ValueError, match="50 bins"):
@@ -176,6 +178,12 @@ class TestSaturation:
             errors_p.append(abs(fit.p_sat - 1000.0) / 1000.0)
         assert np.percentile(errors_i, 95) < 0.03
         assert np.percentile(errors_p, 95) < 0.03
+
+
+    @pytest.mark.parametrize("counts", [[-1.0, -2.0, -3.0, -3.5], [0.0, 0.0, 0.0, 0.0]])
+    def test_fit_needs_a_positive_count(self, counts):
+        with pytest.raises(ValueError, match="no positive value"):
+            fit_saturation(np.array([0.0, 1.0, 2.0, 4.0]), np.array(counts))
 
 
 class TestQuantumYield:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavqed import spectra
+from cavqed import cqed, dynamics, spectra
 from cavqed.dynamics import DecayTrace, LevelScheme, g2_correlation
 from cavqed.spectra import (
     AREA_2PI,
@@ -100,6 +100,57 @@ class TestUniformGrid:
         values[3] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
             _GRID_USERS[user](_GOOD_GRID, values)
+
+
+_CURVE_BUILDERS = {
+    "Spectrum": lambda grid, values: Spectrum(grid, values),
+    "DecayTrace": lambda grid, values: DecayTrace(grid, values),
+    "build_fs_spectrum": lambda grid, values: build_fs_spectrum(
+        EmitterModel(0.0, 50.0, 0.8), grid),
+    "simulate_decay": lambda grid, values: dynamics.simulate_decay(
+        2.5, 1.0, (2.0, 1.0), 23.0, 32.0, grid),
+}
+
+
+class TestCurveContract:
+    """A curve owns read-only copies of writable inputs, derived curves
+    share their parent's grid, and its step is read, not recomputed."""
+
+    @pytest.mark.parametrize("builder", sorted(_CURVE_BUILDERS))
+    def test_caller_arrays_stay_writable(self, builder):
+        grid = energy_grid(500.0, 1500.0, 4.0)
+        values = np.ones(grid.size)
+        curve = _CURVE_BUILDERS[builder](grid, values)
+        assert grid.flags.writeable and values.flags.writeable
+        grid[0] = values[0] = -1.0
+        for array in vars(curve).values():
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable and array[0] != -1.0
+
+    @pytest.mark.parametrize("derive", ["with_values", "convolve_lorentzian",
+                                        "absorption_spectrum", "brightness_profile"])
+    def test_derived_curve_shares_the_grid(self, derive):
+        model = EmitterModel(0.0, 50.0, 0.8)
+        s = build_fs_spectrum(model, energy_grid(0.0, 3000.0, 1.0))
+        derived = {
+            "with_values": lambda: s.with_values(s.values.copy()),
+            "convolve_lorentzian": lambda: convolve_lorentzian(s, 40.0),
+            "absorption_spectrum": lambda: absorption_spectrum(s, model),
+            "brightness_profile": lambda: cqed.brightness_profile(
+                cqed.CouplingParams(25.0, 2.5, 40.0), s, s),
+        }[derive]()
+        assert derived.energies is s.energies
+
+    def test_step_is_stored(self, monkeypatch):
+        s = Spectrum(0.5 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
+        trace = DecayTrace(4.0 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
+
+        def fail(grid):
+            raise AssertionError("uniform_step called on read")
+
+        monkeypatch.setattr(spectra, "uniform_step", fail)
+        monkeypatch.setattr(dynamics, "uniform_step", fail)
+        assert (s.step, trace.bin_ps) == (0.5, 4.0)
 
 
 class TestConvolveSame:
