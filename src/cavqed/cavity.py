@@ -103,18 +103,6 @@ def mode_volume_gaussian(geometry):
     return volume_um3 / (lam_um / n) ** 3
 
 
-def fsr(geometry):
-    """Free spectral range, returned as (delta_lambda_nm, delta_energy_uev).
-
-    delta_lambda = lambda**2 / (2 n L) and delta_E = E / p, the exact
-    spacing of the longitudinal comb at fixed length.
-    """
-    length_nm = geometry.length_um * 1e3
-    delta_lambda = geometry.wavelength_nm ** 2 / (2.0 * geometry.refractive_index * length_nm)
-    delta_energy = geometry.resonance_energy_uev / geometry.mode_order
-    return delta_lambda, delta_energy
-
-
 def q_from_losses(budget, mode_order):
     """(finesse, Q) from a round-trip loss budget: F = 2 pi / L_rt, Q = F p."""
     if mode_order < 1:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .optimize import _trf_lower_bounded
-from .spectra import _sampled, convolve_same, uniform_step
+from .spectra import _sampled, convolve_same, fft_convolver, uniform_step
 from .units import HBAR_UEV_PS
 
 # relative tau1/tau2 separation below which a biexponential fit collapses
@@ -101,11 +101,18 @@ def _irf_kernel(fwhm_ps, bin_ps, n_bins):
     return kernel / kernel.sum()
 
 
-def _convolve_centered(values, kernel):
-    """Convolve with a centered kernel, preserving total counts."""
-    if kernel is None:
+def _irf_convolver(fwhm_ps, bin_ps, n_bins):
+    """spectra.fft_convolver of the IRF kernel for `n_bins`-bin traces,
+    built once per trace; None for a zero FWHM."""
+    kernel = _irf_kernel(fwhm_ps, bin_ps, n_bins)
+    return None if kernel is None else fft_convolver(kernel, n_bins)
+
+
+def _convolve_centered(values, convolve):
+    """Apply an IRF convolver (None for no IRF), preserving total counts."""
+    if convolve is None:
         return values
-    out = convolve_same(values, kernel)
+    out = convolve(values)
     # fold edge spillover back so the discrete sum is conserved
     total = values.sum()
     got = out.sum()
@@ -114,14 +121,14 @@ def _convolve_centered(values, kernel):
     return out
 
 
-def _biexp_model(time_ps, tau1, tau2, a1, a2, kernel):
+def _biexp_model(time_ps, tau1, tau2, a1, a2, convolve):
     decay = np.where(
         time_ps >= 0,
         a1 * np.exp(-np.maximum(time_ps, 0.0) / tau1)
         + a2 * np.exp(-np.maximum(time_ps, 0.0) / tau2),
         0.0,
     )
-    return _convolve_centered(decay, kernel)
+    return _convolve_centered(decay, convolve)
 
 
 def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_grid_ps):
@@ -145,9 +152,9 @@ def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_g
             f"= {5.0 * tau_long:g} ps"
         )
     bin_ps = time_grid_ps[1] - time_grid_ps[0]
-    kernel = _irf_kernel(irf, bin_ps, time_grid_ps.size)
+    convolve = _irf_convolver(irf, bin_ps, time_grid_ps.size)
     a1, a2 = weights
-    counts = _biexp_model(time_grid_ps, tau_short_ps, tau_long, a1, a2, kernel)
+    counts = _biexp_model(time_grid_ps, tau_short_ps, tau_long, a1, a2, convolve)
     return DecayTrace(time_grid_ps, np.maximum(counts, 0.0), irf)
 
 
@@ -167,14 +174,14 @@ def fit_biexponential(trace):
     t = trace.time_ps
     c = trace.counts
     bin_ps = trace.bin_ps
-    kernel = _irf_kernel(trace.irf, bin_ps, t.size)
+    convolve = _irf_convolver(trace.irf, bin_ps, t.size)
     sigma = np.sqrt(np.maximum(c, 1.0))
 
-    x0 = _initial_biexp_guess(t, c, kernel)
+    x0 = _initial_biexp_guess(t, c, convolve)
 
     def residuals(params):
         tau1, tau2, a1, a2 = params
-        return (_biexp_model(t, tau1, tau2, a1, a2, kernel) - c) / sigma
+        return (_biexp_model(t, tau1, tau2, a1, a2, convolve) - c) / sigma
 
     lower = [bin_ps / 10.0, bin_ps / 10.0, 0.0, 0.0]
     result = _trf_lower_bounded(residuals, x0, lower, ftol=1e-10, xtol=1e-10,
@@ -190,7 +197,7 @@ def fit_biexponential(trace):
         warnings.warn("biexponential fit did not converge; returning best iterate")
 
     if abs(tau2 - tau1) < _DEGENERATE_TAU_RTOL * tau2:
-        return _monoexp_collapse(t, c, sigma, kernel, tau2, a1 + a2)
+        return _monoexp_collapse(t, c, sigma, convolve, tau2, a1 + a2)
 
     sig = _parameter_sigmas(result)
     long_weight = a2 * tau2 / (a1 * tau1 + a2 * tau2)
@@ -198,7 +205,7 @@ def fit_biexponential(trace):
                     float(long_weight), sig[0], sig[1], converged, flag)
 
 
-def _initial_biexp_guess(t, c, kernel):
+def _initial_biexp_guess(t, c, convolve):
     """Tail slope for the long lifetime, linear solve for amplitudes."""
     peak_idx = int(np.argmax(c))
     tail_start = peak_idx + int(0.3 * (t.size - peak_idx))
@@ -212,18 +219,18 @@ def _initial_biexp_guess(t, c, kernel):
     tau2_0 = max(tau2_0, 2.0 * (t[1] - t[0]))
     tau1_0 = tau2_0 / 8.0
     basis = np.column_stack([
-        _biexp_model(t, tau1_0, tau2_0, 1.0, 0.0, kernel),
-        _biexp_model(t, tau1_0, tau2_0, 0.0, 1.0, kernel),
+        _biexp_model(t, tau1_0, tau2_0, 1.0, 0.0, convolve),
+        _biexp_model(t, tau1_0, tau2_0, 0.0, 1.0, convolve),
     ])
     amps, *_ = np.linalg.lstsq(basis, c, rcond=None)
     a1_0, a2_0 = np.maximum(amps, c.max() * 1e-3)
     return [tau1_0, tau2_0, a1_0, a2_0]
 
 
-def _monoexp_collapse(t, c, sigma, kernel, tau0, a0):
+def _monoexp_collapse(t, c, sigma, convolve, tau0, a0):
     def residuals(params):
         tau, a = params
-        return (_biexp_model(t, tau, tau, 0.0, a, kernel) - c) / sigma
+        return (_biexp_model(t, tau, tau, 0.0, a, convolve) - c) / sigma
 
     result = _trf_lower_bounded(residuals, [tau0, a0], [1e-6, 0.0])
     tau, a = result.x
@@ -266,11 +273,13 @@ def saturation_curve(powers, i_sat, p_sat, mode="cw"):
 
 def _saturation_data(powers, counts):
     """Float (powers, counts) of a saturation curve that can be fitted:
-    matching, >= 3 points, no negative power and a positive count."""
+    matching, >= 3 finite points, no negative power and a positive count."""
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if powers.shape != counts.shape or powers.size < 3:
         raise ValueError("need matching power/count arrays with >= 3 points")
+    if not (np.all(np.isfinite(powers)) and np.all(np.isfinite(counts))):
+        raise ValueError("powers and counts must be finite")
     if not np.all(powers >= 0):
         raise ValueError("powers must be >= 0")
     if not np.any(counts > 0):
@@ -404,7 +413,7 @@ def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
             peak = np.exp(-np.abs(tau - center) / tau_e) / (2.0 * tau_e)
             comb += area * peak * period_ps
         if kernel is not None:
-            comb = _convolve_centered(comb, kernel)
+            comb = _convolve_centered(comb, fft_convolver(kernel, tau.size))
         return comb
 
     raise ValueError(f"mode must be 'cw' or 'pulsed', got {mode!r}")

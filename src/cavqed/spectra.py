@@ -10,6 +10,7 @@ normalization the coupled-dynamics equations expect.  The grid check,
 convolution and two-column CSV format the whole package uses live here.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,25 +85,42 @@ def _fast_length(n):
     return best
 
 
-def convolve_same(values, kernel):
-    """Convolution of `values` with an odd-length kernel centred on zero
-    offset, sampled at the `values.size` input positions.
+def fft_convolver(kernel, n):
+    """Convolution of `n`-point inputs with an odd-length kernel centred
+    on zero offset, sampled at the `n` input positions: returns
+    `convolve(values)`.
 
     A real FFT product at the first 5-smooth length that holds the full
-    convolution.  numpy.fft (numpy >= 2.0) and scipy.fft run the same
-    pocketfft code, so at that length the result is scipy's bit for bit,
-    also in the round-off at exactly-zero bins that decides simulated
-    Poisson counts.
+    convolution.  The length and the kernel's transform are computed
+    here, once, so a fit that convolves many trial curves with one kernel
+    transforms the kernel once.  numpy.fft (numpy >= 2.0) and scipy.fft
+    run the same pocketfft code, so at that length the result is scipy's
+    bit for bit, also in the round-off at exactly-zero bins that decides
+    simulated Poisson counts.
     """
-    values = np.asarray(values, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError(f"kernel must be 1-d with an odd length, got shape {kernel.shape}")
-    n, k = values.size, kernel.size
-    size = _fast_length(n + k - 1)
-    full = np.fft.irfft(np.fft.rfft(values, size) * np.fft.rfft(kernel, size), size)
-    half = (k - 1) // 2
-    return full[half:half + n]
+    size = _fast_length(n + kernel.size - 1)
+    kernel_ft = np.fft.rfft(kernel, size)
+    half = (kernel.size - 1) // 2
+
+    def convolve(values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (n,):
+            raise ValueError(f"convolver built for {n} points, got shape {values.shape}")
+        full = np.fft.irfft(np.fft.rfft(values, size) * kernel_ft, size)
+        return full[half:half + n]
+
+    return convolve
+
+
+def convolve_same(values, kernel):
+    """Convolution of `values` with an odd-length kernel centred on zero
+    offset, sampled at the `values.size` input positions (see
+    fft_convolver)."""
+    values = np.asarray(values, dtype=float)
+    return fft_convolver(kernel, values.size)(values)
 
 
 @dataclass(frozen=True)
@@ -419,13 +437,27 @@ def parse_two_column_csv(text, header, source):
     return x, y
 
 
+@functools.lru_cache(maxsize=1)
+def _row_template(grid_bytes):
+    """CSV rows "<x>,%.17g\n" of a float64 grid given as its bytes: the x
+    column formatted once, so the files of a sweep that share one grid
+    each format only their y column.  Keyed by the grid's bytes, so an
+    edited grid never gets stale text."""
+    x = np.frombuffer(grid_bytes).tolist()
+    return ("%.17g,%%.17g\n" * len(x)) % tuple(x)
+
+
 def write_two_column_csv(path, header, x, y):
     """Write two columns under `header`, floats with 17 significant digits
     so that parsing the file back is bit-exact."""
-    rows = np.column_stack((x, y)).ravel().tolist()
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"columns must be 1-d of one length, got shapes {x.shape} and {y.shape}")
+    text = _row_template(x.tobytes()) % tuple(y.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.write(("%.17g,%.17g\n" * (len(rows) // 2)) % tuple(rows))
+        fh.write(text)
 
 
 def load_spectrum_csv(path, normalization=RAW_COUNTS):

@@ -26,13 +26,6 @@ def energy_from_wavelength(wavelength_nm):
     return HC_UEV_NM / wavelength_nm
 
 
-def wavelength_from_energy(energy_uev):
-    """Vacuum wavelength in nm for a photon energy in ueV."""
-    if not energy_uev > 0:
-        raise ValueError(f"energy must be positive, got {energy_uev}")
-    return HC_UEV_NM / energy_uev
-
-
 def rate_from_lifetime(tau_ps):
     """Decay rate in ueV equivalent to a lifetime in ps."""
     if not tau_ps > 0:

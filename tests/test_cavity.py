@@ -8,7 +8,6 @@ from cavqed.cavity import (
     CavityGeometry,
     LossBudget,
     exit_probabilities,
-    fsr,
     internal_loss_from_q,
     kappa_from_q,
     mode_volume_gaussian,
@@ -59,24 +58,6 @@ class TestModeVolume:
             volumes.append(mode_volume_gaussian(
                 CavityGeometry(wavelength, 1.0, radius, p)))
         assert all(a < b for a, b in zip(volumes, volumes[1:]))
-
-
-class TestFsr:
-    def test_paper_mode(self):
-        # oracle: lambda^2/(2L) with L = 3.825 um
-        delta_lambda, delta_energy = fsr(paper_geometry(6))
-        assert delta_lambda == pytest.approx(1275.0 ** 2 / (2.0 * 3825.0), rel=1e-12)
-        assert delta_lambda == pytest.approx(212.5, abs=0.01)
-        assert delta_energy == pytest.approx(energy_from_wavelength(1275.0) / 6.0, rel=1e-12)
-
-    def test_decreases_with_order(self):
-        widths = [fsr(paper_geometry(p))[0] for p in (6, 7, 8, 9)]
-        assert all(a > b for a, b in zip(widths, widths[1:]))
-
-    def test_doubling_length_halves_fsr(self):
-        d6 = fsr(paper_geometry(6))[0]
-        d12 = fsr(paper_geometry(12))[0]
-        assert d12 == pytest.approx(d6 / 2.0, rel=1e-12)
 
 
 class TestQFromLosses:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-
+from cavqed import dynamics
 from cavqed.dynamics import (
     DecayTrace,
     LevelScheme,
@@ -18,6 +18,7 @@ from cavqed.dynamics import (
     saturation_curve,
     simulate_decay,
 )
+from cavqed.spectra import fft_convolver
 from cavqed.units import HBAR_UEV_PS
 
 GAMMA_FS = HBAR_UEV_PS / 256.0
@@ -127,6 +128,19 @@ class TestFitBiexponential:
         assert set(fit.to_record()) == {"tau1_ps", "tau2_ps", "a1", "a2", "long_weight",
                                         "sigma_tau1_ps", "sigma_tau2_ps", "converged", "flag"}
 
+    def test_irf_kernel_is_transformed_once_per_trace(self, monkeypatch):
+        # every residual evaluation reuses the trace's one convolver
+        built = []
+
+        def counting(kernel, n):
+            built.append(n)
+            return fft_convolver(kernel, n)
+
+        trace = poisson_trace(0)
+        monkeypatch.setattr(dynamics, "fft_convolver", counting)
+        assert fit_biexponential(trace).converged
+        assert built == [trace.time_ps.size]
+
     def test_needs_enough_bins(self):
         with pytest.raises(ValueError, match="50 bins"):
             fit_biexponential(DecayTrace(np.arange(10.0), np.ones(10), 32.0))
@@ -184,6 +198,15 @@ class TestSaturation:
     def test_fit_needs_a_positive_count(self, counts):
         with pytest.raises(ValueError, match="no positive value"):
             fit_saturation(np.array([0.0, 1.0, 2.0, 4.0]), np.array(counts))
+
+    @pytest.mark.parametrize("powers, counts", [
+        ([0.0, 1.0, 2.0, 4.0], [np.nan, 1.0, 2.0, 3.0]),
+        ([0.0, 1.0, np.inf, 4.0], [0.5, 1.0, 2.0, 3.0]),
+        ([0.0, np.nan, 2.0, 4.0], [0.5, 1.0, 2.0, 3.0]),
+    ])
+    def test_fit_needs_finite_data(self, powers, counts):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_saturation(powers, counts)
 
 
 class TestQuantumYield:

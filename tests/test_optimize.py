@@ -38,12 +38,12 @@ def saturation_problem(mode, i_sat, p_sat, noise, seed, n=12):
 
 def decay_problem(irf, tau_short, ratio, seed, peak=1e4, bin_ps=4.0):
     """Poisson-noisy biexponential trace and its weighted residuals, as
-    fit_biexponential forms them; returns (t, counts, sigma, kernel)."""
+    fit_biexponential forms them; returns (t, counts, sigma, convolve)."""
     t = np.arange(-40.0, 385.0) * bin_ps
     clean = dynamics.simulate_decay(HBAR_UEV_PS / 256.0, ratio, (2.0, 1.0), tau_short, irf, t)
     rng = np.random.default_rng(seed)
     c = rng.poisson(clean.counts * (peak / clean.counts.max())).astype(float)
-    return t, c, np.sqrt(np.maximum(c, 1.0)), dynamics._irf_kernel(irf, bin_ps, t.size)
+    return t, c, np.sqrt(np.maximum(c, 1.0)), dynamics._irf_convolver(irf, bin_ps, t.size)
 
 
 class TestSameAsLeastSquares:
@@ -61,12 +61,12 @@ class TestSameAsLeastSquares:
            start=st.floats(0.5, 2.0))
     @settings(max_examples=15, deadline=None)
     def test_biexponential_traces(self, irf, tau_short, ratio, seed, start):
-        t, c, sigma, kernel = decay_problem(irf, tau_short, ratio, seed)
+        t, c, sigma, convolve = decay_problem(irf, tau_short, ratio, seed)
 
         def residuals(x):
-            return (dynamics._biexp_model(t, *x, kernel) - c) / sigma
+            return (dynamics._biexp_model(t, *x, convolve) - c) / sigma
 
-        x0 = np.array(dynamics._initial_biexp_guess(t, c, kernel)) * [start, 1.0, 1.0, start]
+        x0 = np.array(dynamics._initial_biexp_guess(t, c, convolve)) * [start, 1.0, 1.0, start]
         same_as_scipy(residuals, x0, [0.4, 0.4, 0.0, 0.0],
                       ftol=1e-10, xtol=1e-10, max_nfev=2000)
 
@@ -74,10 +74,10 @@ class TestSameAsLeastSquares:
            start=st.floats(0.3, 3.0))
     @settings(max_examples=15, deadline=None)
     def test_monoexponential_collapse(self, irf, seed, start):
-        t, c, sigma, kernel = decay_problem(irf, 200.0, 1.0, seed)
+        t, c, sigma, convolve = decay_problem(irf, 200.0, 1.0, seed)
 
         def residuals(x):
-            return (dynamics._biexp_model(t, x[0], x[0], 0.0, x[1], kernel) - c) / sigma
+            return (dynamics._biexp_model(t, x[0], x[0], 0.0, x[1], convolve) - c) / sigma
 
         same_as_scipy(residuals, [start * 200.0, c.max()], [1e-6, 0.0])
 

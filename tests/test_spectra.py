@@ -17,6 +17,7 @@ from cavqed.spectra import (
     convolve_same,
     debye_waller,
     energy_grid,
+    fft_convolver,
     lorentzian,
     parse_two_column_csv,
     s_tilde_max,
@@ -189,6 +190,21 @@ class TestConvolveSame:
         full = fft.irfft(fft.rfft(values, size) * fft.rfft(kernel, size), size)
         half = (k - 1) // 2
         assert np.array_equal(convolve_same(values, kernel), full[half:half + n])
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (50, 101), (425, 41), (3001, 6001)])
+    def test_convolver_is_convolve_same_bit_for_bit(self, n, k):
+        rng = np.random.default_rng(n + k)
+        kernel = rng.exponential(size=k)
+        convolve = fft_convolver(kernel, n)
+        for _ in range(3):
+            values = rng.exponential(size=n)
+            assert np.array_equal(convolve(values), convolve_same(values, kernel))
+
+    def test_convolver_checks_its_length(self):
+        with pytest.raises(ValueError, match="odd"):
+            fft_convolver(np.ones(4), 10)
+        with pytest.raises(ValueError, match="built for 10 points"):
+            fft_convolver(np.ones(3), 10)(np.ones(11))
 
 
 class TestBuildFsSpectrum:
@@ -452,6 +468,41 @@ class TestCsvRoundTrip:
         path = tmp_path / "two.csv"
         spectra.write_two_column_csv(path, "a,b", np.array([0.1, 2.0]), np.array([1e-300, 3]))
         assert path.read_text() == "a,b\n0.10000000000000001,1e-300\n2,3\n"
+
+    def test_shared_grids_write_the_one_shot_bytes(self, tmp_path):
+        # the x column is formatted once per grid; every file must still
+        # read as if both columns were formatted together
+        def one_shot(x, y):
+            rows = np.column_stack((x, y)).ravel().tolist()
+            return "a,b\n" + ("%.17g,%.17g\n" * (len(rows) // 2)) % tuple(rows)
+
+        rng = np.random.default_rng(3)
+        grid = energy_grid(1e6, 40.0, 0.1)
+        other = np.array([-0.0, 1e-300, 1e300, 0.1, 7.0])
+        cases = [(grid, rng.exponential(size=grid.size)) for _ in range(3)]
+        cases += [(other, np.array([1e300, -0.0, 1e-300, 3.0, 0.0])), (grid, grid),
+                  (other, other[::-1]), (grid, -grid)]
+        cases += [(3 ** np.arange(40), np.arange(40)), (np.arange(5.0), np.arange(-2, 3))]
+        for index, (x, y) in enumerate(cases):
+            path = tmp_path / f"{index}.csv"
+            spectra.write_two_column_csv(path, "a,b", x, y)
+            assert path.read_text() == one_shot(x, y), index
+
+        # a grid edited in place between two writes gets fresh text
+        writable, y = np.linspace(0.0, 1.0, 5), np.ones(5)
+        for _ in range(2):
+            spectra.write_two_column_csv(tmp_path / "edited.csv", "a,b", writable, y)
+            assert (tmp_path / "edited.csv").read_text() == one_shot(writable, y)
+            writable *= 3.0
+
+    @pytest.mark.parametrize("x, y", [
+        (np.arange(3.0), np.arange(4.0)),
+        (np.arange(4.0), np.arange(3.0)),
+        (np.ones((2, 2)), np.ones((2, 2))),
+    ])
+    def test_columns_must_match(self, tmp_path, x, y):
+        with pytest.raises(ValueError, match="1-d of one length"):
+            spectra.write_two_column_csv(tmp_path / "bad.csv", "a,b", x, y)
 
     @given(rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                                    st.floats(allow_nan=False, allow_infinity=False)),

@@ -17,11 +17,9 @@ from cavqed.units import (
     energy_from_wavelength,
     lifetime_from_rate,
     rate_from_lifetime,
-    wavelength_from_energy,
 )
 
-CONVERTERS = [energy_from_wavelength, wavelength_from_energy,
-              rate_from_lifetime, lifetime_from_rate]
+CONVERTERS = [energy_from_wavelength, rate_from_lifetime, lifetime_from_rate]
 
 
 @pytest.mark.parametrize("convert", CONVERTERS)
