@@ -1,7 +1,7 @@
 """Cavity-QED figures of merit: Purcell factor, brightening and decay
 ratios, the brightness spectral profile beta(w_cav), weak-pump steady
-state, emitted spectra, the modulated-detuning envelope, its algebraic
-inversion, and the two estimators of the vacuum Rabi coupling g.
+state, the modulated-detuning envelope, its algebraic inversion, and the
+two estimators of the vacuum Rabi coupling g.
 
 The incoherent emitter <-> cavity transfer rates are g**2 * S~(w_cav)
 where S~ is the free-space spectrum convolved with the cavity Lorentzian
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spectra
 from .optimize import _brent_bounded
-from .spectra import RAW_COUNTS, Spectrum, lorentzian
+from .spectra import RAW_COUNTS, Spectrum
 
 # exciton/photon populations above this are outside the weak-pump regime
 WEAK_PUMP_THRESHOLD = 0.1
@@ -190,28 +190,6 @@ def steady_state(pump_rate_uev, coupling, s_emi_tilde_at, s_abs_tilde_at=0.0):
     exciton, photon = np.linalg.solve(matrix, rhs)
     weak = max(exciton, photon) <= WEAK_PUMP_THRESHOLD
     return SteadyStateResult(float(exciton), float(photon), bool(weak))
-
-
-def emitted_spectrum(omega_cav_uev, coupling, s_emi_tilde, pump_rate_uev, energies):
-    """Output spectrum of the cavity-filtered emitter at one detuning.
-
-    The line is the cavity Lorentzian of FWHM kappa centered on the
-    cavity energy, with total integral pump * beta(w_cav): the photon
-    flux kappa * <n> leaving the cavity.  The discrete line is
-    renormalized on the grid so that integral holds exactly at any
-    detuning.
-    """
-    if not pump_rate_uev >= 0:
-        raise ValueError(f"pump rate must be >= 0, got {pump_rate_uev}")
-    energies = np.asarray(energies, dtype=float)
-    s_at = float(s_emi_tilde.value_at(omega_cav_uev))
-    beta_at = _beta_values(coupling, np.array(s_at), None)
-    line = lorentzian(energies, omega_cav_uev, coupling.kappa_uev)
-    line_area = np.trapezoid(line, energies)
-    if line_area <= 0:
-        raise ValueError("cavity line has no weight on the requested grid")
-    values = (pump_rate_uev * float(beta_at) / line_area) * line
-    return Spectrum(energies, values, RAW_COUNTS)
 
 
 def modulation_envelope(beta, kappa_uev):

@@ -109,26 +109,37 @@ def _irf_convolver(fwhm_ps, bin_ps, n_bins):
 
 
 def _convolve_centered(values, convolve):
-    """Apply an IRF convolver (None for no IRF), preserving total counts."""
+    """Apply an IRF convolver (None for no IRF) to each row of `values`
+    (..., n), preserving each row's total counts."""
     if convolve is None:
         return values
     out = convolve(values)
-    # fold edge spillover back so the discrete sum is conserved
-    total = values.sum()
-    got = out.sum()
-    if got > 0:
-        out = out * (total / got)
-    return out
+    # fold edge spillover back so the discrete sum is conserved; a row
+    # whose convolved sum is not positive stays unscaled
+    total = values.sum(axis=-1, keepdims=True)
+    got = out.sum(axis=-1, keepdims=True)
+    return out * np.divide(total, got, out=np.ones_like(got), where=got > 0)
 
 
-def _biexp_model(time_ps, tau1, tau2, a1, a2, convolve):
-    decay = np.where(
-        time_ps >= 0,
-        a1 * np.exp(-np.maximum(time_ps, 0.0) / tau1)
-        + a2 * np.exp(-np.maximum(time_ps, 0.0) / tau2),
-        0.0,
-    )
-    return _convolve_centered(decay, convolve)
+def _decay_model(time_ps, convolve):
+    """The IRF-convolved biexponential decay on one trace's time grid:
+    returns model(tau1, tau2, a1, a2), with the grid's masks computed once.
+    The parameters broadcast, so (k, 1) columns give k model rows."""
+    after_zero = time_ps >= 0
+    minus_t = -np.maximum(time_ps, 0.0)
+
+    def model(tau1, tau2, a1, a2):
+        decay = np.where(after_zero,
+                         a1 * np.exp(minus_t / tau1) + a2 * np.exp(minus_t / tau2), 0.0)
+        return _convolve_centered(decay, convolve)
+
+    return model
+
+
+def _columns(params):
+    """The entries of the last axis of `params` (..., n), each as a
+    (..., 1) column that broadcasts against a model's grid axis."""
+    return [params[..., i, None] for i in range(params.shape[-1])]
 
 
 def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_grid_ps):
@@ -152,9 +163,9 @@ def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_g
             f"= {5.0 * tau_long:g} ps"
         )
     bin_ps = time_grid_ps[1] - time_grid_ps[0]
-    convolve = _irf_convolver(irf, bin_ps, time_grid_ps.size)
+    model = _decay_model(time_grid_ps, _irf_convolver(irf, bin_ps, time_grid_ps.size))
     a1, a2 = weights
-    counts = _biexp_model(time_grid_ps, tau_short_ps, tau_long, a1, a2, convolve)
+    counts = model(tau_short_ps, tau_long, a1, a2)
     return DecayTrace(time_grid_ps, np.maximum(counts, 0.0), irf)
 
 
@@ -174,14 +185,13 @@ def fit_biexponential(trace):
     t = trace.time_ps
     c = trace.counts
     bin_ps = trace.bin_ps
-    convolve = _irf_convolver(trace.irf, bin_ps, t.size)
+    model = _decay_model(t, _irf_convolver(trace.irf, bin_ps, t.size))
     sigma = np.sqrt(np.maximum(c, 1.0))
 
-    x0 = _initial_biexp_guess(t, c, convolve)
+    x0 = _initial_biexp_guess(t, c, model)
 
     def residuals(params):
-        tau1, tau2, a1, a2 = params
-        return (_biexp_model(t, tau1, tau2, a1, a2, convolve) - c) / sigma
+        return (model(*_columns(params)) - c) / sigma
 
     lower = [bin_ps / 10.0, bin_ps / 10.0, 0.0, 0.0]
     result = _trf_lower_bounded(residuals, x0, lower, ftol=1e-10, xtol=1e-10,
@@ -197,7 +207,7 @@ def fit_biexponential(trace):
         warnings.warn("biexponential fit did not converge; returning best iterate")
 
     if abs(tau2 - tau1) < _DEGENERATE_TAU_RTOL * tau2:
-        return _monoexp_collapse(t, c, sigma, convolve, tau2, a1 + a2)
+        return _monoexp_collapse(c, sigma, model, tau2, a1 + a2)
 
     sig = _parameter_sigmas(result)
     long_weight = a2 * tau2 / (a1 * tau1 + a2 * tau2)
@@ -205,8 +215,9 @@ def fit_biexponential(trace):
                     float(long_weight), sig[0], sig[1], converged, flag)
 
 
-def _initial_biexp_guess(t, c, convolve):
-    """Tail slope for the long lifetime, linear solve for amplitudes."""
+def _initial_biexp_guess(t, c, model):
+    """Tail slope for the long lifetime, linear solve for amplitudes;
+    `model` is the trace's _decay_model."""
     peak_idx = int(np.argmax(c))
     tail_start = peak_idx + int(0.3 * (t.size - peak_idx))
     tail = slice(tail_start, t.size)
@@ -219,18 +230,18 @@ def _initial_biexp_guess(t, c, convolve):
     tau2_0 = max(tau2_0, 2.0 * (t[1] - t[0]))
     tau1_0 = tau2_0 / 8.0
     basis = np.column_stack([
-        _biexp_model(t, tau1_0, tau2_0, 1.0, 0.0, convolve),
-        _biexp_model(t, tau1_0, tau2_0, 0.0, 1.0, convolve),
+        model(tau1_0, tau2_0, 1.0, 0.0),
+        model(tau1_0, tau2_0, 0.0, 1.0),
     ])
     amps, *_ = np.linalg.lstsq(basis, c, rcond=None)
     a1_0, a2_0 = np.maximum(amps, c.max() * 1e-3)
     return [tau1_0, tau2_0, a1_0, a2_0]
 
 
-def _monoexp_collapse(t, c, sigma, convolve, tau0, a0):
+def _monoexp_collapse(c, sigma, model, tau0, a0):
     def residuals(params):
-        tau, a = params
-        return (_biexp_model(t, tau, tau, 0.0, a, convolve) - c) / sigma
+        tau, a = _columns(params)
+        return (model(tau, tau, 0.0, a) - c) / sigma
 
     result = _trf_lower_bounded(residuals, [tau0, a0], [1e-6, 0.0])
     tau, a = result.x
@@ -264,11 +275,21 @@ def saturation_curve(powers, i_sat, p_sat, mode="cw"):
         raise ValueError("powers must be >= 0")
     if not (i_sat > 0 and p_sat > 0):
         raise ValueError("I_sat and P_sat must be positive")
+    _check_saturation_mode(mode)
+    return _saturation_model(powers, i_sat, p_sat, mode)
+
+
+def _check_saturation_mode(mode):
+    if mode not in ("cw", "pulsed"):
+        raise ValueError(f"mode must be 'cw' or 'pulsed', got {mode!r}")
+
+
+def _saturation_model(powers, i_sat, p_sat, mode):
+    """saturation_curve without its checks, for a fit's residuals; the
+    parameters broadcast against `powers`."""
     if mode == "cw":
         return i_sat * powers / (powers + p_sat)
-    if mode == "pulsed":
-        return i_sat * (1.0 - np.exp(-powers / p_sat))
-    raise ValueError(f"mode must be 'cw' or 'pulsed', got {mode!r}")
+    return i_sat * (1.0 - np.exp(-powers / p_sat))
 
 
 def _saturation_data(powers, counts):
@@ -290,16 +311,29 @@ def _saturation_data(powers, counts):
 def fit_saturation(powers, counts, mode="cw"):
     """Least-squares fit of a saturation curve, returns SaturationFit."""
     powers, counts = _saturation_data(powers, counts)
+    _check_saturation_mode(mode)
     i0 = float(counts.max()) * 1.2
-    p0 = float(np.median(powers))
+    p0 = _median(powers)
 
     def residuals(params):
-        return saturation_curve(powers, params[0], params[1], mode) - counts
+        i_sat, p_sat = _columns(params)
+        return _saturation_model(powers, i_sat, p_sat, mode) - counts
 
     result = _trf_lower_bounded(residuals, [i0, p0], [0.0, 0.0])
     sig = _parameter_sigmas(result)
     return SaturationFit(float(result.x[0]), float(result.x[1]),
                          sig[0], sig[1], bool(result.status > 0))
+
+
+def _median(values):
+    """np.median of a finite 1-d array, bit for bit (the middle value, or
+    the mean of the two middle ones), without the numpy.ma import that
+    np.median costs a cold start."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 def qy_from_saturation(i_sat, eta_coll, f_rep_hz):

@@ -119,11 +119,14 @@ def _trf_lower_bounded(fun, x0, lb, ftol=1e-8, xtol=1e-8, max_nfev=None):
     Reflective method of Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1
     (1999).
 
-    `fun` maps a float array of shape (n,) to a 1-d float array.  The
-    arithmetic is that of scipy.optimize.least_squares(fun, x0,
-    bounds=(lb, inf), ftol=ftol, xtol=xtol, max_nfev=max_nfev), in the
-    same order; `status` is scipy's: 0 when `max_nfev` evaluations are
-    spent, 1 to 4 for the gradient, cost, step and cost-and-step tests.
+    `fun` maps a float array of shape (..., n) to one of shape (..., m),
+    each row of parameters to its row of residuals: it gets the starting
+    and trial points as (n,) arrays and the n stepped points of each
+    finite-difference Jacobian as one (n, n) array.  The arithmetic is
+    that of scipy.optimize.least_squares(fun, x0, bounds=(lb, inf),
+    ftol=ftol, xtol=xtol, max_nfev=max_nfev), in the same order; `status`
+    is scipy's: 0 when `max_nfev` evaluations are spent, 1 to 4 for the
+    gradient, cost, step and cost-and-step tests.
     """
     x0 = np.atleast_1d(x0).astype(float)
     lb = np.asarray(lb, dtype=float)
@@ -214,14 +217,17 @@ def _trf_lower_bounded(fun, x0, lb, ftol=1e-8, xtol=1e-8, max_nfev=None):
 def _forward_jacobian(fun, x, f, lb):
     """scipy's approx_derivative(method="2-point") at x, where f = fun(x):
     a relative step of sqrt(eps), taken backward where forward would cross
-    lb.  Returned as the transpose of a C array, as scipy does."""
+    lb.  The n stepped points go to `fun` as one (n, n) array, one call per
+    Jacobian; row by row the arithmetic is scipy's.  Returned as the
+    transpose of a C array, as scipy does."""
     h = _EPS**0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
     h[x + h < lb] *= -1
-    J_transposed = np.empty((x.size, f.size))
-    for i in range(x.size):
-        x1 = x.copy()
-        x1[i] = x[i] + h[i]
-        J_transposed[i] = (fun(x1) - f) / ((x[i] + h[i]) - x[i])
+    # row i is x with entry i stepped: copying x keeps every other entry's
+    # bits (x + diag(h) would turn -0.0 into +0.0)
+    x1 = np.empty((x.size, x.size))
+    x1[:] = x
+    x1.flat[::x.size + 1] = x + h
+    J_transposed = (fun(x1) - f) / ((x + h) - x)[:, None]
     return J_transposed.T
 
 

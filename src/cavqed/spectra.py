@@ -88,7 +88,7 @@ def _fast_length(n):
 def fft_convolver(kernel, n):
     """Convolution of `n`-point inputs with an odd-length kernel centred
     on zero offset, sampled at the `n` input positions: returns
-    `convolve(values)`.
+    `convolve(values)`, which convolves each row of a (..., n) array.
 
     A real FFT product at the first 5-smooth length that holds the full
     convolution.  The length and the kernel's transform are computed
@@ -107,10 +107,10 @@ def fft_convolver(kernel, n):
 
     def convolve(values):
         values = np.asarray(values, dtype=float)
-        if values.shape != (n,):
+        if values.shape[-1:] != (n,):
             raise ValueError(f"convolver built for {n} points, got shape {values.shape}")
         full = np.fft.irfft(np.fft.rfft(values, size) * kernel_ft, size)
-        return full[half:half + n]
+        return full[..., half:half + n]
 
     return convolve
 
@@ -360,12 +360,8 @@ def convolve_lorentzian(spectrum, kappa_uev):
             f"kappa below grid resolution: spacing {step:g} ueV exceeds "
             f"kappa/5 = {kappa_uev / 5.0:g} ueV"
         )
-    # kernel over the full +-(N-1) offset range at unit discrete area: the
-    # grid center sees the exact convolution, mass past the edges is dropped
-    n = spectrum.values.size
-    kernel = lorentzian(np.arange(-(n - 1), n) * step, 0.0, kappa_uev)
-    kernel /= kernel.sum() * step
-    out = np.maximum(convolve_same(spectrum.values, kernel) * step, 0.0)
+    convolve = _lorentzian_convolver(float(kappa_uev), float(step), spectrum.values.size)
+    out = np.maximum(convolve(spectrum.values) * step, 0.0)
     total_in = spectrum.area()
     total_out = np.trapezoid(out, spectrum.energies)
     if total_in > 0:
@@ -373,6 +369,18 @@ def convolve_lorentzian(spectrum, kappa_uev):
             raise ValueError("convolution lost all spectral weight; grid badly under-spans")
         out *= total_in / total_out
     return spectrum.with_values(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _lorentzian_convolver(kappa_uev, step, n):
+    """fft_convolver of the unit-area Lorentzian of FWHM `kappa_uev` for
+    `n`-point grids of spacing `step`, cached because a sweep convolves
+    several spectra on one grid with one cavity width.  The kernel spans
+    the full +-(n-1) offset range at unit discrete area: the grid center
+    sees the exact convolution, mass past the edges is dropped."""
+    kernel = lorentzian(np.arange(-(n - 1), n) * step, 0.0, kappa_uev)
+    kernel /= kernel.sum() * step
+    return fft_convolver(kernel, n)
 
 
 def s_tilde_max(dw, gamma_star_uev, kappa_uev):
@@ -437,12 +445,14 @@ def parse_two_column_csv(text, header, source):
     return x, y
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=4)
 def _row_template(grid_bytes):
     """CSV rows "<x>,%.17g\n" of a float64 grid given as its bytes: the x
     column formatted once, so the files of a sweep that share one grid
-    each format only their y column.  Keyed by the grid's bytes, so an
-    edited grid never gets stale text."""
+    each format only their y column.  Four grids are kept, as many as
+    the commands write under one config (energy, decay time, saturation
+    power, g2 delay).  Keyed by the grid's bytes, so an edited grid never
+    gets stale text."""
     x = np.frombuffer(grid_bytes).tolist()
     return ("%.17g,%%.17g\n" * len(x)) % tuple(x)
 

@@ -573,6 +573,16 @@ def test_commands_load_no_scipy(tmp_path):
     assert lines == [f"{command} 0 False" for command in commands]
 
 
+def test_saturation_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma, which costs a cold start about 17 ms
+    code = (
+        "import sys, cavqed.cli\n"
+        f"code = cavqed.cli.main(['saturation', '--fixture', 'paper', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    assert _run_python(code).stderr.strip() == "0 False"
+
+
 class TestFixtureDirOverride:
     def test_env_var_redirects_fixtures(self, tmp_path, monkeypatch):
         alt = tmp_path / "fixtures"

@@ -8,7 +8,6 @@ from cavqed.cqed import (
     CouplingParams,
     brightening_ratios,
     brightness_profile,
-    emitted_spectrum,
     fit_g_from_envelope,
     g_from_lifetime,
     hill_envelope,
@@ -22,7 +21,7 @@ from cavqed.cqed import (
 from cavqed.optimize import _brent_bounded
 from cavqed.spectra import RAW_COUNTS, Spectrum, energy_grid, lorentzian
 
-from conftest import GAMMA, KAPPA, ZPL_ENERGY, measure_fwhm
+from conftest import GAMMA, KAPPA, ZPL_ENERGY
 
 
 def zpl_filtered_spectrum(grid, dw=1.0, gamma_star=200.0, kappa=KAPPA):
@@ -207,44 +206,6 @@ class TestSteadyState:
         assert not strong.weak_pump
         weak = steady_state(GAMMA * 1e-3, cp, 0.0, 0.0)
         assert weak.weak_pump
-
-
-class TestEmittedSpectrum:
-    def test_integral_proportional_to_beta(self):
-        grid = energy_grid(ZPL_ENERGY, 4000.0, 4.0)
-        s = zpl_filtered_spectrum(grid, dw=0.65)
-        cp = CouplingParams(25.0, GAMMA, KAPPA)
-        beta = brightness_profile(cp, s)
-        detunings = [0.0, 400.0]
-        areas, betas = [], []
-        for det in detunings:
-            out = emitted_spectrum(ZPL_ENERGY + det, cp, s, 1e-3, grid)
-            areas.append(out.area())
-            betas.append(float(beta.value_at(ZPL_ENERGY + det)))
-        assert areas[0] / areas[1] == pytest.approx(betas[0] / betas[1], rel=1e-6)
-
-    def test_output_width_is_cavity_linewidth(self):
-        grid = energy_grid(ZPL_ENERGY, 4000.0, 4.0)
-        s = zpl_filtered_spectrum(grid, dw=0.65)
-        cp = CouplingParams(25.0, GAMMA, KAPPA)
-        out = emitted_spectrum(ZPL_ENERGY + 300.0, cp, s, 1e-3, grid)
-        assert measure_fwhm(grid, out.values) == pytest.approx(KAPPA, abs=2 * 4.0)
-
-    def test_cavity_narrowing(self):
-        # on the ZPL the output line is narrower than the filtered input
-        grid = energy_grid(ZPL_ENERGY, 4000.0, 4.0)
-        s = zpl_filtered_spectrum(grid, dw=0.65)
-        cp = CouplingParams(25.0, GAMMA, KAPPA)
-        out = emitted_spectrum(ZPL_ENERGY, cp, s, 1e-3, grid)
-        assert measure_fwhm(grid, out.values) < measure_fwhm(grid, s.values)
-
-    def test_total_flux_is_pump_times_beta(self):
-        grid = energy_grid(ZPL_ENERGY, 4000.0, 4.0)
-        s = zpl_filtered_spectrum(grid, dw=0.65)
-        cp = CouplingParams(25.0, GAMMA, KAPPA)
-        beta_at = brightness_profile(cp, s).value_at(ZPL_ENERGY)
-        out = emitted_spectrum(ZPL_ENERGY, cp, s, 2e-3, grid)
-        assert out.area() == pytest.approx(2e-3 * float(beta_at), rel=1e-9)
 
 
 class TestModulationEnvelope:

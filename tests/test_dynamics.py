@@ -141,6 +141,31 @@ class TestFitBiexponential:
         assert fit_biexponential(trace).converged
         assert built == [trace.time_ps.size]
 
+    @pytest.mark.parametrize("irf", [0.0, 32.0])
+    def test_model_rows_are_single_evaluations(self, irf):
+        # (k, 1) parameter columns give k rows, each the model at one point
+        t = default_grid()
+        model = dynamics._decay_model(t, dynamics._irf_convolver(irf, 4.0, t.size))
+        params = np.array([[23.0, 256.0, 2.0, 1.0], [40.0, 90.0, 0.0, 3.0],
+                           [5.0, 5.0, 1e-3, 1e4], [30.0, 200.0, 0.0, 0.0]])
+        rows = model(*dynamics._columns(params))
+        assert rows.shape == (4, t.size)
+        for row, point in zip(rows, params):
+            assert np.array_equal(row, model(*point))
+        assert not rows[3].any()
+
+    def test_convolved_rows_keep_their_own_counts(self):
+        convolve = dynamics._irf_convolver(32.0, 4.0, 100)
+        rng = np.random.default_rng(8)
+        rows = np.stack([rng.exponential(size=100), np.zeros(100),
+                         -rng.exponential(size=100)])
+        got = dynamics._convolve_centered(rows, convolve)
+        for row, values in zip(got, rows):
+            assert np.array_equal(row, dynamics._convolve_centered(values, convolve))
+        assert got[0].sum() == pytest.approx(rows[0].sum(), rel=1e-12)
+        # a row whose convolved sum is not positive is left unscaled
+        assert np.array_equal(got[2], convolve(rows[2]))
+
     def test_needs_enough_bins(self):
         with pytest.raises(ValueError, match="50 bins"):
             fit_biexponential(DecayTrace(np.arange(10.0), np.ones(10), 32.0))
@@ -207,6 +232,17 @@ class TestSaturation:
     def test_fit_needs_finite_data(self, powers, counts):
         with pytest.raises(ValueError, match="must be finite"):
             fit_saturation(powers, counts)
+
+    def test_fit_checks_the_mode(self):
+        with pytest.raises(ValueError, match="mode must be 'cw' or 'pulsed'"):
+            fit_saturation([0.0, 1.0, 2.0, 4.0], [0.5, 1.0, 2.0, 3.0], "square")
+
+    @given(powers=st.lists(st.floats(0.0, 1e300), min_size=3, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_starting_power_is_numpys_median(self, powers):
+        # the fit's start uses the sorted middle, which must be np.median's
+        # value bit for bit (np.median would import numpy.ma)
+        assert dynamics._median(np.array(powers)) == float(np.median(powers))
 
 
 class TestQuantumYield:

@@ -200,11 +200,24 @@ class TestConvolveSame:
             values = rng.exponential(size=n)
             assert np.array_equal(convolve(values), convolve_same(values, kernel))
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (50, 101), (425, 41)])
+    def test_convolver_takes_stacks_of_rows(self, n, k):
+        # each row of a (..., n) stack is convolved as if on its own
+        rng = np.random.default_rng(n + k)
+        convolve = fft_convolver(rng.exponential(size=k), n)
+        stack = rng.exponential(size=(2, 3, n))
+        got = convolve(stack)
+        assert got.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(got[index], convolve(stack[index]))
+
     def test_convolver_checks_its_length(self):
         with pytest.raises(ValueError, match="odd"):
             fft_convolver(np.ones(4), 10)
         with pytest.raises(ValueError, match="built for 10 points"):
             fft_convolver(np.ones(3), 10)(np.ones(11))
+        with pytest.raises(ValueError, match="built for 10 points"):
+            fft_convolver(np.ones(3), 10)(np.ones((10, 11)))
 
 
 class TestBuildFsSpectrum:
@@ -348,6 +361,29 @@ class TestConvolveLorentzian:
         zpl *= 2.0 * np.pi * 0.65 / np.trapezoid(zpl, grid)
         out = convolve_lorentzian(Spectrum(grid, zpl, RAW_COUNTS), 87.0)
         assert out.values.max() == pytest.approx(4.0 * 0.65 / 287.0, rel=2e-2)
+
+    def test_kernel_is_built_once_per_grid_and_width(self, monkeypatch):
+        built = []
+
+        def counting(kernel, n):
+            built.append(n)
+            return fft_convolver(kernel, n)
+
+        monkeypatch.setattr(spectra, "fft_convolver", counting)
+        spectra._lorentzian_convolver.cache_clear()
+        grid = energy_grid(0.0, 500.0, 1.0)
+        spectra_on_grid = [lorentzian_area2pi(grid, 0.0, fwhm) for fwhm in (10.0, 30.0)]
+        for kappa in (40.0, 60.0, 40.0):
+            for s in spectra_on_grid:
+                got = convolve_lorentzian(s, kappa)
+                # the unit-discrete-area kernel over the full +-(n-1) range,
+                # built and transformed on every call before it was cached
+                kernel = lorentzian(np.arange(-(grid.size - 1), grid.size) * s.step, 0.0, kappa)
+                kernel /= kernel.sum() * s.step
+                want = np.maximum(fft_convolver(kernel, grid.size)(s.values) * s.step, 0.0)
+                want *= s.area() / np.trapezoid(want, grid)
+                assert np.array_equal(got.values, want)
+        assert built == [grid.size, grid.size]
 
     def test_kappa_below_resolution_rejected(self):
         grid = energy_grid(0.0, 100.0, 1.0)
@@ -494,6 +530,24 @@ class TestCsvRoundTrip:
             spectra.write_two_column_csv(tmp_path / "edited.csv", "a,b", writable, y)
             assert (tmp_path / "edited.csv").read_text() == one_shot(writable, y)
             writable *= 3.0
+
+    def test_four_grids_stay_cached(self, tmp_path):
+        # the commands write four grids under one config (energy, decay
+        # time, saturation power, g2 delay): a second round formats no x
+        grids = [energy_grid(1e6, 300.0, 0.2), np.arange(-40.0, 385.0) * 4.0,
+                 np.geomspace(30.0, 3e4, 25), np.linspace(-1.5e5, 1.5e5, 30001)]
+        rng = np.random.default_rng(5)
+        spectra._row_template.cache_clear()
+        for round_ in range(2):
+            before = spectra._row_template.cache_info()
+            for index, x in enumerate(grids):
+                y = rng.exponential(size=x.size)
+                path = tmp_path / f"{round_}-{index}.csv"
+                spectra.write_two_column_csv(path, "a,b", x, y)
+                rows = np.column_stack((x, y)).ravel().tolist()
+                assert path.read_text() == "a,b\n" + ("%.17g,%.17g\n" * x.size) % tuple(rows)
+            after = spectra._row_template.cache_info()
+            assert after.misses - before.misses == (len(grids) if round_ == 0 else 0)
 
     @pytest.mark.parametrize("x, y", [
         (np.arange(3.0), np.arange(4.0)),
