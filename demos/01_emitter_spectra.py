@@ -53,7 +53,8 @@ print(f"filtered peak = {s_tilde.values.max():.4e} /ueV, closed form "
 # absorption mirror: the strong wing flips to the blue side
 s_abs = spectra.absorption_spectrum(s_fs, model)
 
-spectra.save_spectrum_csv(s_fs, OUT / "demo_fs_spectrum.csv")
+spectra.write_two_column_csv(OUT / "demo_fs_spectrum.csv", spectra.SPECTRUM_HEADER,
+                             s_fs.energies, s_fs.values)
 svg.write_line_svg(
     OUT / "demo_spectra.svg", detuning,
     [("emission", s_fs.values), ("absorption", s_abs.values),

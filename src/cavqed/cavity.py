@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import energy_from_wavelength
-
 
 @dataclass(frozen=True)
 class CavityGeometry:
@@ -42,10 +40,6 @@ class CavityGeometry:
     def length_um(self):
         """Geometric cavity length p * lambda / 2 in um."""
         return self.mode_order * self.wavelength_nm * 1e-3 / 2.0
-
-    @property
-    def resonance_energy_uev(self):
-        return energy_from_wavelength(self.wavelength_nm)
 
 
 @dataclass(frozen=True)

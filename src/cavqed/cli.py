@@ -196,9 +196,9 @@ def _read_input(path, what):
 def _load_csv(path, header, build):
     """`build(x, y)` of the two columns of an input CSV (see
     spectra.parse_two_column_csv); a content error names the file."""
-    x, y = spectra.parse_two_column_csv(_read_input(path, "input file"), header, path)
+    text = _read_input(path, "input file")
     try:
-        return build(x, y)
+        return build(*spectra.parse_two_column_csv(text, header))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
 
@@ -276,7 +276,7 @@ def _require_converged(results, what):
 
 # ---------------------------------------------------------------------------
 # commands: each returns (report, files) and writes nothing.  `files` maps
-# an output name to a Spectrum, a (header, x, y) CSV or an
+# a ".csv" name to a (header, x, y) table and a ".svg" name to an
 # (x, series, labels) plot; see write_outputs.
 
 def cmd_spectrum(config, seed):
@@ -291,7 +291,10 @@ def cmd_spectrum(config, seed):
     s_emi_t = spectra.convolve_lorentzian(s_fs, kappa)
     s_abs_t = spectra.convolve_lorentzian(s_abs, kappa)
 
-    files = {"fs_spectrum.csv": s_fs, "s_emi_tilde.csv": s_emi_t, "s_abs_tilde.csv": s_abs_t,
+    header = spectra.SPECTRUM_HEADER
+    files = {"fs_spectrum.csv": (header, grid, s_fs.values),
+             "s_emi_tilde.csv": (header, grid, s_emi_t.values),
+             "s_abs_tilde.csv": (header, grid, s_abs_t.values),
              "spectrum.svg": (
                  grid - model.zpl_energy_uev,
                  [("free-space", s_fs.values), ("emission, filtered", s_emi_t.values),
@@ -399,6 +402,7 @@ def cmd_brightness(config, seed):
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
                                options["step_uev"])
     s_fs = spectra.build_fs_spectrum(model, grid)
+    header = spectra.SPECTRUM_HEADER
 
     modes = []
     files = {}
@@ -411,13 +415,14 @@ def cmd_brightness(config, seed):
             s_dtilde, g_true, gamma, noise_frac, task_rng(seed, index))
         fit = cqed.fit_g_from_envelope(envelope, s_dtilde, gamma)
         coupling = cqed.CouplingParams(max(fit.g_uev, 0.0), gamma, kappa)
-        files[f"envelope_p{p}.csv"] = envelope
-        files[f"beta_p{p}.csv"] = cqed.brightness_profile(coupling, s_tilde)
+        beta = cqed.brightness_profile(coupling, s_tilde)
+        files[f"envelope_p{p}.csv"] = (header, grid, envelope.values)
+        files[f"beta_p{p}.csv"] = (header, grid, beta.values)
         if fit.g_uev > 0 and not fit.flag:
             # c was chosen so the measured maximum sits strictly below it;
             # the envelope inverts as-is
-            files[f"recovered_s_dtilde_p{p}.csv"] = cqed.invert_envelope(
-                envelope, fit.a, fit.c)
+            recovered = cqed.invert_envelope(envelope, fit.a, fit.c)
+            files[f"recovered_s_dtilde_p{p}.csv"] = (header, grid, recovered.values)
         modes.append({
             "p": p, "kappa_uev": kappa,
             "v_eff_lambda3": row["v_eff_lambda3"],
@@ -628,20 +633,18 @@ _COMMANDS = {
 
 def write_outputs(out_dir, command, report, files):
     """Write a command's files and `<command>_report.json` into out_dir,
-    creating it.  A Spectrum or a (header, x, y) triple becomes a CSV; an
-    `.svg` name takes an (x, series, labels) plot, `labels` being the
-    keyword arguments of svg.write_line_svg."""
+    creating it.  A ".csv" name takes a (header, x, y) table; any other
+    name is an ".svg" one and takes an (x, series, labels) plot, `labels`
+    being the keyword arguments of svg.write_line_svg."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, item in files.items():
         path = out_dir / name
-        if isinstance(item, spectra.Spectrum):
-            spectra.save_spectrum_csv(item, path)
-        elif name.endswith(".svg"):
+        if name.endswith(".csv"):
+            spectra.write_two_column_csv(path, *item)
+        else:
             x, series, labels = item
             svg.write_line_svg(path, x, series, **labels)
-        else:
-            spectra.write_two_column_csv(path, *item)
     with open(out_dir / f"{command}_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

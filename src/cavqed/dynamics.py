@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .optimize import _trf_lower_bounded
-from .spectra import _sampled, convolve_same, fft_convolver, uniform_step
+from .spectra import _sampled, fft_convolver, uniform_step
 from .units import HBAR_UEV_PS
 
 # relative tau1/tau2 separation below which a biexponential fit collapses
@@ -430,7 +430,8 @@ def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
         if kernel is not None:
             # pad with the asymptotic value so the edge bins stay near 1
             half = (kernel.size - 1) // 2
-            g2 = convolve_same(np.pad(g2, half, mode="edge"), kernel)[half:half + tau.size]
+            padded = np.pad(g2, half, mode="edge")
+            g2 = fft_convolver(kernel, padded.size)(padded)[half:half + tau.size]
         return g2
 
     if mode == "pulsed":

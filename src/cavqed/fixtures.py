@@ -8,6 +8,7 @@ points the loaders at an alternative directory.
 
 import csv
 import json
+import math
 import os
 from importlib import resources
 from pathlib import Path
@@ -28,10 +29,24 @@ def fixture_path(name):
     return Path(str(resources.files("cavqed") / "fixtures" / name))
 
 
+def _cell(path, key_column, key, column, cell):
+    """The finite number a fixture cell holds; anything else is a
+    ValueError naming the file, the row and the column."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: {key_column} {key!r} has {column} {cell!r}, "
+                         "not a finite number")
+    return value
+
+
 def _read_table(name, required=()):
     """Fixture CSV `name` as {row key: {column: float}}, keyed by its first
-    column in file order; blank cells are left out, except that every row
-    must have a value in each `required` column."""
+    column in file order; every other cell must be a finite number.  Blank
+    cells are left out, except that every row must have a value in each
+    `required` column."""
     path = fixture_path(name)
     table = {}
     with open(path, newline="") as fh:
@@ -41,7 +56,8 @@ def _read_table(name, required=()):
                 raise ValueError(f"{path}: {key_column} {key!r} appears more than once")
             if None in row:
                 raise ValueError(f"{path}: {key_column} {key!r} has more cells than the header")
-            table[key] = {column: float(cell) for column, cell in cells if cell and cell.strip()}
+            table[key] = {column: _cell(path, key_column, key, column, cell)
+                          for column, cell in cells if cell and cell.strip()}
             for column in required:
                 if column not in table[key]:
                     raise ValueError(f"{path}: {key_column} {key!r} has no {column} value")

@@ -258,14 +258,12 @@ def _scaling_vector(x, g, lb):
 
 def _step_size_to_bound(x, s, lb):
     """Largest t with x + t s feasible, and which bounds that t hits
-    (sign of s where hit, else 0)."""
-    non_zero = np.nonzero(s)
-    s_non_zero = s[non_zero]
-    steps = np.empty_like(x)
-    steps.fill(np.inf)
+    (sign of s where hit, else 0).  Only a component moving down (s < 0)
+    can reach its bound; the division overflows to inf for a tiny s."""
+    down = s < 0
+    steps = np.full_like(x, np.inf)
     with np.errstate(over="ignore"):
-        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
-                                     (np.inf - x)[non_zero] / s_non_zero)
+        steps[down] = (lb - x)[down] / s[down]
     min_step = np.min(steps)
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
 

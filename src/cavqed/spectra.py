@@ -115,14 +115,6 @@ def fft_convolver(kernel, n):
     return convolve
 
 
-def convolve_same(values, kernel):
-    """Convolution of `values` with an odd-length kernel centred on zero
-    offset, sampled at the `values.size` input positions (see
-    fft_convolver)."""
-    values = np.asarray(values, dtype=float)
-    return fft_convolver(kernel, values.size)(values)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """A spectral density on a uniform energy grid.
@@ -166,10 +158,6 @@ class Spectrum:
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""
         return float(np.trapezoid(self.values, self.energies))
-
-    def value_at(self, energy):
-        """Linear interpolation of the spectrum (0 outside the grid)."""
-        return np.interp(energy, self.energies, self.values, left=0.0, right=0.0)
 
     def with_values(self, values):
         """This spectrum's grid and tag with new values."""
@@ -419,29 +407,28 @@ def absorption_spectrum(s_emi, model):
     return Spectrum(s_emi.energies, values, AREA_2PI)
 
 
-def parse_two_column_csv(text, header, source):
+def parse_two_column_csv(text, header):
     """Parse CSV text whose first line is exactly `header` ("a,b") and
     whose other lines are each two finite numbers; at least two rows.
 
-    Returns the two columns as float arrays.  `source` (the file name)
-    prefixes every error message.
+    Returns the two columns as float arrays.
     """
     lines = text.splitlines()
     if not lines or lines[0] != header:
         got = lines[0] if lines else ""
-        raise ValueError(f"{source}: expected header {header!r}, got {got!r}")
+        raise ValueError(f"expected header {header!r}, got {got!r}")
     rows = [line.split(",") for line in lines[1:]]
     if len(rows) < 2 or any(len(row) != 2 for row in rows):
-        raise ValueError(f"{source}: need at least two data rows of two columns")
+        raise ValueError("need at least two data rows of two columns")
     xs, ys = zip(*rows)
     try:
         x = np.array(list(map(float, xs)))
         y = np.array(list(map(float, ys)))
     except ValueError as err:
-        raise ValueError(f"{source}: malformed number: {err}") from err
+        raise ValueError(f"malformed number: {err}") from err
     finite = np.isfinite(x) & np.isfinite(y)
     if not finite.all():
-        raise ValueError(f"{source}: non-finite value in data row {int(np.argmin(finite)) + 1}")
+        raise ValueError(f"non-finite value in data row {int(np.argmin(finite)) + 1}")
     return x, y
 
 
@@ -468,20 +455,3 @@ def write_two_column_csv(path, header, x, y):
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         fh.write(text)
-
-
-def load_spectrum_csv(path, normalization=RAW_COUNTS):
-    """Load a spectrum from a two-column CSV with header `energy_ueV,value`.
-
-    Rows must be in ascending energy order on a uniform grid.  The
-    normalization tag is supplied by the caller (it is not stored in the
-    file).
-    """
-    with open(path, newline="") as fh:
-        energies, values = parse_two_column_csv(fh.read(), SPECTRUM_HEADER, path)
-    return Spectrum(energies, values, normalization)
-
-
-def save_spectrum_csv(spectrum, path):
-    """Write a spectrum as a two-column CSV with header `energy_ueV,value`."""
-    write_two_column_csv(path, SPECTRUM_HEADER, spectrum.energies, spectrum.values)

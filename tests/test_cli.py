@@ -20,8 +20,7 @@ from cavqed.cli import (
     EXIT_IO,
     EXIT_OK,
     REQUIRED,
-    cmd_brightness,
-    cmd_spectrum,
+    _COMMANDS,
     load_config,
     main,
 )
@@ -51,8 +50,9 @@ class TestSpectrumCommand:
         assert code == EXIT_OK
         for name in ("fs_spectrum.csv", "s_emi_tilde.csv", "s_abs_tilde.csv", "spectrum.svg"):
             assert (out / name).exists()
-        s = spectra.load_spectrum_csv(out / "fs_spectrum.csv")
-        assert s.area() == pytest.approx(2.0 * np.pi, rel=1e-4)
+        energies, values = spectra.parse_two_column_csv((out / "fs_spectrum.csv").read_text(),
+                                                        spectra.SPECTRUM_HEADER)
+        assert np.trapezoid(values, energies) == pytest.approx(2.0 * np.pi, rel=1e-4)
         # the plot is well-formed XML with one polyline per series
         import xml.etree.ElementTree as ET
         root = ET.parse(out / "spectrum.svg").getroot()
@@ -63,9 +63,10 @@ class TestSpectrumCommand:
         code, out = run(tmp_path, "spectrum",
                         config={"emitter": {"debye_waller": 1.0, "temperature_k": 0.0}})
         assert code == EXIT_OK
-        s = spectra.load_spectrum_csv(out / "fs_spectrum.csv")
-        interior = s.values[1:-1]
-        peaks = np.sum((interior > s.values[:-2]) & (interior > s.values[2:]))
+        _, values = spectra.parse_two_column_csv((out / "fs_spectrum.csv").read_text(),
+                                                 spectra.SPECTRUM_HEADER)
+        interior = values[1:-1]
+        peaks = np.sum((interior > values[:-2]) & (interior > values[2:]))
         assert peaks == 1
 
     def test_deterministic_rerun(self, tmp_path):
@@ -455,12 +456,24 @@ def test_every_default_passes_its_rule():
         assert default in (REQUIRED, None) or test(default), (default, what)
 
 
-@pytest.mark.parametrize("command", [cmd_spectrum, cmd_brightness])
+@pytest.mark.parametrize("command", list(_COMMANDS.values()))
 def test_commands_compute_without_writing(tmp_path, monkeypatch, command):
+    # every file item has one of the two shapes write_outputs takes
     monkeypatch.chdir(tmp_path)
     report, files = command(load_config(None, "paper"), DEFAULT_SEED)
-    assert isinstance(report, dict) and files
+    assert isinstance(report, dict)
     assert list(tmp_path.iterdir()) == []
+    headers = (spectra.SPECTRUM_HEADER, "time_ps,counts", "power,counts", "tau_ps,g2")
+    for name, item in files.items():
+        if name.endswith(".csv"):
+            header, x, y = item
+            assert header in headers, name
+            assert np.ndim(x) == 1 and np.shape(x) == np.shape(y), name
+        else:
+            assert name.endswith(".svg"), name
+            x, series, labels = item
+            assert isinstance(labels, dict), name
+            assert all(len(values) == len(x) for _, values in series), name
 
 
 class TestInputData:
@@ -517,7 +530,13 @@ class TestInputData:
          "counts have no positive value to fit"),
         ("saturation", "curve_csv", "power,counts\n-1,1\n1,2\n2,3\n4,3.5",
          "powers must be >= 0"),
-    ], ids=["envelope-grid", "trace-count", "curve-counts", "curve-power"])
+        # errors of the parser itself carry the same single prefix
+        ("brightness", "envelope_csv", "energy,value\n0,1\n1,1",
+         "expected header 'energy_ueV,value', got 'energy,value'"),
+        ("saturation", "curve_csv", "power,counts\n0,1\n1,x",
+         "malformed number: could not convert string to float: 'x'"),
+    ], ids=["envelope-grid", "trace-count", "curve-counts", "curve-power", "envelope-header",
+            "curve-number"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"
         path.write_text(rows + "\n")
@@ -607,6 +626,13 @@ class TestFixtureDirOverride:
         ("purcell", "table_s1.csv", "6,2.49,56900,11200,7.85,6.03", "appears more than once"),
         ("budget", "table_s2.csv", "beamsplitter,0.612,0.98,", "appears more than once"),
         ("budget", "table_s3.csv", "note,1,1,1,1", "more cells than the header"),
+        # a cell that is not a finite number would reach the report as NaN
+        # or fail without naming the file
+        ("purcell", "table_s1.csv", "10,nan,56900,11200,7.85,6.03",
+         "p '10' has v_eff_lambda3 'nan', not a finite number"),
+        ("brightness", "table_s1.csv", "10,2.49,inf,11200,7.85,6.03",
+         "p '10' has q_th 'inf', not a finite number"),
+        ("budget", "table_s2.csv", "relay,0.9,abc,", "has cavity_planar 'abc', not a finite"),
     ])
     def test_bad_fixture_row_is_config_error(self, tmp_path, monkeypatch, capsys,
                                              command, name, row, problem):

@@ -26,7 +26,7 @@ def test_g2_plot_keeps_first_last_min_max_of_each_column(tmp_path):
     assert len(kept) <= 3100
 
     # the undecimated pixel points, as write_line_svg scales them
-    tau, g2 = spectra.parse_two_column_csv((out / "g2.csv").read_text(), "tau_ps,g2", "g2.csv")
+    tau, g2 = spectra.parse_two_column_csv((out / "g2.csv").read_text(), "tau_ps,g2")
     px = svg._scale(tau, tau.min(), tau.max(), svg._ML, svg._W - svg._MR)
     py = svg._scale(g2, g2.min(), g2.max(), svg._H - svg._MB, svg._MT)
     full = [(f"{a:.2f}", f"{b:.2f}") for a, b in zip(px, py)]
