@@ -19,6 +19,11 @@ Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 4 I/O error.  Diagnostics, Python warnings and command-line errors
 included, go to stderr as single-line JSON.  A run that fails writes
 nothing.
+
+Imports: this module loads only the standard library and the numpy-free
+`fixtures` and `budget`; each function imports numpy and the physics
+modules it uses in its own body, so that `budget`, `--help` and a run that
+stops on a bad config start without paying for numpy.
 """
 
 import argparse
@@ -27,12 +32,8 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import budget as budget_mod
-from . import cavity as cavity_mod
-from . import cqed, dynamics, fixtures, spectra, svg
-from .units import energy_from_wavelength, lifetime_from_rate, rate_from_lifetime
+from . import fixtures
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -196,6 +197,8 @@ def _read_input(path, what):
 def _load_csv(path, header, build):
     """`build(x, y)` of the two columns of an input CSV (see
     spectra.parse_two_column_csv); a content error names the file."""
+    from . import spectra
+
     text = _read_input(path, "input file")
     try:
         return build(*spectra.parse_two_column_csv(text, header))
@@ -226,6 +229,9 @@ def load_config(config_path, fixture):
 
 
 def emitter_from_config(config):
+    from . import spectra
+    from .units import energy_from_wavelength, rate_from_lifetime
+
     em = config["emitter"]
     return spectra.EmitterModel(
         zpl_energy_uev=energy_from_wavelength(em["wavelength_nm"]),
@@ -258,6 +264,8 @@ def _mode_rows(config, key="mode_orders"):
 
 def _mode_kappa(config, energy):
     """(p, cavity linewidth) of cavity.mode_order, from the fixture Q."""
+    from . import cavity as cavity_mod
+
     [(p, row)] = _mode_rows(config, "mode_order")
     return p, cavity_mod.kappa_from_q(energy, row["q_exp"])
 
@@ -265,6 +273,8 @@ def _mode_kappa(config, energy):
 def task_rng(seed, index):
     """Counter-based per-task generator: identical streams regardless of
     execution order."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(seed=[seed, index]))
 
 
@@ -280,6 +290,8 @@ def _require_converged(results, what):
 # (x, series, labels) plot; see write_outputs.
 
 def cmd_spectrum(config, seed):
+    from . import spectra
+
     model = emitter_from_config(config)
     options = config["analysis"]["spectrum"]
     _, kappa = _mode_kappa(config, model.zpl_energy_uev)
@@ -314,6 +326,9 @@ def cmd_spectrum(config, seed):
 
 
 def cmd_purcell(config, seed):
+    from . import cavity as cavity_mod
+    from . import cqed
+
     model = emitter_from_config(config)
     measured = config["measured"]
     cav = config["cavity"]
@@ -367,6 +382,10 @@ def cmd_purcell(config, seed):
 
 
 def _synthetic_envelope(s_dtilde, g_uev, gamma_uev, noise_frac, rng):
+    import numpy as np
+
+    from . import cqed, spectra
+
     if g_uev > 0:
         values = cqed.hill_envelope(g_uev ** 2 / gamma_uev, s_dtilde.values)
         values = values / values.max()
@@ -378,6 +397,11 @@ def _synthetic_envelope(s_dtilde, g_uev, gamma_uev, noise_frac, rng):
 
 
 def cmd_brightness(config, seed):
+    import numpy as np
+
+    from . import cavity as cavity_mod
+    from . import cqed, spectra
+
     model = emitter_from_config(config)
     options = config["analysis"]["brightness"]
     gamma = model.gamma_fs_uev
@@ -454,6 +478,11 @@ def cmd_brightness(config, seed):
 
 
 def cmd_lifetime(config, seed):
+    import numpy as np
+
+    from . import dynamics
+    from .units import lifetime_from_rate
+
     model = emitter_from_config(config)
     em = config["emitter"]
     options = config["analysis"]["lifetime"]
@@ -505,6 +534,10 @@ def cmd_lifetime(config, seed):
 
 
 def cmd_saturation(config, seed):
+    import numpy as np
+
+    from . import dynamics
+
     options = config["analysis"]["saturation"]
     mode = options["mode"]
 
@@ -542,6 +575,11 @@ def cmd_saturation(config, seed):
 
 
 def cmd_g2(config, seed):
+    import numpy as np
+
+    from . import dynamics, spectra
+    from .units import rate_from_lifetime
+
     g2cfg = config["g2_scheme"]
     scheme = dynamics.LevelScheme(
         pump_uev=g2cfg["pump_uev"],
@@ -641,8 +679,12 @@ def write_outputs(out_dir, command, report, files):
     for name, item in files.items():
         path = out_dir / name
         if name.endswith(".csv"):
+            from . import spectra
+
             spectra.write_two_column_csv(path, *item)
         else:
+            from . import svg
+
             x, series, labels = item
             svg.write_line_svg(path, x, series, **labels)
     with open(out_dir / f"{command}_report.json", "w") as fh:

@@ -10,7 +10,6 @@ import csv
 import json
 import math
 import os
-from importlib import resources
 from pathlib import Path
 
 from .budget import EfficiencyChain, Stage
@@ -26,7 +25,7 @@ def fixture_path(name):
         if not candidate.exists():
             raise FileNotFoundError(f"fixture {name!r} not found in PL_FIXTURE_DIR={override}")
         return candidate
-    return Path(str(resources.files("cavqed") / "fixtures" / name))
+    return Path(__file__).parent / "fixtures" / name
 
 
 def _cell(path, key_column, key, column, cell):
@@ -68,13 +67,26 @@ def load_table_s1():
     """Simulated/measured mode table, keyed by longitudinal order p.
 
     Columns: p, v_eff_lambda3, q_th, q_exp, p_subs_pct, p_fiber_pct; a
-    row missing any of them is a ValueError naming the file, p and column.
+    row missing any of them is a ValueError naming the file, p and column,
+    and so is a p that is not an integer >= 1 or that repeats another.
     """
     table = _read_table("table_s1.csv", required=(
         "v_eff_lambda3", "q_th", "q_exp", "p_subs_pct", "p_fiber_pct"))
     if not table:
         raise ValueError("table_s1.csv: no mode rows")
-    return {int(p): row for p, row in table.items()}
+    path = fixture_path("table_s1.csv")
+    modes = {}
+    for p, row in table.items():
+        try:
+            order = int(p)
+        except ValueError:
+            order = 0
+        if order < 1:
+            raise ValueError(f"{path}: p {p!r} is not an integer >= 1")
+        if order in modes:
+            raise ValueError(f"{path}: p {p!r} appears more than once")
+        modes[order] = row
+    return modes
 
 
 def load_table_s2():

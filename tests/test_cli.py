@@ -576,6 +576,49 @@ def test_cli_import_loads_no_scipy():
     assert _run_python(code).stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_numpy():
+    # each command imports numpy and the physics modules in its own body
+    code = "import sys, cavqed.cli; print('numpy' in sys.modules)"
+    assert _run_python(code).stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["budget", "--fixture", "paper", "--out", "{tmp}/out"], "returned 0"),
+    (["--help"], "exited 0"),
+    (["spectrum", "--config", "{tmp}/missing.json"], "returned 4"),
+], ids=["budget", "help", "missing-config"])
+def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
+    # the photon budget is scalar arithmetic, and --help or a run that
+    # stops before computing has no use for numpy either
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = (
+        "import sys\n"
+        "from cavqed.cli import main\n"
+        "try:\n"
+        f"    outcome = 'returned %d' % main({argv!r})\n"
+        "except SystemExit as exit:\n"
+        "    outcome = f'exited {exit.code}'\n"
+        "print(outcome, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    # main prints reports and help on stdout and diagnostics on stderr,
+    # so the probe's line is the last one
+    assert _run_python(code).stderr.splitlines()[-1] == f"{outcome} False"
+
+
+def test_package_attribute_imports_submodule():
+    code = ("import sys, cavqed\n"
+            "loaded = 'cavqed.spectra' in sys.modules\n"
+            "print(loaded, cavqed.spectra.energy_grid(0.0, 2.0, 1.0).tolist())")
+    assert _run_python(code).stdout.strip() == "False [-2.0, -1.0, 0.0, 1.0, 2.0]"
+
+
+def test_lazy_submodules_are_the_package_modules():
+    package = Path(cavqed.__file__).parent
+    assert cavqed._SUBMODULES == {path.stem for path in package.glob("*.py")} - {"__init__"}
+    with pytest.raises(AttributeError, match="no_such_module"):
+        cavqed.no_such_module
+
+
 def test_commands_load_no_scipy(tmp_path):
     # scipy is a test dependency only: the fits of brightness, lifetime and
     # saturation run the numpy ports of its bounded Brent and TRF methods
@@ -633,6 +676,11 @@ class TestFixtureDirOverride:
         ("brightness", "table_s1.csv", "10,2.49,inf,11200,7.85,6.03",
          "p '10' has q_th 'inf', not a finite number"),
         ("budget", "table_s2.csv", "relay,0.9,abc,", "has cavity_planar 'abc', not a finite"),
+        # a mode order is a row key: int() alone would name neither the
+        # file nor the row, and "06" would overwrite row 6
+        ("purcell", "table_s1.csv", "7.5,2.86,49200,10500,5.32,4.4",
+         "p '7.5' is not an integer >= 1"),
+        ("purcell", "table_s1.csv", "06,2.49,56900,11200,7.85,6.03", "p '06' appears more than once"),
     ])
     def test_bad_fixture_row_is_config_error(self, tmp_path, monkeypatch, capsys,
                                              command, name, row, problem):
