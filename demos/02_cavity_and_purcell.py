@@ -36,7 +36,7 @@ print("loss partition:", {k: f"{v:.3f}" for k, v in cavity.exit_probabilities(bu
 # effective Q folds in the emitter linewidth
 q_emitter = zpl_energy / 200.0
 q_eff = cavity.q_eff(table[6]["q_exp"], q_emitter)
-f_p_theory = cqed.purcell_factor(1275.0, 1.0, table[6]["v_eff_lambda3"], q_eff)
+f_p_theory = cqed.purcell_factor(1.0, table[6]["v_eff_lambda3"], q_eff)
 print(f"\nQ_emitter {q_emitter:.0f}, Q_eff {q_eff:.0f} -> ideal Purcell factor "
       f"{f_p_theory:.0f} (point emitter at the antinode)")
 

@@ -32,7 +32,7 @@ print(f"beta on the ZPL: {beta.values.max():.3f} "
       f"{4.0 * np.sum(beta.values > 0.1) / 1000.0:.1f} meV)")
 
 # modulating the cavity sweeps the Lorentzian line across beta
-envelope = cqed.modulation_envelope(beta, kappa6)
+envelope = spectra.convolve_lorentzian(beta, kappa6)
 
 # the closed-form envelope in terms of the doubly-filtered spectrum is
 # algebraically invertible

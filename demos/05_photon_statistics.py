@@ -26,7 +26,7 @@ fast, slow = dynamics.g2_eigenrates(scheme)
 print(f"antibunching recovery {1 / fast:.0f} ps, bunching decay {1 / slow:.0f} ps")
 
 tau = np.arange(-15000, 15001) * 4.0
-g2_cw = dynamics.g2_correlation(scheme, "cw", tau, irf=defaults["irf_fwhm_ps"])
+g2_cw = dynamics.g2_correlation(scheme, tau, irf=defaults["irf_fwhm_ps"])
 izero = tau.size // 2
 print(f"cw g2(0) = {g2_cw[izero]:.3f} raw with the 32 ps response; "
       f"background floor b(2-b) = "
@@ -36,8 +36,8 @@ print(f"bunching shoulder peaks at g2 = {g2_cw.max():.3f}")
 # pulsed comb: zero-delay peak carries only background coincidences
 f_rep = 38.26e6
 tau_pulsed = np.arange(-60000, 60001) * 8.0
-g2_pulsed = dynamics.g2_correlation(scheme, "pulsed", tau_pulsed,
-                                    irf=defaults["irf_fwhm_ps"], f_rep_hz=f_rep)
+g2_pulsed = dynamics.pulsed_g2_comb(scheme, tau_pulsed, f_rep,
+                                    irf=defaults["irf_fwhm_ps"])
 ratio = dynamics.pulsed_g2_zero(tau_pulsed, g2_pulsed, f_rep)
 print(f"pulsed g2(0) (zero-peak area over mean side peak) = {ratio:.3f}")
 

@@ -1,7 +1,7 @@
 """Fabry-Perot microcavity modes: geometry, Gaussian-beam mode volume,
-free spectral range, finesse and quality factor from round-trip losses,
-internal-loss deduction from measured vs simulated Q, and loss-partition
-exit probabilities.
+finesse and quality factor from round-trip losses, internal-loss
+deduction from measured vs simulated Q, and loss-partition exit
+probabilities.
 
 The analytic mode volume ignores field penetration into the mirror
 stacks (geometric length only), which is good to ~20% against full-field
@@ -70,16 +70,6 @@ class LossBudget:
         return (self.t_flat + self.t_fiber + 2.0 * self.internal_per_pass
                 + self.spillout + self.cladding)
 
-    def channel_ppm(self):
-        """Round-trip loss per channel (internal counted twice)."""
-        return {
-            "t_flat": self.t_flat,
-            "t_fiber": self.t_fiber,
-            "internal": 2.0 * self.internal_per_pass,
-            "spillout": self.spillout,
-            "cladding": self.cladding,
-        }
-
 
 def mode_volume_gaussian(geometry):
     """Gaussian-beam effective mode volume, in units of (lambda/n)**3.
@@ -127,10 +117,17 @@ def exit_probabilities(budget):
     """Lossless partition of the round-trip budget: P_i = L_i / L_rt.
 
     Covers every channel (useful and pure), so the values sum to exactly
-    one.  Real cavities add mode-matching factors on top of this; use
-    simulated fixture values for quantitative port efficiencies.
+    one; the internal loss is counted twice, once per pass.  Real
+    cavities add mode-matching factors on top of this; use simulated
+    fixture values for quantitative port efficiencies.
     """
-    channels = budget.channel_ppm()
+    channels = {
+        "t_flat": budget.t_flat,
+        "t_fiber": budget.t_fiber,
+        "internal": 2.0 * budget.internal_per_pass,
+        "spillout": budget.spillout,
+        "cladding": budget.cladding,
+    }
     total = budget.round_trip_ppm
     return {name: ppm / total for name, ppm in channels.items()}
 

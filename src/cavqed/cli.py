@@ -341,8 +341,7 @@ def cmd_purcell(config, seed):
             config["emitter"]["wavelength_nm"], cav["refractive_index"],
             cav["radius_of_curvature_um"], p)
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
-        f_p = cqed.purcell_factor(geometry.wavelength_nm, geometry.refractive_index,
-                                  row["v_eff_lambda3"], q_eff)
+        f_p = cqed.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
         ratios = cqed.brightening_ratios(model.debye_waller, f_p, model.eta_qy)
         modes.append({
             "p": p,
@@ -590,7 +589,7 @@ def cmd_g2(config, seed):
     span = options["tau_span_ps"]
     tau = spectra.energy_grid(0.0, span, options["tau_step_ps"])
 
-    g2 = dynamics.g2_correlation(scheme, "cw", tau, irf=g2cfg["irf_fwhm_ps"])
+    g2 = dynamics.g2_correlation(scheme, tau, irf=g2cfg["irf_fwhm_ps"])
     files = {"g2.csv": ("tau_ps,g2", tau, g2),
              "g2.svg": (tau, [("g2(tau)", g2)], {"title": "Intensity correlation (cw)",
                                                  "x_label": "tau (ps)", "y_label": "g2"})}

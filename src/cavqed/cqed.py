@@ -6,6 +6,8 @@ two estimators of the vacuum Rabi coupling g.
 The incoherent emitter <-> cavity transfer rates are g**2 * S~(w_cav)
 where S~ is the free-space spectrum convolved with the cavity Lorentzian
 (see the spectra module); beta saturates as a Hill function of that rate.
+The envelope of a detuning sweep, E_mod = L_kappa * beta, is
+spectra.convolve_lorentzian(beta, kappa).
 """
 
 import warnings
@@ -13,7 +15,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import spectra
 from .optimize import _brent_bounded
 from .spectra import RAW_COUNTS, Spectrum
 
@@ -79,14 +80,14 @@ class EnvelopeFit:
         return record
 
 
-def purcell_factor(wavelength_nm, refractive_index, v_eff_lambda3, q_eff):
+def purcell_factor(refractive_index, v_eff_lambda3, q_eff):
     """Purcell factor (3/4 pi**2) * (lambda/n)**3 / V_eff * Q_eff.
 
     `v_eff_lambda3` is the mode volume in units of lambda**3 (as quoted
-    for microcavity modes); the refractive index converts it to the
-    (lambda/n)**3 units of the formula.
+    for microcavity modes), so the wavelength cancels; the refractive
+    index converts it to the (lambda/n)**3 units of the formula.
     """
-    if not all(v > 0 for v in (wavelength_nm, refractive_index, v_eff_lambda3, q_eff)):
+    if not all(v > 0 for v in (refractive_index, v_eff_lambda3, q_eff)):
         raise ValueError("purcell_factor requires strictly positive inputs")
     v_in_lambda_over_n = v_eff_lambda3 * refractive_index ** 3
     return (3.0 / (4.0 * np.pi ** 2)) * q_eff / v_in_lambda_over_n
@@ -135,13 +136,6 @@ def solve_fp_and_qy(flux_ratio_sat, decay_ratio, dw):
     return f_p, eta_qy
 
 
-def _beta_values(coupling, s_emi_values, s_abs_values):
-    emi_rate = coupling.a * s_emi_values
-    reabs = 0.0 if s_abs_values is None else (
-        coupling.g_uev ** 2 / coupling.kappa_uev) * s_abs_values
-    return emi_rate / (1.0 + emi_rate + reabs)
-
-
 def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):
     """Emission probability into the cavity mode vs cavity tuning.
 
@@ -153,12 +147,13 @@ def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):
     which is the right default when kappa >> gamma.  Values are
     dimensionless in [0, 1).
     """
-    abs_values = None
+    emi_rate = coupling.a * s_emi_tilde.values
+    reabs = 0.0
     if s_abs_tilde is not None:
         if not np.array_equal(s_abs_tilde.energies, s_emi_tilde.energies):
             raise ValueError("emission and absorption spectra must share one grid")
-        abs_values = s_abs_tilde.values
-    beta = _beta_values(coupling, s_emi_tilde.values, abs_values)
+        reabs = (coupling.g_uev ** 2 / coupling.kappa_uev) * s_abs_tilde.values
+    beta = emi_rate / (1.0 + emi_rate + reabs)
     return Spectrum(s_emi_tilde.energies, beta, RAW_COUNTS)
 
 
@@ -192,17 +187,6 @@ def steady_state(pump_rate_uev, coupling, s_emi_tilde_at, s_abs_tilde_at=0.0):
     return SteadyStateResult(float(exciton), float(photon), bool(weak))
 
 
-def modulation_envelope(beta, kappa_uev):
-    """Time-averaged output envelope under detuning modulation.
-
-    E_mod = (cavity Lorentzian) * beta, the sum over cavity positions of
-    per-position output lines.  Uses the same edge-truncated, integral
-    preserving convolution as the spectra module, so sweeping the cavity
-    conserves the emitted flux on the grid.
-    """
-    return spectra.convolve_lorentzian(beta, kappa_uev)
-
-
 def hill_envelope(a, s_dtilde_values, c=1.0):
     """Closed-form envelope c * a*S / (1 + a*S) for the values S of a
     doubly-filtered spectrum."""
@@ -231,26 +215,15 @@ def invert_envelope(e_mod, a, c):
     return e_mod.with_values(values / denom)
 
 
-def normalized_envelope_model(a, s_dtilde_values):
-    """Peak-normalized closed-form envelope used for fitting.
-
-    (1 + a*S_max)/(a*S_max) * a*S/(1 + a*S): equals 1 at the spectral
-    peak regardless of a, so it can be compared to a measured envelope
-    divided by its own maximum.
-    """
-    s_max = float(np.max(s_dtilde_values))
-    if s_max <= 0:
-        raise ValueError("spectrum has no positive values")
-    return hill_envelope(a, s_dtilde_values, c=(1.0 + a * s_max) / (a * s_max))
-
-
 def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     """Extract the Rabi coupling g from a measured modulation envelope.
 
     `s_dtilde` is the free-space spectrum convolved twice with the cavity
     Lorentzian, on the envelope's grid.  The measured envelope is divided
     by its maximum, and the single parameter a = g**2/gamma of the
-    peak-normalized closed-form envelope is fitted by bounded scalar
+    peak-normalized closed-form envelope
+    (1 + a*S_max)/(a*S_max) * a*S/(1 + a*S), which equals 1 at the
+    spectral peak whatever a is, is fitted by bounded scalar
     minimization on log(a) over g in _G_BOUNDS_UEV (Brent's method,
     absolute tolerance 1e-6 in log(a), at most 200 evaluations).
 
@@ -268,13 +241,17 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
         return EnvelopeFit(0.0, 0.0, 0.0, 0.0, 0, True, flag="below-noise-floor")
 
     s_values = s_dtilde.values
+    s_max = float(np.max(s_values))
+    if s_max <= 0:
+        raise ValueError("spectrum has no positive values")
     target = e_mod_measured.values / measured_max
 
     log_lo = np.log(_G_BOUNDS_UEV[0] ** 2 / gamma_uev)
     log_hi = np.log(_G_BOUNDS_UEV[1] ** 2 / gamma_uev)
 
     def cost(log_a):
-        model = normalized_envelope_model(np.exp(log_a), s_values)
+        a = np.exp(log_a)
+        model = hill_envelope(a, s_values, c=(1.0 + a * s_max) / (a * s_max))
         return float(np.mean((model - target) ** 2))
 
     log_a, fun, iterations, converged = _brent_bounded(
@@ -292,7 +269,6 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
         flag = (flag + ";" if flag else "") + "not-converged"
         warnings.warn("envelope fit did not converge; returning best iterate")
 
-    s_max = float(np.max(s_values))
     c = measured_max * (1.0 + a_fit * s_max) / (a_fit * s_max)
     return EnvelopeFit(g_fit, a_fit, c, rms, iterations, converged, flag)
 

@@ -196,9 +196,10 @@ def fit_biexponential(trace):
     lower = [bin_ps / 10.0, bin_ps / 10.0, 0.0, 0.0]
     result = _trf_lower_bounded(residuals, x0, lower, ftol=1e-10, xtol=1e-10,
                                 max_nfev=500 * 4)
-    tau1, tau2, a1, a2 = result.x
-    if tau1 > tau2:
-        tau1, tau2, a1, a2 = tau2, tau1, a2, a1
+    # tau1 is the shorter lifetime; its amplitude and sigma go with it
+    order = [1, 0] if result.x[0] > result.x[1] else [0, 1]
+    tau1, tau2 = result.x[order]
+    a1, a2 = result.x[2:][order]
 
     flag = ""
     converged = bool(result.status > 0)
@@ -209,10 +210,10 @@ def fit_biexponential(trace):
     if abs(tau2 - tau1) < _DEGENERATE_TAU_RTOL * tau2:
         return _monoexp_collapse(c, sigma, model, tau2, a1 + a2)
 
-    sig = _parameter_sigmas(result)
+    sigma_tau1, sigma_tau2 = _parameter_sigmas(result)[order]
     long_weight = a2 * tau2 / (a1 * tau1 + a2 * tau2)
     return BiexpFit(float(tau1), float(tau2), float(a1), float(a2),
-                    float(long_weight), sig[0], sig[1], converged, flag)
+                    float(long_weight), sigma_tau1, sigma_tau2, converged, flag)
 
 
 def _initial_biexp_guess(t, c, model):
@@ -404,54 +405,57 @@ def apply_background(g2_values, background):
     return (1.0 - b) ** 2 * np.asarray(g2_values, float) + b * (2.0 - b)
 
 
-def g2_correlation(scheme, mode, tau_grid_ps, irf=32.0, f_rep_hz=None):
-    """Measured g2(tau) of the three-level emitter.
-
-    cw: closed-form correlation with the scheme's background fraction
-    folded in, convolved with the (pair) timing response: a Gaussian of
-    FWHM `irf` ps, 0 for none.
-
-    pulsed: comb of correlation peaks at multiples of 1/f_rep whose areas
-    follow the cw correlation sampled at the peak centers (the zero-delay
-    peak carries only the background coincidences), each peak shaped as
-    the two-sided exponential of the bright-state lifetime, convolved
-    with the timing response.
-    """
+def _delay_grid(tau_grid_ps):
+    """Float delays of a g2 grid: >= 3 points, uniform and symmetric about
+    zero; returns (tau, bin_ps)."""
     tau = np.asarray(tau_grid_ps, dtype=float)
     if tau.size < 3:
         raise ValueError("tau grid needs at least 3 points")
     if abs(tau[0] + tau[-1]) > 1e-6 * max(abs(tau[0]), abs(tau[-1])):
         raise ValueError("tau grid must be symmetric about zero")
-    bin_ps = uniform_step(tau)
+    return tau, uniform_step(tau)
+
+
+def g2_correlation(scheme, tau_grid_ps, irf=32.0):
+    """Measured cw g2(tau) of the three-level emitter: the closed-form
+    correlation with the scheme's background fraction folded in,
+    convolved with the (pair) timing response, a Gaussian of FWHM `irf`
+    ps (0 for none)."""
+    tau, bin_ps = _delay_grid(tau_grid_ps)
     kernel = _irf_kernel(irf, bin_ps, tau.size)
+    g2 = apply_background(g2_emitter_cw(scheme, tau), scheme.background)
+    if kernel is not None:
+        # pad with the asymptotic value so the edge bins stay near 1
+        half = (kernel.size - 1) // 2
+        padded = np.pad(g2, half, mode="edge")
+        g2 = fft_convolver(kernel, padded.size)(padded)[half:half + tau.size]
+    return g2
 
-    if mode == "cw":
-        g2 = apply_background(g2_emitter_cw(scheme, tau), scheme.background)
-        if kernel is not None:
-            # pad with the asymptotic value so the edge bins stay near 1
-            half = (kernel.size - 1) // 2
-            padded = np.pad(g2, half, mode="edge")
-            g2 = fft_convolver(kernel, padded.size)(padded)[half:half + tau.size]
-        return g2
 
-    if mode == "pulsed":
-        if f_rep_hz is None or not f_rep_hz > 0:
-            raise ValueError("pulsed correlations need a positive f_rep_hz")
-        period_ps = 1e12 / f_rep_hz
-        tau_e = HBAR_UEV_PS / scheme.gamma_total_uev
-        n_side = int(np.floor(tau[-1] / period_ps))
-        centers = np.arange(-n_side, n_side + 1) * period_ps
-        areas = apply_background(g2_emitter_cw(scheme, centers), scheme.background)
-        areas[n_side] = apply_background(0.0, scheme.background)
-        comb = np.zeros_like(tau)
-        for center, area in zip(centers, areas):
-            peak = np.exp(-np.abs(tau - center) / tau_e) / (2.0 * tau_e)
-            comb += area * peak * period_ps
-        if kernel is not None:
-            comb = _convolve_centered(comb, fft_convolver(kernel, tau.size))
-        return comb
-
-    raise ValueError(f"mode must be 'cw' or 'pulsed', got {mode!r}")
+def pulsed_g2_comb(scheme, tau_grid_ps, f_rep_hz, irf=32.0):
+    """Measured pulsed g2(tau) of the three-level emitter: a comb of
+    correlation peaks at multiples of 1/f_rep whose areas follow the cw
+    correlation sampled at the peak centers (the zero-delay peak carries
+    only the background coincidences), each peak shaped as the two-sided
+    exponential of the bright-state lifetime, convolved with the timing
+    response of FWHM `irf` ps (0 for none)."""
+    tau, bin_ps = _delay_grid(tau_grid_ps)
+    kernel = _irf_kernel(irf, bin_ps, tau.size)
+    if not f_rep_hz > 0:
+        raise ValueError("pulsed correlations need a positive f_rep_hz")
+    period_ps = 1e12 / f_rep_hz
+    tau_e = HBAR_UEV_PS / scheme.gamma_total_uev
+    n_side = int(np.floor(tau[-1] / period_ps))
+    centers = np.arange(-n_side, n_side + 1) * period_ps
+    areas = apply_background(g2_emitter_cw(scheme, centers), scheme.background)
+    areas[n_side] = apply_background(0.0, scheme.background)
+    comb = np.zeros_like(tau)
+    for center, area in zip(centers, areas):
+        peak = np.exp(-np.abs(tau - center) / tau_e) / (2.0 * tau_e)
+        comb += area * peak * period_ps
+    if kernel is not None:
+        comb = _convolve_centered(comb, fft_convolver(kernel, tau.size))
+    return comb
 
 
 def pulsed_g2_zero(tau_ps, g2_values, f_rep_hz):

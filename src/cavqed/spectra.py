@@ -213,11 +213,6 @@ class EmitterModel:
         if not 0.0 <= self.eta_qy <= 1.0:
             raise ValueError(f"quantum yield must be in [0, 1], got {self.eta_qy}")
 
-    @property
-    def gamma_radiative_uev(self):
-        """Radiative part of the free-space decay rate."""
-        return self.eta_qy * self.gamma_fs_uev
-
 
 def energy_grid(center_uev, half_span_uev, step_uev):
     """Uniform, symmetric energy grid centered on `center_uev`.

@@ -153,7 +153,7 @@ def test_criterion_6b_si_approximation_residual():
     g = 6.13  # lifetime-scale coupling, the smaller of the two quoted couplings
     coupling = CouplingParams(g, GAMMA, KAPPA)
     beta = cqed.brightness_profile(coupling, s_tilde)
-    swept = cqed.modulation_envelope(beta, KAPPA).values
+    swept = spectra.convolve_lorentzian(beta, KAPPA).values
     closed = cqed.hill_envelope(coupling.a, s_dtilde.values)
     residual = float(np.std(swept / swept.max() - closed / closed.max()))
     ok = residual < 5e-5
@@ -251,7 +251,7 @@ def test_criterion_10_g2_model():
     # clean three-level scheme: full antibunching, unit tails
     clean = dynamics.LevelScheme(0.374, GAMMA, 0.0, 0.0, 0.0)
     tau_clean = np.arange(-6000, 6001) * 2.0
-    g2_clean = dynamics.g2_correlation(clean, "cw", tau_clean, irf=0.0)
+    g2_clean = dynamics.g2_correlation(clean, tau_clean, irf=0.0)
     clean_ok = abs(g2_clean[tau_clean.size // 2]) <= 1e-12 \
         and abs(g2_clean[-1] - 1.0) <= 1e-6
     tau = np.arange(-3000, 3001) * 1.0
@@ -260,13 +260,13 @@ def test_criterion_10_g2_model():
     scheme = dynamics.LevelScheme(defaults["pump_uev"], GAMMA,
                                   defaults["k_shelve_uev"], defaults["k_deshelve_uev"],
                                   defaults["background"])
-    g2_raw = dynamics.g2_correlation(scheme, "cw", tau, irf=defaults["irf_fwhm_ps"])
+    g2_raw = dynamics.g2_correlation(scheme, tau, irf=defaults["irf_fwhm_ps"])
     raw_zero = float(g2_raw[tau.size // 2])
     corrected = float(dynamics.apply_background(0.0, scheme.background))
     zero_ok = abs(raw_zero - 0.40) <= 0.01 and abs(corrected - 0.36) <= 1e-9
 
     tau_long = np.arange(-15000, 15001) * 4.0
-    g2_long = dynamics.g2_correlation(scheme, "cw", tau_long, irf=defaults["irf_fwhm_ps"])
+    g2_long = dynamics.g2_correlation(scheme, tau_long, irf=defaults["irf_fwhm_ps"])
     fast, _ = dynamics.g2_eigenrates(scheme)
     mask = (tau_long > 2.0 / fast) & (g2_long > 1.0 + 1e-4)
     slope = np.polyfit(tau_long[mask], np.log(g2_long[mask] - 1.0), 1)[0]

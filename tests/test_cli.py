@@ -429,6 +429,39 @@ class TestExitCodes:
         assert [(r.get("warning"), r.get("exit_code")) for r in records] \
             == [("UserWarning", None), (None, EXIT_FIT)]
 
+    @staticmethod
+    def _solver_never_converges(monkeypatch):
+        # the real solver's result, reported as stopped at max_nfev
+        solve = dynamics._trf_lower_bounded
+
+        def unconverged(*args, **kwargs):
+            return solve(*args, **kwargs)._replace(status=0)
+
+        monkeypatch.setattr(dynamics, "_trf_lower_bounded", unconverged)
+
+    def test_unconverged_saturation_fit_exits_3(self, tmp_path, monkeypatch, capsys):
+        self._solver_never_converges(monkeypatch)
+        code, out = run(tmp_path, "saturation")
+        assert code == EXIT_FIT
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["exit_code"] == EXIT_FIT
+        assert record["message"] == "saturation: 1 fit(s) did not converge"
+        assert not out.exists()
+
+    def test_unconverged_lifetime_fit_warns_before_exit_3(self, tmp_path, monkeypatch,
+                                                          capsys):
+        self._solver_never_converges(monkeypatch)
+        code, out = run(tmp_path, "lifetime")
+        assert code == EXIT_FIT
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        *warned, failed = records
+        assert warned
+        assert all(r["warning"] == "UserWarning" and "did not converge" in r["message"]
+                   for r in warned)
+        assert failed["exit_code"] == EXIT_FIT
+        assert failed["message"] == "lifetime: 2 fit(s) did not converge"
+        assert not out.exists()
+
     @pytest.mark.parametrize("code", [EXIT_CONFIG, EXIT_FIT, EXIT_IO])
     def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, code):
         import cavqed.cli as cli_mod

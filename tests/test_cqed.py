@@ -12,8 +12,6 @@ from cavqed.cqed import (
     g_from_lifetime,
     hill_envelope,
     invert_envelope,
-    modulation_envelope,
-    normalized_envelope_model,
     purcell_factor,
     solve_fp_and_qy,
     steady_state,
@@ -37,26 +35,26 @@ class TestPurcellFactor:
     def test_definition_inversion(self):
         q = 7.3e3
         v = 3.0 / (4.0 * np.pi ** 2) * q
-        assert purcell_factor(1275.0, 1.0, v, q) == pytest.approx(1.0, rel=1e-12)
+        assert purcell_factor(1.0, v, q) == pytest.approx(1.0, rel=1e-12)
 
     def test_paper_mode_with_cavity_q(self):
         # oracle: (3/4pi^2) * 1.12e4 / 2.49
         expected = 3.0 / (4.0 * np.pi ** 2) * 1.12e4 / 2.49
         assert expected == pytest.approx(341.8, abs=0.3)
-        assert purcell_factor(1275.0, 1.0, 2.49, 1.12e4) == pytest.approx(expected, rel=1e-12)
+        assert purcell_factor(1.0, 2.49, 1.12e4) == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneous_in_q_and_v(self):
-        base = purcell_factor(1275.0, 1.0, 2.49, 1.12e4)
-        assert purcell_factor(1275.0, 1.0, 4.98, 2.24e4) == pytest.approx(base, rel=1e-12)
+        base = purcell_factor(1.0, 2.49, 1.12e4)
+        assert purcell_factor(1.0, 4.98, 2.24e4) == pytest.approx(base, rel=1e-12)
 
     def test_doubles_when_volume_halves(self):
-        base = purcell_factor(1275.0, 1.0, 2.49, 1.12e4)
-        assert purcell_factor(1275.0, 1.0, 1.245, 1.12e4) == pytest.approx(2 * base, rel=1e-12)
+        base = purcell_factor(1.0, 2.49, 1.12e4)
+        assert purcell_factor(1.0, 1.245, 1.12e4) == pytest.approx(2 * base, rel=1e-12)
 
     def test_refractive_index_conversion(self):
         # v_eff in lambda^3 units converts by n^3 into (lambda/n)^3 units
-        assert purcell_factor(1275.0, 2.0, 2.49, 1.12e4) == pytest.approx(
-            purcell_factor(1275.0, 1.0, 2.49 * 8.0, 1.12e4), rel=1e-12)
+        assert purcell_factor(2.0, 2.49, 1.12e4) == pytest.approx(
+            purcell_factor(1.0, 2.49 * 8.0, 1.12e4), rel=1e-12)
 
 
 class TestBrighteningRatios:
@@ -209,10 +207,11 @@ class TestSteadyState:
 
 
 class TestModulationEnvelope:
+    # the swept envelope E_mod = L_kappa * beta is spectra.convolve_lorentzian
     def test_constant_profile_preserved(self):
         grid = energy_grid(0.0, 50000.0, 10.0)
         beta = Spectrum(grid, np.full(grid.size, 0.4), RAW_COUNTS)
-        out = modulation_envelope(beta, 60.0)
+        out = spectra.convolve_lorentzian(beta, 60.0)
         central = np.abs(grid) <= 10000.0
         assert np.allclose(out.values[central], 0.4, rtol=2e-3)
 
@@ -224,7 +223,7 @@ class TestModulationEnvelope:
         central = np.abs(grid) <= 1500.0
         errors = []
         for kappa in (50.0, 5.0):
-            out = modulation_envelope(beta, kappa)
+            out = spectra.convolve_lorentzian(beta, kappa)
             errors.append(np.max(np.abs(out.values[central] - beta.values[central])))
         assert errors[1] <= errors[0] / 8.0
 
@@ -232,7 +231,7 @@ class TestModulationEnvelope:
         grid = energy_grid(0.0, 1000.0, 10.0)
         beta = Spectrum(grid, np.ones(grid.size), RAW_COUNTS)
         with pytest.raises(ValueError, match="resolution"):
-            modulation_envelope(beta, 20.0)
+            spectra.convolve_lorentzian(beta, 20.0)
 
 
 class TestInvertEnvelope:
@@ -311,11 +310,31 @@ class TestFitGFromEnvelope:
         assert fit.flag == "below-noise-floor"
         assert fit.g_uev == 0.0
 
-    def test_normalized_model_peaks_at_one(self, paper_fs_spectrum):
+    def test_unsaturated_envelope_flags_noise_floor(self, paper_fs_spectrum):
+        # an envelope proportional to S itself is the a -> 0 limit
         s_dtilde = spectra.convolve_lorentzian(
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
+        fit = fit_g_from_envelope(s_dtilde, s_dtilde, GAMMA)
+        assert fit.flag == "below-noise-floor"
+        assert fit.converged
+
+    def test_flat_envelope_flags_upper_bound(self, paper_grid, paper_fs_spectrum):
+        # a flat envelope is the fully saturated a -> infinity limit
+        s_dtilde = spectra.convolve_lorentzian(
+            spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
+        envelope = Spectrum(paper_grid, np.ones(paper_grid.size), RAW_COUNTS)
+        fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
+        assert fit.flag == "at-upper-bound"
+        assert fit.converged
+
+    def test_normalized_model_peaks_at_one(self, paper_fs_spectrum):
+        # the scale c = (1 + a*S_max)/(a*S_max) the fit compares the
+        # measured envelope over its maximum with
+        s_dtilde = spectra.convolve_lorentzian(
+            spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
+        s_max = s_dtilde.values.max()
         for a in (0.1, 10.0, 1000.0):
-            model = normalized_envelope_model(a, s_dtilde.values)
+            model = hill_envelope(a, s_dtilde.values, c=(1.0 + a * s_max) / (a * s_max))
             assert model.max() == pytest.approx(1.0, rel=1e-12)
 
     def test_grid_mismatch_rejected(self, paper_fs_spectrum):

@@ -13,6 +13,7 @@ from cavqed.dynamics import (
     g2_correlation,
     g2_eigenrates,
     g2_emitter_cw,
+    pulsed_g2_comb,
     pulsed_g2_zero,
     qy_from_saturation,
     saturation_curve,
@@ -81,7 +82,7 @@ class TestSimulateDecay:
         with pytest.raises(ValueError, match="IRF FWHM"):
             simulate_decay(GAMMA_FS, 1.0, (2.0, 1.0), 23.0, irf, default_grid())
         with pytest.raises(ValueError, match="IRF FWHM"):
-            g2_correlation(PAPER_SCHEME, "cw", np.arange(-100, 101) * 4.0, irf=irf)
+            g2_correlation(PAPER_SCHEME, np.arange(-100, 101) * 4.0, irf=irf)
 
 
 class TestFitBiexponential:
@@ -112,13 +113,41 @@ class TestFitBiexponential:
             assert fit.tau2_ps == pytest.approx(tau2, rel=0.05)
             assert fit.tau1_ps == pytest.approx(tau1, rel=0.25)
 
-    def test_monoexponential_collapses(self):
+    def test_absent_short_component_gives_unit_long_weight(self):
+        # the short amplitude is fitted to ~0 rather than collapsed
         grid = default_grid(2.0)
         trace = simulate_decay(GAMMA_FS, 1.0, (0.0, 2.0), 23.0, 32.0, grid)
         fit = fit_biexponential(trace)
         assert fit.long_weight == pytest.approx(1.0, abs=1e-6)
         assert fit.a2 * fit.tau2_ps / (fit.a1 * fit.tau1_ps + fit.a2 * fit.tau2_ps) \
             == pytest.approx(1.0, abs=1e-6)
+
+    def test_close_lifetimes_collapse_to_monoexponential(self):
+        # 246 and 256 ps lie within the 5% collapse tolerance
+        grid = np.arange(-40, 400) * 4.0
+        trace = simulate_decay(HBAR_UEV_PS / 256.0, 1.0, (2.0, 1.0), 246.0, 0.0, grid)
+        fit = fit_biexponential(trace)
+        assert fit.flag == "degenerate-collapsed-to-monoexponential"
+        assert fit.tau1_ps == fit.tau2_ps
+        assert fit.tau1_ps == pytest.approx(249.34, abs=0.01)
+        assert fit.a1 == 0.0
+        assert fit.long_weight == 1.0
+        assert fit.converged
+
+    def test_swapped_lifetimes_keep_their_sigmas(self):
+        # the solver ends with x[0] > x[1] on this single-lifetime trace;
+        # reordering the lifetimes must reorder their sigmas too
+        grid = np.arange(-40, 400) * 4.0
+        clean = simulate_decay(HBAR_UEV_PS / 256.0, 1.0, (1.0, 1.0), 256.0, 32.0, grid)
+        rng = np.random.default_rng(0)
+        counts = rng.poisson(clean.counts * (1e5 / clean.counts.max())).astype(float)
+        fit = fit_biexponential(DecayTrace(grid, counts, 32.0))
+        assert fit.tau1_ps == pytest.approx(256.0, abs=1.0)
+        assert fit.tau1_ps < fit.tau2_ps
+        # the well-determined lifetime has the small sigma; the one of
+        # the vanishing second amplitude is undetermined
+        assert fit.sigma_tau1_ps < 1.0
+        assert fit.sigma_tau2_ps > fit.tau2_ps
 
     def test_long_weight_definition(self):
         fit = fit_biexponential(poisson_trace(3))
@@ -269,7 +298,7 @@ class TestG2:
     def test_no_shelving_no_background(self):
         scheme = LevelScheme(pump_uev=0.374, gamma_total_uev=GAMMA_FS)
         tau = np.arange(-5000, 5001) * 2.0
-        g2 = g2_correlation(scheme, "cw", tau, irf=0.0)
+        g2 = g2_correlation(scheme, tau, irf=0.0)
         izero = tau.size // 2
         assert g2[izero] == pytest.approx(0.0, abs=1e-12)
         assert g2[-1] == pytest.approx(1.0, abs=1e-6)
@@ -282,7 +311,7 @@ class TestG2:
 
     def test_paper_scheme_raw_and_corrected(self):
         tau = np.arange(-3000, 3001) * 1.0
-        g2 = g2_correlation(PAPER_SCHEME, "cw", tau, irf=32.0)
+        g2 = g2_correlation(PAPER_SCHEME, tau, irf=32.0)
         assert g2[tau.size // 2] == pytest.approx(0.40, abs=0.01)
         assert apply_background(0.0, PAPER_SCHEME.background) == pytest.approx(0.36, rel=1e-12)
 
@@ -290,7 +319,7 @@ class TestG2:
         fast, slow = g2_eigenrates(PAPER_SCHEME)
         assert 1.0 / slow == pytest.approx(10000.0, rel=0.01)
         tau = np.arange(-15000, 15001) * 4.0
-        g2 = g2_correlation(PAPER_SCHEME, "cw", tau, irf=32.0)
+        g2 = g2_correlation(PAPER_SCHEME, tau, irf=32.0)
         mask = (tau > 2.0 / fast) & (g2 > 1.0 + 1e-4)
         slope = np.polyfit(tau[mask], np.log(g2[mask] - 1.0), 1)[0]
         assert -1.0 / slope == pytest.approx(10000.0, rel=0.10)
@@ -299,7 +328,7 @@ class TestG2:
         tau = np.arange(-30000, 30001) * 8.0
         for scheme in (PAPER_SCHEME,
                        LevelScheme(0.1, GAMMA_FS, 0.05, 0.02, 0.0)):
-            g2 = g2_correlation(scheme, "cw", tau, irf=0.0)
+            g2 = g2_correlation(scheme, tau, irf=0.0)
             assert g2[0] == pytest.approx(1.0, abs=1e-3)
             assert g2[-1] == pytest.approx(1.0, abs=1e-3)
 
@@ -313,7 +342,7 @@ class TestG2:
     def test_pulsed_zero_peak_suppressed(self):
         f_rep = 38.26e6
         tau = np.arange(-60000, 60001) * 8.0
-        g2 = g2_correlation(PAPER_SCHEME, "pulsed", tau, irf=32.0, f_rep_hz=f_rep)
+        g2 = pulsed_g2_comb(PAPER_SCHEME, tau, f_rep, irf=32.0)
         ratio = pulsed_g2_zero(tau, g2, f_rep)
         floor = PAPER_SCHEME.background * (2.0 - PAPER_SCHEME.background)
         assert ratio == pytest.approx(floor, rel=0.1)
@@ -324,12 +353,14 @@ class TestG2:
                              k_shelve_uev=0.12, k_deshelve_uev=0.0508598)
         f_rep = 38.26e6
         tau = np.arange(-60000, 60001) * 8.0
-        g2 = g2_correlation(scheme, "pulsed", tau, irf=32.0, f_rep_hz=f_rep)
+        g2 = pulsed_g2_comb(scheme, tau, f_rep, irf=32.0)
         assert pulsed_g2_zero(tau, g2, f_rep) == pytest.approx(0.0, abs=1e-6)
 
     def test_asymmetric_grid_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            g2_correlation(PAPER_SCHEME, "cw", np.arange(0.0, 100.0))
+            g2_correlation(PAPER_SCHEME, np.arange(0.0, 100.0))
+        with pytest.raises(ValueError, match="symmetric"):
+            pulsed_g2_comb(PAPER_SCHEME, np.arange(0.0, 100.0), 38.26e6)
 
     def test_shelving_needs_deshelving(self):
         with pytest.raises(ValueError, match="deshelving"):
@@ -341,5 +372,5 @@ class TestG2:
     def test_g2_zero_formula_property(self, pump, k_s, k_d, b):
         scheme = LevelScheme(pump, GAMMA_FS, k_s, k_d, b)
         tau = np.arange(-500, 501) * 2.0
-        g2 = g2_correlation(scheme, "cw", tau, irf=0.0)
+        g2 = g2_correlation(scheme, tau, irf=0.0)
         assert g2[tau.size // 2] == pytest.approx(b * (2.0 - b), rel=1e-9, abs=1e-12)

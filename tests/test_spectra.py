@@ -74,7 +74,7 @@ _GRID_USERS = {
     "Spectrum": lambda grid, values: Spectrum(grid, values),
     "DecayTrace": lambda grid, values: DecayTrace(grid, values),
     "g2_correlation": lambda grid, values: g2_correlation(
-        LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), "cw", grid, irf=0.0),
+        LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), grid, irf=0.0),
 }
 
 
@@ -276,10 +276,6 @@ class TestEmitterModelValidation:
     def test_negative_temperature(self):
         with pytest.raises(ValueError):
             EmitterModel(0.0, 10.0, 0.5, temperature_k=-1.0)
-
-    def test_radiative_rate(self):
-        model = EmitterModel(0.0, 10.0, 0.5, gamma_fs_uev=2.0, eta_qy=0.25)
-        assert model.gamma_radiative_uev == pytest.approx(0.5)
 
 
 class TestDebyeWaller:

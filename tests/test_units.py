@@ -72,8 +72,8 @@ COUPLING = CouplingParams(10.0, 2.5, 100.0)
 
 
 SCALAR_CHECKS = [
-    (0, cqed.purcell_factor, (NAN, 1.0, 2.49, 1e4)),
-    (1, cqed.purcell_factor, (1275.0, 1.0, NAN, 1e4)),
+    (0, cqed.purcell_factor, (NAN, 2.49, 1e4)),
+    (1, cqed.purcell_factor, (1.0, NAN, 1e4)),
     (2, cqed.brightening_ratios, (0.65, NAN, 0.01)),
     (3, cqed.solve_fp_and_qy, (NAN, 2.0, 0.65)),
     (4, cqed.solve_fp_and_qy, (10.0, NAN, 0.65)),
@@ -92,8 +92,8 @@ SCALAR_CHECKS = [
     (18, dynamics.saturation_curve, ([NAN, 2.0], 1.0, 1.0, "cw")),
     (19, dynamics.qy_from_saturation, (NAN, 0.1, 8e7)),
     (20, dynamics.qy_from_saturation, (1e5, 0.1, NAN)),
-    (21, dynamics.g2_correlation, (LevelScheme(0.4, 2.5), "pulsed",
-                                   np.linspace(-1e4, 1e4, 201), 0.0, NAN)),
+    (21, dynamics.pulsed_g2_comb, (LevelScheme(0.4, 2.5),
+                                   np.linspace(-1e4, 1e4, 201), NAN, 0.0)),
     (22, budget.detected_port_ratio, (None, None, NAN, 0.5)),
     (23, budget.fiber_flux_from_ccd, (NAN, 44.0)),
     (24, budget.fiber_flux_from_ccd, (1e5, NAN)),
