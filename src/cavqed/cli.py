@@ -27,6 +27,7 @@ stops on a bad config start without paying for numpy.
 """
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -711,7 +712,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first `main` call of a
+    process and reused: parsing reads it and writes only the namespace."""
     parser = _ArgumentParser(prog="pl", description="Cavity-QED analysis workflows")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
@@ -721,10 +725,14 @@ def main(argv=None):
                         help=f"seed for stochastic sweeps (default {DEFAULT_SEED})")
     parser.add_argument("--parallel", type=int, default=1,
                         help="accepted for compatibility and ignored: sweeps run in one thread")
+    return parser
+
+
+def main(argv=None):
     # argparse fills in the command word only once it has read a valid one
     args = argparse.Namespace(command=None)
     try:
-        parser.parse_args(argv, args)
+        _parser().parse_args(argv, args)
     except ConfigError as err:
         return _fail(args.command, EXIT_CONFIG, err)
     out_dir = Path(args.out)

@@ -400,6 +400,18 @@ class TestExitCodes:
         assert payload["error"] and payload["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; each call starts from the defaults
+        assert run(tmp_path, "saturation", "--seed", "7", config={"seed": 5}, name="a")[0] == EXIT_OK
+        assert run(tmp_path, "saturation", config={"seed": 5}, name="b")[0] == EXIT_OK
+        assert run(tmp_path, "saturation", "--seed", "5", name="c")[0] == EXIT_OK
+        a, b, c = (read_report(tmp_path / name, "saturation_report.json") for name in "abc")
+        assert b == c != a
+        capsys.readouterr()
+        assert main(["--seed", "abc", "saturation"]) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["command"] is None
+
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1}))
@@ -567,7 +579,8 @@ class TestInputData:
         ("brightness", "envelope_csv", "energy,value\n0,1\n1,1",
          "expected header 'energy_ueV,value', got 'energy,value'"),
         ("saturation", "curve_csv", "power,counts\n0,1\n1,x",
-         "malformed number: could not convert string to float: 'x'"),
+         "malformed number in data row 2, column 'counts': "
+         "could not convert string to float: 'x'"),
     ], ids=["envelope-grid", "trace-count", "curve-counts", "curve-power", "envelope-header",
             "curve-number"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):

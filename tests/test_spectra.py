@@ -563,10 +563,30 @@ class TestCsvRoundTrip:
         ("energy_ueV,value\n1,2\n", "two data rows"),
         ("energy_ueV,value\n1,2\n2,3,4\n", "two columns"),
         ("energy_ueV,value\n1,2\n\n2,3\n", "two columns"),
+        ("energy_ueV,value\n1,2\n2,3\n\n", "two columns"),
+        # the shape is checked line by line: four cells in all are not enough
+        ("energy_ueV,value\n1,2,3\n4\n", "two columns"),
         ("energy_ueV,value\n1,2\n2,x\n", "malformed"),
+        ("energy_ueV,value\n1,2\n2,\n",
+         "^malformed number in data row 2, column 'value': could not convert string to float: ''$"),
+        ("energy_ueV,value\n,2\n2,3\n", "^malformed number in data row 1, column 'energy_ueV': "),
+        # of two bad cells the first in reading order is named
+        ("energy_ueV,value\n1,2\n2,y\nx,3\n", "^malformed number in data row 2, column 'value': .*'y'$"),
         ("energy_ueV,value\n1,2\n2,nan\n", "non-finite value in data row 2"),
         ("energy_ueV,value\n-inf,2\n2,3\n", "non-finite value in data row 1"),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_two_column_csv(text, spectra.SPECTRUM_HEADER)
+
+    @pytest.mark.parametrize("text", [
+        "energy_ueV,value\r\n1,2\r\n2.5,3e-3\r\n",
+        "energy_ueV,value\n 1 ,\t2\n2.5 , 3e-3 \n",
+        "energy_ueV,value\n-0.0,1e-320\n1e308,-2.2250738585072014e-308",
+    ])
+    def test_parse_accepts(self, text):
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        x, y = parse_two_column_csv(text, spectra.SPECTRUM_HEADER)
+        assert x.tobytes() == np.array([float(row[0]) for row in rows]).tobytes()
+        assert y.tobytes() == np.array([float(row[1]) for row in rows]).tobytes()
+        assert x.flags.c_contiguous and y.flags.c_contiguous
