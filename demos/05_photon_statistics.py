@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from cavqed import dynamics, fixtures, svg
+from cavqed import cli, dynamics, svg
 from cavqed.units import HBAR_UEV_PS
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
-defaults = fixtures.paper_defaults()["g2_scheme"]
+defaults = cli.load_config(None, "paper")["g2_scheme"]
 scheme = dynamics.LevelScheme(
     pump_uev=defaults["pump_uev"],
     gamma_total_uev=HBAR_UEV_PS / 256.0,

@@ -9,11 +9,11 @@ overlaid on top.  A run has three steps: `load_config` checks every value
 of the merged config against its rule in CONFIG_KEYS (a failure exits 2,
 naming the dotted key) and fills in the defaults, the command computes
 `(report, files)` without touching the disk, and `write_outputs` writes
-them.  --seed and --parallel pass the same one-value check as a config
-value.  Every command is deterministic for a given (config, seed):
-stochastic sweeps draw from counter-based Philox streams keyed by (seed,
-task index).  --parallel is accepted and ignored: every sweep task takes
-milliseconds, so it runs in one thread.
+them, all or nothing.  --seed and --parallel pass the same one-value
+check as a config value.  Every command is deterministic for a given
+(config, seed): stochastic sweeps draw from counter-based Philox streams
+keyed by (seed, task index).  --parallel is accepted and ignored: every
+sweep task takes milliseconds, so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 4 I/O error.  Diagnostics, Python warnings and command-line errors
@@ -29,7 +29,10 @@ stops on a bad config start without paying for numpy.
 import argparse
 import functools
 import json
+import os
+import shutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -246,15 +249,11 @@ def emitter_from_config(config):
     )
 
 
-def _mode_rows(config, key="mode_orders"):
-    """[(p, fixture table S1 row)] for the mode orders of config key
-    cavity.<key>: the list cavity.mode_orders (None: every row) or the one
-    cavity.mode_order."""
+def _mode_rows(orders, key):
+    """[(p, fixture table S1 row)] for a list of mode orders (None: every
+    row); `key` names the config key they came from in an error."""
     table = fixtures.load_table_s1()
-    orders = config["cavity"][key]
-    if key == "mode_order":
-        orders = [orders]
-    elif orders is None:
+    if orders is None:
         orders = sorted(table)
     for p in orders:
         if p not in table:
@@ -267,7 +266,7 @@ def _mode_kappa(config, energy):
     """(p, cavity linewidth) of cavity.mode_order, from the fixture Q."""
     from . import cavity as cavity_mod
 
-    [(p, row)] = _mode_rows(config, "mode_order")
+    [(p, row)] = _mode_rows([config["cavity"]["mode_order"]], "mode_order")
     return p, cavity_mod.kappa_from_q(energy, row["q_exp"])
 
 
@@ -337,7 +336,7 @@ def cmd_purcell(config, seed):
     q_emitter = energy / model.zpl_fwhm_uev
 
     modes = []
-    for p, row in _mode_rows(config):
+    for p, row in _mode_rows(cav["mode_orders"], "mode_orders"):
         geometry = cavity_mod.CavityGeometry(
             config["emitter"]["wavelength_nm"], cav["refractive_index"],
             cav["radius_of_curvature_um"], p)
@@ -419,7 +418,7 @@ def cmd_brightness(config, seed):
                   "fit": fit.to_record()}
         return report, {}
 
-    rows = _mode_rows(config)
+    rows = _mode_rows(config["cavity"]["mode_orders"], "mode_orders")
     g_max = config["measured"]["g_spectral_max_uev"]
     noise_frac = options["noise_frac"]
     v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
@@ -438,7 +437,7 @@ def cmd_brightness(config, seed):
         envelope = _synthetic_envelope(
             s_dtilde, g_true, gamma, noise_frac, task_rng(seed, index))
         fit = cqed.fit_g_from_envelope(envelope, s_dtilde, gamma)
-        coupling = cqed.CouplingParams(max(fit.g_uev, 0.0), gamma, kappa)
+        coupling = cqed.CouplingParams(fit.g_uev, gamma, kappa)
         beta = cqed.brightness_profile(coupling, s_tilde)
         files[f"envelope_p{p}.csv"] = (header, grid, envelope.values)
         files[f"beta_p{p}.csv"] = (header, grid, beta.values)
@@ -618,7 +617,7 @@ def cmd_budget(config, seed):
     measured = config["measured"]
     extractions, chains = fixtures.load_table_s2()
     summary = fixtures.load_table_s3()
-    [(_, exits)] = _mode_rows(config, "mode_order")
+    [(_, exits)] = _mode_rows([config["cavity"]["mode_order"]], "mode_order")
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])
                for name in chains}
@@ -673,23 +672,41 @@ def write_outputs(out_dir, command, report, files):
     """Write a command's files and `<command>_report.json` into out_dir,
     creating it.  A ".csv" name takes a (header, x, y) table; any other
     name is an ".svg" one and takes an (x, series, labels) plot, `labels`
-    being the keyword arguments of svg.write_line_svg."""
+    being the keyword arguments of svg.write_line_svg.
+
+    All or nothing: the files are written into a hidden staging directory
+    in out_dir and moved into place once all are written and no directory
+    is in the way.  A failure removes the staging directory and whatever
+    directories this call made; a file it does not write is never touched."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, item in files.items():
-        path = out_dir / name
-        if name.endswith(".csv"):
-            from . import spectra
-
-            spectra.write_two_column_csv(path, *item)
-        else:
-            from . import svg
-
-            x, series, labels = item
-            svg.write_line_svg(path, x, series, **labels)
-    with open(out_dir / f"{command}_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    made = next((d for d in reversed([out_dir, *out_dir.parents]) if not d.exists()), None)
+    stage = None
+    names = [*files, f"{command}_report.json"]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{command}-", dir=out_dir))
+        if files:
+            from . import spectra, svg
+        for name, item in files.items():
+            path = stage / name
+            if name.endswith(".csv"):
+                spectra.write_two_column_csv(path, *item)
+            else:
+                x, series, labels = item
+                svg.write_line_svg(path, x, series, **labels)
+        with open(stage / names[-1], "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for name in names:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(f"a directory is in the way: {out_dir / name}")
+        for name in names:
+            os.replace(stage / name, out_dir / name)
+    except BaseException:
+        if made or stage:  # made holds stage
+            shutil.rmtree(made or stage, ignore_errors=True)
+        raise
+    stage.rmdir()
 
 
 def _diagnostic(**payload):
@@ -758,7 +775,7 @@ def main(argv=None):
         return _fail(args.command, EXIT_IO, err)
 
     print(json.dumps({"command": args.command, "out_dir": str(out_dir),
-                      "report": report}, sort_keys=True, default=str))
+                      "report": report}, sort_keys=True))
     return EXIT_OK
 
 

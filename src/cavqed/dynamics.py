@@ -28,7 +28,7 @@ class DecayTrace:
 
     time_ps: np.ndarray
     counts: np.ndarray
-    irf: float = 32.0
+    irf: float
     bin_ps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -263,7 +263,7 @@ def _parameter_sigmas(result):
         return np.full(result.x.size, np.nan)
 
 
-def saturation_curve(powers, i_sat, p_sat, mode="cw"):
+def saturation_curve(powers, i_sat, p_sat, mode):
     """Detected rate vs excitation power.
 
     cw:     I = I_sat * P / (P + P_sat)
@@ -309,7 +309,7 @@ def _saturation_data(powers, counts):
     return powers, counts
 
 
-def fit_saturation(powers, counts, mode="cw"):
+def fit_saturation(powers, counts, mode):
     """Least-squares fit of a saturation curve, returns SaturationFit."""
     powers, counts = _saturation_data(powers, counts)
     _check_saturation_mode(mode)
@@ -416,7 +416,7 @@ def _delay_grid(tau_grid_ps):
     return tau, uniform_step(tau)
 
 
-def g2_correlation(scheme, tau_grid_ps, irf=32.0):
+def g2_correlation(scheme, tau_grid_ps, irf):
     """Measured cw g2(tau) of the three-level emitter: the closed-form
     correlation with the scheme's background fraction folded in,
     convolved with the (pair) timing response, a Gaussian of FWHM `irf`
@@ -432,7 +432,7 @@ def g2_correlation(scheme, tau_grid_ps, irf=32.0):
     return g2
 
 
-def pulsed_g2_comb(scheme, tau_grid_ps, f_rep_hz, irf=32.0):
+def pulsed_g2_comb(scheme, tau_grid_ps, f_rep_hz, irf):
     """Measured pulsed g2(tau) of the three-level emitter: a comb of
     correlation peaks at multiples of 1/f_rep whose areas follow the cw
     correlation sampled at the peak centers (the zero-delay peak carries

@@ -1,6 +1,6 @@
 """Fixture tables: simulated cavity figures (mode volume, theoretical Q,
 exit probabilities), the measured stage efficiencies of the three
-collection paths, and the default emitter/cavity parameter set.
+collection paths, and the paper's parameter set.
 
 Fixtures ship with the package; the PL_FIXTURE_DIR environment variable
 points the loaders at an alternative directory.
@@ -122,6 +122,7 @@ def load_table_s3():
 
 
 def paper_defaults():
-    """Default emitter/cavity/scheme parameter set used by `--fixture paper`."""
+    """The `--fixture paper` values that no config default gives; read by
+    cli.load_config alone, which checks them and adds the defaults."""
     with open(fixture_path("paper_defaults.json")) as fh:
         return json.load(fh)

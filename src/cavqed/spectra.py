@@ -411,8 +411,10 @@ def parse_two_column_csv(text, header):
     runs in C: the shape check counts each line's commas, the lines are
     split into one list of cells, and `float` converts the cells straight
     into one array, so the parse costs little more than `float` of each
-    cell.  A content error names the data row, and a malformed number
-    also the column, of the first bad cell in reading order.
+    cell.  Only a body with a non-ASCII character or a "_", which `float`
+    would misread, is checked cell by cell in Python.  A content error
+    names the data row, and a malformed number also the column, of the
+    first bad cell in reading order.
     """
     lines = text.splitlines()
     if not lines or lines[0] != header:
@@ -423,12 +425,14 @@ def parse_two_column_csv(text, header):
     commas = list(map(str.count, body, itertools.repeat(",")))
     if len(body) < 2 or commas.count(1) != len(body):
         raise ValueError("need at least two data rows of two columns")
-    cells = ",".join(body).split(",")
+    joined = ",".join(body)
+    cells = joined.split(",")
     unread = iter(cells)
+    convert = float if joined.isascii() and "_" not in joined else _plain_float
     try:
-        xy = np.fromiter(map(float, unread), float, len(cells))
+        xy = np.fromiter(map(convert, unread), float, len(cells))
     except ValueError as err:
-        # float() stopped at the first bad cell; what it left unread follows it
+        # convert stopped at the first bad cell; what it left unread follows it
         i = len(cells) - len(list(unread)) - 1
         column = header.split(",")[i % 2]
         raise ValueError(f"malformed number in data row {i // 2 + 1}, column {column!r}: "
@@ -438,6 +442,14 @@ def parse_two_column_csv(text, header):
     if not finite.all():
         raise ValueError(f"non-finite value in data row {int(np.argmin(finite)) + 1}")
     return x, y
+
+
+def _plain_float(cell):
+    """float() of a CSV cell, refusing the "1_000" and non-ASCII digits
+    that float() itself takes."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not a plain ASCII number: {cell!r}")
+    return float(cell)
 
 
 @functools.lru_cache(maxsize=4)

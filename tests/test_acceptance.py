@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cavqed import budget as budget_mod
-from cavqed import cqed, dynamics, fixtures, spectra
+from cavqed import cli, cqed, dynamics, fixtures, spectra
 from cavqed.cqed import CouplingParams
 from cavqed.spectra import RAW_COUNTS, EmitterModel, SidebandShape, Spectrum, energy_grid
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
@@ -256,7 +256,7 @@ def test_criterion_10_g2_model():
         and abs(g2_clean[-1] - 1.0) <= 1e-6
     tau = np.arange(-3000, 3001) * 1.0
 
-    defaults = fixtures.paper_defaults()["g2_scheme"]
+    defaults = cli.load_config(None, "paper")["g2_scheme"]
     scheme = dynamics.LevelScheme(defaults["pump_uev"], GAMMA,
                                   defaults["k_shelve_uev"], defaults["k_deshelve_uev"],
                                   defaults["background"])

@@ -222,6 +222,14 @@ class TestG2Command:
         assert report["g2_zero_corrected"] == pytest.approx(0.36, rel=1e-9)
         assert report["bunching_time_fit_ps"] == pytest.approx(10000.0, rel=0.10)
 
+    def test_no_shelving_has_no_bunching(self, tmp_path):
+        code, out = run(tmp_path, "g2",
+                        config={"g2_scheme": {"k_shelve_uev": 0, "k_deshelve_uev": 0}})
+        assert code == EXIT_OK
+        report = read_report(out, "g2_report.json")
+        assert report["bunching_time_ps"] is None
+        assert report["bunching_time_fit_ps"] is None
+
 
 class TestBudgetCommand:
     def test_paper_numbers(self, tmp_path):
@@ -255,6 +263,11 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert main(["purcell", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        assert run(tmp_path, "purcell", config=[1, 2])[0] == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == "config root must be a JSON object"
 
     def test_unknown_fixture_set(self, tmp_path):
         assert main(["purcell", "--fixture", "primo",
@@ -491,6 +504,34 @@ class TestExitCodes:
         assert run(tmp_path, "brightness", config=config)[0] == code
         assert not (tmp_path / "run").exists()
 
+    def test_failed_write_leaves_out_dir_as_it_was(self, tmp_path, capsys):
+        # a directory in the way of the last file written
+        (tmp_path / "run" / "spectrum.svg").mkdir(parents=True)
+        assert run(tmp_path, "spectrum")[0] == EXIT_IO
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["exit_code"] == EXIT_IO
+        assert [path.name for path in (tmp_path / "run").iterdir()] == ["spectrum.svg"]
+
+    def test_failed_write_removes_the_dirs_it_made(self, tmp_path, monkeypatch):
+        def full_disk(path, *args, **kwargs):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr("cavqed.svg.write_line_svg", full_disk)
+        code = main(["spectrum", "--fixture", "paper", "--out", str(tmp_path / "a" / "b")])
+        assert code == EXIT_IO
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_replaces_its_own_files_only(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "g2.csv").write_text("stale")
+        assert run(tmp_path, "g2")[0] == EXIT_OK
+        assert sorted(path.name for path in out.iterdir()) \
+            == ["g2.csv", "g2.svg", "g2_report.json", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert (out / "g2.csv").read_text().startswith("tau_ps,g2\n")
+
 
 def test_every_default_passes_its_rule():
     def leaves(table):
@@ -499,6 +540,32 @@ def test_every_default_passes_its_rule():
 
     for default, (what, test) in leaves(CONFIG_KEYS):
         assert default in (REQUIRED, None) or test(default), (default, what)
+
+
+def test_paper_fixture_restates_no_default():
+    # each default lives in CONFIG_KEYS alone; JSON gives a list where a
+    # default is a tuple
+    def restated(tree, table, prefix=""):
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                yield from restated(value, table[key], f"{prefix}{key}.")
+                continue
+            default = table[key][0]
+            if value == (list(default) if isinstance(default, tuple) else default):
+                yield prefix + key
+
+    with open(fixtures.fixture_path("paper_defaults.json")) as fh:
+        assert list(restated(json.load(fh), CONFIG_KEYS)) == []
+
+
+@pytest.mark.parametrize("command", ["purcell", "brightness"])
+def test_null_mode_orders_take_every_row(tmp_path, command):
+    name = f"{command}_report.json"
+    every_row, listed = (
+        read_report(run(tmp_path, command, config={"cavity": {"mode_orders": orders}},
+                        name=f"run{i}")[1], name)
+        for i, orders in enumerate([None, [6, 7, 8, 9]]))
+    assert every_row == listed
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS.values()))

@@ -327,6 +327,26 @@ class TestFitGFromEnvelope:
         assert fit.flag == "at-upper-bound"
         assert fit.converged
 
+    @pytest.mark.parametrize("flat, flag", [
+        (False, "not-converged"),
+        (True, "at-upper-bound;not-converged"),
+    ])
+    def test_unconverged_search_is_flagged_and_warns_once(
+            self, monkeypatch, paper_grid, paper_fs_spectrum, flat, flag):
+        def unconverged(*args, **kwargs):
+            # the real search's result, reported as stopped at maxiter
+            return *_brent_bounded(*args, **kwargs)[:3], False
+
+        monkeypatch.setattr("cavqed.cqed._brent_bounded", unconverged)
+        s_dtilde = spectra.convolve_lorentzian(
+            spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
+        values = np.ones(paper_grid.size) if flat \
+            else hill_envelope(10.0 ** 2 / GAMMA, s_dtilde.values, c=3.3)
+        with pytest.warns(UserWarning, match="did not converge") as record:
+            fit = fit_g_from_envelope(Spectrum(paper_grid, values, RAW_COUNTS), s_dtilde, GAMMA)
+        assert len(record) == 1
+        assert fit.flag == flag and not fit.converged
+
     def test_normalized_model_peaks_at_one(self, paper_fs_spectrum):
         # the scale c = (1 + a*S_max)/(a*S_max) the fit compares the
         # measured envelope over its maximum with

@@ -207,11 +207,11 @@ class TestFitBiexponential:
 class TestDecayTraceType:
     def test_nonuniform_bins_rejected(self):
         with pytest.raises(ValueError, match="uniform"):
-            DecayTrace(np.array([0.0, 1.0, 3.0]), np.ones(3))
+            DecayTrace(np.array([0.0, 1.0, 3.0]), np.ones(3), 32.0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            DecayTrace(np.arange(3.0), np.array([1.0, -1.0, 1.0]))
+            DecayTrace(np.arange(3.0), np.array([1.0, -1.0, 1.0]), 32.0)
 
 
 class TestSaturation:
@@ -251,7 +251,7 @@ class TestSaturation:
     @pytest.mark.parametrize("counts", [[-1.0, -2.0, -3.0, -3.5], [0.0, 0.0, 0.0, 0.0]])
     def test_fit_needs_a_positive_count(self, counts):
         with pytest.raises(ValueError, match="no positive value"):
-            fit_saturation(np.array([0.0, 1.0, 2.0, 4.0]), np.array(counts))
+            fit_saturation(np.array([0.0, 1.0, 2.0, 4.0]), np.array(counts), "cw")
 
     @pytest.mark.parametrize("powers, counts", [
         ([0.0, 1.0, 2.0, 4.0], [np.nan, 1.0, 2.0, 3.0]),
@@ -260,7 +260,7 @@ class TestSaturation:
     ])
     def test_fit_needs_finite_data(self, powers, counts):
         with pytest.raises(ValueError, match="must be finite"):
-            fit_saturation(powers, counts)
+            fit_saturation(powers, counts, "cw")
 
     def test_fit_checks_the_mode(self):
         with pytest.raises(ValueError, match="mode must be 'cw' or 'pulsed'"):
@@ -358,9 +358,9 @@ class TestG2:
 
     def test_asymmetric_grid_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            g2_correlation(PAPER_SCHEME, np.arange(0.0, 100.0))
+            g2_correlation(PAPER_SCHEME, np.arange(0.0, 100.0), irf=32.0)
         with pytest.raises(ValueError, match="symmetric"):
-            pulsed_g2_comb(PAPER_SCHEME, np.arange(0.0, 100.0), 38.26e6)
+            pulsed_g2_comb(PAPER_SCHEME, np.arange(0.0, 100.0), 38.26e6, irf=32.0)
 
     def test_shelving_needs_deshelving(self):
         with pytest.raises(ValueError, match="deshelving"):

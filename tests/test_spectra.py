@@ -72,7 +72,7 @@ _BAD_GRIDS = {
 }
 _GRID_USERS = {
     "Spectrum": lambda grid, values: Spectrum(grid, values),
-    "DecayTrace": lambda grid, values: DecayTrace(grid, values),
+    "DecayTrace": lambda grid, values: DecayTrace(grid, values, 32.0),
     "g2_correlation": lambda grid, values: g2_correlation(
         LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), grid, irf=0.0),
 }
@@ -104,7 +104,7 @@ class TestUniformGrid:
 
 _CURVE_BUILDERS = {
     "Spectrum": lambda grid, values: Spectrum(grid, values),
-    "DecayTrace": lambda grid, values: DecayTrace(grid, values),
+    "DecayTrace": lambda grid, values: DecayTrace(grid, values, 32.0),
     "build_fs_spectrum": lambda grid, values: build_fs_spectrum(
         EmitterModel(0.0, 50.0, 0.8), grid),
     "simulate_decay": lambda grid, values: dynamics.simulate_decay(
@@ -143,7 +143,7 @@ class TestCurveContract:
 
     def test_step_is_stored(self, monkeypatch):
         s = Spectrum(0.5 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
-        trace = DecayTrace(4.0 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
+        trace = DecayTrace(4.0 * _GOOD_GRID, np.ones(_GOOD_GRID.size), 32.0)
 
         def fail(grid):
             raise AssertionError("uniform_step called on read")
@@ -572,6 +572,12 @@ class TestCsvRoundTrip:
         ("energy_ueV,value\n,2\n2,3\n", "^malformed number in data row 1, column 'energy_ueV': "),
         # of two bad cells the first in reading order is named
         ("energy_ueV,value\n1,2\n2,y\nx,3\n", "^malformed number in data row 2, column 'value': .*'y'$"),
+        # float() takes both, but neither is a CSV number
+        ("energy_ueV,value\n1,2\n1_000,3\n",
+         "^malformed number in data row 2, column 'energy_ueV': not a plain ASCII number: '1_000'$"),
+        ("energy_ueV,value\n1,2\n2,٣\n",
+         "^malformed number in data row 2, column 'value': not a plain ASCII number: '٣'$"),
+        ("energy_ueV,value\n1,x\n2,1_0\n", "^malformed number in data row 1, column 'value': .*'x'$"),
         ("energy_ueV,value\n1,2\n2,nan\n", "non-finite value in data row 2"),
         ("energy_ueV,value\n-inf,2\n2,3\n", "non-finite value in data row 1"),
     ])
