@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from cavqed import spectra, svg
-from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
+from cavqed.units import energy_from_wavelength
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
@@ -23,8 +23,6 @@ model = spectra.EmitterModel(
     debye_waller=0.65,
     sideband=spectra.SidebandShape(exponent=1.0, cutoff_uev=1000.0),
     temperature_k=4.2,
-    gamma_fs_uev=HBAR_UEV_PS / 256.0,
-    eta_qy=0.01,
 )
 
 grid = spectra.energy_grid(zpl_energy, 6000.0, 4.0)

@@ -16,7 +16,7 @@ OUT.mkdir(exist_ok=True)
 
 zpl_energy = energy_from_wavelength(1275.0)
 gamma = HBAR_UEV_PS / 256.0
-model = spectra.EmitterModel(zpl_energy, 200.0, 0.65, gamma_fs_uev=gamma)
+model = spectra.EmitterModel(zpl_energy, 200.0, 0.65)
 grid = spectra.energy_grid(zpl_energy, 6000.0, 4.0)
 s_fs = spectra.build_fs_spectrum(model, grid)
 

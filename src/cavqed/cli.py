@@ -69,8 +69,8 @@ PATH = ("a nonempty path string", lambda v: type(v) is str and v != "")
 PUMPING = ("'cw' or 'pulsed'", lambda v: v in ("cw", "pulsed"))
 WEIGHTS = ("two nonnegative numbers with a positive sum", lambda v: type(v) in (list, tuple)
            and len(v) == 2 and all(_is_real(w) and w >= 0 for w in v) and sum(v) > 0)
-MODE_ORDERS = ("a nonempty list of integers >= 1", lambda v: type(v) is list and v != []
-               and all(type(p) is int and p >= 1 for p in v))
+MODE_ORDERS = ("a nonempty list of distinct integers >= 1", lambda v: type(v) is list and v != []
+               and all(type(p) is int and p >= 1 for p in v) and len(set(v)) == len(v))
 
 # Every config key a command reads, as (default, rule); a nested dict is
 # a section.  load_config checks every value given against its rule.  A
@@ -233,8 +233,9 @@ def load_config(config_path, fixture):
 
 
 def emitter_from_config(config):
+    """The paper's emitter (spectral parameters only) from a checked config."""
     from . import spectra
-    from .units import energy_from_wavelength, rate_from_lifetime
+    from .units import energy_from_wavelength
 
     em = config["emitter"]
     return spectra.EmitterModel(
@@ -244,9 +245,20 @@ def emitter_from_config(config):
         sideband=spectra.SidebandShape(em["sideband"]["exponent"],
                                        em["sideband"]["cutoff_uev"]),
         temperature_k=em["temperature_k"],
-        gamma_fs_uev=rate_from_lifetime(em["lifetime_fs_ps"]),
-        eta_qy=em["eta_qy"],
     )
+
+
+def scheme_from_config(config):
+    """The paper's three-level g2 scheme from a checked config."""
+    from . import dynamics
+    from .units import rate_from_lifetime
+
+    g2cfg = config["g2_scheme"]
+    return dynamics.LevelScheme(
+        pump_uev=g2cfg["pump_uev"],
+        gamma_total_uev=rate_from_lifetime(config["emitter"]["lifetime_fs_ps"]),
+        k_shelve_uev=g2cfg["k_shelve_uev"], k_deshelve_uev=g2cfg["k_deshelve_uev"],
+        background=g2cfg["background"])
 
 
 def _mode_rows(orders, key):
@@ -342,7 +354,7 @@ def cmd_purcell(config, seed):
             cav["radius_of_curvature_um"], p)
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
         f_p = cqed.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
-        ratios = cqed.brightening_ratios(model.debye_waller, f_p, model.eta_qy)
+        ratios = cqed.brightening_ratios(model.debye_waller, f_p, config["emitter"]["eta_qy"])
         modes.append({
             "p": p,
             "v_eff_lambda3_fixture": row["v_eff_lambda3"],
@@ -400,10 +412,11 @@ def cmd_brightness(config, seed):
 
     from . import cavity as cavity_mod
     from . import cqed, spectra
+    from .units import rate_from_lifetime
 
     model = emitter_from_config(config)
     options = config["analysis"]["brightness"]
-    gamma = model.gamma_fs_uev
+    gamma = rate_from_lifetime(config["emitter"]["lifetime_fs_ps"])
 
     if options["envelope_csv"]:
         # measured path: one envelope, one mode order
@@ -480,9 +493,8 @@ def cmd_lifetime(config, seed):
     import numpy as np
 
     from . import dynamics
-    from .units import lifetime_from_rate
+    from .units import lifetime_from_rate, rate_from_lifetime
 
-    model = emitter_from_config(config)
     em = config["emitter"]
     options = config["analysis"]["lifetime"]
     irf = options["irf_fwhm_ps"]
@@ -498,13 +510,14 @@ def cmd_lifetime(config, seed):
         peak = options["peak_counts"]
         weights = tuple(em["decay_weights"])
         bin_ps = options["bin_ps"]
-        tau_fs = lifetime_from_rate(model.gamma_fs_uev)
+        gamma = rate_from_lifetime(em["lifetime_fs_ps"])
+        tau_fs = lifetime_from_rate(gamma)
         time_grid = np.arange(-np.ceil(160.0 / bin_ps),
                               np.ceil(6.0 * tau_fs / bin_ps) + 1) * bin_ps
 
         def synthesize(index, ratio):
-            clean = dynamics.simulate_decay(model.gamma_fs_uev, ratio, weights,
-                                            em["tau_short_ps"], irf, time_grid)
+            clean = dynamics.simulate_decay(gamma, ratio, weights, em["tau_short_ps"], irf,
+                                            time_grid)
             scale = peak / clean.counts.max()
             rng = task_rng(seed, index)
             noisy = rng.poisson(clean.counts * scale).astype(float)
@@ -577,19 +590,13 @@ def cmd_g2(config, seed):
     import numpy as np
 
     from . import dynamics, spectra
-    from .units import rate_from_lifetime
 
-    g2cfg = config["g2_scheme"]
-    scheme = dynamics.LevelScheme(
-        pump_uev=g2cfg["pump_uev"],
-        gamma_total_uev=rate_from_lifetime(config["emitter"]["lifetime_fs_ps"]),
-        k_shelve_uev=g2cfg["k_shelve_uev"], k_deshelve_uev=g2cfg["k_deshelve_uev"],
-        background=g2cfg["background"])
+    scheme = scheme_from_config(config)
     options = config["analysis"]["g2"]
     span = options["tau_span_ps"]
     tau = spectra.energy_grid(0.0, span, options["tau_step_ps"])
 
-    g2 = dynamics.g2_correlation(scheme, tau, irf=g2cfg["irf_fwhm_ps"])
+    g2 = dynamics.g2_correlation(scheme, tau, irf=config["g2_scheme"]["irf_fwhm_ps"])
     files = {"g2.csv": ("tau_ps,g2", tau, g2),
              "g2.svg": (tau, [("g2(tau)", g2)], {"title": "Intensity correlation (cw)",
                                                  "x_label": "tau (ps)", "y_label": "g2"})}

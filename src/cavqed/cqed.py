@@ -49,7 +49,6 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class PurcellResult:
-    f_p: float
     flux_ratio_linear: float
     flux_ratio_sat: float
     decay_ratio: float
@@ -110,7 +109,6 @@ def brightening_ratios(dw, f_p, eta_qy):
         raise ValueError(f"quantum yield must be in [0, 1], got {eta_qy}")
     enhancement = dw * f_p
     return PurcellResult(
-        f_p=f_p,
         flux_ratio_linear=enhancement / (1.0 + eta_qy * enhancement),
         flux_ratio_sat=enhancement,
         decay_ratio=1.0 + eta_qy * enhancement,

@@ -71,9 +71,9 @@ class LevelScheme:
 
     pump_uev: float
     gamma_total_uev: float
-    k_shelve_uev: float = 0.0
-    k_deshelve_uev: float = 0.0
-    background: float = 0.0
+    k_shelve_uev: float
+    k_deshelve_uev: float
+    background: float
 
     def __post_init__(self):
         for name in ("pump_uev", "gamma_total_uev", "k_shelve_uev", "k_deshelve_uev"):
@@ -82,7 +82,8 @@ class LevelScheme:
         if self.gamma_total_uev == 0:
             raise ValueError("the bright state must decay (gamma_total > 0)")
         if self.k_shelve_uev > 0 and self.k_deshelve_uev == 0:
-            raise ValueError("shelving without deshelving has no steady state")
+            raise ValueError("shelving without deshelving has no steady state: "
+                             "k_shelve_uev > 0 needs k_deshelve_uev > 0")
         if not 0.0 <= self.background < 1.0:
             raise ValueError(f"background fraction must be in [0, 1), got {self.background}")
 

@@ -187,11 +187,11 @@ class SidebandShape:
 
 @dataclass(frozen=True)
 class EmitterModel:
-    """Free-space spectral and dynamical parameters of one emitter.
+    """Free-space spectral parameters of one emitter.
 
     zpl_fwhm_uev lumps pure dephasing and fast spectral diffusion into a
-    single ZPL width.  gamma_fs_uev is the total free-space decay rate
-    (HBAR/tau); eta_qy is the radiative fraction of it.
+    single ZPL width.  The decay rate and quantum yield are not held here:
+    the functions that use them take them as arguments.
     """
 
     zpl_energy_uev: float
@@ -199,20 +199,14 @@ class EmitterModel:
     debye_waller: float
     sideband: SidebandShape = field(default_factory=SidebandShape)
     temperature_k: float = 4.2
-    gamma_fs_uev: float = 2.5711
-    eta_qy: float = 0.01
 
     def __post_init__(self):
         if not 0.0 < self.debye_waller <= 1.0:
             raise ValueError(f"Debye-Waller factor must be in (0, 1], got {self.debye_waller}")
         if not self.zpl_fwhm_uev > 0:
             raise ValueError(f"ZPL width must be > 0, got {self.zpl_fwhm_uev}")
-        if not self.gamma_fs_uev > 0:
-            raise ValueError(f"free-space decay rate must be > 0, got {self.gamma_fs_uev}")
         if not self.temperature_k >= 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature_k}")
-        if not 0.0 <= self.eta_qy <= 1.0:
-            raise ValueError(f"quantum yield must be in [0, 1], got {self.eta_qy}")
 
 
 def energy_grid(center_uev, half_span_uev, step_uev):

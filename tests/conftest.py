@@ -1,28 +1,18 @@
 import numpy as np
 import pytest
 
-from cavqed import spectra
+from cavqed import cli, spectra
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 # shared emitter/cavity scales matching the fixture parameter set
 ZPL_ENERGY = energy_from_wavelength(1275.0)
-ZPL_FWHM = 200.0
-DW = 0.65
 KAPPA = ZPL_ENERGY / 1.12e4          # 86.824 ueV
 GAMMA = HBAR_UEV_PS / 256.0          # 2.5711 ueV
 
 
 @pytest.fixture(scope="session")
 def paper_model():
-    return spectra.EmitterModel(
-        zpl_energy_uev=ZPL_ENERGY,
-        zpl_fwhm_uev=ZPL_FWHM,
-        debye_waller=DW,
-        sideband=spectra.SidebandShape(1.0, 1000.0),
-        temperature_k=4.2,
-        gamma_fs_uev=GAMMA,
-        eta_qy=0.01,
-    )
+    return cli.emitter_from_config(cli.load_config(None, "paper"))
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ xfail(strict).  See the Known limitations section of the README.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from cavqed import budget as budget_mod
 from cavqed import cli, cqed, dynamics, fixtures, spectra
 from cavqed.cqed import CouplingParams
-from cavqed.spectra import RAW_COUNTS, EmitterModel, SidebandShape, Spectrum, energy_grid
+from cavqed.spectra import RAW_COUNTS, Spectrum, energy_grid
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 ZPL_ENERGY = energy_from_wavelength(1275.0)
@@ -34,10 +35,7 @@ def report(num, name, ok, detail):
 
 @functools.lru_cache(maxsize=1)
 def paper_pipeline():
-    model = EmitterModel(
-        zpl_energy_uev=ZPL_ENERGY, zpl_fwhm_uev=200.0, debye_waller=DW,
-        sideband=SidebandShape(1.0, 1000.0), temperature_k=4.2,
-        gamma_fs_uev=GAMMA, eta_qy=0.01)
+    model = cli.emitter_from_config(cli.load_config(None, "paper"))
     grid = energy_grid(ZPL_ENERGY, 6000.0, 4.0)
     s_fs = spectra.build_fs_spectrum(model, grid)
     s_tilde = spectra.convolve_lorentzian(s_fs, KAPPA)
@@ -248,25 +246,23 @@ def test_criterion_9_biexponential_recovery():
 
 
 def test_criterion_10_g2_model():
+    config = cli.load_config(None, "paper")
+    scheme = cli.scheme_from_config(config)
+    irf = config["g2_scheme"]["irf_fwhm_ps"]
     # clean three-level scheme: full antibunching, unit tails
-    clean = dynamics.LevelScheme(0.374, GAMMA, 0.0, 0.0, 0.0)
+    clean = replace(scheme, k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
     tau_clean = np.arange(-6000, 6001) * 2.0
     g2_clean = dynamics.g2_correlation(clean, tau_clean, irf=0.0)
     clean_ok = abs(g2_clean[tau_clean.size // 2]) <= 1e-12 \
         and abs(g2_clean[-1] - 1.0) <= 1e-6
     tau = np.arange(-3000, 3001) * 1.0
-
-    defaults = cli.load_config(None, "paper")["g2_scheme"]
-    scheme = dynamics.LevelScheme(defaults["pump_uev"], GAMMA,
-                                  defaults["k_shelve_uev"], defaults["k_deshelve_uev"],
-                                  defaults["background"])
-    g2_raw = dynamics.g2_correlation(scheme, tau, irf=defaults["irf_fwhm_ps"])
+    g2_raw = dynamics.g2_correlation(scheme, tau, irf=irf)
     raw_zero = float(g2_raw[tau.size // 2])
     corrected = float(dynamics.apply_background(0.0, scheme.background))
     zero_ok = abs(raw_zero - 0.40) <= 0.01 and abs(corrected - 0.36) <= 1e-9
 
     tau_long = np.arange(-15000, 15001) * 4.0
-    g2_long = dynamics.g2_correlation(scheme, tau_long, irf=defaults["irf_fwhm_ps"])
+    g2_long = dynamics.g2_correlation(scheme, tau_long, irf=irf)
     fast, _ = dynamics.g2_eigenrates(scheme)
     mask = (tau_long > 2.0 / fast) & (g2_long > 1.0 + 1e-4)
     slope = np.polyfit(tau_long[mask], np.log(g2_long[mask] - 1.0), 1)[0]

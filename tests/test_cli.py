@@ -170,6 +170,18 @@ class TestLifetimeCommand:
         report = read_report(out2, "lifetime_report.json")
         assert report["lifetime_ratio"] == pytest.approx(1.19, abs=0.09)
 
+    def test_reads_no_spectral_parameter(self, tmp_path):
+        # no wavelength, ZPL width or Debye-Waller factor: the traces of a
+        # config holding only what the synthetic path reads
+        _, paper = run(tmp_path, "lifetime", name="paper")
+        cfg = tmp_path / "minimal.json"
+        cfg.write_text(json.dumps({"emitter": {"lifetime_fs_ps": 256.0},
+                                   "measured": {"decay_ratio": 1.19}}))
+        out = tmp_path / "minimal"
+        assert main(["lifetime", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for name in ("decay_fs.csv", "decay_cavity.csv"):
+            assert (out / name).read_bytes() == (paper / name).read_bytes()
+
     def test_empty_input_is_io_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -371,6 +383,10 @@ class TestExitCodes:
         # an alias removed in favour of measured.decay_ratio
         (("lifetime", (), {"analysis": {"lifetime": {"decay_ratio": 1.19}}}),
          "analysis.lifetime.decay_ratio"),
+        # a repeated order would be reported twice and its files overwritten
+        (("purcell", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
+        (("brightness", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
+        (("g2", (), {"g2_scheme": {"k_deshelve_uev": 0}}), "k_deshelve_uev"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import dynamics
+from cavqed import cli, dynamics
 from cavqed.dynamics import (
     DecayTrace,
     LevelScheme,
@@ -24,9 +26,7 @@ from cavqed.units import HBAR_UEV_PS
 
 GAMMA_FS = HBAR_UEV_PS / 256.0
 
-PAPER_SCHEME = LevelScheme(pump_uev=0.374, gamma_total_uev=GAMMA_FS,
-                           k_shelve_uev=0.12, k_deshelve_uev=0.0508598,
-                           background=0.2)
+PAPER_SCHEME = cli.scheme_from_config(cli.load_config(None, "paper"))
 
 
 def default_grid(bin_ps=4.0, t_max=1536.0):
@@ -296,7 +296,7 @@ class TestQuantumYield:
 
 class TestG2:
     def test_no_shelving_no_background(self):
-        scheme = LevelScheme(pump_uev=0.374, gamma_total_uev=GAMMA_FS)
+        scheme = replace(PAPER_SCHEME, k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
         tau = np.arange(-5000, 5001) * 2.0
         g2 = g2_correlation(scheme, tau, irf=0.0)
         izero = tau.size // 2
@@ -334,7 +334,7 @@ class TestG2:
 
     def test_emitter_g2_from_eigensystem_matches_closed_form(self):
         # two-level limit: g2 = 1 - exp(-(pump+gamma) t)
-        scheme = LevelScheme(pump_uev=0.3, gamma_total_uev=2.0)
+        scheme = LevelScheme(0.3, 2.0, 0.0, 0.0, 0.0)
         tau = np.linspace(0.0, 4000.0, 64)
         expected = 1.0 - np.exp(-(0.3 + 2.0) / HBAR_UEV_PS * tau)
         assert np.allclose(g2_emitter_cw(scheme, tau), expected, atol=1e-10)
@@ -349,8 +349,7 @@ class TestG2:
         assert ratio < 0.5
 
     def test_pulsed_without_background_antibunches_fully(self):
-        scheme = LevelScheme(pump_uev=0.374, gamma_total_uev=GAMMA_FS,
-                             k_shelve_uev=0.12, k_deshelve_uev=0.0508598)
+        scheme = replace(PAPER_SCHEME, background=0.0)
         f_rep = 38.26e6
         tau = np.arange(-60000, 60001) * 8.0
         g2 = pulsed_g2_comb(scheme, tau, f_rep, irf=32.0)
@@ -364,7 +363,7 @@ class TestG2:
 
     def test_shelving_needs_deshelving(self):
         with pytest.raises(ValueError, match="deshelving"):
-            LevelScheme(0.3, 2.0, k_shelve_uev=0.1, k_deshelve_uev=0.0)
+            LevelScheme(0.3, 2.0, k_shelve_uev=0.1, k_deshelve_uev=0.0, background=0.0)
 
     @given(pump=st.floats(0.05, 2.0), k_s=st.floats(0.0, 0.3), k_d=st.floats(0.01, 0.3),
            b=st.floats(0.0, 0.8))

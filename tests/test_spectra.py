@@ -74,7 +74,7 @@ _GRID_USERS = {
     "Spectrum": lambda grid, values: Spectrum(grid, values),
     "DecayTrace": lambda grid, values: DecayTrace(grid, values, 32.0),
     "g2_correlation": lambda grid, values: g2_correlation(
-        LevelScheme(pump_uev=0.5, gamma_total_uev=2.5), grid, irf=0.0),
+        LevelScheme(0.5, 2.5, 0.0, 0.0, 0.0), grid, irf=0.0),
 }
 
 

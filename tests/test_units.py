@@ -46,11 +46,10 @@ CONSTRUCTORS = [
     (2, CouplingParams, (10.0, 2.5, NAN)),
     (3, EmitterModel, (1e6, NAN, 0.65)),
     (4, EmitterModel, (1e6, 200.0, 0.65, SidebandShape(), NAN)),
-    (5, EmitterModel, (1e6, 200.0, 0.65, SidebandShape(), 4.2, NAN)),
     (6, SidebandShape, (NAN, 1000.0)),
     (7, SidebandShape, (1.0, NAN)),
-    (8, LevelScheme, (NAN, 2.5)),
-    (9, LevelScheme, (0.4, 2.5, NAN)),
+    (8, LevelScheme, (NAN, 2.5, 0.0, 0.0, 0.0)),
+    (9, LevelScheme, (0.4, 2.5, NAN, 0.0, 0.0)),
     (10, CavityGeometry, (NAN,)),
     (11, CavityGeometry, (1275.0, NAN)),
     (12, CavityGeometry, (1275.0, 1.0, NAN)),
@@ -92,7 +91,7 @@ SCALAR_CHECKS = [
     (18, dynamics.saturation_curve, ([NAN, 2.0], 1.0, 1.0, "cw")),
     (19, dynamics.qy_from_saturation, (NAN, 0.1, 8e7)),
     (20, dynamics.qy_from_saturation, (1e5, 0.1, NAN)),
-    (21, dynamics.pulsed_g2_comb, (LevelScheme(0.4, 2.5),
+    (21, dynamics.pulsed_g2_comb, (LevelScheme(0.4, 2.5, 0.0, 0.0, 0.0),
                                    np.linspace(-1e4, 1e4, 201), NAN, 0.0)),
     (22, budget.detected_port_ratio, (None, None, NAN, 0.5)),
     (23, budget.fiber_flux_from_ccd, (NAN, 44.0)),
