@@ -4,16 +4,18 @@
        [--config FILE] [--fixture paper] [--out DIR] [--seed N] [--parallel N]
 
 Configuration is a single JSON document; `--fixture paper` preloads the
-shipped default parameter set and fixture tables, with any config file
-overlaid on top.  A run has three steps: `load_config` checks every value
-of the merged config against its rule in CONFIG_KEYS (a failure exits 2,
-naming the dotted key) and fills in the defaults, the command computes
-`(report, files)` without touching the disk, and `write_outputs` writes
-them, all or nothing.  --seed and --parallel pass the same one-value
-check as a config value.  Every command is deterministic for a given
-(config, seed): stochastic sweeps draw from counter-based Philox streams
-keyed by (seed, task index).  --parallel is accepted and ignored: every
-sweep task takes milliseconds, so it runs in one thread.
+shipped paper parameter set, tables S1-S3 included (`cavity.modes` and
+`budget`), with any config file overlaid on top.  A run has three steps:
+`load_config` parses both with one JSON reader that rejects a repeated
+key, checks every value of the merged config against its rule in
+CONFIG_KEYS (a failure exits 2, naming the dotted key) and fills in the
+defaults, the command computes `(report, files)` without touching the
+disk, and `write_outputs` writes them, all or nothing.  --seed and
+--parallel pass the same one-value check as a config value.  Every
+command is deterministic for a given (config, seed): stochastic sweeps
+draw from counter-based Philox streams keyed by (seed, task index).
+--parallel is accepted and ignored: every sweep task takes milliseconds,
+so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 4 I/O error.  Diagnostics, Python warnings and command-line errors
@@ -71,14 +73,21 @@ WEIGHTS = ("two nonnegative numbers with a positive sum", lambda v: type(v) in (
            and len(v) == 2 and all(_is_real(w) and w >= 0 for w in v) and sum(v) > 0)
 MODE_ORDERS = ("a nonempty list of distinct integers >= 1", lambda v: type(v) is list and v != []
                and all(type(p) is int and p >= 1 for p in v) and len(set(v)) == len(v))
+CHAIN = ("a nonempty JSON object of stage efficiencies in (0, 1]", lambda v: type(v) is dict
+         and v != {} and all(_is_real(e) and 0 < e <= 1 for e in v.values()))
+_PATHS = ("free_space", "cavity_planar", "cavity_fiber")
 
 # Every config key a command reads, as (default, rule); a nested dict is
-# a section.  load_config checks every value given against its rule.  A
-# REQUIRED key has no default: reading it from a config that lacks it is
-# a config error.  Where the default is None, null is also accepted and
-# the one command that reads the key derives the value (cavity.mode_orders:
-# every row of table S1; dw_window_uev: 3 ZPL widths) or, for an input
-# file, takes the synthetic path.
+# a section, and a one-item list holding a section is a table: a JSON
+# array of such rows, each of which must give every key.  load_config
+# checks every value given against its rule.  A REQUIRED key has no
+# default: reading it from a config that lacks it is a config error.
+# Where the default is None, null is also accepted and the one command
+# that reads the key derives the value (cavity.mode_orders: every row of
+# cavity.modes; dw_window_uev: 3 ZPL widths) or, for an input file, takes
+# the synthetic path.  Tables S1-S3 of the paper are cavity.modes,
+# budget.extraction with budget.chains (the stages after extraction, in
+# product order) and budget.overall_quoted.
 CONFIG_KEYS = {
     "seed": (DEFAULT_SEED, int_at_least(0)),
     "emitter": {
@@ -89,7 +98,11 @@ CONFIG_KEYS = {
         "eta_qy": (0.01, FRACTION), "decay_weights": ((2.0, 1.0), WEIGHTS),
         "tau_short_ps": (23.0, POSITIVE)},
     "cavity": {"refractive_index": (1.0, POSITIVE), "radius_of_curvature_um": (10.0, POSITIVE),
-               "mode_order": (6, int_at_least(1)), "mode_orders": (None, MODE_ORDERS)},
+               "mode_order": (6, int_at_least(1)), "mode_orders": (None, MODE_ORDERS),
+               "modes": [{"p": (REQUIRED, int_at_least(1)), "v_eff_lambda3": (REQUIRED, POSITIVE),
+                          "q_th": (REQUIRED, POSITIVE), "q_exp": (REQUIRED, POSITIVE),
+                          "p_subs_pct": (REQUIRED, POSITIVE),
+                          "p_fiber_pct": (REQUIRED, POSITIVE)}]},
     "measured": {
         "flux_ratio_sat": (REQUIRED, POSITIVE), "decay_ratio": (REQUIRED, POSITIVE),
         "g_spectral_max_uev": (25.0, NONNEGATIVE), "f_rep_hz": (REQUIRED, POSITIVE),
@@ -107,12 +120,15 @@ CONFIG_KEYS = {
         "brightness": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
                        "envelope_csv": (None, PATH), "noise_frac": (0.01, NONNEGATIVE)},
         "lifetime": {"irf_fwhm_ps": (32.0, NONNEGATIVE), "fs_trace_csv": (None, PATH),
-                     "cavity_trace_csv": (REQUIRED, PATH), "peak_counts": (1e5, POSITIVE),
+                     "cavity_trace_csv": (None, PATH), "peak_counts": (1e5, POSITIVE),
                      "bin_ps": (4.0, POSITIVE)},
         "saturation": {"mode": ("pulsed", PUMPING), "curve_csv": (None, PATH),
                        "i_sat": (1768.0, POSITIVE), "p_sat": (1000.0, POSITIVE),
                        "noise_frac": (0.01, NONNEGATIVE), "n_points": (25, int_at_least(3))},
         "g2": {"tau_span_ps": (60000.0, POSITIVE), "tau_step_ps": (4.0, POSITIVE)}},
+    "budget": {"extraction": {path: (REQUIRED, UNIT) for path in _PATHS},
+               "chains": {path: (REQUIRED, CHAIN) for path in _PATHS},
+               "overall_quoted": {path: (REQUIRED, UNIT) for path in _PATHS}},
 }
 
 
@@ -162,8 +178,9 @@ def _check_value(name, value, rule):
 def _checked(tree, table=CONFIG_KEYS, prefix=""):
     """Copy of a config (sub)tree with every key checked against `table`
     and every absent default filled in.  Keys must be in the table,
-    sections JSON objects, and values must pass their rule or be null
-    where the default is None."""
+    sections JSON objects, tables nonempty JSON arrays of complete rows,
+    and values must pass their rule or be null where the default is
+    None."""
     for key in tree:
         if key not in table:
             raise ConfigError(f"unknown config key {prefix}{key}")
@@ -176,6 +193,10 @@ def _checked(tree, table=CONFIG_KEYS, prefix=""):
                 raise ConfigError(f"config section {path} must be a JSON object")
             out[key] = _checked(value, entry, path + ".")
             continue
+        if isinstance(entry, list):
+            if key in tree:
+                out[key] = _checked_rows(tree[key], entry[0], path)
+            continue
         default, rule = entry
         if key in tree:
             value = tree[key]
@@ -185,6 +206,46 @@ def _checked(tree, table=CONFIG_KEYS, prefix=""):
         elif default is not REQUIRED:
             out[key] = default
     return out
+
+
+def _checked_rows(rows, row_table, path):
+    """The checked rows of the table at `path`: each row is a section of
+    `row_table` that must give every key, and errors name `path[i].key`."""
+    if type(rows) is not list or rows == []:
+        raise ConfigError(f"config key {path} must be a nonempty JSON array of rows")
+    out = []
+    for index, row in enumerate(rows):
+        name = f"{path}[{index}]"
+        if not isinstance(row, dict):
+            raise ConfigError(f"config section {name} must be a JSON object")
+        out.append(_checked(row, row_table, name + "."))
+        for key in row_table:
+            if key not in out[-1]:
+                raise ConfigError(f"config key {name}.{key} is required")
+    return out
+
+
+def _unique_keys(pairs):
+    """The object_pairs_hook of every config parse: a JSON object that
+    gives a key twice is a ConfigError naming it, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} appears more than once in one JSON object")
+        obj[key] = value
+    return obj
+
+
+def _parse_config(text):
+    """The JSON object of a config text (the paper fixture or a --config
+    file)."""
+    try:
+        tree = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config is not valid JSON: {err}") from err
+    if not isinstance(tree, dict):
+        raise ConfigError("config root must be a JSON object")
+    return tree
 
 
 def _read_input(path, what):
@@ -217,16 +278,9 @@ def load_config(config_path, fixture):
     if fixture:
         if fixture != "paper":
             raise ConfigError(f"unknown fixture set {fixture!r} (only 'paper')")
-        config = fixtures.paper_defaults()
+        config = _parse_config(fixtures.paper_defaults())
     if config_path:
-        text = _read_input(config_path, "config file")
-        try:
-            user = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from err
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        config = _deep_merge(config, user)
+        config = _deep_merge(config, _parse_config(_read_input(config_path, "config file")))
     if not config:
         raise ConfigError("no configuration given (use --config and/or --fixture paper)")
     return _checked(config)
@@ -261,25 +315,44 @@ def scheme_from_config(config):
         background=g2cfg["background"])
 
 
-def _mode_rows(orders, key):
-    """[(p, fixture table S1 row)] for a list of mode orders (None: every
-    row); `key` names the config key they came from in an error."""
-    table = fixtures.load_table_s1()
+def _mode_rows(config, key):
+    """[(p, cavity.modes row)] for the mode orders of cavity.<key>, which
+    is mode_order (one order) or mode_orders (a list; None: every row, by
+    p).  A p that two rows give is a ConfigError."""
+    cav = config["cavity"]
+    table = {}
+    for index, row in enumerate(cav["modes"]):
+        if row["p"] in table:
+            raise ConfigError(f"config key cavity.modes[{index}].p: mode order {row['p']} "
+                              "appears more than once")
+        table[row["p"]] = row
+    orders = cav[key]
     if orders is None:
         orders = sorted(table)
+    elif type(orders) is int:
+        orders = [orders]
     for p in orders:
         if p not in table:
             raise ConfigError(f"config key cavity.{key}: mode order {p!r} "
-                              "is not in the fixture mode table")
+                              "is not in cavity.modes")
     return [(p, table[p]) for p in orders]
 
 
 def _mode_kappa(config, energy):
-    """(p, cavity linewidth) of cavity.mode_order, from the fixture Q."""
+    """(p, cavity linewidth) of cavity.mode_order, from its measured Q."""
     from . import cavity as cavity_mod
 
-    [(p, row)] = _mode_rows([config["cavity"]["mode_order"]], "mode_order")
+    [(p, row)] = _mode_rows(config, "mode_order")
     return p, cavity_mod.kappa_from_q(energy, row["q_exp"])
+
+
+def chains_from_config(config):
+    """The collection paths' stage chains after extraction (table S2)
+    from a checked config, as {path: budget.EfficiencyChain}."""
+    chains = config["budget"]["chains"]
+    return {path: budget_mod.EfficiencyChain(path, tuple(
+                budget_mod.Stage(name, efficiency) for name, efficiency in chains[path].items()))
+            for path in _PATHS}
 
 
 def task_rng(seed, index):
@@ -348,7 +421,7 @@ def cmd_purcell(config, seed):
     q_emitter = energy / model.zpl_fwhm_uev
 
     modes = []
-    for p, row in _mode_rows(cav["mode_orders"], "mode_orders"):
+    for p, row in _mode_rows(config, "mode_orders"):
         geometry = cavity_mod.CavityGeometry(
             config["emitter"]["wavelength_nm"], cav["refractive_index"],
             cav["radius_of_curvature_um"], p)
@@ -431,7 +504,7 @@ def cmd_brightness(config, seed):
                   "fit": fit.to_record()}
         return report, {}
 
-    rows = _mode_rows(config["cavity"]["mode_orders"], "mode_orders")
+    rows = _mode_rows(config, "mode_orders")
     g_max = config["measured"]["g_spectral_max_uev"]
     noise_frac = options["noise_frac"]
     v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
@@ -499,12 +572,16 @@ def cmd_lifetime(config, seed):
     options = config["analysis"]["lifetime"]
     irf = options["irf_fwhm_ps"]
 
-    if options["fs_trace_csv"]:
-        def trace(t, c):
-            return dynamics.DecayTrace(t, c, irf)
-
-        trace_fs = _load_csv(options["fs_trace_csv"], "time_ps,counts", trace)
-        trace_cav = _load_csv(options["cavity_trace_csv"], "time_ps,counts", trace)
+    keys = ("fs_trace_csv", "cavity_trace_csv")
+    if any(options[key] for key in keys):
+        # measured path: both traces or neither
+        for key in keys:
+            if options[key] is None:
+                raise ConfigError(f"config key analysis.lifetime.{key} is required "
+                                  "with a measured trace")
+        trace_fs, trace_cav = (_load_csv(options[key], "time_ps,counts",
+                                         lambda t, c: dynamics.DecayTrace(t, c, irf))
+                               for key in keys)
     else:
         decay_ratio = config["measured"]["decay_ratio"]
         peak = options["peak_counts"]
@@ -567,7 +644,7 @@ def cmd_saturation(config, seed):
     fit = dynamics.fit_saturation(powers, counts, mode)
     _require_converged([fit], "saturation")
 
-    eta_coll = fixtures.load_table_s3()["free_space"]["overall"]
+    eta_coll = config["budget"]["overall_quoted"]["free_space"]
     eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, config["measured"]["f_rep_hz"]) \
         if mode == "pulsed" else None
 
@@ -622,9 +699,10 @@ def cmd_g2(config, seed):
 
 def cmd_budget(config, seed):
     measured = config["measured"]
-    extractions, chains = fixtures.load_table_s2()
-    summary = fixtures.load_table_s3()
-    [(_, exits)] = _mode_rows([config["cavity"]["mode_order"]], "mode_order")
+    extractions = config["budget"]["extraction"]
+    quoted = config["budget"]["overall_quoted"]
+    chains = chains_from_config(config)
+    [(_, exits)] = _mode_rows(config, "mode_order")
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])
                for name in chains}
@@ -647,7 +725,7 @@ def cmd_budget(config, seed):
 
     report = {
         "overall_efficiency": overall,
-        "overall_efficiency_quoted": {name: summary[name]["overall"] for name in summary},
+        "overall_efficiency_quoted": {name: quoted[name] for name in _PATHS},
         "photons_per_count_planar": ppc_planar,
         "detected_port_ratio_fiber_over_planar": port_ratio,
         "detected_port_ratio_measured": measured["detected_port_ratio_sspd_over_ccd"],

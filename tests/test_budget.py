@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import fixtures
+from cavqed import cli
 from cavqed.budget import (
     EfficiencyChain,
     Stage,
@@ -15,11 +15,29 @@ from cavqed.budget import (
 )
 
 
+# table S3 of the paper: extraction, path-and-detector product and
+# their overall product, per collection path
+SUMMARY = {
+    "free_space": {"extraction_first_lens": 0.19, "path_and_detector": 0.035, "overall": 0.0066},
+    "cavity_planar": {"extraction_first_lens": 0.056, "path_and_detector": 0.024,
+                      "overall": 0.00135},
+    "cavity_fiber": {"extraction_first_lens": 0.06, "path_and_detector": 0.15, "overall": 0.009},
+}
+
+
 @pytest.fixture(scope="module")
-def tables():
-    extractions, chains = fixtures.load_table_s2()
-    summary = fixtures.load_table_s3()
-    return extractions, chains, summary
+def paper():
+    return cli.load_config(None, "paper")
+
+
+@pytest.fixture(scope="module")
+def tables(paper):
+    return paper["budget"]["extraction"], cli.chains_from_config(paper), SUMMARY
+
+
+def test_quoted_overall_is_the_summary_table(paper):
+    assert paper["budget"]["overall_quoted"] == {path: row["overall"]
+                                                 for path, row in SUMMARY.items()}
 
 
 class TestChainEfficiency:
@@ -205,11 +223,11 @@ class TestCalibrateUnknownStage:
             assert physical
             assert solved == pytest.approx(planted, rel=1e-12)
 
-    def test_paper_inputs_do_not_close(self, tables):
+    def test_paper_inputs_do_not_close(self, tables, paper):
         # the measured fiber/planar exit ratio 2.3 yields an in-cryostat
         # transmission near 0.70, not the quoted 0.33; both are reported
         extractions, chains, _ = tables
-        mode = fixtures.load_table_s1()[6]
+        [mode] = [row for row in paper["cavity"]["modes"] if row["p"] == 6]
         solved, physical = calibrate_unknown_stage(
             chains["cavity_fiber"], chains["cavity_planar"],
             mode["p_fiber_pct"] / 100.0, mode["p_subs_pct"] / 100.0,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import fixtures
+from cavqed.cli import load_config
 from cavqed.cavity import (
     CavityGeometry,
     LossBudget,
@@ -175,16 +175,18 @@ class TestKappaFromQ:
 
 
 class TestFixtureTable:
-    def test_values_match_simulation_table(self):
-        table = fixtures.load_table_s1()
+    @pytest.fixture(scope="class")
+    def table(self):
+        return {row["p"]: row for row in load_config(None, "paper")["cavity"]["modes"]}
+
+    def test_values_match_simulation_table(self, table):
         assert table[6]["p_subs_pct"] == 7.85
         assert table[6]["p_fiber_pct"] == 6.03
         assert table[6]["q_th"] == 56900.0
         assert table[6]["q_exp"] == 11200.0
         assert [table[p]["v_eff_lambda3"] for p in (6, 7, 8, 9)] == [2.49, 2.86, 3.53, 4.23]
 
-    def test_gaussian_volume_within_25_percent_everywhere(self):
-        table = fixtures.load_table_s1()
+    def test_gaussian_volume_within_25_percent_everywhere(self, table):
         for p, row in table.items():
             v = mode_volume_gaussian(paper_geometry(p))
             assert abs(v - row["v_eff_lambda3"]) / row["v_eff_lambda3"] < 0.25

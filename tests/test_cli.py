@@ -1,6 +1,5 @@
 import json
 import os
-import shutil
 import subprocess
 import sys
 import warnings
@@ -94,7 +93,7 @@ class TestPurcellCommand:
 
     def test_report_validates_against_schema(self, tmp_path):
         _, out = run(tmp_path, "purcell")
-        with open(fixtures.fixture_path("purcell_report.schema.json")) as fh:
+        with open(Path(__file__).parent / "purcell_report.schema.json") as fh:
             schema = json.load(fh)
         jsonschema.validate(read_report(out, "purcell_report.json"), schema)
 
@@ -387,6 +386,26 @@ class TestExitCodes:
         (("purcell", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
         (("brightness", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
         (("g2", (), {"g2_scheme": {"k_deshelve_uev": 0}}), "k_deshelve_uev"),
+        # a table is a nonempty array of row objects
+        pytest.param(("purcell", (), {"cavity": {"modes": []}}), "cavity.modes",
+                     id="empty-table"),
+        pytest.param(("purcell", (), {"cavity": {"modes": {"p": 6}}}), "cavity.modes",
+                     id="table-object"),
+        pytest.param(("purcell", (), {"cavity": {"modes": [6]}}), "cavity.modes[0]",
+                     id="scalar-row"),
+        # a key given twice would keep its last value, and a stage given
+        # twice would enter the product twice
+        pytest.param('{"seed": 1, "seed": 2}', "'seed' appears more than once",
+                     id="repeated-seed"),
+        pytest.param(("budget", (), '{"budget": {"chains": {"free_space": {'
+                                    '"beamsplitter": 0.612, "path_other": 0.58, '
+                                    '"beamsplitter": 0.612}}}}'),
+                     "'beamsplitter' appears more than once", id="repeated-stage"),
+        # one measured trace must not fall back to the synthetic pair
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"cavity_trace_csv": "c.csv"}}}),
+                     "analysis.lifetime.fs_trace_csv is required", id="cavity-trace-only"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"fs_trace_csv": "f.csv"}}}),
+                     "analysis.lifetime.cavity_trace_csv is required", id="fs-trace-only"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()
@@ -440,6 +459,17 @@ class TestExitCodes:
         assert main(["--seed", "abc", "saturation"]) == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["command"] is None
+
+    def test_repeated_key_in_the_fixture(self, tmp_path, monkeypatch, capsys):
+        text = fixtures.paper_defaults().replace('"decay_ratio": 1.19,',
+                                                 '"decay_ratio": 1.19, "decay_ratio": 1.5,')
+        monkeypatch.setattr(fixtures, "paper_defaults", lambda: text)
+        code, out = run(tmp_path, "purcell")
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] \
+            == "config key 'decay_ratio' appears more than once in one JSON object"
+        assert not out.exists()
 
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -552,6 +582,8 @@ class TestExitCodes:
 def test_every_default_passes_its_rule():
     def leaves(table):
         for entry in table.values():
+            if isinstance(entry, list):  # a table: its one row section
+                entry = entry[0]
             yield from leaves(entry) if isinstance(entry, dict) else [entry]
 
     for default, (what, test) in leaves(CONFIG_KEYS):
@@ -563,15 +595,16 @@ def test_paper_fixture_restates_no_default():
     # default is a tuple
     def restated(tree, table, prefix=""):
         for key, value in tree.items():
-            if isinstance(value, dict):
-                yield from restated(value, table[key], f"{prefix}{key}.")
-                continue
-            default = table[key][0]
-            if value == (list(default) if isinstance(default, tuple) else default):
+            entry = table[key]
+            if isinstance(entry, dict):
+                yield from restated(value, entry, f"{prefix}{key}.")
+            elif isinstance(entry, list):
+                for index, row in enumerate(value):
+                    yield from restated(row, entry[0], f"{prefix}{key}[{index}].")
+            elif value == (list(entry[0]) if isinstance(entry[0], tuple) else entry[0]):
                 yield prefix + key
 
-    with open(fixtures.fixture_path("paper_defaults.json")) as fh:
-        assert list(restated(json.load(fh), CONFIG_KEYS)) == []
+    assert list(restated(json.loads(fixtures.paper_defaults()), CONFIG_KEYS)) == []
 
 
 @pytest.mark.parametrize("command", ["purcell", "brightness"])
@@ -718,7 +751,8 @@ def test_cli_import_loads_no_numpy():
 ], ids=["budget", "help", "missing-config"])
 def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
     # the photon budget is scalar arithmetic, and --help or a run that
-    # stops before computing has no use for numpy either
+    # stops before computing has no use for numpy either; the paper's
+    # tables are config sections, so no run loads the csv module
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
         "import sys\n"
@@ -727,11 +761,11 @@ def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
         f"    outcome = 'returned %d' % main({argv!r})\n"
         "except SystemExit as exit:\n"
         "    outcome = f'exited {exit.code}'\n"
-        "print(outcome, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "print(outcome, 'numpy' in sys.modules, 'csv' in sys.modules, file=sys.stderr)\n"
     )
     # main prints reports and help on stdout and diagnostics on stderr,
     # so the probe's line is the last one
-    assert _run_python(code).stderr.splitlines()[-1] == f"{outcome} False"
+    assert _run_python(code).stderr.splitlines()[-1] == f"{outcome} False False"
 
 
 def test_package_attribute_imports_submodule():
@@ -774,76 +808,108 @@ def test_saturation_loads_no_numpy_ma(tmp_path):
     assert _run_python(code).stderr.strip() == "0 False"
 
 
-class TestFixtureDirOverride:
-    def test_env_var_redirects_fixtures(self, tmp_path, monkeypatch):
-        alt = tmp_path / "fixtures"
-        alt.mkdir()
-        for name in ("table_s1.csv", "table_s2.csv", "table_s3.csv",
-                     "paper_defaults.json", "purcell_report.schema.json"):
-            shutil.copy(fixtures.fixture_path(name), alt / name)
-        # tweak one fixture value and confirm it propagates
-        text = (alt / "table_s1.csv").read_text().replace("2.49", "2.60")
-        (alt / "table_s1.csv").write_text(text)
-        monkeypatch.setenv("PL_FIXTURE_DIR", str(alt))
-        table = fixtures.load_table_s1()
-        assert table[6]["v_eff_lambda3"] == 2.60
-        code, out = run(tmp_path, "purcell")
+def _within(tree, keys):
+    """The part of a config tree that `keys` lead to."""
+    for key in keys:
+        tree = tree[key]
+    return tree
+
+
+def _paper_tables():
+    """The paper's tables S1 and S2 as a config overlay to edit."""
+    config = load_config(None, "paper")
+    return {"cavity": {"modes": [dict(row) for row in config["cavity"]["modes"]]},
+            "budget": {"chains": {path: dict(stages)
+                                  for path, stages in config["budget"]["chains"].items()}}}
+
+
+class TestTableConfig:
+    """Tables S1-S3 are config sections of the paper fixture: an overlay
+    replaces a table whole, and a bad cell exits 2 naming its dotted key."""
+
+    def test_modes_override_reaches_report(self, tmp_path):
+        tables = _paper_tables()
+        tables["cavity"]["modes"][0]["v_eff_lambda3"] = 2.60
+        code, out = run(tmp_path, "purcell", config={"cavity": tables["cavity"]})
         assert code == EXIT_OK
         report = read_report(out, "purcell_report.json")
         assert report["modes"][0]["v_eff_lambda3_fixture"] == 2.60
 
-    @pytest.mark.parametrize("command, name, row, problem", [
-        # a repeated row would otherwise overwrite (S1) or multiply in
-        # twice (S2) without a word
-        ("purcell", "table_s1.csv", "6,2.49,56900,11200,7.85,6.03", "appears more than once"),
-        ("budget", "table_s2.csv", "beamsplitter,0.612,0.98,", "appears more than once"),
-        ("budget", "table_s3.csv", "note,1,1,1,1", "more cells than the header"),
+    def test_overlay_replaces_the_mode_list(self, tmp_path):
+        [row] = [row for row in _paper_tables()["cavity"]["modes"] if row["p"] == 7]
+        code, out = run(tmp_path, "purcell", config={"cavity": {"modes": [row]}})
+        assert code == EXIT_OK
+        assert [m["p"] for m in read_report(out, "purcell_report.json")["modes"]] == [7]
+
+    @pytest.mark.parametrize("command, edit, message", [
         # a cell that is not a finite number would reach the report as NaN
-        # or fail without naming the file
-        ("purcell", "table_s1.csv", "10,nan,56900,11200,7.85,6.03",
-         "p '10' has v_eff_lambda3 'nan', not a finite number"),
-        ("brightness", "table_s1.csv", "10,2.49,inf,11200,7.85,6.03",
-         "p '10' has q_th 'inf', not a finite number"),
-        ("budget", "table_s2.csv", "relay,0.9,abc,", "has cavity_planar 'abc', not a finite"),
-        # a mode order is a row key: int() alone would name neither the
-        # file nor the row, and "06" would overwrite row 6
-        ("purcell", "table_s1.csv", "7.5,2.86,49200,10500,5.32,4.4",
-         "p '7.5' is not an integer >= 1"),
-        ("purcell", "table_s1.csv", "06,2.49,56900,11200,7.85,6.03", "p '06' appears more than once"),
+        ("purcell", ("cavity", "modes", 1, "v_eff_lambda3", float("nan")),
+         "config key cavity.modes[1].v_eff_lambda3 must be a positive number, got nan"),
+        ("brightness", ("cavity", "modes", 2, "q_th", float("inf")),
+         "config key cavity.modes[2].q_th must be a positive number, got inf"),
+        # a mode order is a row key
+        ("purcell", ("cavity", "modes", 1, "p", 7.5),
+         "config key cavity.modes[1].p must be an integer >= 1, got 7.5"),
+        ("budget", ("budget", "chains", "cavity_planar", "beamsplitter", "0.98"),
+         "config key budget.chains.cavity_planar must be a nonempty JSON object of stage "
+         "efficiencies in (0, 1], got {'beamsplitter': '0.98', 'cryostat_optics': 0.34, "
+         "'path_other': 0.74, 'spectrometer_ccd': 0.098}"),
+        ("purcell", ("cavity", "modes", 0, "note", "simulated"),
+         "unknown config key cavity.modes[0].note"),
+    ], ids=["nan-cell", "inf-cell", "fractional-p", "string-efficiency", "extra-column"])
+    def test_bad_cell_names_its_key(self, tmp_path, capsys, command, edit, message):
+        tables = _paper_tables()
+        *where, key, value = edit
+        _within(tables, where)[key] = value
+        code, out = run(tmp_path, command, config=tables)
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["p", "v_eff_lambda3", "q_th", "q_exp", "p_subs_pct",
+                                        "p_fiber_pct"])
+    def test_missing_cell_is_required(self, tmp_path, capsys, column):
+        # budget reads the exit probabilities of one row only; every row
+        # must still be complete
+        tables = _paper_tables()
+        del tables["cavity"]["modes"][3][column]
+        code, out = run(tmp_path, "budget", config=tables)
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == f"config key cavity.modes[3].{column} is required"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "purcell", "brightness", "budget"])
+    def test_repeated_p_is_config_error(self, tmp_path, capsys, command):
+        # a second p = 6 row would otherwise overwrite the first
+        tables = _paper_tables()
+        tables["cavity"]["modes"].append(dict(tables["cavity"]["modes"][0], q_exp=5000.0))
+        code, out = run(tmp_path, command, config=tables)
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] \
+            == "config key cavity.modes[4].p: mode order 6 appears more than once"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("purcell", "cavity.modes"),
+        ("budget", "budget.extraction.cavity_fiber"),
+        ("budget", "budget.chains.cavity_fiber"),
+        ("budget", "budget.overall_quoted.cavity_planar"),
+        ("saturation", "budget.overall_quoted.free_space"),
     ])
-    def test_bad_fixture_row_is_config_error(self, tmp_path, monkeypatch, capsys,
-                                             command, name, row, problem):
-        alt = tmp_path / "fixtures"
-        shutil.copytree(fixtures.fixture_path(name).parent, alt)
-        with open(alt / name, "a") as fh:
-            fh.write(row + "\n")
-        monkeypatch.setenv("PL_FIXTURE_DIR", str(alt))
-        code, out = run(tmp_path, command)
+    def test_table_without_the_fixture_is_required(self, tmp_path, capsys, command, key):
+        # the tables come with --fixture paper; a config file alone must
+        # give every one that a command reads
+        config = json.loads(fixtures.paper_defaults())
+        *where, last = key.split(".")
+        del _within(config, where)[last]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
-        message = json.loads(line)["message"]
-        assert str(alt / name) in message and problem in message
+        assert json.loads(line)["message"] == f"config key {key} is required"
         assert not out.exists()
-
-    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5])
-    def test_blank_fixture_cell_is_config_error(self, tmp_path, monkeypatch, capsys, column):
-        alt = tmp_path / "fixtures"
-        shutil.copytree(fixtures.fixture_path("table_s1.csv").parent, alt)
-        path = alt / "table_s1.csv"
-        header, row_6, *rest = path.read_text().splitlines()
-        cells = row_6.split(",")
-        cells[column] = ""
-        path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
-        monkeypatch.setenv("PL_FIXTURE_DIR", str(alt))
-        code, out = run(tmp_path, "purcell")
-        assert code == EXIT_CONFIG
-        [line] = capsys.readouterr().err.splitlines()
-        message = json.loads(line)["message"]
-        name = header.split(",")[column]
-        assert message == f"{path}: p '6' has no {name} value"
-        assert not out.exists()
-
-    def test_missing_override_file_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PL_FIXTURE_DIR", str(tmp_path / "nowhere"))
-        with pytest.raises(FileNotFoundError):
-            fixtures.fixture_path("table_s1.csv")
