@@ -6,40 +6,51 @@ Chains are ordered lists of named stages, each with an efficiency in
 (0, 1].  A calibration names the stage it solves and leaves that stage's
 listed efficiency out, so the same chains serve both the forward budget
 and the calibration.
+
+`Stage` and `EfficiencyChain` are immutable records checked when built,
+`_replace` included.  They are named tuples, so they unpack as
+`(name, efficiency)` and `(path, stages)`, and they compare equal to a
+plain tuple, or to another record, that holds the same values.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Stage:
+def _record(typename, field_names):
+    """A namedtuple base whose `_make`, and so `_replace`, builds through
+    the subclass's checking `__new__`."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Stage(_record("Stage", "name efficiency")):
     """One transmission/detection stage with its efficiency in (0, 1]."""
 
-    name: str
-    efficiency: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
+    def __new__(cls, name, efficiency):
+        if not 0.0 < efficiency <= 1.0:
             raise ValueError(
-                f"stage {self.name!r}: efficiency must be in (0, 1], got {self.efficiency}"
+                f"stage {name!r}: efficiency must be in (0, 1], got {efficiency}"
             )
+        return super().__new__(cls, name, efficiency)
 
 
-@dataclass(frozen=True)
-class EfficiencyChain:
+class EfficiencyChain(_record("EfficiencyChain", "path stages")):
     """Ordered stages of one optical path (free-space, cavity-planar or
     cavity-fiber); stage names are unique within a chain."""
 
-    path: str
-    stages: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.stages:
+    def __new__(cls, path, stages=()):
+        if not stages:
             raise ValueError("a chain needs at least one stage")
-        names = [stage.name for stage in self.stages]
+        names = [stage.name for stage in stages]
         for name in names:
             if names.count(name) > 1:
-                raise ValueError(f"stage {name!r} appears more than once in chain {self.path!r}")
+                raise ValueError(f"stage {name!r} appears more than once in chain {path!r}")
+        return super().__new__(cls, path, stages)
 
 
 def chain_efficiency(chain):

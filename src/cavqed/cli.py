@@ -10,12 +10,13 @@ shipped paper parameter set, tables S1-S3 included (`cavity.modes` and
 key, checks every value of the merged config against its rule in
 CONFIG_KEYS (a failure exits 2, naming the dotted key) and fills in the
 defaults, the command computes `(report, files)` without touching the
-disk, and `write_outputs` writes them, all or nothing.  --seed and
---parallel pass the same one-value check as a config value.  Every
-command is deterministic for a given (config, seed): stochastic sweeps
-draw from counter-based Philox streams keyed by (seed, task index).
---parallel is accepted and ignored: every sweep task takes milliseconds,
-so it runs in one thread.
+disk, and `write_outputs` writes them, all or nothing: each file under a
+hidden temporary name in the output directory, renamed into place once
+all are written.  --seed and --parallel pass the same one-value check as
+a config value.  Every command is deterministic for a given (config,
+seed): stochastic sweeps draw from counter-based Philox streams keyed by
+(seed, task index).  --parallel is accepted and ignored: every sweep
+task takes milliseconds, so it runs in one thread.
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 4 I/O error.  Diagnostics, Python warnings and command-line errors
@@ -23,22 +24,21 @@ included, go to stderr as single-line JSON.  A run that fails writes
 nothing.
 
 Imports: this module loads only the standard library and the numpy-free
-`fixtures` and `budget`; each function imports numpy and the physics
-modules it uses in its own body, so that `budget`, `--help` and a run that
-stops on a bad config start without paying for numpy.
+`fixtures`; each function imports numpy and the physics modules it uses
+in its own body, so that `budget`, `--help` and a run that stops on a bad
+config start without paying for numpy, and none of them loads
+`dataclasses` or `inspect`.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import os
-import shutil
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
-from . import budget as budget_mod
 from . import fixtures
 
 EXIT_OK = 0
@@ -349,6 +349,8 @@ def _mode_kappa(config, energy):
 def chains_from_config(config):
     """The collection paths' stage chains after extraction (table S2)
     from a checked config, as {path: budget.EfficiencyChain}."""
+    from . import budget as budget_mod
+
     chains = config["budget"]["chains"]
     return {path: budget_mod.EfficiencyChain(path, tuple(
                 budget_mod.Stage(name, efficiency) for name, efficiency in chains[path].items()))
@@ -698,6 +700,8 @@ def cmd_g2(config, seed):
 
 
 def cmd_budget(config, seed):
+    from . import budget as budget_mod
+
     measured = config["measured"]
     extractions = config["budget"]["extraction"]
     quoted = config["budget"]["overall_quoted"]
@@ -753,45 +757,59 @@ _COMMANDS = {
 }
 
 
+# numbers the calls of this process, so that two calls writing into one
+# directory at once, from two threads or two processes, never share a
+# temporary name
+_WRITE_CALLS = itertools.count()
+
+
 def write_outputs(out_dir, command, report, files):
     """Write a command's files and `<command>_report.json` into out_dir,
     creating it.  A ".csv" name takes a (header, x, y) table; any other
     name is an ".svg" one and takes an (x, series, labels) plot, `labels`
     being the keyword arguments of svg.write_line_svg.
 
-    All or nothing: the files are written into a hidden staging directory
-    in out_dir and moved into place once all are written and no directory
-    is in the way.  A failure removes the staging directory and whatever
-    directories this call made; a file it does not write is never touched."""
+    All or nothing: each file is written under a hidden temporary name in
+    out_dir, `.<command>-<pid>-<call>-<name>`, and renamed into place once
+    all are written and no directory is in the way.  A failure before the
+    renames unlinks the temporary files and removes whatever directories
+    this call made; a file it does not write is never touched.  A failure
+    among the renames, in an out_dir that existed, is not undone: the
+    files renamed before it stay."""
     out_dir = Path(out_dir)
     made = next((d for d in reversed([out_dir, *out_dir.parents]) if not d.exists()), None)
-    stage = None
     names = [*files, f"{command}_report.json"]
+    prefix = f".{command}-{os.getpid()}-{next(_WRITE_CALLS)}-"
+    temps = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(prefix=f".{command}-", dir=out_dir))
         if files:
             from . import spectra, svg
         for name, item in files.items():
-            path = stage / name
+            path = out_dir / (prefix + name)
+            temps.append(path)
             if name.endswith(".csv"):
                 spectra.write_two_column_csv(path, *item)
             else:
                 x, series, labels = item
                 svg.write_line_svg(path, x, series, **labels)
-        with open(stage / names[-1], "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        temps.append(out_dir / (prefix + names[-1]))
+        with open(temps[-1], "w") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         for name in names:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(f"a directory is in the way: {out_dir / name}")
-        for name in names:
-            os.replace(stage / name, out_dir / name)
+        for temp, name in zip(temps, names):
+            os.replace(temp, out_dir / name)
     except BaseException:
-        if made or stage:  # made holds stage
-            shutil.rmtree(made or stage, ignore_errors=True)
+        if made:
+            import shutil
+
+            shutil.rmtree(made, ignore_errors=True)
+        else:
+            for temp in temps:
+                temp.unlink(missing_ok=True)
         raise
-    stage.rmdir()
 
 
 def _diagnostic(**payload):

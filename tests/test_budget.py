@@ -77,10 +77,54 @@ class TestChainEfficiency:
             EfficiencyChain("x", (Stage("a", 0.5), Stage("b", 0.9), Stage("a", 0.5)))
 
     def test_stage_bounds(self):
-        with pytest.raises(ValueError):
-            Stage("bad", 0.0)
-        with pytest.raises(ValueError):
-            Stage("bad", 1.5)
+        for efficiency in (0.0, 1.5):
+            with pytest.raises(ValueError) as info:
+                Stage("bad", efficiency)
+            assert str(info.value) == f"stage 'bad': efficiency must be in (0, 1], got {efficiency}"
+
+
+class TestRecords:
+    """Stage and EfficiencyChain are checked, immutable named tuples."""
+
+    def test_repr(self):
+        chain = EfficiencyChain("x", (Stage("a", 0.5),))
+        assert repr(chain) \
+            == "EfficiencyChain(path='x', stages=(Stage(name='a', efficiency=0.5),))"
+
+    @pytest.mark.parametrize("record, attribute", [
+        (Stage("a", 0.5), "name"), (Stage("a", 0.5), "efficiency"), (Stage("a", 0.5), "note"),
+        (EfficiencyChain("x", (Stage("a", 0.5),)), "stages"),
+    ])
+    def test_assigning_an_attribute_raises(self, record, attribute):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 1.0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EfficiencyChain("x", ()), "a chain needs at least one stage"),
+        (lambda: EfficiencyChain("x"), "a chain needs at least one stage"),
+        # _make and _replace build through the same checks
+        (lambda: Stage._make(("bad", 0.0)), "stage 'bad': efficiency must be in (0, 1], got 0.0"),
+        (lambda: Stage("a", 0.5)._replace(efficiency=2.0),
+         "stage 'a': efficiency must be in (0, 1], got 2.0"),
+        (lambda: EfficiencyChain("x", (Stage("a", 0.5),))._replace(stages=()),
+         "a chain needs at least one stage"),
+    ], ids=["empty", "no-stages", "make", "replace-stage", "replace-chain"])
+    def test_bad_values_raise(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_replace_keeps_the_type(self):
+        stage = Stage("a", 0.5)._replace(efficiency=0.25)
+        assert type(stage) is Stage and stage.efficiency == 0.25
+
+    def test_records_are_tuples(self, paper):
+        # they unpack and compare as plain tuples of their fields
+        name, efficiency = stage = Stage("a", 0.5)
+        assert (name, efficiency) == stage == ("a", 0.5)
+        assert hash(stage) == hash(("a", 0.5))
+        chain = cli.chains_from_config(paper)["free_space"]
+        assert dict(chain.stages) == paper["budget"]["chains"]["free_space"]
 
 
 class TestPhotonsPerCount:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -578,6 +579,44 @@ class TestExitCodes:
         assert (out / "notes.txt").read_text() == "kept"
         assert (out / "g2.csv").read_text().startswith("tau_ps,g2\n")
 
+    def test_full_disk_leaves_a_users_out_dir_as_it_was(self, tmp_path, monkeypatch):
+        # the second file fails half written; the first is already written
+        import cavqed.spectra as spectra_mod
+
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"kept\n")
+        write = spectra_mod.write_two_column_csv
+        calls = []
+
+        def full_disk(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) < 2:
+                return write(path, *args, **kwargs)
+            Path(path).write_text("energy_ueV,")
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(spectra_mod, "write_two_column_csv", full_disk)
+        assert run(tmp_path, "spectrum")[0] == EXIT_IO
+        assert len(calls) == 2
+        assert [path.name for path in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_bytes() == b"kept\n"
+
+    def test_run_into_an_existing_out_dir_leaves_no_hidden_file(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert run(tmp_path, "lifetime")[0] == EXIT_OK
+        assert sorted(path.name for path in out.iterdir()) \
+            == ["decay_cavity.csv", "decay_fs.csv", "lifetime.svg", "lifetime_report.json"]
+
+    def test_back_to_back_runs_into_one_out_dir(self, tmp_path):
+        first = run(tmp_path, "spectrum")
+        second = run(tmp_path, "spectrum")
+        assert [first[0], second[0]] == [EXIT_OK, EXIT_OK]
+        assert sorted(path.name for path in first[1].iterdir()) \
+            == ["fs_spectrum.csv", "s_abs_tilde.csv", "s_emi_tilde.csv", "spectrum.svg",
+                "spectrum_report.json"]
+
 
 def test_every_default_passes_its_rule():
     def leaves(table):
@@ -738,10 +777,23 @@ def test_cli_import_loads_no_scipy():
     assert _run_python(code).stdout.strip() == "False"
 
 
+@functools.cache
+def _unneeded():
+    """Modules that `import cavqed.cli`, `budget`, `--help` and a run that
+    stops on its config have no use for: numpy, csv, tempfile, and
+    dataclasses with the inspect module it imports (numpy imports inspect
+    itself).  Those a bare interpreter already holds, as the site module
+    of some installs loads tempfile, are left out."""
+    code = "import sys; print(' '.join(sys.modules))"
+    bare = _run_python(code).stdout.split()
+    return [name for name in ("numpy", "csv", "dataclasses", "inspect", "tempfile")
+            if name not in bare]
+
+
 def test_cli_import_loads_no_numpy():
     # each command imports numpy and the physics modules in its own body
-    code = "import sys, cavqed.cli; print('numpy' in sys.modules)"
-    assert _run_python(code).stdout.strip() == "False"
+    code = f"import sys, cavqed.cli; print([m for m in {_unneeded()!r} if m in sys.modules])"
+    assert _run_python(code).stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, outcome", [
@@ -752,7 +804,8 @@ def test_cli_import_loads_no_numpy():
 def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
     # the photon budget is scalar arithmetic, and --help or a run that
     # stops before computing has no use for numpy either; the paper's
-    # tables are config sections, so no run loads the csv module
+    # tables are config sections, so no run loads the csv module, and the
+    # budget records are named tuples, so none loads dataclasses
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
         "import sys\n"
@@ -761,11 +814,11 @@ def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
         f"    outcome = 'returned %d' % main({argv!r})\n"
         "except SystemExit as exit:\n"
         "    outcome = f'exited {exit.code}'\n"
-        "print(outcome, 'numpy' in sys.modules, 'csv' in sys.modules, file=sys.stderr)\n"
+        f"print(outcome, [m for m in {_unneeded()!r} if m in sys.modules], file=sys.stderr)\n"
     )
     # main prints reports and help on stdout and diagnostics on stderr,
     # so the probe's line is the last one
-    assert _run_python(code).stderr.splitlines()[-1] == f"{outcome} False False"
+    assert _run_python(code).stderr.splitlines()[-1] == f"{outcome} []"
 
 
 def test_package_attribute_imports_submodule():
