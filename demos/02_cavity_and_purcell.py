@@ -4,13 +4,13 @@ lifetime ratios, and back from the measured ratios to (F_P, eta_QY).
 """
 
 
-from cavqed import cavity, cli, cqed
+from cavqed import cavity, config, cqed
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 zpl_energy = energy_from_wavelength(1275.0)
 
 # Gaussian-beam mode volumes vs the simulated fixture table
-table = {row["p"]: row for row in cli.load_config(None, "paper")["cavity"]["modes"]}
+table = {row["p"]: row for row in config.load("paper")["cavity"]["modes"]}
 print("p   V_gauss  V_fixture  Q_exp    kappa(ueV)")
 for p in sorted(table):
     geometry = cavity.CavityGeometry(1275.0, 1.0, 10.0, p)

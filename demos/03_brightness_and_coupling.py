@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cavqed import cli, cqed, spectra, svg
+from cavqed import config, cqed, spectra, svg
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 OUT = Path("demo_out")
@@ -20,7 +20,7 @@ model = spectra.EmitterModel(zpl_energy, 200.0, 0.65)
 grid = spectra.energy_grid(zpl_energy, 6000.0, 4.0)
 s_fs = spectra.build_fs_spectrum(model, grid)
 
-table = {row["p"]: row for row in cli.load_config(None, "paper")["cavity"]["modes"]}
+table = {row["p"]: row for row in config.load("paper")["cavity"]["modes"]}
 kappa6 = zpl_energy / table[6]["q_exp"]
 s_tilde = spectra.convolve_lorentzian(s_fs, kappa6)
 

@@ -6,7 +6,7 @@ a pulsed saturation curve.
 
 import numpy as np
 
-from cavqed import cli, dynamics
+from cavqed import config, dynamics
 from cavqed.units import HBAR_UEV_PS
 
 gamma_fs = HBAR_UEV_PS / 256.0
@@ -30,7 +30,7 @@ print(f"lifetime ratio tau2_fs / tau2_cav = {ratio:.3f} (simulated at 1.19)")
 
 # pulsed saturation: plateau = collection x quantum yield x rep rate
 f_rep = 38.26e6
-eta_coll = cli.load_config(None, "paper")["budget"]["overall_quoted"]["free_space"]
+eta_coll = config.load("paper")["budget"]["overall_quoted"]["free_space"]
 eta_qy_true = 0.007
 i_sat_true = eta_coll * eta_qy_true * f_rep
 print(f"\nexpected plateau: {i_sat_true:.0f} counts/s "

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from cavqed import cli, dynamics, svg
+from cavqed import config, dynamics, svg
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
-config = cli.load_config(None, "paper")
-scheme = cli.scheme_from_config(config)
-irf = config["g2_scheme"]["irf_fwhm_ps"]
+paper = config.load("paper")
+scheme = config.scheme_from_config(paper)
+irf = paper["g2_scheme"]["irf_fwhm_ps"]
 
 fast, slow = dynamics.g2_eigenrates(scheme)
 print(f"antibunching recovery {1 / fast:.0f} ps, bunching decay {1 / slow:.0f} ps")

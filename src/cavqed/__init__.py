@@ -14,8 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = frozenset({"budget", "cavity", "cli", "cqed", "dynamics", "fixtures",
-                         "optimize", "spectra", "svg", "units"})
+_SUBMODULES = frozenset({"budget", "cavity", "cli", "config", "cqed", "dynamics",
+                         "fixtures", "optimize", "spectra", "svg", "units"})
 
 
 def __getattr__(name):

@@ -3,31 +3,22 @@
     pl <spectrum|purcell|brightness|lifetime|saturation|g2|budget>
        [--config FILE] [--fixture paper] [--out DIR] [--seed N] [--parallel N]
 
-Configuration is a single JSON document; `--fixture paper` preloads the
-shipped paper parameter set, tables S1-S3 included (`cavity.modes` and
-`budget`), with any config file overlaid on top.  A run has three steps:
-`load_config` parses both with one JSON reader that rejects a repeated
-key, checks every value of the merged config against its rule in
-CONFIG_KEYS (a failure exits 2, naming the dotted key) and fills in the
-defaults, the command computes `(report, files)` without touching the
-disk, and `write_outputs` writes them, all or nothing: each file under a
-hidden temporary name in the output directory, renamed into place once
-all are written.  --seed and --parallel pass the same one-value check as
-a config value.  Every command is deterministic for a given (config,
-seed): stochastic sweeps draw from counter-based Philox streams keyed by
-(seed, task index).  --parallel is accepted and ignored: every sweep
-task takes milliseconds, so it runs in one thread.
+A run reads the --config file, builds the checked config with
+`config.load`, computes `(report, files)` with the command, which
+touches no file, and writes them with `write_outputs`, all or nothing.
+--seed and --parallel pass the same one-value check as a config value;
+--parallel is accepted and ignored, as every sweep runs in one thread.
+Runs are deterministic for a given (config, seed): stochastic sweeps
+draw from counter-based Philox streams keyed by (seed, task index).
 
 Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
 4 I/O error.  Diagnostics, Python warnings and command-line errors
-included, go to stderr as single-line JSON.  A run that fails writes
-nothing.
+included, go to stderr as single-line JSON.
 
 Imports: this module loads only the standard library and the numpy-free
-`fixtures`; each function imports numpy and the physics modules it uses
-in its own body, so that `budget`, `--help` and a run that stops on a bad
-config start without paying for numpy, and none of them loads
-`dataclasses` or `inspect`.
+`config`; each function imports numpy and the physics modules it uses
+in its own body, so `budget`, `--help` and a run that stops on a bad
+config load neither numpy nor `dataclasses` nor `inspect`.
 """
 
 import argparse
@@ -39,101 +30,12 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import fixtures
+from . import config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_IO = 4
-
-DEFAULT_SEED = 12345
-
-REQUIRED = object()
-
-
-def _is_real(v):
-    """True for a finite int or float; a bool is not a number."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-def int_at_least(least):
-    """The rule for an integer >= `least`; a bool is not an integer."""
-    return f"an integer >= {least}", lambda v: type(v) is int and v >= least
-
-
-# The rules a config value can have, each (what a value must be, test).
-POSITIVE = ("a positive number", lambda v: _is_real(v) and v > 0)
-NONNEGATIVE = ("a nonnegative number", lambda v: _is_real(v) and v >= 0)
-UNIT = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
-FRACTION = ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)
-BELOW_ONE = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
-PATH = ("a nonempty path string", lambda v: type(v) is str and v != "")
-PUMPING = ("'cw' or 'pulsed'", lambda v: v in ("cw", "pulsed"))
-WEIGHTS = ("two nonnegative numbers with a positive sum", lambda v: type(v) in (list, tuple)
-           and len(v) == 2 and all(_is_real(w) and w >= 0 for w in v) and sum(v) > 0)
-MODE_ORDERS = ("a nonempty list of distinct integers >= 1", lambda v: type(v) is list and v != []
-               and all(type(p) is int and p >= 1 for p in v) and len(set(v)) == len(v))
-CHAIN = ("a nonempty JSON object of stage efficiencies in (0, 1]", lambda v: type(v) is dict
-         and v != {} and all(_is_real(e) and 0 < e <= 1 for e in v.values()))
-_PATHS = ("free_space", "cavity_planar", "cavity_fiber")
-
-# Every config key a command reads, as (default, rule); a nested dict is
-# a section, and a one-item list holding a section is a table: a JSON
-# array of such rows, each of which must give every key.  load_config
-# checks every value given against its rule.  A REQUIRED key has no
-# default: reading it from a config that lacks it is a config error.
-# Where the default is None, null is also accepted and the one command
-# that reads the key derives the value (cavity.mode_orders: every row of
-# cavity.modes; dw_window_uev: 3 ZPL widths) or, for an input file, takes
-# the synthetic path.  Tables S1-S3 of the paper are cavity.modes,
-# budget.extraction with budget.chains (the stages after extraction, in
-# product order) and budget.overall_quoted.
-CONFIG_KEYS = {
-    "seed": (DEFAULT_SEED, int_at_least(0)),
-    "emitter": {
-        "wavelength_nm": (REQUIRED, POSITIVE), "zpl_fwhm_uev": (REQUIRED, POSITIVE),
-        "debye_waller": (REQUIRED, UNIT),
-        "sideband": {"exponent": (1.0, POSITIVE), "cutoff_uev": (1000.0, POSITIVE)},
-        "temperature_k": (4.2, NONNEGATIVE), "lifetime_fs_ps": (REQUIRED, POSITIVE),
-        "eta_qy": (0.01, FRACTION), "decay_weights": ((2.0, 1.0), WEIGHTS),
-        "tau_short_ps": (23.0, POSITIVE)},
-    "cavity": {"refractive_index": (1.0, POSITIVE), "radius_of_curvature_um": (10.0, POSITIVE),
-               "mode_order": (6, int_at_least(1)), "mode_orders": (None, MODE_ORDERS),
-               "modes": [{"p": (REQUIRED, int_at_least(1)), "v_eff_lambda3": (REQUIRED, POSITIVE),
-                          "q_th": (REQUIRED, POSITIVE), "q_exp": (REQUIRED, POSITIVE),
-                          "p_subs_pct": (REQUIRED, POSITIVE),
-                          "p_fiber_pct": (REQUIRED, POSITIVE)}]},
-    "measured": {
-        "flux_ratio_sat": (REQUIRED, POSITIVE), "decay_ratio": (REQUIRED, POSITIVE),
-        "g_spectral_max_uev": (25.0, NONNEGATIVE), "f_rep_hz": (REQUIRED, POSITIVE),
-        "ccd_rate_at_saturation_per_s": (REQUIRED, POSITIVE),
-        "photons_into_fiber_per_ccd_count": (REQUIRED, POSITIVE),
-        "detected_port_ratio_sspd_over_ccd": (REQUIRED, POSITIVE),
-        "exit_ratio_fiber_over_planar": (REQUIRED, POSITIVE),
-        "cryostat_optics_quoted": (REQUIRED, FRACTION)},
-    "g2_scheme": {"pump_uev": (REQUIRED, POSITIVE), "k_shelve_uev": (0.0, NONNEGATIVE),
-                  "k_deshelve_uev": (0.0, NONNEGATIVE), "background": (0.0, BELOW_ONE),
-                  "irf_fwhm_ps": (32.0, NONNEGATIVE)},
-    "analysis": {
-        "spectrum": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
-                     "dw_window_uev": (None, POSITIVE)},
-        "brightness": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
-                       "envelope_csv": (None, PATH), "noise_frac": (0.01, NONNEGATIVE)},
-        "lifetime": {"irf_fwhm_ps": (32.0, NONNEGATIVE), "fs_trace_csv": (None, PATH),
-                     "cavity_trace_csv": (None, PATH), "peak_counts": (1e5, POSITIVE),
-                     "bin_ps": (4.0, POSITIVE)},
-        "saturation": {"mode": ("pulsed", PUMPING), "curve_csv": (None, PATH),
-                       "i_sat": (1768.0, POSITIVE), "p_sat": (1000.0, POSITIVE),
-                       "noise_frac": (0.01, NONNEGATIVE), "n_points": (25, int_at_least(3))},
-        "g2": {"tau_span_ps": (60000.0, POSITIVE), "tau_step_ps": (4.0, POSITIVE)}},
-    "budget": {"extraction": {path: (REQUIRED, UNIT) for path in _PATHS},
-               "chains": {path: (REQUIRED, CHAIN) for path in _PATHS},
-               "overall_quoted": {path: (REQUIRED, UNIT) for path in _PATHS}},
-}
-
-
-class ConfigError(Exception):
-    """Invalid configuration or input contents (exit 2)."""
 
 
 class FitError(Exception):
@@ -142,110 +44,6 @@ class FitError(Exception):
 
 class InputError(Exception):
     """Missing, unreadable or empty input data (exit 4)."""
-
-
-# ---------------------------------------------------------------------------
-# configuration plumbing
-
-class _Section(dict):
-    """One checked config section; `prefix` is its dotted path plus "."."""
-
-    def __init__(self, prefix):
-        super().__init__()
-        self.prefix = prefix
-
-    def __missing__(self, key):
-        raise ConfigError(f"config key {self.prefix}{key} is required")
-
-
-def _deep_merge(base, overlay):
-    out = dict(base)
-    for key, value in overlay.items():
-        if isinstance(value, dict) and key in out and isinstance(out[key], dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def _check_value(name, value, rule):
-    """Raise a ConfigError naming `name` unless `value` passes `rule`."""
-    what, test = rule
-    if not test(value):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
-def _checked(tree, table=CONFIG_KEYS, prefix=""):
-    """Copy of a config (sub)tree with every key checked against `table`
-    and every absent default filled in.  Keys must be in the table,
-    sections JSON objects, tables nonempty JSON arrays of complete rows,
-    and values must pass their rule or be null where the default is
-    None."""
-    for key in tree:
-        if key not in table:
-            raise ConfigError(f"unknown config key {prefix}{key}")
-    out = _Section(prefix)
-    for key, entry in table.items():
-        path = prefix + key
-        if isinstance(entry, dict):
-            value = tree[key] if key in tree else {}
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {path} must be a JSON object")
-            out[key] = _checked(value, entry, path + ".")
-            continue
-        if isinstance(entry, list):
-            if key in tree:
-                out[key] = _checked_rows(tree[key], entry[0], path)
-            continue
-        default, rule = entry
-        if key in tree:
-            value = tree[key]
-            if value is not None or default is not None:
-                _check_value(f"config key {path}", value, rule)
-            out[key] = value
-        elif default is not REQUIRED:
-            out[key] = default
-    return out
-
-
-def _checked_rows(rows, row_table, path):
-    """The checked rows of the table at `path`: each row is a section of
-    `row_table` that must give every key, and errors name `path[i].key`."""
-    if type(rows) is not list or rows == []:
-        raise ConfigError(f"config key {path} must be a nonempty JSON array of rows")
-    out = []
-    for index, row in enumerate(rows):
-        name = f"{path}[{index}]"
-        if not isinstance(row, dict):
-            raise ConfigError(f"config section {name} must be a JSON object")
-        out.append(_checked(row, row_table, name + "."))
-        for key in row_table:
-            if key not in out[-1]:
-                raise ConfigError(f"config key {name}.{key} is required")
-    return out
-
-
-def _unique_keys(pairs):
-    """The object_pairs_hook of every config parse: a JSON object that
-    gives a key twice is a ConfigError naming it, not its last value."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"config key {key!r} appears more than once in one JSON object")
-        obj[key] = value
-    return obj
-
-
-def _parse_config(text):
-    """The JSON object of a config text (the paper fixture or a --config
-    file)."""
-    try:
-        tree = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(tree, dict):
-        raise ConfigError("config root must be a JSON object")
-    return tree
 
 
 def _read_input(path, what):
@@ -272,89 +70,17 @@ def _load_csv(path, header, build):
 
 
 def load_config(config_path, fixture):
-    """The user config merged over the fixture, checked against
-    CONFIG_KEYS, with every default filled in."""
-    config = {}
-    if fixture:
-        if fixture != "paper":
-            raise ConfigError(f"unknown fixture set {fixture!r} (only 'paper')")
-        config = _parse_config(fixtures.paper_defaults())
-    if config_path:
-        config = _deep_merge(config, _parse_config(_read_input(config_path, "config file")))
-    if not config:
-        raise ConfigError("no configuration given (use --config and/or --fixture paper)")
-    return _checked(config)
+    """config.load of the named fixture set and the --config file (None:
+    none), whose absence or emptiness is an InputError."""
+    return config.load(fixture, _read_input(config_path, "config file") if config_path else None)
 
 
-def emitter_from_config(config):
-    """The paper's emitter (spectral parameters only) from a checked config."""
-    from . import spectra
-    from .units import energy_from_wavelength
-
-    em = config["emitter"]
-    return spectra.EmitterModel(
-        zpl_energy_uev=energy_from_wavelength(em["wavelength_nm"]),
-        zpl_fwhm_uev=em["zpl_fwhm_uev"],
-        debye_waller=em["debye_waller"],
-        sideband=spectra.SidebandShape(em["sideband"]["exponent"],
-                                       em["sideband"]["cutoff_uev"]),
-        temperature_k=em["temperature_k"],
-    )
-
-
-def scheme_from_config(config):
-    """The paper's three-level g2 scheme from a checked config."""
-    from . import dynamics
-    from .units import rate_from_lifetime
-
-    g2cfg = config["g2_scheme"]
-    return dynamics.LevelScheme(
-        pump_uev=g2cfg["pump_uev"],
-        gamma_total_uev=rate_from_lifetime(config["emitter"]["lifetime_fs_ps"]),
-        k_shelve_uev=g2cfg["k_shelve_uev"], k_deshelve_uev=g2cfg["k_deshelve_uev"],
-        background=g2cfg["background"])
-
-
-def _mode_rows(config, key):
-    """[(p, cavity.modes row)] for the mode orders of cavity.<key>, which
-    is mode_order (one order) or mode_orders (a list; None: every row, by
-    p).  A p that two rows give is a ConfigError."""
-    cav = config["cavity"]
-    table = {}
-    for index, row in enumerate(cav["modes"]):
-        if row["p"] in table:
-            raise ConfigError(f"config key cavity.modes[{index}].p: mode order {row['p']} "
-                              "appears more than once")
-        table[row["p"]] = row
-    orders = cav[key]
-    if orders is None:
-        orders = sorted(table)
-    elif type(orders) is int:
-        orders = [orders]
-    for p in orders:
-        if p not in table:
-            raise ConfigError(f"config key cavity.{key}: mode order {p!r} "
-                              "is not in cavity.modes")
-    return [(p, table[p]) for p in orders]
-
-
-def _mode_kappa(config, energy):
+def _mode_kappa(cfg, energy):
     """(p, cavity linewidth) of cavity.mode_order, from its measured Q."""
     from . import cavity as cavity_mod
 
-    [(p, row)] = _mode_rows(config, "mode_order")
+    [(p, row)] = config.mode_rows(cfg, "mode_order")
     return p, cavity_mod.kappa_from_q(energy, row["q_exp"])
-
-
-def chains_from_config(config):
-    """The collection paths' stage chains after extraction (table S2)
-    from a checked config, as {path: budget.EfficiencyChain}."""
-    from . import budget as budget_mod
-
-    chains = config["budget"]["chains"]
-    return {path: budget_mod.EfficiencyChain(path, tuple(
-                budget_mod.Stage(name, efficiency) for name, efficiency in chains[path].items()))
-            for path in _PATHS}
 
 
 def task_rng(seed, index):
@@ -376,12 +102,12 @@ def _require_converged(results, what):
 # a ".csv" name to a (header, x, y) table and a ".svg" name to an
 # (x, series, labels) plot; see write_outputs.
 
-def cmd_spectrum(config, seed):
+def cmd_spectrum(cfg, seed):
     from . import spectra
 
-    model = emitter_from_config(config)
-    options = config["analysis"]["spectrum"]
-    _, kappa = _mode_kappa(config, model.zpl_energy_uev)
+    model = config.emitter_from_config(cfg)
+    options = cfg["analysis"]["spectrum"]
+    _, kappa = _mode_kappa(cfg, model.zpl_energy_uev)
 
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
                                options["step_uev"])
@@ -412,24 +138,24 @@ def cmd_spectrum(config, seed):
     return report, files
 
 
-def cmd_purcell(config, seed):
+def cmd_purcell(cfg, seed):
     from . import cavity as cavity_mod
     from . import cqed
 
-    model = emitter_from_config(config)
-    measured = config["measured"]
-    cav = config["cavity"]
+    model = config.emitter_from_config(cfg)
+    measured = cfg["measured"]
+    cav = cfg["cavity"]
     energy = model.zpl_energy_uev
     q_emitter = energy / model.zpl_fwhm_uev
 
     modes = []
-    for p, row in _mode_rows(config, "mode_orders"):
+    for p, row in config.mode_rows(cfg, "mode_orders"):
         geometry = cavity_mod.CavityGeometry(
-            config["emitter"]["wavelength_nm"], cav["refractive_index"],
+            cfg["emitter"]["wavelength_nm"], cav["refractive_index"],
             cav["radius_of_curvature_um"], p)
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
         f_p = cqed.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
-        ratios = cqed.brightening_ratios(model.debye_waller, f_p, config["emitter"]["eta_qy"])
+        ratios = cqed.brightening_ratios(model.debye_waller, f_p, cfg["emitter"]["eta_qy"])
         modes.append({
             "p": p,
             "v_eff_lambda3_fixture": row["v_eff_lambda3"],
@@ -482,20 +208,20 @@ def _synthetic_envelope(s_dtilde, g_uev, gamma_uev, noise_frac, rng):
     return spectra.Spectrum(s_dtilde.energies, values, spectra.RAW_COUNTS)
 
 
-def cmd_brightness(config, seed):
+def cmd_brightness(cfg, seed):
     import numpy as np
 
     from . import cavity as cavity_mod
     from . import cqed, spectra
     from .units import rate_from_lifetime
 
-    model = emitter_from_config(config)
-    options = config["analysis"]["brightness"]
-    gamma = rate_from_lifetime(config["emitter"]["lifetime_fs_ps"])
+    model = config.emitter_from_config(cfg)
+    options = cfg["analysis"]["brightness"]
+    gamma = rate_from_lifetime(cfg["emitter"]["lifetime_fs_ps"])
 
     if options["envelope_csv"]:
         # measured path: one envelope, one mode order
-        p, kappa = _mode_kappa(config, model.zpl_energy_uev)
+        p, kappa = _mode_kappa(cfg, model.zpl_energy_uev)
         envelope = _load_csv(options["envelope_csv"], spectra.SPECTRUM_HEADER,
                              spectra.Spectrum)
         s_fs = spectra.build_fs_spectrum(model, envelope.energies)
@@ -506,8 +232,8 @@ def cmd_brightness(config, seed):
                   "fit": fit.to_record()}
         return report, {}
 
-    rows = _mode_rows(config, "mode_orders")
-    g_max = config["measured"]["g_spectral_max_uev"]
+    rows = config.mode_rows(cfg, "mode_orders")
+    g_max = cfg["measured"]["g_spectral_max_uev"]
     noise_frac = options["noise_frac"]
     v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
     grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
@@ -564,14 +290,14 @@ def cmd_brightness(config, seed):
     return report, files
 
 
-def cmd_lifetime(config, seed):
+def cmd_lifetime(cfg, seed):
     import numpy as np
 
     from . import dynamics
     from .units import lifetime_from_rate, rate_from_lifetime
 
-    em = config["emitter"]
-    options = config["analysis"]["lifetime"]
+    em = cfg["emitter"]
+    options = cfg["analysis"]["lifetime"]
     irf = options["irf_fwhm_ps"]
 
     keys = ("fs_trace_csv", "cavity_trace_csv")
@@ -579,13 +305,13 @@ def cmd_lifetime(config, seed):
         # measured path: both traces or neither
         for key in keys:
             if options[key] is None:
-                raise ConfigError(f"config key analysis.lifetime.{key} is required "
+                raise config.ConfigError(f"config key analysis.lifetime.{key} is required "
                                   "with a measured trace")
         trace_fs, trace_cav = (_load_csv(options[key], "time_ps,counts",
                                          lambda t, c: dynamics.DecayTrace(t, c, irf))
                                for key in keys)
     else:
-        decay_ratio = config["measured"]["decay_ratio"]
+        decay_ratio = cfg["measured"]["decay_ratio"]
         peak = options["peak_counts"]
         weights = tuple(em["decay_weights"])
         bin_ps = options["bin_ps"]
@@ -624,12 +350,12 @@ def cmd_lifetime(config, seed):
     return report, files
 
 
-def cmd_saturation(config, seed):
+def cmd_saturation(cfg, seed):
     import numpy as np
 
     from . import dynamics
 
-    options = config["analysis"]["saturation"]
+    options = cfg["analysis"]["saturation"]
     mode = options["mode"]
 
     if options["curve_csv"]:
@@ -646,8 +372,8 @@ def cmd_saturation(config, seed):
     fit = dynamics.fit_saturation(powers, counts, mode)
     _require_converged([fit], "saturation")
 
-    eta_coll = config["budget"]["overall_quoted"]["free_space"]
-    eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, config["measured"]["f_rep_hz"]) \
+    eta_coll = cfg["budget"]["overall_quoted"]["free_space"]
+    eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, cfg["measured"]["f_rep_hz"]) \
         if mode == "pulsed" else None
 
     fitted = dynamics.saturation_curve(powers, fit.i_sat, fit.p_sat, mode)
@@ -665,17 +391,17 @@ def cmd_saturation(config, seed):
     return report, files
 
 
-def cmd_g2(config, seed):
+def cmd_g2(cfg, seed):
     import numpy as np
 
     from . import dynamics, spectra
 
-    scheme = scheme_from_config(config)
-    options = config["analysis"]["g2"]
+    scheme = config.scheme_from_config(cfg)
+    options = cfg["analysis"]["g2"]
     span = options["tau_span_ps"]
     tau = spectra.energy_grid(0.0, span, options["tau_step_ps"])
 
-    g2 = dynamics.g2_correlation(scheme, tau, irf=config["g2_scheme"]["irf_fwhm_ps"])
+    g2 = dynamics.g2_correlation(scheme, tau, irf=cfg["g2_scheme"]["irf_fwhm_ps"])
     files = {"g2.csv": ("tau_ps,g2", tau, g2),
              "g2.svg": (tau, [("g2(tau)", g2)], {"title": "Intensity correlation (cw)",
                                                  "x_label": "tau (ps)", "y_label": "g2"})}
@@ -699,14 +425,14 @@ def cmd_g2(config, seed):
     return report, files
 
 
-def cmd_budget(config, seed):
+def cmd_budget(cfg, seed):
     from . import budget as budget_mod
 
-    measured = config["measured"]
-    extractions = config["budget"]["extraction"]
-    quoted = config["budget"]["overall_quoted"]
-    chains = chains_from_config(config)
-    [(_, exits)] = _mode_rows(config, "mode_order")
+    measured = cfg["measured"]
+    extractions = cfg["budget"]["extraction"]
+    quoted = cfg["budget"]["overall_quoted"]
+    chains = config.chains_from_config(cfg)
+    [(_, exits)] = config.mode_rows(cfg, "mode_order")
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])
                for name in chains}
@@ -721,7 +447,14 @@ def cmd_budget(config, seed):
         chains["free_space"], chains["cavity_planar"],
         extractions["free_space"], extractions["cavity_planar"])
 
-    # solve the in-cryostat optics from the measured fiber/planar exit ratio
+    # solve the in-cryostat optics from the measured fiber/planar exit
+    # ratio; exactly one of the two cavity chains must list that stage
+    holders = [path for path in ("cavity_planar", "cavity_fiber")
+               if "cryostat_optics" in cfg["budget"]["chains"][path]]
+    if len(holders) != 1:
+        raise config.ConfigError(
+            "config keys budget.chains.cavity_planar and budget.chains.cavity_fiber: "
+            f"stage 'cryostat_optics' {'appears in both' if holders else 'is in neither'}")
     cryostat_solved, physical = budget_mod.calibrate_unknown_stage(
         chains["cavity_fiber"], chains["cavity_planar"],
         exits["p_fiber_pct"] / 100.0, exits["p_subs_pct"] / 100.0,
@@ -729,7 +462,7 @@ def cmd_budget(config, seed):
 
     report = {
         "overall_efficiency": overall,
-        "overall_efficiency_quoted": {name: quoted[name] for name in _PATHS},
+        "overall_efficiency_quoted": {name: quoted[name] for name in config.PATHS},
         "photons_per_count_planar": ppc_planar,
         "detected_port_ratio_fiber_over_planar": port_ratio,
         "detected_port_ratio_measured": measured["detected_port_ratio_sspd_over_ccd"],
@@ -829,7 +562,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     the usage text and exiting."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise config.ConfigError(message)
 
 
 @functools.cache
@@ -842,7 +575,7 @@ def _parser():
     parser.add_argument("--fixture", help="named fixture set to preload ('paper')")
     parser.add_argument("--out", default="pl_out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"seed for stochastic sweeps (default {DEFAULT_SEED})")
+                        help=f"seed for stochastic sweeps (default {config.DEFAULT_SEED})")
     parser.add_argument("--parallel", type=int, default=1,
                         help="accepted for compatibility and ignored: sweeps run in one thread")
     return parser
@@ -853,7 +586,7 @@ def main(argv=None):
     args = argparse.Namespace(command=None)
     try:
         _parser().parse_args(argv, args)
-    except ConfigError as err:
+    except config.ConfigError as err:
         return _fail(args.command, EXIT_CONFIG, err)
     out_dir = Path(args.out)
 
@@ -863,14 +596,14 @@ def main(argv=None):
     try:
         with warnings.catch_warnings():
             warnings.showwarning = show_warning
-            _check_value("--parallel", args.parallel, int_at_least(1))
+            config.check_value("--parallel", args.parallel, config.int_at_least(1))
             if args.seed is not None:
-                _check_value("--seed", args.seed, int_at_least(0))
-            config = load_config(args.config, args.fixture)
-            seed = args.seed if args.seed is not None else config["seed"]
-            report, files = _COMMANDS[args.command](config, seed)
+                config.check_value("--seed", args.seed, config.int_at_least(0))
+            cfg = load_config(args.config, args.fixture)
+            seed = args.seed if args.seed is not None else cfg["seed"]
+            report, files = _COMMANDS[args.command](cfg, seed)
             write_outputs(out_dir, args.command, report, files)
-    except (ConfigError, ValueError) as err:
+    except (config.ConfigError, ValueError) as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:
         return _fail(args.command, EXIT_FIT, err)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 def paper_defaults():
     """Text of the `--fixture paper` config, the values that no config
-    default gives; parsed and checked by cli.load_config alone, which adds
+    default gives; parsed and checked by config.load alone, which adds
     the defaults."""
     with open(Path(__file__).parent / "fixtures" / "paper_defaults.json") as fh:
         return fh.read()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavqed import cli, spectra
+from cavqed import config, spectra
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 # shared emitter/cavity scales matching the fixture parameter set
@@ -12,7 +12,7 @@ GAMMA = HBAR_UEV_PS / 256.0          # 2.5711 ueV
 
 @pytest.fixture(scope="session")
 def paper_model():
-    return cli.emitter_from_config(cli.load_config(None, "paper"))
+    return config.emitter_from_config(config.load("paper"))
 
 
 @pytest.fixture(scope="session")

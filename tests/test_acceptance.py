@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cavqed import budget as budget_mod
-from cavqed import cli, cqed, dynamics, spectra
+from cavqed import config, cqed, dynamics, spectra
 from cavqed.cqed import CouplingParams
 from cavqed.spectra import RAW_COUNTS, Spectrum, energy_grid
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
@@ -35,7 +35,7 @@ def report(num, name, ok, detail):
 
 @functools.lru_cache(maxsize=1)
 def paper_pipeline():
-    model = cli.emitter_from_config(cli.load_config(None, "paper"))
+    model = config.emitter_from_config(config.load("paper"))
     grid = energy_grid(ZPL_ENERGY, 6000.0, 4.0)
     s_fs = spectra.build_fs_spectrum(model, grid)
     s_tilde = spectra.convolve_lorentzian(s_fs, KAPPA)
@@ -92,9 +92,9 @@ def test_criterion_4_mode_volume():
 
 
 def test_criterion_5_budget_arithmetic():
-    config = cli.load_config(None, "paper")
-    extractions, chains = config["budget"]["extraction"], cli.chains_from_config(config)
-    quoted = config["budget"]["overall_quoted"]
+    paper = config.load("paper")
+    extractions, chains = paper["budget"]["extraction"], config.chains_from_config(paper)
+    quoted = paper["budget"]["overall_quoted"]
     checks = []
     # overall efficiencies from the summary table S3 (extraction, then the
     # path-and-detector product), +- 1 in the last digit
@@ -187,7 +187,7 @@ def test_criterion_7_g_extraction():
     noise_ok = p95 < 0.05
 
     # synthetic mode sweep: g^2 linear in 1/V_eff with R^2 > 0.99
-    table = {row["p"]: row for row in cli.load_config(None, "paper")["cavity"]["modes"]}
+    table = {row["p"]: row for row in config.load("paper")["cavity"]["modes"]}
     inv_v, g_sq = [], []
     for p in (6, 7, 8, 9):
         row = table[p]
@@ -248,9 +248,9 @@ def test_criterion_9_biexponential_recovery():
 
 
 def test_criterion_10_g2_model():
-    config = cli.load_config(None, "paper")
-    scheme = cli.scheme_from_config(config)
-    irf = config["g2_scheme"]["irf_fwhm_ps"]
+    paper = config.load("paper")
+    scheme = config.scheme_from_config(paper)
+    irf = paper["g2_scheme"]["irf_fwhm_ps"]
     # clean three-level scheme: full antibunching, unit tails
     clean = replace(scheme, k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
     tau_clean = np.arange(-6000, 6001) * 2.0

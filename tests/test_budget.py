@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import cli
+from cavqed import config
 from cavqed.budget import (
     EfficiencyChain,
     Stage,
@@ -27,12 +27,12 @@ SUMMARY = {
 
 @pytest.fixture(scope="module")
 def paper():
-    return cli.load_config(None, "paper")
+    return config.load("paper")
 
 
 @pytest.fixture(scope="module")
 def tables(paper):
-    return paper["budget"]["extraction"], cli.chains_from_config(paper), SUMMARY
+    return paper["budget"]["extraction"], config.chains_from_config(paper), SUMMARY
 
 
 def test_quoted_overall_is_the_summary_table(paper):
@@ -123,7 +123,7 @@ class TestRecords:
         name, efficiency = stage = Stage("a", 0.5)
         assert (name, efficiency) == stage == ("a", 0.5)
         assert hash(stage) == hash(("a", 0.5))
-        chain = cli.chains_from_config(paper)["free_space"]
+        chain = config.chains_from_config(paper)["free_space"]
         assert dict(chain.stages) == paper["budget"]["chains"]["free_space"]
 
 

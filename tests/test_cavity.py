@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed.cli import load_config
+from cavqed import config
 from cavqed.cavity import (
     CavityGeometry,
     LossBudget,
@@ -177,7 +177,7 @@ class TestKappaFromQ:
 class TestFixtureTable:
     @pytest.fixture(scope="class")
     def table(self):
-        return {row["p"]: row for row in load_config(None, "paper")["cavity"]["modes"]}
+        return {row["p"]: row for row in config.load("paper")["cavity"]["modes"]}
 
     def test_values_match_simulation_table(self, table):
         assert table[6]["p_subs_pct"] == 7.85

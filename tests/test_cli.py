@@ -11,19 +11,8 @@ import numpy as np
 import pytest
 
 import cavqed
-from cavqed import dynamics, fixtures, spectra
-from cavqed.cli import (
-    CONFIG_KEYS,
-    DEFAULT_SEED,
-    EXIT_CONFIG,
-    EXIT_FIT,
-    EXIT_IO,
-    EXIT_OK,
-    REQUIRED,
-    _COMMANDS,
-    load_config,
-    main,
-)
+from cavqed import config, dynamics, fixtures, spectra
+from cavqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, main
 
 
 def run(tmp_path, command, *extra, config=None, name="run"):
@@ -407,6 +396,15 @@ class TestExitCodes:
                      "analysis.lifetime.fs_trace_csv is required", id="cavity-trace-only"),
         pytest.param(("lifetime", (), {"analysis": {"lifetime": {"fs_trace_csv": "f.csv"}}}),
                      "analysis.lifetime.cavity_trace_csv is required", id="fs-trace-only"),
+        # the exit ratio solves cryostat_optics, which one cavity chain must list
+        pytest.param(("budget", (), {"budget": {"chains": {"cavity_fiber": {
+                         "cryostat_optics": 0.5}}}}),
+                     "config keys budget.chains.cavity_planar and budget.chains.cavity_fiber: "
+                     "stage 'cryostat_optics' appears in both", id="cryostat-in-both"),
+        pytest.param(("budget", (), {"budget": {"chains": {"cavity_planar": {
+                         "cryostat_optics": None}}}}),
+                     "config keys budget.chains.cavity_planar and budget.chains.cavity_fiber: "
+                     "stage 'cryostat_optics' is in neither", id="cryostat-in-neither"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()
@@ -618,34 +616,6 @@ class TestExitCodes:
                 "spectrum_report.json"]
 
 
-def test_every_default_passes_its_rule():
-    def leaves(table):
-        for entry in table.values():
-            if isinstance(entry, list):  # a table: its one row section
-                entry = entry[0]
-            yield from leaves(entry) if isinstance(entry, dict) else [entry]
-
-    for default, (what, test) in leaves(CONFIG_KEYS):
-        assert default in (REQUIRED, None) or test(default), (default, what)
-
-
-def test_paper_fixture_restates_no_default():
-    # each default lives in CONFIG_KEYS alone; JSON gives a list where a
-    # default is a tuple
-    def restated(tree, table, prefix=""):
-        for key, value in tree.items():
-            entry = table[key]
-            if isinstance(entry, dict):
-                yield from restated(value, entry, f"{prefix}{key}.")
-            elif isinstance(entry, list):
-                for index, row in enumerate(value):
-                    yield from restated(row, entry[0], f"{prefix}{key}[{index}].")
-            elif value == (list(entry[0]) if isinstance(entry[0], tuple) else entry[0]):
-                yield prefix + key
-
-    assert list(restated(json.loads(fixtures.paper_defaults()), CONFIG_KEYS)) == []
-
-
 @pytest.mark.parametrize("command", ["purcell", "brightness"])
 def test_null_mode_orders_take_every_row(tmp_path, command):
     name = f"{command}_report.json"
@@ -660,7 +630,7 @@ def test_null_mode_orders_take_every_row(tmp_path, command):
 def test_commands_compute_without_writing(tmp_path, monkeypatch, command):
     # every file item has one of the two shapes write_outputs takes
     monkeypatch.chdir(tmp_path)
-    report, files = command(load_config(None, "paper"), DEFAULT_SEED)
+    report, files = command(config.load("paper"), config.DEFAULT_SEED)
     assert isinstance(report, dict)
     assert list(tmp_path.iterdir()) == []
     headers = (spectra.SPECTRUM_HEADER, "time_ps,counts", "power,counts", "tau_ps,g2")
@@ -762,11 +732,17 @@ class TestInputData:
         assert read_report(out, "saturation_report.json")["i_sat"] == fit.i_sat
 
 
+def _interpreter(*args):
+    """The completed fresh interpreter that ran with the command-line
+    arguments `args` and this cavqed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+
+
 def _run_python(code):
     """The completed fresh interpreter that ran `code` with this cavqed."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=120, env=env)
+    return _interpreter("-c", code)
 
 
 _SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
@@ -793,6 +769,12 @@ def _unneeded():
 def test_cli_import_loads_no_numpy():
     # each command imports numpy and the physics modules in its own body
     code = f"import sys, cavqed.cli; print([m for m in {_unneeded()!r} if m in sys.modules])"
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+def test_config_import_loads_no_numpy():
+    # the builders import the physics modules in their own bodies
+    code = f"import sys, cavqed.config; print([m for m in {_unneeded()!r} if m in sys.modules])"
     assert _run_python(code).stdout.strip() == "[]"
 
 
@@ -851,6 +833,63 @@ def test_commands_load_no_scipy(tmp_path):
     assert lines == [f"{command} 0 False" for command in commands]
 
 
+# the files each command writes with the paper fixture, and with the
+# measured inputs that those runs wrote
+_FILES = {
+    "spectrum": ["fs_spectrum.csv", "s_abs_tilde.csv", "s_emi_tilde.csv", "spectrum.svg",
+                 "spectrum_report.json"],
+    "purcell": ["purcell.svg", "purcell_report.json"],
+    "brightness": [*(f"beta_p{p}.csv" for p in range(6, 10)), "brightness_report.json",
+                   *(f"envelope_p{p}.csv" for p in range(6, 10)), "g2_vs_inverse_volume.svg",
+                   *(f"recovered_s_dtilde_p{p}.csv" for p in range(6, 10))],
+    "lifetime": ["decay_cavity.csv", "decay_fs.csv", "lifetime.svg", "lifetime_report.json"],
+    "saturation": ["saturation.csv", "saturation.svg", "saturation_report.json"],
+    "g2": ["g2.csv", "g2.svg", "g2_report.json"],
+    "budget": ["budget_report.json"],
+}
+_MEASURED_FILES = {"brightness": ["brightness_report.json"],
+                   "lifetime": _FILES["lifetime"], "saturation": _FILES["saturation"]}
+
+
+def _run_pl(command, out, *extra):
+    """`python -m cavqed.cli <command> --fixture paper` in a fresh process,
+    as the installed `pl` script runs it; returns its one stdout line."""
+    stdout = _interpreter("-m", "cavqed.cli", command, "--fixture", "paper", "--out", str(out),
+                          *extra).stdout
+    [line] = stdout.splitlines()
+    return json.loads(line)
+
+
+@pytest.fixture(scope="module")
+def paper_runs(tmp_path_factory):
+    """A directory holding one `--out` per command, named after it."""
+    root = tmp_path_factory.mktemp("pl")
+    for command in _FILES:
+        assert _run_pl(command, root / command)["command"] == command
+    return root
+
+
+@pytest.mark.parametrize("command", list(_FILES))
+def test_fresh_process_writes_exactly_its_files(paper_runs, command):
+    # a temporary file left behind would show here
+    assert sorted(os.listdir(paper_runs / command)) == _FILES[command]
+
+
+@pytest.mark.parametrize("command", list(_MEASURED_FILES))
+def test_fresh_process_reads_back_the_written_files(paper_runs, tmp_path, command):
+    measured = {"analysis": {
+        "brightness": {"envelope_csv": str(paper_runs / "brightness" / "envelope_p6.csv")},
+        "lifetime": {"fs_trace_csv": str(paper_runs / "lifetime" / "decay_fs.csv"),
+                     "cavity_trace_csv": str(paper_runs / "lifetime" / "decay_cavity.csv")},
+        "saturation": {"curve_csv": str(paper_runs / "saturation" / "saturation.csv")}}}
+    path = tmp_path / "measured.json"
+    path.write_text(json.dumps(measured))
+    report = _run_pl(command, tmp_path / "out", "--config", str(path))["report"]
+    assert sorted(os.listdir(tmp_path / "out")) == _MEASURED_FILES[command]
+    if command == "brightness":
+        assert report["mode"] == "measured"
+
+
 def test_saturation_loads_no_numpy_ma(tmp_path):
     # np.median imports numpy.ma, which costs a cold start about 17 ms
     code = (
@@ -870,10 +909,10 @@ def _within(tree, keys):
 
 def _paper_tables():
     """The paper's tables S1 and S2 as a config overlay to edit."""
-    config = load_config(None, "paper")
-    return {"cavity": {"modes": [dict(row) for row in config["cavity"]["modes"]]},
+    paper = config.load("paper")
+    return {"cavity": {"modes": [dict(row) for row in paper["cavity"]["modes"]]},
             "budget": {"chains": {path: dict(stages)
-                                  for path, stages in config["budget"]["chains"].items()}}}
+                                  for path, stages in paper["budget"]["chains"].items()}}}
 
 
 class TestTableConfig:

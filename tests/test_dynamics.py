@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import cli, dynamics
+from cavqed import config, dynamics
 from cavqed.dynamics import (
     DecayTrace,
     LevelScheme,
@@ -26,7 +26,7 @@ from cavqed.units import HBAR_UEV_PS
 
 GAMMA_FS = HBAR_UEV_PS / 256.0
 
-PAPER_SCHEME = cli.scheme_from_config(cli.load_config(None, "paper"))
+PAPER_SCHEME = config.scheme_from_config(config.load("paper"))
 
 
 def default_grid(bin_ps=4.0, t_max=1536.0):
