@@ -47,11 +47,11 @@ class InputError(Exception):
 
 
 def _read_input(path, what):
-    """Text of an input file; a missing or empty file is an InputError."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"{what} not found: {path}")
-    text = path.read_text()
+    """Text of an input file; a missing or empty file, or an empty path,
+    is an InputError."""
+    if not os.path.exists(path):
+        raise InputError(f"{what} not found: {path!r}")
+    text = Path(path).read_text()
     if not text.strip():
         raise InputError(f"{what} is empty: {path}")
     return text
@@ -72,7 +72,8 @@ def _load_csv(path, header, build):
 def load_config(config_path, fixture):
     """config.load of the named fixture set and the --config file (None:
     none), whose absence or emptiness is an InputError."""
-    return config.load(fixture, _read_input(config_path, "config file") if config_path else None)
+    return config.load(fixture, None if config_path is None
+                       else _read_input(config_path, "config file"))
 
 
 def _mode_kappa(cfg, energy):
@@ -603,15 +604,22 @@ def main(argv=None):
             seed = args.seed if args.seed is not None else cfg["seed"]
             report, files = _COMMANDS[args.command](cfg, seed)
             write_outputs(out_dir, args.command, report, files)
+            print(json.dumps({"command": args.command, "out_dir": str(out_dir),
+                              "report": report}, sort_keys=True), flush=True)
     except (config.ConfigError, ValueError) as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:
         return _fail(args.command, EXIT_FIT, err)
+    except BrokenPipeError as err:
+        # stdout was closed before the report line; the files stay.  The
+        # unwritten line stays buffered, so stdout goes to devnull, or the
+        # interpreter's flush at exit would fail on it again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(args.command, EXIT_IO, err)
     except (InputError, OSError) as err:
         return _fail(args.command, EXIT_IO, err)
-
-    print(json.dumps({"command": args.command, "out_dir": str(out_dir),
-                      "report": report}, sort_keys=True))
     return EXIT_OK
 
 

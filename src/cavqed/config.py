@@ -209,7 +209,7 @@ def load(fixture, text=None):
     starting from {}: a null member removes its key, so it reaches the
     key's default."""
     tree = {}
-    if fixture:
+    if fixture is not None:
         if fixture != "paper":
             raise ConfigError(f"unknown fixture set {fixture!r} (only 'paper')")
         tree = merge_patch(tree, _parse(fixtures.paper_defaults()))

@@ -1,13 +1,68 @@
+import collections
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cavqed
 from cavqed import config, spectra
+from cavqed.cli import _COMMANDS
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 # shared emitter/cavity scales matching the fixture parameter set
 ZPL_ENERGY = energy_from_wavelength(1275.0)
 KAPPA = ZPL_ENERGY / 1.12e4          # 86.824 ueV
 GAMMA = HBAR_UEV_PS / 256.0          # 2.5711 ueV
+
+
+def run_python(*args, cwd=None, stdout=subprocess.PIPE, check=True):
+    """The completed fresh interpreter that ran with the command-line
+    arguments `args`, in `cwd`, with this cavqed on its path; its stdout
+    goes to `stdout`, and with `check` it must have exited 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
+    if check:
+        assert done.returncode == 0, done.stderr[-2000:]
+    return done
+
+
+def run_pl(command, out, *extra, **kwargs):
+    """`python -m cavqed.cli <command> --fixture paper --out <out>` in a
+    fresh process, as the installed `pl` script runs it (see run_python)."""
+    return run_python("-m", "cavqed.cli", command, "--fixture", "paper", "--out", str(out),
+                      *extra, **kwargs)
+
+
+# a `pl` run: its exit code, its --out directory and the report that its
+# stdout line holds (None unless it exited 0)
+PaperRun = collections.namedtuple("PaperRun", "code out report")
+
+
+@pytest.fixture(scope="session")
+def paper_runs(tmp_path_factory):
+    """`pl <command> --fixture paper`, once per command and session, and
+    the noise-free `pl brightness` as "brightness-noise-free": a PaperRun
+    by name.  Tests read these runs and write nothing under them."""
+    root = tmp_path_factory.mktemp("pl")
+    noise_free = root / "noise-free.json"
+    noise_free.write_text(json.dumps({"analysis": {"brightness": {"noise_frac": 0}}}))
+    argv = {command: [command] for command in _COMMANDS}
+    argv["brightness-noise-free"] = ["brightness", "--config", str(noise_free)]
+    runs = {}
+    for name, (command, *extra) in argv.items():
+        done = run_pl(command, root / name, *extra, check=False)
+        report = None
+        if done.returncode == 0:
+            printed = json.loads(done.stdout)  # its one line
+            assert printed["command"] == command
+            report = printed["report"]
+        runs[name] = PaperRun(done.returncode, root / name, report)
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,6 @@
 import functools
 import json
 import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +11,8 @@ import pytest
 import cavqed
 from cavqed import config, dynamics, fixtures, spectra
 from cavqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, main
+
+from conftest import run_pl, run_python
 
 
 def run(tmp_path, command, *extra, config=None, name="run"):
@@ -34,8 +34,8 @@ def read_report(out_dir, name):
 
 
 class TestSpectrumCommand:
-    def test_writes_files_with_2pi_area(self, tmp_path):
-        code, out = run(tmp_path, "spectrum")
+    def test_writes_files_with_2pi_area(self, paper_runs):
+        code, out, _ = paper_runs["spectrum"]
         assert code == EXIT_OK
         for name in ("fs_spectrum.csv", "s_emi_tilde.csv", "s_abs_tilde.csv", "spectrum.svg"):
             assert (out / name).exists()
@@ -67,10 +67,9 @@ class TestSpectrumCommand:
 
 
 class TestPurcellCommand:
-    def test_paper_closure_in_report(self, tmp_path):
-        code, out = run(tmp_path, "purcell")
+    def test_paper_closure_in_report(self, paper_runs):
+        code, _, report = paper_runs["purcell"]
         assert code == EXIT_OK
-        report = read_report(out, "purcell_report.json")
         assert report["solved"]["f_p"] == pytest.approx(29.2, abs=0.1)
         assert report["solved"]["eta_qy"] == pytest.approx(0.010, abs=5e-4)
 
@@ -81,18 +80,17 @@ class TestPurcellCommand:
         for mode in report["modes"]:
             assert mode["decay_ratio"] == 1.0
 
-    def test_report_validates_against_schema(self, tmp_path):
-        _, out = run(tmp_path, "purcell")
+    def test_report_validates_against_schema(self, paper_runs):
+        out = paper_runs["purcell"].out
         with open(Path(__file__).parent / "purcell_report.schema.json") as fh:
             schema = json.load(fh)
         jsonschema.validate(read_report(out, "purcell_report.json"), schema)
 
 
 class TestBrightnessCommand:
-    def test_synthetic_sweep(self, tmp_path):
-        code, out = run(tmp_path, "brightness")
+    def test_synthetic_sweep(self, paper_runs):
+        code, out, report = paper_runs["brightness"]
         assert code == EXIT_OK
-        report = read_report(out, "brightness_report.json")
         assert report["linear_fit"]["r_squared"] > 0.99
         best = max(m["fit"]["g_ueV"] for m in report["modes"])
         assert best == pytest.approx(25.0, rel=0.05)
@@ -124,12 +122,10 @@ class TestBrightnessCommand:
         assert (out_a / "envelope_p6.csv").read_bytes() \
             != (out_b / "envelope_p6.csv").read_bytes()
 
-    def test_measured_envelope_path(self, tmp_path):
+    def test_measured_envelope_path(self, tmp_path, paper_runs):
         # a synthetic envelope written to CSV comes back through the
         # measured-data route with the coupling it was built with
-        _, out = run(tmp_path, "brightness",
-                     config={"analysis": {"brightness": {"noise_frac": 0.0}}},
-                     name="synth")
+        out = paper_runs["brightness-noise-free"].out
         cfg = {"analysis": {"brightness": {
             "envelope_csv": str(out / "envelope_p6.csv")}}}
         code, out2 = run(tmp_path, "brightness", config=cfg, name="measured")
@@ -140,17 +136,16 @@ class TestBrightnessCommand:
 
 
 class TestLifetimeCommand:
-    def test_paper_ratio_reproduced(self, tmp_path):
-        code, out = run(tmp_path, "lifetime")
+    def test_paper_ratio_reproduced(self, paper_runs):
+        code, _, report = paper_runs["lifetime"]
         assert code == EXIT_OK
-        report = read_report(out, "lifetime_report.json")
         assert report["lifetime_ratio"] == pytest.approx(1.19, abs=0.09)
         assert report["free_space"]["tau2_ps"] == pytest.approx(256.0, abs=4.0)
         assert report["free_space"]["long_weight"] > 0.8
 
-    def test_measured_csv_path(self, tmp_path):
+    def test_measured_csv_path(self, tmp_path, paper_runs):
         # synthesize, save, then reload through the measured-data path
-        _, out = run(tmp_path, "lifetime", name="synth")
+        out = paper_runs["lifetime"].out
         cfg = {"analysis": {"lifetime": {
             "fs_trace_csv": str(out / "decay_fs.csv"),
             "cavity_trace_csv": str(out / "decay_cavity.csv")}}}
@@ -159,10 +154,10 @@ class TestLifetimeCommand:
         report = read_report(out2, "lifetime_report.json")
         assert report["lifetime_ratio"] == pytest.approx(1.19, abs=0.09)
 
-    def test_reads_no_spectral_parameter(self, tmp_path):
+    def test_reads_no_spectral_parameter(self, tmp_path, paper_runs):
         # no wavelength, ZPL width or Debye-Waller factor: the traces of a
         # config holding only what the synthetic path reads
-        _, paper = run(tmp_path, "lifetime", name="paper")
+        paper = paper_runs["lifetime"].out
         cfg = tmp_path / "minimal.json"
         cfg.write_text(json.dumps({"emitter": {"lifetime_fs_ps": 256.0},
                                    "measured": {"decay_ratio": 1.19}}))
@@ -189,10 +184,9 @@ class TestLifetimeCommand:
 
 
 class TestSaturationCommand:
-    def test_pulsed_yield(self, tmp_path):
-        code, out = run(tmp_path, "saturation")
+    def test_pulsed_yield(self, paper_runs):
+        code, _, report = paper_runs["saturation"]
         assert code == EXIT_OK
-        report = read_report(out, "saturation_report.json")
         assert report["i_sat"] == pytest.approx(1768.0, rel=0.03)
         assert report["eta_qy"] == pytest.approx(0.007, rel=0.05)
 
@@ -203,8 +197,8 @@ class TestSaturationCommand:
         report = read_report(out, "saturation_report.json")
         assert report["eta_qy"] is None
 
-    def test_written_curve_reingests_losslessly(self, tmp_path):
-        _, out = run(tmp_path, "saturation", name="synth")
+    def test_written_curve_reingests_losslessly(self, tmp_path, paper_runs):
+        out = paper_runs["saturation"].out
         first = read_report(out, "saturation_report.json")
         cfg = {"analysis": {"saturation": {"curve_csv": str(out / "saturation.csv")}}}
         code, out2 = run(tmp_path, "saturation", config=cfg, name="reload")
@@ -215,10 +209,9 @@ class TestSaturationCommand:
 
 
 class TestG2Command:
-    def test_paper_metrics(self, tmp_path):
-        code, out = run(tmp_path, "g2")
+    def test_paper_metrics(self, paper_runs):
+        code, _, report = paper_runs["g2"]
         assert code == EXIT_OK
-        report = read_report(out, "g2_report.json")
         assert report["g2_zero_raw"] == pytest.approx(0.40, abs=0.01)
         assert report["g2_zero_corrected"] == pytest.approx(0.36, rel=1e-9)
         assert report["bunching_time_fit_ps"] == pytest.approx(10000.0, rel=0.10)
@@ -233,10 +226,9 @@ class TestG2Command:
 
 
 class TestBudgetCommand:
-    def test_paper_numbers(self, tmp_path):
-        code, out = run(tmp_path, "budget")
+    def test_paper_numbers(self, paper_runs):
+        code, _, report = paper_runs["budget"]
         assert code == EXIT_OK
-        report = read_report(out, "budget_report.json")
         assert report["photons_per_count_planar"] == pytest.approx(41.4, abs=0.1)
         assert report["detected_port_ratio_fiber_over_planar"] == pytest.approx(6.67, abs=0.1)
         assert report["fiber_flux_per_s"] == pytest.approx(2.07e7, rel=0.02)
@@ -273,6 +265,22 @@ class TestExitCodes:
     def test_unknown_fixture_set(self, tmp_path):
         assert main(["purcell", "--fixture", "primo",
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--fixture", "paper", "--config", ""], EXIT_IO, "config file not found: ''"),
+        (["--fixture", "", "--config", "{paper}"], EXIT_CONFIG,
+         "unknown fixture set '' (only 'paper')"),
+    ], ids=["config", "fixture"])
+    def test_empty_value_is_not_an_absent_one(self, tmp_path, capsys, argv, code, message):
+        # an empty --config or --fixture names no file or set; the config
+        # file is complete, so an empty --fixture read as none would run
+        paper = tmp_path / "paper.json"
+        paper.write_text(fixtures.paper_defaults())
+        argv = ["budget", *(arg.format(paper=paper) for arg in argv), "--out", str(tmp_path / "x")]
+        assert main(argv) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == message
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_parameter_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -651,10 +659,8 @@ class TestInputData:
     errors (4), bad contents are validation errors (2)."""
 
     @pytest.fixture(scope="class")
-    def envelope_text(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("envelope")
-        _, out = run(tmp_path, "brightness")
-        return (out / "envelope_p6.csv").read_text()
+    def envelope_text(self, paper_runs):
+        return (paper_runs["brightness"].out / "envelope_p6.csv").read_text()
 
     def run_envelope(self, tmp_path, text):
         path = tmp_path / "envelope.csv"
@@ -677,13 +683,12 @@ class TestInputData:
         cfg = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "nope.csv")}}}
         assert run(tmp_path, "brightness", config=cfg)[0] == EXIT_IO
 
-    def test_nan_in_trace_names_the_file(self, tmp_path, capsys):
-        _, out = run(tmp_path, "lifetime", name="synth")
+    def test_nan_in_trace_names_the_file(self, tmp_path, capsys, paper_runs):
+        out = paper_runs["lifetime"].out
         lines = (out / "decay_cavity.csv").read_text().splitlines(keepends=True)
         lines[60] = lines[60].split(",")[0] + ",nan\n"
         bad = tmp_path / "nan_trace.csv"
         bad.write_text("".join(lines))
-        capsys.readouterr()
         cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(out / "decay_fs.csv"),
                                          "cavity_trace_csv": str(bad)}}}
         code, _ = run(tmp_path, "lifetime", config=cfg, name="measured")
@@ -732,25 +737,12 @@ class TestInputData:
         assert read_report(out, "saturation_report.json")["i_sat"] == fit.i_sat
 
 
-def _interpreter(*args):
-    """The completed fresh interpreter that ran with the command-line
-    arguments `args` and this cavqed."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=True, timeout=120, env=env)
-
-
-def _run_python(code):
-    """The completed fresh interpreter that ran `code` with this cavqed."""
-    return _interpreter("-c", code)
-
-
 _SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
 
 
 def test_cli_import_loads_no_scipy():
     code = f"import sys, cavqed.cli; print({_SCIPY_LOADED})"
-    assert _run_python(code).stdout.strip() == "False"
+    assert run_python("-c", code).stdout.strip() == "False"
 
 
 @functools.cache
@@ -761,7 +753,7 @@ def _unneeded():
     itself).  Those a bare interpreter already holds, as the site module
     of some installs loads tempfile, are left out."""
     code = "import sys; print(' '.join(sys.modules))"
-    bare = _run_python(code).stdout.split()
+    bare = run_python("-c", code).stdout.split()
     return [name for name in ("numpy", "csv", "dataclasses", "inspect", "tempfile")
             if name not in bare]
 
@@ -769,13 +761,13 @@ def _unneeded():
 def test_cli_import_loads_no_numpy():
     # each command imports numpy and the physics modules in its own body
     code = f"import sys, cavqed.cli; print([m for m in {_unneeded()!r} if m in sys.modules])"
-    assert _run_python(code).stdout.strip() == "[]"
+    assert run_python("-c", code).stdout.strip() == "[]"
 
 
 def test_config_import_loads_no_numpy():
     # the builders import the physics modules in their own bodies
     code = f"import sys, cavqed.config; print([m for m in {_unneeded()!r} if m in sys.modules])"
-    assert _run_python(code).stdout.strip() == "[]"
+    assert run_python("-c", code).stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, outcome", [
@@ -800,14 +792,14 @@ def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
     )
     # main prints reports and help on stdout and diagnostics on stderr,
     # so the probe's line is the last one
-    assert _run_python(code).stderr.splitlines()[-1] == f"{outcome} []"
+    assert run_python("-c", code).stderr.splitlines()[-1] == f"{outcome} []"
 
 
 def test_package_attribute_imports_submodule():
     code = ("import sys, cavqed\n"
             "loaded = 'cavqed.spectra' in sys.modules\n"
             "print(loaded, cavqed.spectra.energy_grid(0.0, 2.0, 1.0).tolist())")
-    assert _run_python(code).stdout.strip() == "False [-2.0, -1.0, 0.0, 1.0, 2.0]"
+    assert run_python("-c", code).stdout.strip() == "False [-2.0, -1.0, 0.0, 1.0, 2.0]"
 
 
 def test_lazy_submodules_are_the_package_modules():
@@ -820,17 +812,16 @@ def test_lazy_submodules_are_the_package_modules():
 def test_commands_load_no_scipy(tmp_path):
     # scipy is a test dependency only: the fits of brightness, lifetime and
     # saturation run the numpy ports of its bounded Brent and TRF methods
-    commands = ["spectrum", "purcell", "brightness", "lifetime", "saturation", "g2", "budget"]
     code = (
         "import sys, cavqed.cli\n"
-        f"for command in {commands!r}:\n"
+        f"for command in {list(_COMMANDS)!r}:\n"
         f"    out = {str(tmp_path)!r} + '/' + command\n"
         "    code = cavqed.cli.main([command, '--fixture', 'paper', '--out', out])\n"
         f"    print(command, code, {_SCIPY_LOADED}, file=sys.stderr)\n"
     )
     # main prints each report on stdout, so the probe writes to stderr
-    lines = _run_python(code).stderr.splitlines()
-    assert lines == [f"{command} 0 False" for command in commands]
+    lines = run_python("-c", code).stderr.splitlines()
+    assert lines == [f"{command} 0 False" for command in _COMMANDS]
 
 
 # the files each command writes with the paper fixture, and with the
@@ -851,43 +842,38 @@ _MEASURED_FILES = {"brightness": ["brightness_report.json"],
                    "lifetime": _FILES["lifetime"], "saturation": _FILES["saturation"]}
 
 
-def _run_pl(command, out, *extra):
-    """`python -m cavqed.cli <command> --fixture paper` in a fresh process,
-    as the installed `pl` script runs it; returns its one stdout line."""
-    stdout = _interpreter("-m", "cavqed.cli", command, "--fixture", "paper", "--out", str(out),
-                          *extra).stdout
-    [line] = stdout.splitlines()
-    return json.loads(line)
-
-
-@pytest.fixture(scope="module")
-def paper_runs(tmp_path_factory):
-    """A directory holding one `--out` per command, named after it."""
-    root = tmp_path_factory.mktemp("pl")
-    for command in _FILES:
-        assert _run_pl(command, root / command)["command"] == command
-    return root
-
-
 @pytest.mark.parametrize("command", list(_FILES))
 def test_fresh_process_writes_exactly_its_files(paper_runs, command):
     # a temporary file left behind would show here
-    assert sorted(os.listdir(paper_runs / command)) == _FILES[command]
+    assert sorted(os.listdir(paper_runs[command].out)) == _FILES[command]
 
 
 @pytest.mark.parametrize("command", list(_MEASURED_FILES))
 def test_fresh_process_reads_back_the_written_files(paper_runs, tmp_path, command):
     measured = {"analysis": {
-        "brightness": {"envelope_csv": str(paper_runs / "brightness" / "envelope_p6.csv")},
-        "lifetime": {"fs_trace_csv": str(paper_runs / "lifetime" / "decay_fs.csv"),
-                     "cavity_trace_csv": str(paper_runs / "lifetime" / "decay_cavity.csv")},
-        "saturation": {"curve_csv": str(paper_runs / "saturation" / "saturation.csv")}}}
+        "brightness": {"envelope_csv": str(paper_runs["brightness"].out / "envelope_p6.csv")},
+        "lifetime": {"fs_trace_csv": str(paper_runs["lifetime"].out / "decay_fs.csv"),
+                     "cavity_trace_csv": str(paper_runs["lifetime"].out / "decay_cavity.csv")},
+        "saturation": {"curve_csv": str(paper_runs["saturation"].out / "saturation.csv")}}}
     path = tmp_path / "measured.json"
     path.write_text(json.dumps(measured))
-    report = _run_pl(command, tmp_path / "out", "--config", str(path))["report"]
+    report = json.loads(run_pl(command, tmp_path / "out", "--config", str(path)).stdout)["report"]
     assert sorted(os.listdir(tmp_path / "out")) == _MEASURED_FILES[command]
     if command == "brightness":
         assert report["mode"] == "measured"
+
+
+def test_closed_stdout_exits_4_and_keeps_the_files(tmp_path):
+    # the read end is closed before the child starts, so the report line,
+    # printed once the files are written, fails without a race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    done = run_pl("budget", tmp_path / "out", stdout=write_end, check=False)
+    os.close(write_end)
+    assert done.returncode == EXIT_IO
+    [line] = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "BrokenPipeError"
+    assert sorted(os.listdir(tmp_path / "out")) == _FILES["budget"]
 
 
 def test_saturation_loads_no_numpy_ma(tmp_path):
@@ -897,7 +883,7 @@ def test_saturation_loads_no_numpy_ma(tmp_path):
         f"code = cavqed.cli.main(['saturation', '--fixture', 'paper', '--out', {str(tmp_path)!r}])\n"
         "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
-    assert _run_python(code).stderr.strip() == "0 False"
+    assert run_python("-c", code).stderr.strip() == "0 False"
 
 
 def _within(tree, keys):
