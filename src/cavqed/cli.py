@@ -4,16 +4,21 @@
        [--config FILE] [--fixture paper] [--out DIR] [--seed N] [--parallel N]
 
 A run reads the --config file, builds the checked config with
-`config.load`, computes `(report, files)` with the command, which
-touches no file, and writes them with `write_outputs`, all or nothing.
---seed and --parallel pass the same one-value check as a config value;
---parallel is accepted and ignored, as every sweep runs in one thread.
-Runs are deterministic for a given (config, seed): stochastic sweeps
-draw from counter-based Philox streams keyed by (seed, task index).
+`config.load`, which decides whether the config can run, computes
+`(report, files)` with the command, which touches no file, and writes
+them with `write_outputs`, all or nothing.  --seed and --parallel pass
+the same one-value check as a config value; --parallel is accepted and
+ignored, as every sweep runs in one thread.  Runs are deterministic for
+a given (config, seed): stochastic sweeps draw from counter-based Philox
+streams keyed by (seed, task index).
 
-Exit codes: 0 success, 2 config/validation error, 3 fit non-convergence,
-4 I/O error.  Diagnostics, Python warnings and command-line errors
-included, go to stderr as single-line JSON.
+Exit codes: 0 success; 2 a `config.ConfigError`, whose message names the
+config key, command-line flag or input file at fault; 3 a fit that did
+not converge or has no counts to fit; 4 an I/O error.  Diagnostics,
+Python warnings and command-line errors included, go to stderr as
+single-line JSON; one that cannot be written is dropped, and the exit
+code stays.  Any other exception, a library ValueError included, is a
+bug and ends in a traceback.
 
 Imports: this module loads only the standard library and the numpy-free
 `config`; each function imports numpy and the physics modules it uses
@@ -39,7 +44,7 @@ EXIT_IO = 4
 
 
 class FitError(Exception):
-    """A fit failed to converge (exit 3)."""
+    """A fit failed to converge or has no counts to fit (exit 3)."""
 
 
 class InputError(Exception):
@@ -59,14 +64,16 @@ def _read_input(path, what):
 
 def _load_csv(path, header, build):
     """`build(x, y)` of the two columns of an input CSV (see
-    spectra.parse_two_column_csv); a content error names the file."""
+    spectra.parse_two_column_csv).  `build` makes every library call that
+    checks the file's grid or values, so that a ValueError it raises is a
+    ConfigError naming the file."""
     from . import spectra
 
     text = _read_input(path, "input file")
     try:
         return build(*spectra.parse_two_column_csv(text, header))
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+        raise config.ConfigError(f"{path}: {err}") from err
 
 
 def load_config(config_path, fixture):
@@ -221,12 +228,18 @@ def cmd_brightness(cfg, seed):
     gamma = rate_from_lifetime(cfg["emitter"]["lifetime_fs_ps"])
 
     if options["envelope_csv"]:
-        # measured path: one envelope, one mode order
+        # measured path: one envelope, one mode order, and the filtered
+        # spectrum on the envelope's grid
         p, kappa = _mode_kappa(cfg, model.zpl_energy_uev)
-        envelope = _load_csv(options["envelope_csv"], spectra.SPECTRUM_HEADER,
-                             spectra.Spectrum)
-        s_fs = spectra.build_fs_spectrum(model, envelope.energies)
-        s_dtilde = spectra.convolve_lorentzian(spectra.convolve_lorentzian(s_fs, kappa), kappa)
+
+        def filtered(energies, values):
+            envelope = spectra.Spectrum(energies, values)
+            s_fs = spectra.build_fs_spectrum(model, envelope.energies)
+            return envelope, spectra.convolve_lorentzian(
+                spectra.convolve_lorentzian(s_fs, kappa), kappa)
+
+        envelope, s_dtilde = _load_csv(options["envelope_csv"], spectra.SPECTRUM_HEADER,
+                                       filtered)
         fit = cqed.fit_g_from_envelope(envelope, s_dtilde, gamma)
         _require_converged([fit], "envelope")
         report = {"mode": "measured", "p": p, "kappa_uev": kappa,
@@ -301,16 +314,12 @@ def cmd_lifetime(cfg, seed):
     options = cfg["analysis"]["lifetime"]
     irf = options["irf_fwhm_ps"]
 
-    keys = ("fs_trace_csv", "cavity_trace_csv")
-    if any(options[key] for key in keys):
-        # measured path: both traces or neither
-        for key in keys:
-            if options[key] is None:
-                raise config.ConfigError(f"config key analysis.lifetime.{key} is required "
-                                  "with a measured trace")
-        trace_fs, trace_cav = (_load_csv(options[key], "time_ps,counts",
-                                         lambda t, c: dynamics.DecayTrace(t, c, irf))
-                               for key in keys)
+    if options["fs_trace_csv"] is not None:
+        # measured path: load has checked that both traces are given
+        trace_fs, trace_cav = (
+            _load_csv(options[key], "time_ps,counts",
+                      lambda t, c: dynamics._decay_data(dynamics.DecayTrace(t, c, irf)))
+            for key in ("fs_trace_csv", "cavity_trace_csv"))
     else:
         decay_ratio = cfg["measured"]["decay_ratio"]
         peak = options["peak_counts"]
@@ -327,6 +336,8 @@ def cmd_lifetime(cfg, seed):
             scale = peak / clean.counts.max()
             rng = task_rng(seed, index)
             noisy = rng.poisson(clean.counts * scale).astype(float)
+            if not noisy.any():
+                raise FitError("lifetime: a synthetic trace drew no counts to fit")
             return dynamics.DecayTrace(clean.time_ps, noisy, irf)
 
         trace_fs = synthesize(0, 1.0)
@@ -448,14 +459,8 @@ def cmd_budget(cfg, seed):
         chains["free_space"], chains["cavity_planar"],
         extractions["free_space"], extractions["cavity_planar"])
 
-    # solve the in-cryostat optics from the measured fiber/planar exit
-    # ratio; exactly one of the two cavity chains must list that stage
-    holders = [path for path in ("cavity_planar", "cavity_fiber")
-               if "cryostat_optics" in cfg["budget"]["chains"][path]]
-    if len(holders) != 1:
-        raise config.ConfigError(
-            "config keys budget.chains.cavity_planar and budget.chains.cavity_fiber: "
-            f"stage 'cryostat_optics' {'appears in both' if holders else 'is in neither'}")
+    # solve the in-cryostat optics, the stage that load has checked exactly
+    # one cavity chain lists, from the measured fiber/planar exit ratio
     cryostat_solved, physical = budget_mod.calibrate_unknown_stage(
         chains["cavity_fiber"], chains["cavity_planar"],
         exits["p_fiber_pct"] / 100.0, exits["p_subs_pct"] / 100.0,
@@ -546,9 +551,22 @@ def write_outputs(out_dir, command, report, files):
         raise
 
 
+def _to_devnull(stream):
+    """Point a closed stream's file descriptor at devnull: the line it
+    failed to write stays buffered, and the interpreter's flush at exit
+    would fail on it again and change the exit code."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _diagnostic(**payload):
-    """Print one single-line JSON diagnostic on stderr."""
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    """Print one single-line JSON diagnostic on stderr; a diagnostic that
+    cannot be written is dropped, leaving the exit code as it is."""
+    try:
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def _fail(command, code, error):
@@ -606,17 +624,13 @@ def main(argv=None):
             write_outputs(out_dir, args.command, report, files)
             print(json.dumps({"command": args.command, "out_dir": str(out_dir),
                               "report": report}, sort_keys=True), flush=True)
-    except (config.ConfigError, ValueError) as err:
+    except config.ConfigError as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:
         return _fail(args.command, EXIT_FIT, err)
     except BrokenPipeError as err:
-        # stdout was closed before the report line; the files stay.  The
-        # unwritten line stays buffered, so stdout goes to devnull, or the
-        # interpreter's flush at exit would fail on it again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # stdout was closed before the report line; the files stay
+        _to_devnull(sys.stdout)
         return _fail(args.command, EXIT_IO, err)
     except (InputError, OSError) as err:
         return _fail(args.command, EXIT_IO, err)

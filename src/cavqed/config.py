@@ -1,14 +1,20 @@
 """The config language of `pl`: one JSON object whose keys, defaults and
-rules are CONFIG_KEYS.  `load` builds a run's config, and the
-`*_from_config` builders turn a checked config into the library's value
-types; they import the physics modules in their own bodies, so at module
-level this module loads only the standard library and `fixtures`.
+rules are CONFIG_KEYS, and whose cross-key rules are RELATIONS.  `load`
+builds a run's config and decides whether it can run: a config it returns
+passes every check that the commands' library calls make on config values.
+The `*_from_config` builders turn a checked config into the library's
+value types; they import the physics modules in their own bodies, so at
+module level this module loads only the standard library, `fixtures` and
+the numpy-free `units`.
 """
 
+import functools
 import json
+import math
 import sys
 
 from . import fixtures
+from .units import HBAR_UEV_PS, HC_UEV_NM, KB_UEV_PER_K
 
 DEFAULT_SEED = 12345
 
@@ -28,6 +34,7 @@ def int_at_least(least):
 # The rules a config value can have, each (what a value must be, test).
 POSITIVE = ("a positive number", lambda v: _is_real(v) and v > 0)
 NONNEGATIVE = ("a nonnegative number", lambda v: _is_real(v) and v >= 0)
+AT_LEAST_ONE = ("a number >= 1", lambda v: _is_real(v) and v >= 1)
 UNIT = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
 FRACTION = ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)
 BELOW_ONE = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
@@ -39,6 +46,12 @@ MODE_ORDERS = ("a nonempty list of distinct integers >= 1", lambda v: type(v) is
                and all(type(p) is int and p >= 1 for p in v) and len(set(v)) == len(v))
 CHAIN = ("a nonempty JSON object of stage efficiencies in (0, 1]", lambda v: type(v) is dict
          and v != {} and all(_is_real(e) and 0 < e <= 1 for e in v.values()))
+# at most 2**53 counts, so that the Poisson draws of a synthetic decay
+# trace stay within numpy's range
+PEAK_COUNTS = ("a number in (0, 2**53]", lambda v: _is_real(v) and 0 < v <= 2 ** 53)
+# at most 2**400 counts, so that a fit of the synthetic saturation curve
+# keeps its squared residuals finite
+I_SAT = ("a number in (0, 2**400]", lambda v: _is_real(v) and 0 < v <= 2 ** 400)
 PATHS = ("free_space", "cavity_planar", "cavity_fiber")
 
 # Every config key a command reads, as (default, rule); a nested dict is
@@ -67,7 +80,7 @@ CONFIG_KEYS = {
                           "p_subs_pct": (REQUIRED, POSITIVE),
                           "p_fiber_pct": (REQUIRED, POSITIVE)}]},
     "measured": {
-        "flux_ratio_sat": (REQUIRED, POSITIVE), "decay_ratio": (REQUIRED, POSITIVE),
+        "flux_ratio_sat": (REQUIRED, POSITIVE), "decay_ratio": (REQUIRED, AT_LEAST_ONE),
         "g_spectral_max_uev": (25.0, NONNEGATIVE), "f_rep_hz": (REQUIRED, POSITIVE),
         "ccd_rate_at_saturation_per_s": (REQUIRED, POSITIVE),
         "photons_into_fiber_per_ccd_count": (REQUIRED, POSITIVE),
@@ -81,18 +94,200 @@ CONFIG_KEYS = {
         "spectrum": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
                      "dw_window_uev": (None, POSITIVE)},
         "brightness": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
-                       "envelope_csv": (None, PATH), "noise_frac": (0.01, NONNEGATIVE)},
+                       "envelope_csv": (None, PATH), "noise_frac": (0.01, FRACTION)},
         "lifetime": {"irf_fwhm_ps": (32.0, NONNEGATIVE), "fs_trace_csv": (None, PATH),
-                     "cavity_trace_csv": (None, PATH), "peak_counts": (1e5, POSITIVE),
+                     "cavity_trace_csv": (None, PATH), "peak_counts": (1e5, PEAK_COUNTS),
                      "bin_ps": (4.0, POSITIVE)},
         "saturation": {"mode": ("pulsed", PUMPING), "curve_csv": (None, PATH),
-                       "i_sat": (1768.0, POSITIVE), "p_sat": (1000.0, POSITIVE),
-                       "noise_frac": (0.01, NONNEGATIVE), "n_points": (25, int_at_least(3))},
+                       "i_sat": (1768.0, I_SAT), "p_sat": (1000.0, POSITIVE),
+                       "noise_frac": (0.01, FRACTION), "n_points": (25, int_at_least(3))},
         "g2": {"tau_span_ps": (60000.0, POSITIVE), "tau_step_ps": (4.0, POSITIVE)}},
     "budget": {"extraction": {path: (REQUIRED, UNIT) for path in PATHS},
                "chains": {path: (REQUIRED, CHAIN) for path in PATHS},
                "overall_quoted": {path: (REQUIRED, UNIT) for path in PATHS}},
 }
+
+
+# the most points of any grid a command builds from config values: the
+# spectrum, brightness, g2 and lifetime grids and the saturation curve
+MAX_GRID_POINTS = 2 ** 22
+
+
+def _energy(wavelength_nm):
+    """Photon energy in ueV, as units.energy_from_wavelength computes it."""
+    return HC_UEV_NM / wavelength_nm
+
+
+def _grid_points(half_span, step):
+    """Point count of spectra.energy_grid(centre, half_span, step); inf
+    when it is past MAX_GRID_POINTS."""
+    ratio = half_span / step
+    return 2 * math.ceil(ratio) + 1 if ratio < MAX_GRID_POINTS else math.inf
+
+
+def _lifetime_bins(lifetime_ps, bin_ps):
+    """Bin count of cmd_lifetime's synthetic time grid, from 160 ps before
+    zero to 6 free-space lifetimes after it; inf when it is past
+    MAX_GRID_POINTS."""
+    tau = HBAR_UEV_PS / (HBAR_UEV_PS / lifetime_ps)
+    before, after = 160.0 / bin_ps, 6.0 * tau / bin_ps
+    if not before + after < MAX_GRID_POINTS:
+        return math.inf
+    return math.ceil(before) + math.ceil(after) + 1
+
+
+def _resolved(step, half_span, wavelength_nm):
+    """True when an energy grid centred on the photon energy E keeps its
+    step: each point is rounded by at most 2**-53 of its size, so with a
+    step of at least 2**-21 (E + 2 half_span + 2 step) the steps stay
+    uniform to spectra's 1e-9 and within 2**-31 of `step`."""
+    return step * 2.0 ** 21 >= _energy(wavelength_nm) + 2.0 * (half_span + step)
+
+
+def _wing_fits(exponent, cutoff, step, half_span):
+    """True when the sideband J(d) = (d/cutoff)**exponent * exp(-d/cutoff)
+    that spectra evaluates on a grid has factors and a product of at
+    least e**-700, a normal float, one step from the ZPL, and its power
+    stays below e**700 out to the grid's edge, half_span + step."""
+    log_cutoff = math.log(cutoff)
+    power = exponent * (math.log(step) - log_cutoff)
+    edge = exponent * max(math.log(half_span + step) - log_cutoff, 0.0)
+    decay = step / cutoff
+    return power > -700.0 and decay < 700.0 and power - decay > -700.0 and edge < 700.0
+
+
+def _uses(orders, p):
+    """True when the mode order p is among `orders`: cavity.mode_order
+    (one order) or cavity.mode_orders (a list; None: every row)."""
+    return orders is None or p == orders or (type(orders) is list and p in orders)
+
+
+def _spectral_grid(command, orders):
+    """The relations of the energy grid that analysis.<command> gives,
+    whose cavity modes are those of cavity.<orders>: the checks of
+    spectra.energy_grid, build_fs_spectrum and convolve_lorentzian."""
+    half_span, step = f"analysis.{command}.half_span_uev", f"analysis.{command}.step_uev"
+    return [
+        ((half_span, step), f"the grid must have at most {MAX_GRID_POINTS} points",
+         lambda h, s: _grid_points(h, s) <= MAX_GRID_POINTS),
+        ((step, "emitter.zpl_fwhm_uev"), "step_uev must be at most zpl_fwhm_uev/10",
+         lambda s, fwhm: s <= fwhm / 10.0),
+        ((half_span, "emitter.zpl_fwhm_uev"), "half_span_uev must be at least 10 zpl_fwhm_uev",
+         lambda h, fwhm: h >= 10.0 * fwhm),
+        ((step, half_span, "emitter.wavelength_nm"),
+         "step_uev must be at least 2**-21 (hc/wavelength_nm + 2 half_span_uev + 2 step_uev)",
+         _resolved),
+        (("emitter.debye_waller", "emitter.sideband.exponent", "emitter.sideband.cutoff_uev",
+          step, half_span),
+         "below a debye_waller of 1, the sideband must be a normal float one step from the "
+         "ZPL and finite to the grid's edge",
+         lambda dw, exponent, cutoff, s, h: dw == 1 or _wing_fits(exponent, cutoff, s, h)),
+        ((step, "emitter.wavelength_nm", f"cavity.{orders}", "cavity.modes[].p",
+          "cavity.modes[].q_exp"),
+         "step_uev must be at most kappa/5, with the cavity linewidth kappa = "
+         "hc/wavelength_nm/q_exp at most 2**1000, for each mode the command uses",
+         lambda s, wl, used, p, q: not _uses(used, p)
+         or s <= _energy(wl) / q / 5.0 and _energy(wl) / q <= 2.0 ** 1000),
+    ]
+
+
+def _envelope_scales(g_max, lifetime_ps, orders, ps, volumes):
+    """True when cmd_brightness can build its synthetic envelopes: without
+    coupling, or with a = g**2/gamma in [2**-900, 2**900] for each mode it
+    uses, g = g_max sqrt(V_ref/V_eff) with V_ref the volume of the lowest
+    order used."""
+    if g_max == 0:
+        return True
+    used = sorted((p, v) for p, v in zip(ps, volumes) if _uses(orders, p))
+    v_ref, gamma = used[0][1], HBAR_UEV_PS / lifetime_ps
+    return all(2.0 ** -900 <= (g_max * math.sqrt(v_ref / v)) ** 2 / gamma <= 2.0 ** 900
+               for _, v in used)
+
+
+def _within(factor, *rates):
+    """True when the positive `rates` lie within `factor` of each other."""
+    positive = [rate for rate in rates if rate > 0]
+    return max(positive) <= factor * min(positive)
+
+
+# The rules between config values, each (keys, what, test): a config
+# can run only if test(*values) is true for the values at `keys`.  A
+# relation is skipped when one of its keys is absent, as the command
+# that reads that key requires it.  A key's `[]` row makes the relation
+# one per row of that table, and a `[*]` row gives the column of every
+# row as a list.  A test states a library check on config values, in
+# the library's own arithmetic where it computes one.
+RELATIONS = [
+    (("cavity.modes[*].p",), "the mode orders p must be distinct",
+     lambda ps: len(set(ps)) == len(ps)),
+    (("cavity.mode_order", "cavity.modes[*].p"), "mode_order must be one of the p",
+     lambda order, ps: order in ps),
+    (("cavity.mode_orders", "cavity.modes[*].p"), "each of mode_orders must be one of the p",
+     lambda orders, ps: orders is None or set(orders) <= set(ps)),
+    (("cavity.modes[].q_exp", "cavity.modes[].q_th"), "q_exp must be below q_th",
+     lambda q_exp, q_th: q_exp < q_th),
+    (("cavity.modes[].p", "emitter.wavelength_nm", "cavity.radius_of_curvature_um"),
+     "the cavity length p*wavelength_nm/2 must be below radius_of_curvature_um",
+     lambda p, wl, radius: p * wl * 1e-3 / 2.0 < radius),
+    (("cavity.refractive_index", "emitter.wavelength_nm", "cavity.modes[].v_eff_lambda3"),
+     "v_eff_lambda3 * refractive_index**3 and (wavelength_nm/1000/refractive_index)**3 "
+     "must be positive and finite",
+     lambda n, wl, v: 0 < v * n ** 3 < math.inf and 0 < (wl * 1e-3 / n) ** 3 < math.inf),
+    (("emitter.wavelength_nm",), "the photon energy hc/wavelength_nm must be finite",
+     lambda wl: _energy(wl) < math.inf),
+    (("emitter.temperature_k",), "k_B temperature_k must be finite",
+     lambda t: KB_UEV_PER_K * t < math.inf),
+    *_spectral_grid("spectrum", "mode_order"),
+    (("analysis.spectrum.dw_window_uev", "analysis.spectrum.half_span_uev"),
+     "dw_window_uev must be at most half_span_uev", lambda w, h: w is None or w <= h),
+    *_spectral_grid("brightness", "mode_orders"),
+    (("measured.g_spectral_max_uev", "emitter.lifetime_fs_ps", "cavity.mode_orders",
+      "cavity.modes[*].p", "cavity.modes[*].v_eff_lambda3"),
+     "a = g**2 * lifetime_fs_ps/hbar must be in [2**-900, 2**900] for the coupling g "
+     "of each mode the synthetic envelopes use, or g_spectral_max_uev 0",
+     _envelope_scales),
+    (("emitter.lifetime_fs_ps", "analysis.lifetime.bin_ps"),
+     f"the synthetic decay grid must have 50 to {MAX_GRID_POINTS} bins",
+     lambda tau, b: 50 <= _lifetime_bins(tau, b) <= MAX_GRID_POINTS),
+    (("emitter.lifetime_fs_ps", "measured.decay_ratio", "analysis.lifetime.bin_ps"),
+     "the cavity lifetime lifetime_fs_ps/decay_ratio must be at least bin_ps/10, the "
+     "shortest lifetime a biexponential fit takes",
+     lambda tau, ratio, b: tau / ratio >= b / 10.0),
+    (("emitter.decay_weights", "analysis.lifetime.peak_counts"),
+     "the larger decay weight must be at least 2**-900 peak_counts, so that the "
+     "synthetic traces' Poisson means stay finite",
+     lambda weights, peak: max(weights) >= peak * 2.0 ** -900),
+    (("analysis.lifetime.fs_trace_csv", "analysis.lifetime.cavity_trace_csv"),
+     "give both measured traces or neither", lambda fs, cav: (fs is None) == (cav is None)),
+    (("analysis.saturation.n_points",), f"the curve must have at most {MAX_GRID_POINTS} points",
+     lambda n: n <= MAX_GRID_POINTS),
+    (("analysis.saturation.p_sat",), "the curve's powers p_sat/30 to 30 p_sat must be "
+     "positive and finite", lambda p_sat: p_sat / 30.0 > 0 and 30.0 * p_sat < math.inf),
+    (("budget.overall_quoted.free_space", "measured.f_rep_hz"),
+     "overall_quoted.free_space * f_rep_hz must be positive", lambda eta, f_rep: eta * f_rep > 0),
+    (("analysis.g2.tau_span_ps", "analysis.g2.tau_step_ps"),
+     f"the delay grid must have 3 to {MAX_GRID_POINTS} points",
+     lambda span, step: 3 <= _grid_points(span, step) <= MAX_GRID_POINTS),
+    (("g2_scheme.k_shelve_uev", "g2_scheme.k_deshelve_uev"),
+     "shelving (k_shelve_uev > 0) needs deshelving (k_deshelve_uev > 0)",
+     lambda on, off: on == 0 or off > 0),
+    (("g2_scheme.pump_uev", "emitter.lifetime_fs_ps", "g2_scheme.k_shelve_uev",
+      "g2_scheme.k_deshelve_uev"),
+     "the positive rates pump_uev, hbar/lifetime_fs_ps, k_shelve_uev and k_deshelve_uev "
+     "must lie within a factor 1e12 of each other",
+     lambda pump, tau, on, off: _within(1e12, pump, HBAR_UEV_PS / tau, on, off)),
+    *(((f"budget.extraction.{path}", f"budget.chains.{path}"),
+       "the extraction times the product of the stages must be positive",
+       lambda extraction, chain: extraction * math.prod(chain.values()) > 0)
+      for path in PATHS),
+    *(((f"cavity.modes[].{pct}", f"budget.chains.{path}"),
+       f"{pct}/100 times the product of the {path} stages must be positive",
+       lambda pct, chain: pct / 100.0 * math.prod(chain.values()) > 0)
+      for pct, path in (("p_subs_pct", "cavity_planar"), ("p_fiber_pct", "cavity_fiber"))),
+    (("budget.chains.cavity_planar", "budget.chains.cavity_fiber"),
+     "exactly one must list the stage 'cryostat_optics'",
+     lambda planar, fiber: ("cryostat_optics" in planar) != ("cryostat_optics" in fiber)),
+]
 
 
 class ConfigError(Exception):
@@ -207,7 +402,8 @@ def load(fixture, text=None):
     config text (None: none), every default filled in.  Each document is
     parsed and applied, as a JSON Merge Patch, to the result so far,
     starting from {}: a null member removes its key, so it reaches the
-    key's default."""
+    key's default.  Every relation of RELATIONS holds on the result: a
+    config that `load` returns is one that every command can run."""
     tree = {}
     if fixture is not None:
         if fixture != "paper":
@@ -217,7 +413,70 @@ def load(fixture, text=None):
         tree = merge_patch(tree, _parse(text))
     if not tree:
         raise ConfigError("no configuration given (use --config and/or --fixture paper)")
-    return _checked(tree)
+    checked = _checked(tree)
+    for relation in RELATIONS:
+        _check_relation(checked, *relation)
+    return checked
+
+
+_ABSENT = object()
+
+
+@functools.cache
+def _paths(keys):
+    """The (name, row) steps of each of a relation's keys, and those of
+    the table whose rows its `[]` keys index (None: no such key); a row
+    is None, "" for `[]` or "*" for `[*]`."""
+
+    def steps(key):
+        return tuple((name, row[:-1] if bracket else None)
+                     for name, bracket, row in (part.partition("[") for part in key.split(".")))
+
+    table = next((key.partition("[]")[0] for key in keys if "[]" in key), None)
+    return tuple(steps(key) for key in keys), table and steps(table)
+
+
+def _value(tree, steps, index):
+    """The value at a key's steps in a checked config, `[]` taking row
+    `index`, or _ABSENT when a key on its path is absent; a `[*]` row
+    gives the list of every row's value."""
+    for at, (name, row) in enumerate(steps):
+        if name not in tree:
+            return _ABSENT
+        tree = tree[name]
+        if row == "*":
+            column = [_value(cells, steps[at + 1:], index) for cells in tree]
+            return _ABSENT if _ABSENT in column else column
+        if row == "":
+            tree = tree[index]
+    return tree
+
+
+def _check_relation(config, keys, what, test):
+    """Raise a ConfigError naming every key of a relation whose test
+    fails; a relation with `[]` keys is checked for each table row."""
+    paths, table = _paths(keys)
+    rows = _value(config, table, None) if table else [None]
+    if rows is _ABSENT:
+        return
+    for index in range(len(rows)):
+        values = [_value(config, steps, index) for steps in paths]
+        if _ABSENT in values:
+            continue
+        try:
+            holds = test(*values)
+        except OverflowError:  # an integer too large for a float
+            holds = False
+        if not holds:
+            names = [key.replace("[]", f"[{index}]") for key in keys]
+            raise ConfigError(f"config key{'s' if len(names) > 1 else ''} {_and(names)}: "
+                              f"{what}, got {_and(map(repr, values))}")
+
+
+def _and(items):
+    """'a', 'a and b' or 'a, b and c'."""
+    *rest, last = items
+    return f"{', '.join(rest)} and {last}" if rest else last
 
 
 def emitter_from_config(config):
@@ -263,21 +522,12 @@ def chains_from_config(config):
 def mode_rows(config, key):
     """[(p, cavity.modes row)] for the mode orders of cavity.<key>, which
     is mode_order (one order) or mode_orders (a list; None: every row, by
-    p).  A p that two rows give is a ConfigError."""
+    p); `load` has checked that they are distinct p of cavity.modes."""
     cav = config["cavity"]
-    table = {}
-    for index, row in enumerate(cav["modes"]):
-        if row["p"] in table:
-            raise ConfigError(f"config key cavity.modes[{index}].p: mode order {row['p']} "
-                              "appears more than once")
-        table[row["p"]] = row
+    table = {row["p"]: row for row in cav["modes"]}
     orders = cav[key]
     if orders is None:
         orders = sorted(table)
     elif type(orders) is int:
         orders = [orders]
-    for p in orders:
-        if p not in table:
-            raise ConfigError(f"config key cavity.{key}: mode order {p!r} "
-                              "is not in cavity.modes")
     return [(p, table[p]) for p in orders]

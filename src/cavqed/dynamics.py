@@ -96,7 +96,9 @@ def _irf_kernel(fwhm_ps, bin_ps, n_bins):
     if fwhm_ps == 0:
         return None
     sigma = fwhm_ps / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    half = min(int(np.ceil(5.0 * sigma / bin_ps)), n_bins - 1)
+    # 5 sigmas, at most the trace's length: an IRF too wide for a float
+    # count of bins spans the trace
+    half = int(min(np.ceil(5.0 * sigma / bin_ps), n_bins - 1))
     t = np.arange(-half, half + 1) * bin_ps
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     return kernel / kernel.sum()
@@ -178,11 +180,7 @@ def fit_biexponential(trace):
     monoexponential and is flagged; non-convergence returns the best
     iterate with a flag and a warning.
     """
-    if trace.time_ps.size < 50:
-        raise ValueError("need at least 50 bins for a biexponential fit")
-    if trace.counts.max() <= 0:
-        raise ValueError("trace has no counts")
-
+    _decay_data(trace)
     t = trace.time_ps
     c = trace.counts
     bin_ps = trace.bin_ps
@@ -215,6 +213,16 @@ def fit_biexponential(trace):
     long_weight = a2 * tau2 / (a1 * tau1 + a2 * tau2)
     return BiexpFit(float(tau1), float(tau2), float(a1), float(a2),
                     float(long_weight), sigma_tau1, sigma_tau2, converged, flag)
+
+
+def _decay_data(trace):
+    """`trace` itself, if a biexponential fit can take it: at least 50
+    bins and a positive count."""
+    if trace.time_ps.size < 50:
+        raise ValueError("need at least 50 bins for a biexponential fit")
+    if trace.counts.max() <= 0:
+        raise ValueError("trace has no counts")
+    return trace
 
 
 def _initial_biexp_guess(t, c, model):
@@ -296,7 +304,9 @@ def _saturation_model(powers, i_sat, p_sat, mode):
 
 def _saturation_data(powers, counts):
     """Float (powers, counts) of a saturation curve that can be fitted:
-    matching, >= 3 finite points, no negative power and a positive count."""
+    matching, >= 3 finite points, no negative power, a positive count and
+    no count above 2**500, so that the fit's squared residuals stay
+    finite."""
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if powers.shape != counts.shape or powers.size < 3:
@@ -307,6 +317,8 @@ def _saturation_data(powers, counts):
         raise ValueError("powers must be >= 0")
     if not np.any(counts > 0):
         raise ValueError("counts have no positive value to fit")
+    if not np.all(counts <= 2.0 ** 500):
+        raise ValueError("counts must be at most 2**500")
     return powers, counts
 
 

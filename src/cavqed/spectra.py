@@ -267,14 +267,16 @@ def build_fs_spectrum(model, energies):
     """
     energies = np.asarray(energies, dtype=float)
     step = energies[1] - energies[0]
-    if step > model.zpl_fwhm_uev / 10.0:
+    # a grid rounds its step and span: the limits allow for the grid's
+    # uniformity tolerance, so a step or span given exactly at a limit passes
+    if step > model.zpl_fwhm_uev / 10.0 * (1.0 + _GRID_RTOL):
         raise ValueError(
             f"grid too coarse: spacing {step:g} ueV exceeds zpl_fwhm/10 = "
             f"{model.zpl_fwhm_uev / 10.0:g} ueV"
         )
     lo = model.zpl_energy_uev - energies[0]
     hi = energies[-1] - model.zpl_energy_uev
-    if min(lo, hi) < 10.0 * model.zpl_fwhm_uev:
+    if min(lo, hi) < 10.0 * model.zpl_fwhm_uev * (1.0 - _GRID_RTOL):
         raise ValueError(
             f"grid too narrow: spans -{lo:g}/+{hi:g} ueV around the ZPL, "
             f"needs at least +-10*zpl_fwhm = {10.0 * model.zpl_fwhm_uev:g} ueV"
@@ -333,7 +335,7 @@ def convolve_lorentzian(spectrum, kappa_uev):
     if not kappa_uev > 0:
         raise ValueError(f"kappa must be positive, got {kappa_uev}")
     step = spectrum.step
-    if step > kappa_uev / 5.0:
+    if step > kappa_uev / 5.0 * (1.0 + _GRID_RTOL):  # slack as in build_fs_spectrum
         raise ValueError(
             f"kappa below grid resolution: spacing {step:g} ueV exceeds "
             f"kappa/5 = {kappa_uev / 5.0:g} ueV"

@@ -3,10 +3,10 @@
 Everything in this package uses one convention: energies and rates in
 micro-electronvolts (ueV), times in picoseconds (ps), wavelengths in
 nanometers (nm).  A rate gamma and a lifetime tau are two views of the
-same quantity, gamma = HBAR_UEV_PS / tau.
+same quantity, gamma = HBAR_UEV_PS / tau.  Only `bose_occupation`
+needs numpy, and imports it in its body, so that the numpy-free `config`
+can read the constants.
 """
-
-import numpy as np
 
 # hbar in ueV * ps.  Single source of truth for every rate <-> lifetime
 # conversion in the package.
@@ -46,6 +46,8 @@ def bose_occupation(energy_uev, temperature_k):
     Vectorized over energy.  Returns 0 at T = 0 (and stays finite for
     energies >> kT); energies must be strictly positive.
     """
+    import numpy as np
+
     energy = np.asarray(energy_uev, dtype=float)
     if not np.all(energy > 0):
         raise ValueError("bose_occupation requires strictly positive energies")

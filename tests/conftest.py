@@ -19,13 +19,14 @@ KAPPA = ZPL_ENERGY / 1.12e4          # 86.824 ueV
 GAMMA = HBAR_UEV_PS / 256.0          # 2.5711 ueV
 
 
-def run_python(*args, cwd=None, stdout=subprocess.PIPE, check=True):
+def run_python(*args, cwd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=True):
     """The completed fresh interpreter that ran with the command-line
     arguments `args`, in `cwd`, with this cavqed on its path; its stdout
-    goes to `stdout`, and with `check` it must have exited 0."""
+    and stderr go to `stdout` and `stderr`, and with `check` it must have
+    exited 0."""
     env = dict(os.environ, PYTHONPATH=str(Path(cavqed.__file__).parents[1]))
     done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=300)
+                          stderr=stderr, text=True, timeout=300)
     if check:
         assert done.returncode == 0, done.stderr[-2000:]
     return done

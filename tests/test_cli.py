@@ -307,16 +307,6 @@ class TestExitCodes:
         code = main(["purcell", "--fixture", "paper", "--out", str(tmp_path / "x")])
         assert code == EXIT_FIT
 
-    @pytest.mark.parametrize("command", ["spectrum", "g2"])
-    def test_zero_lifetime_is_config_error(self, tmp_path, command):
-        code, _ = run(tmp_path, command, config={"emitter": {"lifetime_fs_ps": 0}})
-        assert code == EXIT_CONFIG
-
-    @pytest.mark.parametrize("command", ["spectrum", "lifetime", "g2"])
-    def test_nan_lifetime_is_config_error(self, tmp_path, command):
-        code, _ = run(tmp_path, command, config='{"emitter": {"lifetime_fs_ps": NaN}}')
-        assert code == EXIT_CONFIG
-
     @pytest.mark.parametrize("config, key", [
         ({"colour": "red"}, "colour"),
         ({"emitter": {"temperatur_k": 300}}, "emitter.temperatur_k"),
@@ -383,7 +373,7 @@ class TestExitCodes:
         # a repeated order would be reported twice and its files overwritten
         (("purcell", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
         (("brightness", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
-        (("g2", (), {"g2_scheme": {"k_deshelve_uev": 0}}), "k_deshelve_uev"),
+        (("g2", (), {"g2_scheme": {"k_deshelve_uev": 0}}), "g2_scheme.k_deshelve_uev"),
         # a table is a nonempty array of row objects
         pytest.param(("purcell", (), {"cavity": {"modes": []}}), "cavity.modes",
                      id="empty-table"),
@@ -401,18 +391,22 @@ class TestExitCodes:
                      "'beamsplitter' appears more than once", id="repeated-stage"),
         # one measured trace must not fall back to the synthetic pair
         pytest.param(("lifetime", (), {"analysis": {"lifetime": {"cavity_trace_csv": "c.csv"}}}),
-                     "analysis.lifetime.fs_trace_csv is required", id="cavity-trace-only"),
+                     "config keys analysis.lifetime.fs_trace_csv and "
+                     "analysis.lifetime.cavity_trace_csv: give both measured traces or neither, "
+                     "got None and 'c.csv'", id="cavity-trace-only"),
         pytest.param(("lifetime", (), {"analysis": {"lifetime": {"fs_trace_csv": "f.csv"}}}),
-                     "analysis.lifetime.cavity_trace_csv is required", id="fs-trace-only"),
+                     "config keys analysis.lifetime.fs_trace_csv and "
+                     "analysis.lifetime.cavity_trace_csv: give both measured traces or neither, "
+                     "got 'f.csv' and None", id="fs-trace-only"),
         # the exit ratio solves cryostat_optics, which one cavity chain must list
         pytest.param(("budget", (), {"budget": {"chains": {"cavity_fiber": {
                          "cryostat_optics": 0.5}}}}),
                      "config keys budget.chains.cavity_planar and budget.chains.cavity_fiber: "
-                     "stage 'cryostat_optics' appears in both", id="cryostat-in-both"),
+                     "exactly one must list the stage 'cryostat_optics'", id="cryostat-in-both"),
         pytest.param(("budget", (), {"budget": {"chains": {"cavity_planar": {
                          "cryostat_optics": None}}}}),
                      "config keys budget.chains.cavity_planar and budget.chains.cavity_fiber: "
-                     "stage 'cryostat_optics' is in neither", id="cryostat-in-neither"),
+                     "exactly one must list the stage 'cryostat_optics'", id="cryostat-in-neither"),
     ])
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
         command, extra = "spectrum", ()
@@ -424,10 +418,11 @@ class TestExitCodes:
         assert key in json.loads(line)["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
     def test_type_error_is_not_a_config_error(self, tmp_path, monkeypatch, error):
-        # every config value is checked and every fixture column required
-        # at load, so a TypeError or a KeyError is a bug
+        # every config value is checked, every fixture column required and
+        # every relation between values checked at load, so a TypeError, a
+        # KeyError or a library ValueError is a bug
         import cavqed.cli as cli_mod
 
         def explode(config, seed):
@@ -701,18 +696,26 @@ class TestInputData:
          "grid must be uniform to 1 part in 1e9"),
         ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,-2\n8,1",
          "counts must be finite and nonnegative"),
+        # the library checks of a file's grid and values run as it is read
+        ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n40,1\n80,1",
+         "grid too coarse: spacing 40 ueV exceeds zpl_fwhm/10 = 20 ueV"),
+        ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,2\n8,1",
+         "need at least 50 bins for a biexponential fit"),
         ("saturation", "curve_csv", "power,counts\n0,-1\n1,-2\n2,-3\n4,-3.5",
          "counts have no positive value to fit"),
         ("saturation", "curve_csv", "power,counts\n-1,1\n1,2\n2,3\n4,3.5",
          "powers must be >= 0"),
+        # a fit's squared residuals would overflow
+        ("saturation", "curve_csv", "power,counts\n0,1\n1,1e200\n2,3",
+         "counts must be at most 2**500"),
         # errors of the parser itself carry the same single prefix
         ("brightness", "envelope_csv", "energy,value\n0,1\n1,1",
          "expected header 'energy_ueV,value', got 'energy,value'"),
         ("saturation", "curve_csv", "power,counts\n0,1\n1,x",
          "malformed number in data row 2, column 'counts': "
          "could not convert string to float: 'x'"),
-    ], ids=["envelope-grid", "trace-count", "curve-counts", "curve-power", "envelope-header",
-            "curve-number"])
+    ], ids=["envelope-grid", "trace-count", "envelope-coarse", "trace-short", "curve-counts", "curve-power", "curve-overflow",
+            "envelope-header", "curve-number"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"
         path.write_text(rows + "\n")
@@ -863,16 +866,41 @@ def test_fresh_process_reads_back_the_written_files(paper_runs, tmp_path, comman
         assert report["mode"] == "measured"
 
 
-def test_closed_stdout_exits_4_and_keeps_the_files(tmp_path):
-    # the read end is closed before the child starts, so the report line,
-    # printed once the files are written, fails without a race
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed before the child
+    starts, so that the child's first write to it fails without a race."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    done = run_pl("budget", tmp_path / "out", stdout=write_end, check=False)
-    os.close(write_end)
+    return write_end
+
+
+def test_closed_stdout_exits_4_and_keeps_the_files(tmp_path):
+    # the report line is printed once the files are written
+    stdout = _closed_pipe()
+    done = run_pl("budget", tmp_path / "out", stdout=stdout, check=False)
+    os.close(stdout)
     assert done.returncode == EXIT_IO
     [line] = done.stderr.splitlines()
     assert json.loads(line)["error"] == "BrokenPipeError"
+    assert sorted(os.listdir(tmp_path / "out")) == _FILES["budget"]
+
+
+def test_closed_stderr_keeps_exit_2(tmp_path):
+    # a diagnostic that cannot be written is dropped, not a crash
+    stderr = _closed_pipe()
+    done = run_python("-m", "cavqed.cli", "budget", "--out", str(tmp_path / "out"),
+                      stderr=stderr, check=False)
+    os.close(stderr)
+    assert done.returncode == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_closed_stdout_and_stderr_exit_4_and_keep_the_files(tmp_path):
+    stdout, stderr = _closed_pipe(), _closed_pipe()
+    done = run_pl("budget", tmp_path / "out", stdout=stdout, stderr=stderr, check=False)
+    os.close(stdout)
+    os.close(stderr)
+    assert done.returncode == EXIT_IO
     assert sorted(os.listdir(tmp_path / "out")) == _FILES["budget"]
 
 
@@ -914,8 +942,9 @@ class TestTableConfig:
         assert report["modes"][0]["v_eff_lambda3_fixture"] == 2.60
 
     def test_overlay_replaces_the_mode_list(self, tmp_path):
+        # cavity.mode_order must be a p of the table for every command
         [row] = [row for row in _paper_tables()["cavity"]["modes"] if row["p"] == 7]
-        code, out = run(tmp_path, "purcell", config={"cavity": {"modes": [row]}})
+        code, out = run(tmp_path, "purcell", config={"cavity": {"modes": [row], "mode_order": 7}})
         assert code == EXIT_OK
         assert [m["p"] for m in read_report(out, "purcell_report.json")["modes"]] == [7]
 
@@ -958,16 +987,18 @@ class TestTableConfig:
         assert json.loads(line)["message"] == f"config key cavity.modes[3].{column} is required"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["spectrum", "purcell", "brightness", "budget"])
+    @pytest.mark.parametrize("command", ["spectrum", "purcell", "brightness", "budget",
+                                         "lifetime", "saturation", "g2"])
     def test_repeated_p_is_config_error(self, tmp_path, capsys, command):
-        # a second p = 6 row would otherwise overwrite the first
+        # a second p = 6 row would otherwise overwrite the first; load
+        # checks it whichever command runs
         tables = _paper_tables()
         tables["cavity"]["modes"].append(dict(tables["cavity"]["modes"][0], q_exp=5000.0))
         code, out = run(tmp_path, command, config=tables)
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
-        assert json.loads(line)["message"] \
-            == "config key cavity.modes[4].p: mode order 6 appears more than once"
+        assert json.loads(line)["message"] == "config key cavity.modes[*].p: the mode orders " \
+            "p must be distinct, got [6, 7, 8, 9, 6]"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [

@@ -1,10 +1,13 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from cavqed import config, fixtures
 from cavqed.cli import EXIT_CONFIG, EXIT_OK, main
+
+from conftest import run_python
 
 
 def run(tmp_path, command, overlay=None, name="run"):
@@ -118,3 +121,67 @@ def test_paper_fixture_restates_no_default():
                 yield prefix + key
 
     assert list(restated(json.loads(fixtures.paper_defaults()), config.CONFIG_KEYS)) == []
+
+
+def test_every_overlay_ends_in_a_documented_exit():
+    # one child process runs the whole boundary table: each value just
+    # inside and just outside a key's rule, and the special values, on
+    # --fixture paper, under every command that reads the key
+    done = run_python(str(Path(__file__).with_name("config_boundary.py")))
+    result = json.loads(done.stdout)
+    assert result["cases"] > 1000
+    assert result["failed"] == []
+
+
+def _paper_rows(index, **cells):
+    """The paper's cavity.modes with `cells` set in row `index`."""
+    rows = [dict(row) for row in config.load("paper")["cavity"]["modes"]]
+    rows[index].update(cells)
+    return {"cavity": {"modes": rows}}
+
+
+# a config that passes every per-key rule but that no command can run:
+# (command, overlay, keys its message names)
+@pytest.mark.parametrize("command, overlay, keys", [
+    ("lifetime", {"measured": {"decay_ratio": 0.5}}, ["measured.decay_ratio"]),
+    ("purcell", {"measured": {"decay_ratio": 0.5}}, ["measured.decay_ratio"]),
+    ("spectrum", {"analysis": {"spectrum": {"step_uev": 40}}},
+     ["analysis.spectrum.step_uev", "emitter.zpl_fwhm_uev"]),
+    ("spectrum", {"analysis": {"spectrum": {"step_uev": 1e300}}},
+     ["analysis.spectrum.step_uev", "emitter.zpl_fwhm_uev"]),
+    ("spectrum", {"analysis": {"spectrum": {"half_span_uev": 10}}},
+     ["analysis.spectrum.half_span_uev", "emitter.zpl_fwhm_uev"]),
+    ("brightness", {"analysis": {"brightness": {"half_span_uev": 10}}},
+     ["analysis.brightness.half_span_uev", "emitter.zpl_fwhm_uev"]),
+    ("purcell", _paper_rows(0, q_exp=60000.0), ["cavity.modes[0].q_exp", "cavity.modes[0].q_th"]),
+    ("purcell", {"cavity": {"radius_of_curvature_um": 1}},
+     ["cavity.modes[0].p", "emitter.wavelength_nm", "cavity.radius_of_curvature_um"]),
+    ("spectrum", {"emitter": {"wavelength_nm": 1e-320}}, ["emitter.wavelength_nm"]),
+    ("spectrum", {"emitter": {"sideband": {"cutoff_uev": 1e-300}}},
+     ["emitter.sideband.cutoff_uev", "analysis.spectrum.step_uev"]),
+    ("lifetime", {"analysis": {"lifetime": {"bin_ps": 1e6}}},
+     ["emitter.lifetime_fs_ps", "analysis.lifetime.bin_ps"]),
+    ("lifetime", {"analysis": {"lifetime": {"peak_counts": 1e300}}},
+     ["analysis.lifetime.peak_counts"]),
+    # a mode that brightness uses and spectrum does not
+    ("brightness", _paper_rows(1, q_exp=1e6, q_th=2e6),
+     ["analysis.brightness.step_uev", "cavity.mode_orders", "cavity.modes[1].q_exp"]),
+    ("g2", {"g2_scheme": {"k_deshelve_uev": 0}},
+     ["g2_scheme.k_shelve_uev", "g2_scheme.k_deshelve_uev"]),
+    # a grid past MAX_GRID_POINTS, which would exhaust the memory
+    ("spectrum", {"analysis": {"spectrum": {"step_uev": 1e-7}}},
+     ["analysis.spectrum.half_span_uev", "analysis.spectrum.step_uev"]),
+    ("g2", {"analysis": {"g2": {"tau_step_ps": 1e-9}}},
+     ["analysis.g2.tau_span_ps", "analysis.g2.tau_step_ps"]),
+    ("lifetime", {"analysis": {"lifetime": {"bin_ps": 1e-9}}},
+     ["emitter.lifetime_fs_ps", "analysis.lifetime.bin_ps"]),
+    ("saturation", {"analysis": {"saturation": {"n_points": 10 ** 11}}},
+     ["analysis.saturation.n_points"]),
+])
+def test_unrunnable_config_names_its_keys(tmp_path, capsys, command, overlay, keys):
+    code, out = run(tmp_path, command, overlay)
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    message = json.loads(line)["message"]
+    assert all(key in message for key in keys), message
+    assert not out.exists()
