@@ -87,8 +87,8 @@ def _mode_kappa(cfg, energy):
     """(p, cavity linewidth) of cavity.mode_order, from its measured Q."""
     from . import cavity as cavity_mod
 
-    [(p, row)] = config.mode_rows(cfg, "mode_order")
-    return p, cavity_mod.kappa_from_q(energy, row["q_exp"])
+    row = config.mode_row(cfg)
+    return row["p"], cavity_mod.kappa_from_q(energy, row["q_exp"])
 
 
 def task_rng(seed, index):
@@ -157,15 +157,15 @@ def cmd_purcell(cfg, seed):
     q_emitter = energy / model.zpl_fwhm_uev
 
     modes = []
-    for p, row in config.mode_rows(cfg, "mode_orders"):
+    for row in config.mode_rows(cfg):
         geometry = cavity_mod.CavityGeometry(
             cfg["emitter"]["wavelength_nm"], cav["refractive_index"],
-            cav["radius_of_curvature_um"], p)
+            cav["radius_of_curvature_um"], row["p"])
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
         f_p = cqed.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
         ratios = cqed.brightening_ratios(model.debye_waller, f_p, cfg["emitter"]["eta_qy"])
         modes.append({
-            "p": p,
+            "p": row["p"],
             "v_eff_lambda3_fixture": row["v_eff_lambda3"],
             "v_eff_lambda3_gaussian": cavity_mod.mode_volume_gaussian(geometry),
             "q_exp": row["q_exp"],
@@ -173,7 +173,7 @@ def cmd_purcell(cfg, seed):
             "q_eff": q_eff,
             "kappa_uev": cavity_mod.kappa_from_q(energy, row["q_exp"]),
             "internal_loss_ppm_per_pass": cavity_mod.internal_loss_from_q(
-                row["q_exp"], row["q_th"], p),
+                row["q_exp"], row["q_th"], row["p"]),
             "f_p_theory": f_p,
             "flux_ratio_linear": ratios.flux_ratio_linear,
             "flux_ratio_sat": ratios.flux_ratio_sat,
@@ -246,20 +246,22 @@ def cmd_brightness(cfg, seed):
                   "fit": fit.to_record()}
         return report, {}
 
-    rows = config.mode_rows(cfg, "mode_orders")
+    rows = config.mode_rows(cfg)
     g_max = cfg["measured"]["g_spectral_max_uev"]
     noise_frac = options["noise_frac"]
-    v_ref = min(rows, key=lambda item: item[0])[1]["v_eff_lambda3"]
-    grid = spectra.energy_grid(model.zpl_energy_uev, options["half_span_uev"],
-                               options["step_uev"])
+    couplings = config.synthetic_couplings(g_max, [row["p"] for row in rows],
+                                           [row["v_eff_lambda3"] for row in rows])
+    grid_options = cfg["analysis"]["spectrum"]
+    grid = spectra.energy_grid(model.zpl_energy_uev, grid_options["half_span_uev"],
+                               grid_options["step_uev"])
     s_fs = spectra.build_fs_spectrum(model, grid)
     header = spectra.SPECTRUM_HEADER
 
     modes = []
     files = {}
-    for index, (p, row) in enumerate(rows):
+    for index, (row, g_true) in enumerate(zip(rows, couplings)):
+        p = row["p"]
         kappa = cavity_mod.kappa_from_q(model.zpl_energy_uev, row["q_exp"])
-        g_true = g_max * np.sqrt(v_ref / row["v_eff_lambda3"]) if g_max > 0 else 0.0
         s_tilde = spectra.convolve_lorentzian(s_fs, kappa)
         s_dtilde = spectra.convolve_lorentzian(s_tilde, kappa)
         envelope = _synthetic_envelope(
@@ -308,7 +310,7 @@ def cmd_lifetime(cfg, seed):
     import numpy as np
 
     from . import dynamics
-    from .units import lifetime_from_rate, rate_from_lifetime
+    from .units import rate_from_lifetime
 
     em = cfg["emitter"]
     options = cfg["analysis"]["lifetime"]
@@ -326,9 +328,8 @@ def cmd_lifetime(cfg, seed):
         weights = tuple(em["decay_weights"])
         bin_ps = options["bin_ps"]
         gamma = rate_from_lifetime(em["lifetime_fs_ps"])
-        tau_fs = lifetime_from_rate(gamma)
-        time_grid = np.arange(-np.ceil(160.0 / bin_ps),
-                              np.ceil(6.0 * tau_fs / bin_ps) + 1) * bin_ps
+        before, after = config.lifetime_bins(em["lifetime_fs_ps"], bin_ps)
+        time_grid = np.arange(-before, after + 1) * bin_ps
 
         def synthesize(index, ratio):
             clean = dynamics.simulate_decay(gamma, ratio, weights, em["tau_short_ps"], irf,
@@ -444,7 +445,7 @@ def cmd_budget(cfg, seed):
     extractions = cfg["budget"]["extraction"]
     quoted = cfg["budget"]["overall_quoted"]
     chains = config.chains_from_config(cfg)
-    [(_, exits)] = config.mode_rows(cfg, "mode_order")
+    exits = config.mode_row(cfg)
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])
                for name in chains}

@@ -5,7 +5,8 @@ passes every check that the commands' library calls make on config values.
 The `*_from_config` builders turn a checked config into the library's
 value types; they import the physics modules in their own bodies, so at
 module level this module loads only the standard library, `fixtures` and
-the numpy-free `units`.
+the numpy-free `units`.  The derivations that a command and a relation
+share, `lifetime_bins` and `synthetic_couplings`, are stated here once.
 """
 
 import functools
@@ -14,7 +15,7 @@ import math
 import sys
 
 from . import fixtures
-from .units import HBAR_UEV_PS, HC_UEV_NM, KB_UEV_PER_K
+from .units import KB_UEV_PER_K, energy_from_wavelength, lifetime_from_rate, rate_from_lifetime
 
 DEFAULT_SEED = 12345
 
@@ -42,8 +43,6 @@ PATH = ("a nonempty path string", lambda v: type(v) is str and v != "")
 PUMPING = ("'cw' or 'pulsed'", lambda v: v in ("cw", "pulsed"))
 WEIGHTS = ("two nonnegative numbers with a positive sum", lambda v: type(v) in (list, tuple)
            and len(v) == 2 and all(_is_real(w) and w >= 0 for w in v) and sum(v) > 0)
-MODE_ORDERS = ("a nonempty list of distinct integers >= 1", lambda v: type(v) is list and v != []
-               and all(type(p) is int and p >= 1 for p in v) and len(set(v)) == len(v))
 CHAIN = ("a nonempty JSON object of stage efficiencies in (0, 1]", lambda v: type(v) is dict
          and v != {} and all(_is_real(e) and 0 < e <= 1 for e in v.values()))
 # at most 2**53 counts, so that the Poisson draws of a synthetic decay
@@ -59,11 +58,10 @@ PATHS = ("free_space", "cavity_planar", "cavity_fiber")
 # array of such rows, each of which must give every key.  A REQUIRED key
 # has no default: reading it from a config that lacks it is a config
 # error.  Where the default is None, the one command that reads the key
-# derives the value (cavity.mode_orders: every row of cavity.modes;
-# dw_window_uev: 3 ZPL widths) or, for an input file, takes the synthetic
-# path.  Tables S1-S3 of the paper are cavity.modes, budget.extraction
-# with budget.chains (the stages after extraction, in product order) and
-# budget.overall_quoted.
+# derives the value (dw_window_uev: 3 ZPL widths) or, for an input file,
+# takes the synthetic path.  Tables S1-S3 of the paper are cavity.modes,
+# budget.extraction with budget.chains (the stages after extraction, in
+# product order) and budget.overall_quoted.
 CONFIG_KEYS = {
     "seed": (DEFAULT_SEED, int_at_least(0)),
     "emitter": {
@@ -74,7 +72,7 @@ CONFIG_KEYS = {
         "eta_qy": (0.01, FRACTION), "decay_weights": ((2.0, 1.0), WEIGHTS),
         "tau_short_ps": (23.0, POSITIVE)},
     "cavity": {"refractive_index": (1.0, POSITIVE), "radius_of_curvature_um": (10.0, POSITIVE),
-               "mode_order": (6, int_at_least(1)), "mode_orders": (None, MODE_ORDERS),
+               "mode_order": (6, int_at_least(1)),
                "modes": [{"p": (REQUIRED, int_at_least(1)), "v_eff_lambda3": (REQUIRED, POSITIVE),
                           "q_th": (REQUIRED, POSITIVE), "q_exp": (REQUIRED, POSITIVE),
                           "p_subs_pct": (REQUIRED, POSITIVE),
@@ -93,8 +91,7 @@ CONFIG_KEYS = {
     "analysis": {
         "spectrum": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
                      "dw_window_uev": (None, POSITIVE)},
-        "brightness": {"half_span_uev": (6000.0, POSITIVE), "step_uev": (4.0, POSITIVE),
-                       "envelope_csv": (None, PATH), "noise_frac": (0.01, FRACTION)},
+        "brightness": {"envelope_csv": (None, PATH), "noise_frac": (0.01, FRACTION)},
         "lifetime": {"irf_fwhm_ps": (32.0, NONNEGATIVE), "fs_trace_csv": (None, PATH),
                      "cavity_trace_csv": (None, PATH), "peak_counts": (1e5, PEAK_COUNTS),
                      "bin_ps": (4.0, POSITIVE)},
@@ -109,13 +106,8 @@ CONFIG_KEYS = {
 
 
 # the most points of any grid a command builds from config values: the
-# spectrum, brightness, g2 and lifetime grids and the saturation curve
+# spectrum, g2 and lifetime grids and the saturation curve
 MAX_GRID_POINTS = 2 ** 22
-
-
-def _energy(wavelength_nm):
-    """Photon energy in ueV, as units.energy_from_wavelength computes it."""
-    return HC_UEV_NM / wavelength_nm
 
 
 def _grid_points(half_span, step):
@@ -125,15 +117,21 @@ def _grid_points(half_span, step):
     return 2 * math.ceil(ratio) + 1 if ratio < MAX_GRID_POINTS else math.inf
 
 
-def _lifetime_bins(lifetime_ps, bin_ps):
-    """Bin count of cmd_lifetime's synthetic time grid, from 160 ps before
-    zero to 6 free-space lifetimes after it; inf when it is past
-    MAX_GRID_POINTS."""
-    tau = HBAR_UEV_PS / (HBAR_UEV_PS / lifetime_ps)
-    before, after = 160.0 / bin_ps, 6.0 * tau / bin_ps
-    if not before + after < MAX_GRID_POINTS:
-        return math.inf
-    return math.ceil(before) + math.ceil(after) + 1
+def lifetime_bins(lifetime_ps, bin_ps):
+    """(before, after): cmd_lifetime's synthetic time grid runs from bin
+    -before to bin after of width `bin_ps`, from 160 ps before zero to 6
+    free-space lifetimes after it."""
+    tau = lifetime_from_rate(rate_from_lifetime(lifetime_ps))
+    return math.ceil(160.0 / bin_ps), math.ceil(6.0 * tau / bin_ps)
+
+
+def synthetic_couplings(g_max, ps, volumes):
+    """The coupling g of each mode of cmd_brightness's synthetic
+    envelopes, for modes of orders `ps` and volumes `volumes`:
+    g_max sqrt(V_ref/V_eff), with V_ref the volume of the lowest order,
+    or 0 when g_max is 0."""
+    v_ref = volumes[ps.index(min(ps))]
+    return [g_max * math.sqrt(v_ref / v) if g_max > 0 else 0.0 for v in volumes]
 
 
 def _resolved(step, half_span, wavelength_nm):
@@ -141,7 +139,7 @@ def _resolved(step, half_span, wavelength_nm):
     step: each point is rounded by at most 2**-53 of its size, so with a
     step of at least 2**-21 (E + 2 half_span + 2 step) the steps stay
     uniform to spectra's 1e-9 and within 2**-31 of `step`."""
-    return step * 2.0 ** 21 >= _energy(wavelength_nm) + 2.0 * (half_span + step)
+    return step * 2.0 ** 21 >= energy_from_wavelength(wavelength_nm) + 2.0 * (half_span + step)
 
 
 def _wing_fits(exponent, cutoff, step, half_span):
@@ -156,54 +154,6 @@ def _wing_fits(exponent, cutoff, step, half_span):
     return power > -700.0 and decay < 700.0 and power - decay > -700.0 and edge < 700.0
 
 
-def _uses(orders, p):
-    """True when the mode order p is among `orders`: cavity.mode_order
-    (one order) or cavity.mode_orders (a list; None: every row)."""
-    return orders is None or p == orders or (type(orders) is list and p in orders)
-
-
-def _spectral_grid(command, orders):
-    """The relations of the energy grid that analysis.<command> gives,
-    whose cavity modes are those of cavity.<orders>: the checks of
-    spectra.energy_grid, build_fs_spectrum and convolve_lorentzian."""
-    half_span, step = f"analysis.{command}.half_span_uev", f"analysis.{command}.step_uev"
-    return [
-        ((half_span, step), f"the grid must have at most {MAX_GRID_POINTS} points",
-         lambda h, s: _grid_points(h, s) <= MAX_GRID_POINTS),
-        ((step, "emitter.zpl_fwhm_uev"), "step_uev must be at most zpl_fwhm_uev/10",
-         lambda s, fwhm: s <= fwhm / 10.0),
-        ((half_span, "emitter.zpl_fwhm_uev"), "half_span_uev must be at least 10 zpl_fwhm_uev",
-         lambda h, fwhm: h >= 10.0 * fwhm),
-        ((step, half_span, "emitter.wavelength_nm"),
-         "step_uev must be at least 2**-21 (hc/wavelength_nm + 2 half_span_uev + 2 step_uev)",
-         _resolved),
-        (("emitter.debye_waller", "emitter.sideband.exponent", "emitter.sideband.cutoff_uev",
-          step, half_span),
-         "below a debye_waller of 1, the sideband must be a normal float one step from the "
-         "ZPL and finite to the grid's edge",
-         lambda dw, exponent, cutoff, s, h: dw == 1 or _wing_fits(exponent, cutoff, s, h)),
-        ((step, "emitter.wavelength_nm", f"cavity.{orders}", "cavity.modes[].p",
-          "cavity.modes[].q_exp"),
-         "step_uev must be at most kappa/5, with the cavity linewidth kappa = "
-         "hc/wavelength_nm/q_exp at most 2**1000, for each mode the command uses",
-         lambda s, wl, used, p, q: not _uses(used, p)
-         or s <= _energy(wl) / q / 5.0 and _energy(wl) / q <= 2.0 ** 1000),
-    ]
-
-
-def _envelope_scales(g_max, lifetime_ps, orders, ps, volumes):
-    """True when cmd_brightness can build its synthetic envelopes: without
-    coupling, or with a = g**2/gamma in [2**-900, 2**900] for each mode it
-    uses, g = g_max sqrt(V_ref/V_eff) with V_ref the volume of the lowest
-    order used."""
-    if g_max == 0:
-        return True
-    used = sorted((p, v) for p, v in zip(ps, volumes) if _uses(orders, p))
-    v_ref, gamma = used[0][1], HBAR_UEV_PS / lifetime_ps
-    return all(2.0 ** -900 <= (g_max * math.sqrt(v_ref / v)) ** 2 / gamma <= 2.0 ** 900
-               for _, v in used)
-
-
 def _within(factor, *rates):
     """True when the positive `rates` lie within `factor` of each other."""
     positive = [rate for rate in rates if rate > 0]
@@ -216,14 +166,15 @@ def _within(factor, *rates):
 # that reads that key requires it.  A key's `[]` row makes the relation
 # one per row of that table, and a `[*]` row gives the column of every
 # row as a list.  A test states a library check on config values, in
-# the library's own arithmetic where it computes one.
+# the library's own arithmetic where it computes one.  The energy grid
+# of analysis.spectrum is that of both spectrum and brightness, whose
+# checks are those of spectra.energy_grid, build_fs_spectrum and
+# convolve_lorentzian.
 RELATIONS = [
     (("cavity.modes[*].p",), "the mode orders p must be distinct",
      lambda ps: len(set(ps)) == len(ps)),
     (("cavity.mode_order", "cavity.modes[*].p"), "mode_order must be one of the p",
      lambda order, ps: order in ps),
-    (("cavity.mode_orders", "cavity.modes[*].p"), "each of mode_orders must be one of the p",
-     lambda orders, ps: orders is None or set(orders) <= set(ps)),
     (("cavity.modes[].q_exp", "cavity.modes[].q_th"), "q_exp must be below q_th",
      lambda q_exp, q_th: q_exp < q_th),
     (("cavity.modes[].p", "emitter.wavelength_nm", "cavity.radius_of_curvature_um"),
@@ -234,21 +185,41 @@ RELATIONS = [
      "must be positive and finite",
      lambda n, wl, v: 0 < v * n ** 3 < math.inf and 0 < (wl * 1e-3 / n) ** 3 < math.inf),
     (("emitter.wavelength_nm",), "the photon energy hc/wavelength_nm must be finite",
-     lambda wl: _energy(wl) < math.inf),
+     lambda wl: energy_from_wavelength(wl) < math.inf),
     (("emitter.temperature_k",), "k_B temperature_k must be finite",
      lambda t: KB_UEV_PER_K * t < math.inf),
-    *_spectral_grid("spectrum", "mode_order"),
+    (("analysis.spectrum.half_span_uev", "analysis.spectrum.step_uev"),
+     f"the grid must have at most {MAX_GRID_POINTS} points",
+     lambda h, s: _grid_points(h, s) <= MAX_GRID_POINTS),
+    (("analysis.spectrum.step_uev", "emitter.zpl_fwhm_uev"),
+     "step_uev must be at most zpl_fwhm_uev/10", lambda s, fwhm: s <= fwhm / 10.0),
+    (("analysis.spectrum.half_span_uev", "emitter.zpl_fwhm_uev"),
+     "half_span_uev must be at least 10 zpl_fwhm_uev", lambda h, fwhm: h >= 10.0 * fwhm),
+    (("analysis.spectrum.step_uev", "analysis.spectrum.half_span_uev", "emitter.wavelength_nm"),
+     "step_uev must be at least 2**-21 (hc/wavelength_nm + 2 half_span_uev + 2 step_uev)",
+     _resolved),
+    (("emitter.debye_waller", "emitter.sideband.exponent", "emitter.sideband.cutoff_uev",
+      "analysis.spectrum.step_uev", "analysis.spectrum.half_span_uev"),
+     "below a debye_waller of 1, the sideband must be a normal float one step from the "
+     "ZPL and finite to the grid's edge",
+     lambda dw, exponent, cutoff, s, h: dw == 1 or _wing_fits(exponent, cutoff, s, h)),
+    (("analysis.spectrum.step_uev", "emitter.wavelength_nm", "cavity.modes[].q_exp"),
+     "step_uev must be at most kappa/5, with the cavity linewidth kappa = "
+     "hc/wavelength_nm/q_exp at most 2**1000",
+     lambda s, wl, q: s <= energy_from_wavelength(wl) / q / 5.0
+     and energy_from_wavelength(wl) / q <= 2.0 ** 1000),
     (("analysis.spectrum.dw_window_uev", "analysis.spectrum.half_span_uev"),
      "dw_window_uev must be at most half_span_uev", lambda w, h: w is None or w <= h),
-    *_spectral_grid("brightness", "mode_orders"),
-    (("measured.g_spectral_max_uev", "emitter.lifetime_fs_ps", "cavity.mode_orders",
-      "cavity.modes[*].p", "cavity.modes[*].v_eff_lambda3"),
+    (("measured.g_spectral_max_uev", "emitter.lifetime_fs_ps", "cavity.modes[*].p",
+      "cavity.modes[*].v_eff_lambda3"),
      "a = g**2 * lifetime_fs_ps/hbar must be in [2**-900, 2**900] for the coupling g "
-     "of each mode the synthetic envelopes use, or g_spectral_max_uev 0",
-     _envelope_scales),
+     "of each mode's synthetic envelope, or g_spectral_max_uev 0",
+     lambda g_max, tau, ps, volumes: g_max == 0 or all(
+         2.0 ** -900 <= g ** 2 / rate_from_lifetime(tau) <= 2.0 ** 900
+         for g in synthetic_couplings(g_max, ps, volumes))),
     (("emitter.lifetime_fs_ps", "analysis.lifetime.bin_ps"),
      f"the synthetic decay grid must have 50 to {MAX_GRID_POINTS} bins",
-     lambda tau, b: 50 <= _lifetime_bins(tau, b) <= MAX_GRID_POINTS),
+     lambda tau, b: 50 <= sum(lifetime_bins(tau, b)) + 1 <= MAX_GRID_POINTS),
     (("emitter.lifetime_fs_ps", "measured.decay_ratio", "analysis.lifetime.bin_ps"),
      "the cavity lifetime lifetime_fs_ps/decay_ratio must be at least bin_ps/10, the "
      "shortest lifetime a biexponential fit takes",
@@ -275,7 +246,7 @@ RELATIONS = [
       "g2_scheme.k_deshelve_uev"),
      "the positive rates pump_uev, hbar/lifetime_fs_ps, k_shelve_uev and k_deshelve_uev "
      "must lie within a factor 1e12 of each other",
-     lambda pump, tau, on, off: _within(1e12, pump, HBAR_UEV_PS / tau, on, off)),
+     lambda pump, tau, on, off: _within(1e12, pump, rate_from_lifetime(tau), on, off)),
     *(((f"budget.extraction.{path}", f"budget.chains.{path}"),
        "the extraction times the product of the stages must be positive",
        lambda extraction, chain: extraction * math.prod(chain.values()) > 0)
@@ -465,7 +436,7 @@ def _check_relation(config, keys, what, test):
             continue
         try:
             holds = test(*values)
-        except OverflowError:  # an integer too large for a float
+        except OverflowError:  # past the float range, or the ceil of inf
             holds = False
         if not holds:
             names = [key.replace("[]", f"[{index}]") for key in keys]
@@ -482,7 +453,6 @@ def _and(items):
 def emitter_from_config(config):
     """The paper's emitter (spectral parameters only) from a checked config."""
     from . import spectra
-    from .units import energy_from_wavelength
 
     em = config["emitter"]
     return spectra.EmitterModel(
@@ -498,7 +468,6 @@ def emitter_from_config(config):
 def scheme_from_config(config):
     """The paper's three-level g2 scheme from a checked config."""
     from . import dynamics
-    from .units import rate_from_lifetime
 
     g2cfg = config["g2_scheme"]
     return dynamics.LevelScheme(
@@ -519,15 +488,13 @@ def chains_from_config(config):
             for path in PATHS}
 
 
-def mode_rows(config, key):
-    """[(p, cavity.modes row)] for the mode orders of cavity.<key>, which
-    is mode_order (one order) or mode_orders (a list; None: every row, by
-    p); `load` has checked that they are distinct p of cavity.modes."""
+def mode_rows(config):
+    """The rows of cavity.modes, sorted by their order p."""
+    return sorted(config["cavity"]["modes"], key=lambda row: row["p"])
+
+
+def mode_row(config):
+    """The row of cavity.modes whose p is cavity.mode_order; `load` has
+    checked that there is exactly one."""
     cav = config["cavity"]
-    table = {row["p"]: row for row in cav["modes"]}
-    orders = cav[key]
-    if orders is None:
-        orders = sorted(table)
-    elif type(orders) is int:
-        orders = [orders]
-    return [(p, table[p]) for p in orders]
+    return next(row for row in cav["modes"] if row["p"] == cav["mode_order"])

@@ -165,7 +165,7 @@ def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_g
             f"grid too short: ends at {time_grid_ps[-1]:g} ps, needs >= 5*tau_long "
             f"= {5.0 * tau_long:g} ps"
         )
-    bin_ps = time_grid_ps[1] - time_grid_ps[0]
+    bin_ps = uniform_step(time_grid_ps)
     model = _decay_model(time_grid_ps, _irf_convolver(irf, bin_ps, time_grid_ps.size))
     a1, a2 = weights
     counts = model(tau_short_ps, tau_long, a1, a2)

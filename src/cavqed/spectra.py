@@ -12,6 +12,7 @@ convolution and two-column CSV format the whole package uses live here.
 
 import functools
 import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,7 +267,7 @@ def build_fs_spectrum(model, energies):
     Spectrum with normalization "area-2pi".
     """
     energies = np.asarray(energies, dtype=float)
-    step = energies[1] - energies[0]
+    step = uniform_step(energies)
     # a grid rounds its step and span: the limits allow for the grid's
     # uniformity tolerance, so a step or span given exactly at a limit passes
     if step > model.zpl_fwhm_uev / 10.0 * (1.0 + _GRID_RTOL):
@@ -303,16 +304,19 @@ def debye_waller(spectrum, zpl_window_uev):
     The window is centered on the grid point of maximum value (the ZPL
     for any realistic emission spectrum) and the returned value is the
     plain ratio of the windowed trapezoid integral to the total one;
-    no correction is applied for ZPL tails leaking out of the window.
+    no correction is applied for ZPL tails leaking out of the window.  A
+    window that runs past the grid, as when the sideband outweighs the
+    ZPL, is integrated over its part inside the grid, with a warning.
     """
     if not zpl_window_uev > 0:
         raise ValueError("window half-width must be positive")
     center = spectrum.energies[int(np.argmax(spectrum.values))]
     if (center - zpl_window_uev < spectrum.energies[0]
             or center + zpl_window_uev > spectrum.energies[-1]):
-        raise ValueError(
+        warnings.warn(
             f"window +-{zpl_window_uev:g} ueV around {center:g} ueV exceeds the grid "
-            f"[{spectrum.energies[0]:g}, {spectrum.energies[-1]:g}]"
+            f"[{spectrum.energies[0]:g}, {spectrum.energies[-1]:g}]; integrating over "
+            "its part inside the grid"
         )
     inside = np.abs(spectrum.energies - center) <= zpl_window_uev
     num = np.trapezoid(np.where(inside, spectrum.values, 0.0), spectrum.energies)

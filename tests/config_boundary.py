@@ -38,7 +38,6 @@ BOUNDARIES = {
     "'cw' or 'pulsed'": (["cw", "pulsed"], ["CW"]),
     "two nonnegative numbers with a positive sum": (
         [[0.0, TINY], [TINY, 0.0]], [[0.0, 0.0], [-TINY, 1.0], [1.0]]),
-    "a nonempty list of distinct integers >= 1": ([[6], [9, 6]], [[0], [6, 6], [6.0]]),
     "a nonempty JSON object of stage efficiencies in (0, 1]": (
         [{"stage": TINY}, {"stage": 1.0}], [{}, {"stage": 0.0}, {"stage": 1.5}]),
 }

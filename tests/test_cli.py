@@ -34,6 +34,21 @@ def read_report(out_dir, name):
 
 
 class TestSpectrumCommand:
+    @pytest.mark.parametrize("overlay", [
+        {"emitter": {"debye_waller": 0.001}, "analysis": {"spectrum": {"dw_window_uev": 6000}}},
+        {"emitter": {"debye_waller": 1e-182, "sideband": {"cutoff_uev": 1e154}}},
+    ], ids=["wide-window", "sideband-peak"])
+    def test_window_past_the_grid_warns(self, tmp_path, capsys, overlay):
+        # the sideband outweighs the ZPL, so the Debye-Waller window centred
+        # on the spectrum's maximum runs past the grid
+        code, out = run(tmp_path, "spectrum", config=overlay)
+        assert code == EXIT_OK
+        [line] = capsys.readouterr().err.splitlines()
+        warning = json.loads(line)
+        assert warning["warning"] == "UserWarning"
+        assert "exceeds the grid" in warning["message"]
+        assert 0 < read_report(out, "spectrum_report.json")["debye_waller_measured"] <= 1
+
     def test_writes_files_with_2pi_area(self, paper_runs):
         code, out, _ = paper_runs["spectrum"]
         assert code == EXIT_OK
@@ -307,73 +322,114 @@ class TestExitCodes:
         code = main(["purcell", "--fixture", "paper", "--out", str(tmp_path / "x")])
         assert code == EXIT_FIT
 
+    # every case has an explicit id, so that deleting one renames no other;
+    # the `config<i>-<key>` ids are the names pytest first gave them by
+    # position
     @pytest.mark.parametrize("config, key", [
-        ({"colour": "red"}, "colour"),
-        ({"emitter": {"temperatur_k": 300}}, "emitter.temperatur_k"),
-        ({"analysis": {"spectrum": {"step": 2.0}}}, "analysis.spectrum.step"),
-        ({"emitter": 5}, "emitter"),
-        ('{"emitter": {"temperature_k": Infinity}}', "emitter.temperature_k"),
-        ('{"cavity": {"refractive_index": 1e999}}', "cavity.refractive_index"),
-        ('{"emitter": {"decay_weights": [2.0, NaN]}}', "emitter.decay_weights"),
-        ({"seed": -1}, "seed"),
+        pytest.param({"colour": "red"}, "colour", id="config0-colour"),
+        pytest.param({"emitter": {"temperatur_k": 300}}, "emitter.temperatur_k",
+                     id="config1-emitter.temperatur_k"),
+        pytest.param({"analysis": {"spectrum": {"step": 2.0}}}, "analysis.spectrum.step",
+                     id="config2-analysis.spectrum.step"),
+        pytest.param({"emitter": 5}, "emitter", id="config3-emitter"),
+        pytest.param('{"emitter": {"temperature_k": Infinity}}', "emitter.temperature_k",
+                     id='{"emitter": {"temperature_k": Infinity}}-emitter.temperature_k'),
+        pytest.param('{"cavity": {"refractive_index": 1e999}}', "cavity.refractive_index",
+                     id='{"cavity": {"refractive_index": 1e999}}-cavity.refractive_index'),
+        pytest.param('{"emitter": {"decay_weights": [2.0, NaN]}}', "emitter.decay_weights",
+                     id='{"emitter": {"decay_weights": [2.0, NaN]}}-emitter.decay_weights'),
+        pytest.param({"seed": -1}, "seed", id="config7-seed"),
         # a (command, extra arguments, config) tuple runs another command
-        (("lifetime", (), {"analysis": {"lifetime": {"irf_fwhm_ps": -5.0}}}),
-         "analysis.lifetime.irf_fwhm_ps"),
-        (("g2", (), {"g2_scheme": {"irf_fwhm_ps": -5.0}}), "g2_scheme.irf_fwhm_ps"),
-        (("purcell", (), {"cavity": {"mode_orders": []}}), "cavity.mode_orders"),
-        (("brightness", (), {"cavity": {"mode_orders": []}}), "cavity.mode_orders"),
-        (("purcell", (), {"cavity": {"mode_orders": [6, 42]}}), "cavity.mode_orders"),
-        (("brightness", (), {"cavity": {"mode_orders": [6, 42]}}), "cavity.mode_orders"),
-        (("spectrum", ("--seed", "-1"), None), "--seed"),
-        (("brightness", ("--seed", "-1"), None), "--seed"),
-        (("budget", ("--parallel", "-3"), None), "--parallel"),
-        (("lifetime", (), {"analysis": {"lifetime": {"bin_ps": 0}}}),
-         "analysis.lifetime.bin_ps"),
-        (("lifetime", (), {"analysis": {"lifetime": {"bin_ps": -4}}}),
-         "analysis.lifetime.bin_ps"),
-        (("lifetime", (), {"analysis": {"lifetime": {"peak_counts": 0}}}),
-         "analysis.lifetime.peak_counts"),
-        (("lifetime", (), {"analysis": {"lifetime": {"peak_counts": -1e5}}}),
-         "analysis.lifetime.peak_counts"),
-        (("brightness", (), {"analysis": {"brightness": {"noise_frac": -0.01}}}),
-         "analysis.brightness.noise_frac"),
-        (("saturation", (), {"analysis": {"saturation": {"noise_frac": -0.01}}}),
-         "analysis.saturation.noise_frac"),
-        (("saturation", (), {"analysis": {"saturation": {"n_points": 0}}}),
-         "analysis.saturation.n_points"),
-        (("saturation", (), {"analysis": {"saturation": {"n_points": 2.5}}}),
-         "analysis.saturation.n_points"),
-        (("saturation", (), {"analysis": {"saturation": {"mode": "pulse"}}}),
-         "analysis.saturation.mode"),
-        (("saturation", (), {"analysis": {"saturation": {"p_sat": -5}}}),
-         "analysis.saturation.p_sat"),
-        (("g2", (), {"analysis": {"g2": {"tau_step_ps": 0}}}), "analysis.g2.tau_step_ps"),
-        (("g2", (), {"g2_scheme": {"background": 1.2}}), "g2_scheme.background"),
-        (("brightness", (), {"analysis": {"brightness": {"step_uev": -4}}}),
-         "analysis.brightness.step_uev"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"irf_fwhm_ps": -5.0}}}),
+                     "analysis.lifetime.irf_fwhm_ps", id="config8-analysis.lifetime.irf_fwhm_ps"),
+        pytest.param(("g2", (), {"g2_scheme": {"irf_fwhm_ps": -5.0}}), "g2_scheme.irf_fwhm_ps",
+                     id="config9-g2_scheme.irf_fwhm_ps"),
+        # keys removed because they restated others: the rows to sweep are
+        # those of cavity.modes, and brightness samples the spectrum's grid
+        pytest.param(("purcell", (), {"cavity": {"mode_orders": [6]}}),
+                     "unknown config key cavity.mode_orders",
+                     id="config10-cavity.mode_orders"),
+        pytest.param(("brightness", (), {"cavity": {"mode_orders": [6]}}),
+                     "unknown config key cavity.mode_orders",
+                     id="config11-cavity.mode_orders"),
+        pytest.param(("purcell", (), {"cavity": {"mode_orders": [6, 42]}}),
+                     "unknown config key cavity.mode_orders",
+                     id="config12-cavity.mode_orders"),
+        pytest.param(("brightness", (), {"cavity": {"mode_orders": [6, 42]}}),
+                     "unknown config key cavity.mode_orders",
+                     id="config13-cavity.mode_orders"),
+        pytest.param(("purcell", (), {"cavity": {"mode_orders": [6, 6]}}),
+                     "unknown config key cavity.mode_orders",
+                     id="config43-cavity.mode_orders"),
+        pytest.param(("brightness", (), {"cavity": {"mode_orders": [6, 6]}}),
+                     "unknown config key cavity.mode_orders",
+                     id="config44-cavity.mode_orders"),
+        pytest.param(("brightness", (), {"analysis": {"brightness": {"step_uev": 2}}}),
+                     "unknown config key analysis.brightness.step_uev",
+                     id="config29-analysis.brightness.step_uev"),
+        pytest.param(("brightness", (), {"analysis": {"brightness": {"half_span_uev": 6000}}}),
+                     "unknown config key analysis.brightness.half_span_uev",
+                     id="removed-brightness-half-span"),
+        pytest.param(("spectrum", ("--seed", "-1"), None), "--seed", id="config14---seed"),
+        pytest.param(("brightness", ("--seed", "-1"), None), "--seed", id="config15---seed"),
+        pytest.param(("budget", ("--parallel", "-3"), None), "--parallel",
+                     id="config16---parallel"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"bin_ps": 0}}}),
+                     "analysis.lifetime.bin_ps", id="config17-analysis.lifetime.bin_ps"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"bin_ps": -4}}}),
+                     "analysis.lifetime.bin_ps", id="config18-analysis.lifetime.bin_ps"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"peak_counts": 0}}}),
+                     "analysis.lifetime.peak_counts", id="config19-analysis.lifetime.peak_counts"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"peak_counts": -1e5}}}),
+                     "analysis.lifetime.peak_counts", id="config20-analysis.lifetime.peak_counts"),
+        pytest.param(("brightness", (), {"analysis": {"brightness": {"noise_frac": -0.01}}}),
+                     "analysis.brightness.noise_frac",
+                     id="config21-analysis.brightness.noise_frac"),
+        pytest.param(("saturation", (), {"analysis": {"saturation": {"noise_frac": -0.01}}}),
+                     "analysis.saturation.noise_frac",
+                     id="config22-analysis.saturation.noise_frac"),
+        pytest.param(("saturation", (), {"analysis": {"saturation": {"n_points": 0}}}),
+                     "analysis.saturation.n_points", id="config23-analysis.saturation.n_points"),
+        pytest.param(("saturation", (), {"analysis": {"saturation": {"n_points": 2.5}}}),
+                     "analysis.saturation.n_points", id="config24-analysis.saturation.n_points"),
+        pytest.param(("saturation", (), {"analysis": {"saturation": {"mode": "pulse"}}}),
+                     "analysis.saturation.mode", id="config25-analysis.saturation.mode"),
+        pytest.param(("saturation", (), {"analysis": {"saturation": {"p_sat": -5}}}),
+                     "analysis.saturation.p_sat", id="config26-analysis.saturation.p_sat"),
+        pytest.param(("g2", (), {"analysis": {"g2": {"tau_step_ps": 0}}}),
+                     "analysis.g2.tau_step_ps", id="config27-analysis.g2.tau_step_ps"),
+        pytest.param(("g2", (), {"g2_scheme": {"background": 1.2}}), "g2_scheme.background",
+                     id="config28-g2_scheme.background"),
         # an alias removed in favour of measured.g_spectral_max_uev
-        (("brightness", (), {"analysis": {"brightness": {"g_max_uev": 25.0}}}),
-         "analysis.brightness.g_max_uev"),
-        (("brightness", (), {"seed": True}), "seed"),
-        (("lifetime", (), {"emitter": {"decay_weights": [1]}}), "emitter.decay_weights"),
-        (("purcell", (), {"cavity": {"refractive_index": "x"}}), "cavity.refractive_index"),
-        (("purcell", (), {"emitter": {"eta_qy": 7}}), "emitter.eta_qy"),
-        (("budget", (), {"measured": {"cryostat_optics_quoted": "abc"}}),
-         "measured.cryostat_optics_quoted"),
-        ({"analysis": {"spectrum": {"step_uev": 0}}}, "analysis.spectrum.step_uev"),
-        ({"emitter": {"debye_waller": 1.5}}, "emitter.debye_waller"),
-        ({"emitter": {"temperature_k": -3}}, "emitter.temperature_k"),
-        ({"emitter": {"sideband": {"cutoff_uev": -5}}}, "emitter.sideband.cutoff_uev"),
-        ({"emitter": {"zpl_fwhm_uev": True}}, "emitter.zpl_fwhm_uev"),
-        (("brightness", (), {"measured": {"g_spectral_max_uev": -3}}),
-         "measured.g_spectral_max_uev"),
+        pytest.param(("brightness", (), {"analysis": {"brightness": {"g_max_uev": 25.0}}}),
+                     "analysis.brightness.g_max_uev", id="config30-analysis.brightness.g_max_uev"),
+        pytest.param(("brightness", (), {"seed": True}), "seed", id="config31-seed"),
+        pytest.param(("lifetime", (), {"emitter": {"decay_weights": [1]}}),
+                     "emitter.decay_weights", id="config32-emitter.decay_weights"),
+        pytest.param(("purcell", (), {"cavity": {"refractive_index": "x"}}),
+                     "cavity.refractive_index", id="config33-cavity.refractive_index"),
+        pytest.param(("purcell", (), {"emitter": {"eta_qy": 7}}), "emitter.eta_qy",
+                     id="config34-emitter.eta_qy"),
+        pytest.param(("budget", (), {"measured": {"cryostat_optics_quoted": "abc"}}),
+                     "measured.cryostat_optics_quoted",
+                     id="config35-measured.cryostat_optics_quoted"),
+        pytest.param({"analysis": {"spectrum": {"step_uev": 0}}}, "analysis.spectrum.step_uev",
+                     id="config36-analysis.spectrum.step_uev"),
+        pytest.param({"emitter": {"debye_waller": 1.5}}, "emitter.debye_waller",
+                     id="config37-emitter.debye_waller"),
+        pytest.param({"emitter": {"temperature_k": -3}}, "emitter.temperature_k",
+                     id="config38-emitter.temperature_k"),
+        pytest.param({"emitter": {"sideband": {"cutoff_uev": -5}}}, "emitter.sideband.cutoff_uev",
+                     id="config39-emitter.sideband.cutoff_uev"),
+        pytest.param({"emitter": {"zpl_fwhm_uev": True}}, "emitter.zpl_fwhm_uev",
+                     id="config40-emitter.zpl_fwhm_uev"),
+        pytest.param(("brightness", (), {"measured": {"g_spectral_max_uev": -3}}),
+                     "measured.g_spectral_max_uev", id="config41-measured.g_spectral_max_uev"),
         # an alias removed in favour of measured.decay_ratio
-        (("lifetime", (), {"analysis": {"lifetime": {"decay_ratio": 1.19}}}),
-         "analysis.lifetime.decay_ratio"),
-        # a repeated order would be reported twice and its files overwritten
-        (("purcell", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
-        (("brightness", (), {"cavity": {"mode_orders": [6, 6]}}), "cavity.mode_orders"),
-        (("g2", (), {"g2_scheme": {"k_deshelve_uev": 0}}), "g2_scheme.k_deshelve_uev"),
+        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"decay_ratio": 1.19}}}),
+                     "analysis.lifetime.decay_ratio", id="config42-analysis.lifetime.decay_ratio"),
+        pytest.param(("g2", (), {"g2_scheme": {"k_deshelve_uev": 0}}), "g2_scheme.k_deshelve_uev",
+                     id="config45-g2_scheme.k_deshelve_uev"),
         # a table is a nonempty array of row objects
         pytest.param(("purcell", (), {"cavity": {"modes": []}}), "cavity.modes",
                      id="empty-table"),
@@ -620,13 +676,14 @@ class TestExitCodes:
 
 
 @pytest.mark.parametrize("command", ["purcell", "brightness"])
-def test_null_mode_orders_take_every_row(tmp_path, command):
-    name = f"{command}_report.json"
-    every_row, listed = (
-        read_report(run(tmp_path, command, config={"cavity": {"mode_orders": orders}},
-                        name=f"run{i}")[1], name)
-        for i, orders in enumerate([None, [6, 7, 8, 9]]))
-    assert every_row == listed
+def test_modes_overlay_chooses_the_rows(tmp_path, paper_runs, command):
+    # an overlay replaces cavity.modes whole, so it chooses the rows that
+    # the sweep runs, in the order of p whatever the order of the rows
+    rows = config.load("paper")["cavity"]["modes"]
+    code, out = run(tmp_path, command, config={"cavity": {"modes": [rows[1], rows[0]]}})
+    assert code == EXIT_OK
+    assert read_report(out, f"{command}_report.json")["modes"] \
+        == paper_runs[command].report["modes"][:2]
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS.values()))

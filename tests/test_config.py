@@ -151,8 +151,9 @@ def _paper_rows(index, **cells):
      ["analysis.spectrum.step_uev", "emitter.zpl_fwhm_uev"]),
     ("spectrum", {"analysis": {"spectrum": {"half_span_uev": 10}}},
      ["analysis.spectrum.half_span_uev", "emitter.zpl_fwhm_uev"]),
-    ("brightness", {"analysis": {"brightness": {"half_span_uev": 10}}},
-     ["analysis.brightness.half_span_uev", "emitter.zpl_fwhm_uev"]),
+    # brightness samples the spectrum's grid
+    ("brightness", {"analysis": {"spectrum": {"half_span_uev": 10}}},
+     ["analysis.spectrum.half_span_uev", "emitter.zpl_fwhm_uev"]),
     ("purcell", _paper_rows(0, q_exp=60000.0), ["cavity.modes[0].q_exp", "cavity.modes[0].q_th"]),
     ("purcell", {"cavity": {"radius_of_curvature_um": 1}},
      ["cavity.modes[0].p", "emitter.wavelength_nm", "cavity.radius_of_curvature_um"]),
@@ -163,9 +164,9 @@ def _paper_rows(index, **cells):
      ["emitter.lifetime_fs_ps", "analysis.lifetime.bin_ps"]),
     ("lifetime", {"analysis": {"lifetime": {"peak_counts": 1e300}}},
      ["analysis.lifetime.peak_counts"]),
-    # a mode that brightness uses and spectrum does not
+    # a row that spectrum does not use and brightness sweeps
     ("brightness", _paper_rows(1, q_exp=1e6, q_th=2e6),
-     ["analysis.brightness.step_uev", "cavity.mode_orders", "cavity.modes[1].q_exp"]),
+     ["analysis.spectrum.step_uev", "cavity.modes[1].q_exp"]),
     ("g2", {"g2_scheme": {"k_deshelve_uev": 0}},
      ["g2_scheme.k_shelve_uev", "g2_scheme.k_deshelve_uev"]),
     # a grid past MAX_GRID_POINTS, which would exhaust the memory

@@ -77,6 +77,26 @@ class TestSimulateDecay:
         blurred = simulate_decay(GAMMA_FS, 1.0, (2.0, 1.0), 23.0, 32.0, grid)
         assert blurred.counts.sum() == pytest.approx(sharp.counts.sum(), rel=1e-4)
 
+    def test_simulator_and_fit_build_one_kernel(self, monkeypatch):
+        # a 3.3 ps grid's first difference is 3.3000000000000114; the
+        # simulator and the fit both take the grid's uniform step, 3.3
+        kernels = []
+        real = dynamics._irf_kernel
+        monkeypatch.setattr(dynamics, "_irf_kernel",
+                            lambda *args: kernels.append(real(*args)) or kernels[-1])
+        trace = simulate_decay(GAMMA_FS, 1.0, (2.0, 1.0), 23.0, 32.0, default_grid(3.3))
+        fit_biexponential(trace)
+        simulated, fitted = kernels
+        assert np.array_equal(simulated, fitted)
+
+    def test_nonuniform_grid_rejected_before_any_kernel(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_irf_kernel",
+                            lambda *args: pytest.fail("an IRF kernel was built"))
+        grid = default_grid()
+        grid[5] += 1.0
+        with pytest.raises(ValueError, match="uniform"):
+            simulate_decay(GAMMA_FS, 1.0, (2.0, 1.0), 23.0, 32.0, grid)
+
     @pytest.mark.parametrize("irf", [-5.0, float("nan")])
     def test_negative_or_nan_irf_rejected(self, irf):
         with pytest.raises(ValueError, match="IRF FWHM"):

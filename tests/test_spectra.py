@@ -294,11 +294,12 @@ class TestDebyeWaller:
         s = lorentzian_area2pi(grid, 0.0, 4.0)
         assert debye_waller(s, 2000.0) > 0.99
 
-    def test_window_exceeding_grid_rejected(self):
+    def test_window_exceeding_grid_warns(self):
+        # the part of the window inside the grid holds the whole spectrum
         grid = energy_grid(0.0, 100.0, 0.5)
         s = lorentzian_area2pi(grid, 0.0, 4.0)
-        with pytest.raises(ValueError, match="exceeds the grid"):
-            debye_waller(s, 200.0)
+        with pytest.warns(UserWarning, match="exceeds the grid"):
+            assert debye_waller(s, 200.0) == 1.0
 
 
 class TestConvolveLorentzian:
