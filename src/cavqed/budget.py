@@ -6,22 +6,9 @@ Chains are ordered lists of named stages, each with an efficiency in
 (0, 1].  A calibration names the stage it solves and leaves that stage's
 listed efficiency out, so the same chains serve both the forward budget
 and the calibration.
-
-`Stage` and `EfficiencyChain` are immutable records checked when built,
-`_replace` included.  They are named tuples, so they unpack as
-`(name, efficiency)` and `(path, stages)`, and they compare equal to a
-plain tuple, or to another record, that holds the same values.
 """
 
-from collections import namedtuple
-
-
-def _record(typename, field_names):
-    """A namedtuple base whose `_make`, and so `_replace`, builds through
-    the subclass's checking `__new__`."""
-    base = namedtuple(typename, field_names)
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return base
+from .units import _record
 
 
 class Stage(_record("Stage", "name efficiency")):

@@ -9,32 +9,33 @@ simulations of short cavities; simulated values should be loaded as
 fixtures where that matters.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .units import _record
 
-@dataclass(frozen=True)
-class CavityGeometry:
+
+class CavityGeometry(_record("CavityGeometry", "wavelength_nm refractive_index "
+                                               "radius_of_curvature_um mode_order")):
     """Plano-concave cavity of longitudinal order p (length p*lambda/2)."""
 
-    wavelength_nm: float
-    refractive_index: float = 1.0
-    radius_of_curvature_um: float = 10.0
-    mode_order: int = 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.wavelength_nm > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_nm}")
-        if not self.refractive_index > 0:
-            raise ValueError(f"refractive index must be positive, got {self.refractive_index}")
-        if not self.mode_order >= 1:
-            raise ValueError(f"mode order must be >= 1, got {self.mode_order}")
-        if not self.length_um < self.radius_of_curvature_um:
+    def __new__(cls, wavelength_nm, refractive_index=1.0, radius_of_curvature_um=10.0,
+                mode_order=6):
+        if not wavelength_nm > 0:
+            raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
+        if not refractive_index > 0:
+            raise ValueError(f"refractive index must be positive, got {refractive_index}")
+        if not mode_order >= 1:
+            raise ValueError(f"mode order must be >= 1, got {mode_order}")
+        geometry = super().__new__(cls, wavelength_nm, refractive_index,
+                                   radius_of_curvature_um, mode_order)
+        if not geometry.length_um < radius_of_curvature_um:
             raise ValueError(
-                f"unstable cavity: length {self.length_um:g} um >= radius of "
-                f"curvature {self.radius_of_curvature_um:g} um"
+                f"unstable cavity: length {geometry.length_um:g} um >= radius of "
+                f"curvature {radius_of_curvature_um:g} um"
             )
+        return geometry
 
     @property
     def length_um(self):
@@ -42,8 +43,7 @@ class CavityGeometry:
         return self.mode_order * self.wavelength_nm * 1e-3 / 2.0
 
 
-@dataclass(frozen=True)
-class LossBudget:
+class LossBudget(_record("LossBudget", "t_flat t_fiber internal_per_pass spillout cladding")):
     """Per-round-trip losses of one cavity mode, in ppm.
 
     `internal_per_pass` is the scattering/absorption loss of the
@@ -52,18 +52,17 @@ class LossBudget:
     port; everything else is a pure loss.
     """
 
-    t_flat: float = 500.0
-    t_fiber: float = 300.0
-    internal_per_pass: float = 0.0
-    spillout: float = 0.0
-    cladding: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("t_flat", "t_fiber", "internal_per_pass", "spillout", "cladding"):
-            if not getattr(self, name) >= 0:
+    def __new__(cls, t_flat=500.0, t_fiber=300.0, internal_per_pass=0.0, spillout=0.0,
+                cladding=0.0):
+        budget = super().__new__(cls, t_flat, t_fiber, internal_per_pass, spillout, cladding)
+        for name, loss in zip(cls._fields, budget):
+            if not loss >= 0:
                 raise ValueError(f"loss channel {name} must be >= 0")
-        if not self.round_trip_ppm > 0:
+        if not budget.round_trip_ppm > 0:
             raise ValueError("total round-trip loss must be positive")
+        return budget
 
     @property
     def round_trip_ppm(self):

@@ -23,7 +23,8 @@ bug and ends in a traceback.
 Imports: this module loads only the standard library and the numpy-free
 `config`; each function imports numpy and the physics modules it uses
 in its own body, so `budget`, `--help` and a run that stops on a bad
-config load neither numpy nor `dataclasses` nor `inspect`.
+config load neither numpy nor `inspect`, and no command loads
+`dataclasses`.
 """
 
 import argparse

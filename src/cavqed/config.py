@@ -298,14 +298,28 @@ def check_value(name, value, rule):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-def _checked(tree, table=CONFIG_KEYS, prefix=""):
-    """Copy of a config (sub)tree with every key checked against `table`
-    and every absent default filled in.  Keys must be in the table,
-    sections JSON objects, tables nonempty JSON arrays of complete rows,
-    and values must pass their rule."""
-    for key in tree:
+def _known(tree, table=CONFIG_KEYS, prefix=""):
+    """`tree`, a parsed config document, once every key it gives, in its
+    sections and table rows and null members included, is a key of
+    `table`; the first that is not is a ConfigError."""
+    for key, value in tree.items():
         if key not in table:
             raise ConfigError(f"unknown config key {prefix}{key}")
+        entry = table[key]
+        if isinstance(entry, dict) and isinstance(value, dict):
+            _known(value, entry, f"{prefix}{key}.")
+        elif isinstance(entry, list) and isinstance(value, list):
+            for index, row in enumerate(value):
+                if isinstance(row, dict):
+                    _known(row, entry[0], f"{prefix}{key}[{index}].")
+    return tree
+
+
+def _checked(tree, table=CONFIG_KEYS, prefix=""):
+    """Copy of a config (sub)tree, whose keys `_known` has checked, with
+    every absent default filled in.  Sections must be JSON objects,
+    tables nonempty JSON arrays of complete rows, and values must pass
+    their rule."""
     out = _Section(prefix)
     for key, entry in table.items():
         path = prefix + key
@@ -358,23 +372,24 @@ def _unique_keys(pairs):
 
 def _parse(text):
     """The JSON object of a config text (the paper fixture or a config
-    file)."""
+    file), every key of which is known."""
     try:
         tree = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a JSON object")
-    return tree
+    return _known(tree)
 
 
 def load(fixture, text=None):
     """The checked config of the named fixture set (None: none) and a
     config text (None: none), every default filled in.  Each document is
-    parsed and applied, as a JSON Merge Patch, to the result so far,
-    starting from {}: a null member removes its key, so it reaches the
-    key's default.  Every relation of RELATIONS holds on the result: a
-    config that `load` returns is one that every command can run."""
+    parsed, its keys checked, and applied, as a JSON Merge Patch, to the
+    result so far, starting from {}: a null member removes its key, so it
+    reaches the key's default, and a null on an unknown key is an error.
+    Every relation of RELATIONS holds on the result: a config that `load`
+    returns is one that every command can run."""
     tree = {}
     if fixture is not None:
         if fixture != "paper":

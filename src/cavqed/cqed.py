@@ -11,12 +11,12 @@ spectra.convolve_lorentzian(beta, kappa).
 """
 
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .optimize import _brent_bounded
 from .spectra import RAW_COUNTS, Spectrum
+from .units import _record
 
 # exciton/photon populations above this are outside the weak-pump regime
 WEAK_PUMP_THRESHOLD = 0.1
@@ -25,21 +25,19 @@ WEAK_PUMP_THRESHOLD = 0.1
 _G_BOUNDS_UEV = (1e-2, 1e3)
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(_record("CouplingParams", "g_uev gamma_uev kappa_uev")):
     """Vacuum Rabi coupling g, emitter decay gamma and cavity width kappa,
     all in ueV.  The derived rate-per-spectral-density a = g**2/gamma is
     exposed as a property so it can never drift out of sync."""
 
-    g_uev: float
-    gamma_uev: float
-    kappa_uev: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.g_uev >= 0:
-            raise ValueError(f"coupling g must be >= 0, got {self.g_uev}")
-        if not (self.gamma_uev > 0 and self.kappa_uev > 0):
+    def __new__(cls, g_uev, gamma_uev, kappa_uev):
+        if not g_uev >= 0:
+            raise ValueError(f"coupling g must be >= 0, got {g_uev}")
+        if not (gamma_uev > 0 and kappa_uev > 0):
             raise ValueError("gamma and kappa must be positive")
+        return super().__new__(cls, g_uev, gamma_uev, kappa_uev)
 
     @property
     def a(self):
@@ -47,34 +45,23 @@ class CouplingParams:
         return self.g_uev ** 2 / self.gamma_uev
 
 
-@dataclass(frozen=True)
-class PurcellResult:
-    flux_ratio_linear: float
-    flux_ratio_sat: float
-    decay_ratio: float
+class PurcellResult(_record("PurcellResult", "flux_ratio_linear flux_ratio_sat decay_ratio")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SteadyStateResult:
-    exciton_population: float
-    photon_number: float
-    weak_pump: bool
+class SteadyStateResult(_record("SteadyStateResult",
+                                "exciton_population photon_number weak_pump")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EnvelopeFit:
+class EnvelopeFit(_record("EnvelopeFit", "g_uev a c residual iterations converged flag",
+                          defaults=("",))):
     """Result of fitting the normalized modulation envelope."""
 
-    g_uev: float
-    a: float
-    c: float
-    residual: float
-    iterations: int
-    converged: bool
-    flag: str = ""
+    __slots__ = ()
 
     def to_record(self):
-        record = asdict(self)
+        record = self._asdict()
         record["g_ueV"] = record.pop("g_uev")
         return record
 

@@ -8,84 +8,62 @@ in ps, like everywhere else in the package.
 """
 
 import warnings
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .optimize import _trf_lower_bounded
 from .spectra import _sampled, fft_convolver, uniform_step
-from .units import HBAR_UEV_PS
+from .units import HBAR_UEV_PS, _record
 
 # relative tau1/tau2 separation below which a biexponential fit collapses
 _DEGENERATE_TAU_RTOL = 0.05
 
 
-@dataclass(frozen=True)
-class DecayTrace:
+class DecayTrace(_record("DecayTrace", "time_ps counts irf", derived="bin_ps")):
     """Time-binned photon counts with the instrument response that
     produced them: `irf` is its Gaussian FWHM in ps, 0 for none, and
-    `bin_ps` the bin width."""
+    `bin_ps`, derived, the bin width."""
 
-    time_ps: np.ndarray
-    counts: np.ndarray
-    irf: float
-    bin_ps: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        time_ps, counts, bin_ps = _sampled(self.time_ps, self.counts, "counts")
-        object.__setattr__(self, "time_ps", time_ps)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "bin_ps", bin_ps)
+    def __new__(cls, time_ps, counts, irf):
+        time_ps, counts, bin_ps = _sampled(time_ps, counts, "counts")
+        return super().__new__(cls, time_ps, counts, irf, bin_ps)
 
 
-@dataclass(frozen=True)
-class BiexpFit:
-    tau1_ps: float
-    tau2_ps: float
-    a1: float
-    a2: float
-    long_weight: float
-    sigma_tau1_ps: float
-    sigma_tau2_ps: float
-    converged: bool
-    flag: str = ""
+class BiexpFit(_record("BiexpFit", "tau1_ps tau2_ps a1 a2 long_weight sigma_tau1_ps "
+                                   "sigma_tau2_ps converged flag", defaults=("",))):
+    __slots__ = ()
 
     def to_record(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SaturationFit:
-    i_sat: float
-    p_sat: float
-    sigma_i_sat: float
-    sigma_p_sat: float
-    converged: bool
+class SaturationFit(_record("SaturationFit", "i_sat p_sat sigma_i_sat sigma_p_sat converged")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LevelScheme:
+class LevelScheme(_record("LevelScheme", "pump_uev gamma_total_uev k_shelve_uev "
+                                         "k_deshelve_uev background")):
     """Three-level rate scheme: ground, bright excited state and a dark
     shelf.  All rates in ueV equivalents; `background` is the
     uncorrelated fraction of the detected counts."""
 
-    pump_uev: float
-    gamma_total_uev: float
-    k_shelve_uev: float
-    k_deshelve_uev: float
-    background: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("pump_uev", "gamma_total_uev", "k_shelve_uev", "k_deshelve_uev"):
-            if not getattr(self, name) >= 0:
+    def __new__(cls, pump_uev, gamma_total_uev, k_shelve_uev, k_deshelve_uev, background):
+        rates = (pump_uev, gamma_total_uev, k_shelve_uev, k_deshelve_uev)
+        for name, rate in zip(cls._fields, rates):
+            if not rate >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.gamma_total_uev == 0:
+        if gamma_total_uev == 0:
             raise ValueError("the bright state must decay (gamma_total > 0)")
-        if self.k_shelve_uev > 0 and self.k_deshelve_uev == 0:
+        if k_shelve_uev > 0 and k_deshelve_uev == 0:
             raise ValueError("shelving without deshelving has no steady state: "
                              "k_shelve_uev > 0 needs k_deshelve_uev > 0")
-        if not 0.0 <= self.background < 1.0:
-            raise ValueError(f"background fraction must be in [0, 1), got {self.background}")
+        if not 0.0 <= background < 1.0:
+            raise ValueError(f"background fraction must be in [0, 1), got {background}")
+        return super().__new__(cls, *rates, background)
 
 
 def _irf_kernel(fwhm_ps, bin_ps, n_bins):

@@ -12,10 +12,11 @@ results are scipy's own bit for bit:
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import norm
+
+from .units import _record
 
 _EPS = np.finfo(float).eps
 # least_squares' default gradient tolerance
@@ -103,15 +104,10 @@ def _brent_bounded(f, lo, hi, xatol, maxiter):
     return xf, fx, num, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
-class LsqResult(NamedTuple):
+class LsqResult(_record("LsqResult", "x cost fun jac status nfev")):
     """The fields of scipy's OptimizeResult that the fits read."""
 
-    x: np.ndarray
-    cost: float
-    fun: np.ndarray
-    jac: np.ndarray
-    status: int
-    nfev: int
+    __slots__ = ()
 
 
 def _trf_lower_bounded(fun, x0, lb, ftol=1e-8, xtol=1e-8, max_nfev=None):

@@ -13,11 +13,10 @@ convolution and two-column CSV format the whole package uses live here.
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .units import bose_occupation
+from .units import _record, bose_occupation
 
 AREA_2PI = "area-2pi"
 RAW_COUNTS = "raw-counts"
@@ -117,8 +116,7 @@ def fft_convolver(kernel, n):
     return convolve
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_record("Spectrum", "energies values normalization", derived="step")):
     """A spectral density on a uniform energy grid.
 
     Parameters
@@ -131,31 +129,27 @@ class Spectrum:
     normalization : str
         One of "area-2pi", "raw-counts".
 
-    `step` is the grid spacing in ueV.
+    `step`, derived, is the grid spacing in ueV.
     """
 
-    energies: np.ndarray
-    values: np.ndarray
-    normalization: str = RAW_COUNTS
-    step: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        energies, values, step = _sampled(self.energies, self.values, "spectral values")
-        if self.normalization not in _NORMALIZATIONS:
+    def __new__(cls, energies, values, normalization=RAW_COUNTS):
+        energies, values, step = _sampled(energies, values, "spectral values")
+        if normalization not in _NORMALIZATIONS:
             raise ValueError(
-                f"unknown normalization {self.normalization!r}, "
+                f"unknown normalization {normalization!r}, "
                 f"expected one of {_NORMALIZATIONS}"
             )
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "step", step)
-        if self.normalization == AREA_2PI:
-            area = self.area()
+        spectrum = super().__new__(cls, energies, values, normalization, step)
+        if normalization == AREA_2PI:
+            area = spectrum.area()
             if abs(area - 2.0 * np.pi) > _AREA_2PI_RTOL * 2.0 * np.pi:
                 raise ValueError(
                     f"area-2pi spectrum has trapezoid integral {area:.9g}, "
                     f"outside 2*pi*(1 +- {_AREA_2PI_RTOL:g})"
                 )
+        return spectrum
 
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""
@@ -166,19 +160,18 @@ class Spectrum:
         return Spectrum(self.energies, values, self.normalization)
 
 
-@dataclass(frozen=True)
-class SidebandShape:
+class SidebandShape(_record("SidebandShape", "exponent cutoff_uev")):
     """Parametric one-phonon acoustic wing: spectral density
     J(w) = (w/cutoff)**exponent * exp(-w/cutoff)."""
 
-    exponent: float = 1.0
-    cutoff_uev: float = 1000.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.exponent > 0:
-            raise ValueError(f"sideband exponent must be > 0, got {self.exponent}")
-        if not self.cutoff_uev > 0:
-            raise ValueError(f"sideband cutoff must be > 0, got {self.cutoff_uev}")
+    def __new__(cls, exponent=1.0, cutoff_uev=1000.0):
+        if not exponent > 0:
+            raise ValueError(f"sideband exponent must be > 0, got {exponent}")
+        if not cutoff_uev > 0:
+            raise ValueError(f"sideband cutoff must be > 0, got {cutoff_uev}")
+        return super().__new__(cls, exponent, cutoff_uev)
 
     def density(self, energy_uev):
         """J evaluated at |energy| (vectorized)."""
@@ -186,8 +179,8 @@ class SidebandShape:
         return (w / self.cutoff_uev) ** self.exponent * np.exp(-w / self.cutoff_uev)
 
 
-@dataclass(frozen=True)
-class EmitterModel:
+class EmitterModel(_record("EmitterModel", "zpl_energy_uev zpl_fwhm_uev debye_waller "
+                                           "sideband temperature_k")):
     """Free-space spectral parameters of one emitter.
 
     zpl_fwhm_uev lumps pure dephasing and fast spectral diffusion into a
@@ -195,19 +188,18 @@ class EmitterModel:
     the functions that use them take them as arguments.
     """
 
-    zpl_energy_uev: float
-    zpl_fwhm_uev: float
-    debye_waller: float
-    sideband: SidebandShape = field(default_factory=SidebandShape)
-    temperature_k: float = 4.2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.debye_waller <= 1.0:
-            raise ValueError(f"Debye-Waller factor must be in (0, 1], got {self.debye_waller}")
-        if not self.zpl_fwhm_uev > 0:
-            raise ValueError(f"ZPL width must be > 0, got {self.zpl_fwhm_uev}")
-        if not self.temperature_k >= 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature_k}")
+    def __new__(cls, zpl_energy_uev, zpl_fwhm_uev, debye_waller, sideband=SidebandShape(),
+                temperature_k=4.2):
+        if not 0.0 < debye_waller <= 1.0:
+            raise ValueError(f"Debye-Waller factor must be in (0, 1], got {debye_waller}")
+        if not zpl_fwhm_uev > 0:
+            raise ValueError(f"ZPL width must be > 0, got {zpl_fwhm_uev}")
+        if not temperature_k >= 0:
+            raise ValueError(f"temperature must be >= 0, got {temperature_k}")
+        return super().__new__(cls, zpl_energy_uev, zpl_fwhm_uev, debye_waller, sideband,
+                               temperature_k)
 
 
 def energy_grid(center_uev, half_span_uev, step_uev):

@@ -5,8 +5,11 @@ micro-electronvolts (ueV), times in picoseconds (ps), wavelengths in
 nanometers (nm).  A rate gamma and a lifetime tau are two views of the
 same quantity, gamma = HBAR_UEV_PS / tau.  Only `bose_occupation`
 needs numpy, and imports it in its body, so that the numpy-free `config`
-can read the constants.
+can read the constants.  `_record` is the package's one way to write a
+value type.
 """
+
+from collections import namedtuple
 
 # hbar in ueV * ps.  Single source of truth for every rate <-> lifetime
 # conversion in the package.
@@ -17,6 +20,35 @@ HC_UEV_NM = 1.23984198e9
 
 # Boltzmann constant in ueV / K.
 KB_UEV_PER_K = 86.17333262
+
+
+def _record(typename, field_names, derived="", defaults=()):
+    """A namedtuple base for an immutable value type that its subclass
+    checks in `__new__`.
+
+    `_make`, `_replace`, copy and pickle all build through that `__new__`,
+    so no path gives a record that fails a check.  The `derived` fields
+    come last: `__new__` computes them from the others, so a caller
+    cannot pass them, `_make` takes the other fields and `_replace`
+    recomputes them.  `defaults`, for a subclass without its own
+    `__new__`, are those of its last fields.  A record is a tuple: it
+    unpacks and indexes, and compares equal to a plain tuple, or another
+    record, that holds the same values.  Each subclass sets
+    `__slots__ = ()`, so assigning an attribute raises AttributeError.
+    """
+    base = namedtuple(typename, f"{field_names} {derived}", defaults=defaults)
+    given = field_names.split()
+
+    def _replace(self, /, **changes):
+        values = [changes.pop(name, value) for name, value in zip(given, self)]
+        if changes:
+            raise ValueError(f"{typename} has no field to replace named {sorted(changes)}")
+        return type(self)(*values)
+
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base._replace = _replace
+    base.__getnewargs__ = lambda self: tuple(self)[:len(given)]
+    return base
 
 
 def energy_from_wavelength(wavelength_nm):

@@ -15,8 +15,6 @@ cannot hold at this system's coupling strengths and is marked
 xfail(strict).  See the Known limitations section of the README.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -238,7 +236,7 @@ def test_criterion_10_g2_model():
     scheme = config.scheme_from_config(paper)
     irf = paper["g2_scheme"]["irf_fwhm_ps"]
     # clean three-level scheme: full antibunching, unit tails
-    clean = replace(scheme, k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
+    clean = scheme._replace(k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
     tau_clean = np.arange(-6000, 6001) * 2.0
     g2_clean = dynamics.g2_correlation(clean, tau_clean, irf=0.0)
     clean_ok = abs(g2_clean[tau_clean.size // 2]) <= 1e-12 \

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,7 +315,7 @@ class TestQuantumYield:
 
 class TestG2:
     def test_no_shelving_no_background(self):
-        scheme = replace(PAPER_SCHEME, k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
+        scheme = PAPER_SCHEME._replace(k_shelve_uev=0.0, k_deshelve_uev=0.0, background=0.0)
         tau = np.arange(-5000, 5001) * 2.0
         g2 = g2_correlation(scheme, tau, irf=0.0)
         izero = tau.size // 2
@@ -369,7 +368,7 @@ class TestG2:
         assert ratio < 0.5
 
     def test_pulsed_without_background_antibunches_fully(self):
-        scheme = replace(PAPER_SCHEME, background=0.0)
+        scheme = PAPER_SCHEME._replace(background=0.0)
         f_rep = 38.26e6
         tau = np.arange(-60000, 60001) * 8.0
         g2 = pulsed_g2_comb(scheme, tau, f_rep, irf=32.0)
@@ -384,6 +383,17 @@ class TestG2:
     def test_shelving_needs_deshelving(self):
         with pytest.raises(ValueError, match="deshelving"):
             LevelScheme(0.3, 2.0, k_shelve_uev=0.1, k_deshelve_uev=0.0, background=0.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"background": 1.0}, "background fraction must be in [0, 1), got 1.0"),
+        ({"k_deshelve_uev": -0.1}, "k_deshelve_uev must be >= 0"),
+        ({"k_deshelve_uev": 0.0}, "k_shelve_uev > 0 needs k_deshelve_uev > 0"),
+    ], ids=["background", "negative-rate", "no-deshelving"])
+    def test_replace_runs_the_checks(self, changes, message):
+        scheme = LevelScheme(0.3, 2.0, 0.1, 0.05, 0.0)
+        with pytest.raises(ValueError) as info:
+            scheme._replace(**changes)
+        assert message in str(info.value)
 
     @given(pump=st.floats(0.05, 2.0), k_s=st.floats(0.0, 0.3), k_d=st.floats(0.01, 0.3),
            b=st.floats(0.0, 0.8))

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -123,7 +125,7 @@ class TestCurveContract:
         curve = _CURVE_BUILDERS[builder](grid, values)
         assert grid.flags.writeable and values.flags.writeable
         grid[0] = values[0] = -1.0
-        for array in vars(curve).values():
+        for array in curve:
             if isinstance(array, np.ndarray):
                 assert not array.flags.writeable and array[0] != -1.0
 
@@ -151,6 +153,30 @@ class TestCurveContract:
         monkeypatch.setattr(spectra, "uniform_step", fail)
         monkeypatch.setattr(dynamics, "uniform_step", fail)
         assert (s.step, trace.bin_ps) == (0.5, 4.0)
+
+    def test_replace_rebuilds_through_the_checks(self, monkeypatch):
+        # the step is recomputed, never carried over, and no caller sets it
+        s = Spectrum(0.5 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
+        steps = []
+        monkeypatch.setattr(spectra, "uniform_step",
+                            lambda grid: steps.append(grid) or uniform_step(grid))
+        assert s._replace(values=np.full(_GOOD_GRID.size, 2.0)).step == 0.5
+        assert s._replace(energies=_GOOD_GRID).step == 1.0
+        assert len(steps) == 2
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            s._replace(values=-s.values)
+        with pytest.raises(ValueError, match="step"):
+            s._replace(step=1.0)
+        with pytest.raises(TypeError):
+            Spectrum(s.energies, s.values, RAW_COUNTS, 1.0)
+
+    @pytest.mark.parametrize("builder", ["Spectrum", "DecayTrace"])
+    def test_pickle_rebuilds_through_the_checks(self, builder):
+        curve = _CURVE_BUILDERS[builder](_GOOD_GRID, np.ones(_GOOD_GRID.size))
+        copy = pickle.loads(pickle.dumps(curve))
+        assert type(copy) is type(curve) and copy[2:] == curve[2:]
+        for array, original in zip(copy[:2], curve[:2]):
+            assert not array.flags.writeable and np.array_equal(array, original)
 
 
 class TestConvolveSame:
