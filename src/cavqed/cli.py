@@ -6,11 +6,11 @@
 A run reads the --config file, builds the checked config with
 `config.load`, which decides whether the config can run, computes
 `(report, files)` with the command, which touches no file, and writes
-them with `write_outputs`, all or nothing.  --seed and --parallel pass
-the same one-value check as a config value; --parallel is accepted and
-ignored, as every sweep runs in one thread.  Runs are deterministic for
-a given (config, seed): stochastic sweeps draw from counter-based Philox
-streams keyed by (seed, task index).
+them with `write_outputs`, all or nothing.  --out, --seed and
+--parallel pass the same one-value check as a config value; --parallel
+is accepted and ignored, as every sweep runs in one thread.  Runs are
+deterministic for a given (config, seed): stochastic sweeps draw from
+counter-based Philox streams keyed by (seed, task index).
 
 Exit codes: 0 success; 2 a `config.ConfigError`, whose message names the
 config key, command-line flag or input file at fault; 3 a fit that did
@@ -19,6 +19,16 @@ Python warnings and command-line errors included, go to stderr as
 single-line JSON; one that cannot be written is dropped, and the exit
 code stays.  Any other exception, a library ValueError included, is a
 bug and ends in a traceback.
+
+Entry points: `run()` is the process entry, which the `pl` script and
+`python -m cavqed.cli` call; `main(argv)` is the in-process API, and it
+leaves the garbage collector as it found it.  `run` turns the cyclic
+collector off for the command, numpy's import included, and freezes the
+heap once main returns, so the interpreter's collections at exit skip
+it: a process that is about to end does not walk its objects for
+cycles.  It still exits through the interpreter's shutdown, not
+`os._exit`, so atexit handlers, profilers, coverage and the flush of
+the standard streams run.
 
 Imports: this module loads only the standard library and the numpy-free
 `config`; each function imports numpy and the physics modules it uses
@@ -29,6 +39,7 @@ config load neither numpy nor `inspect`, and no command loads
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import os
@@ -53,11 +64,17 @@ class InputError(Exception):
 
 
 def _read_input(path, what):
-    """Text of an input file; a missing or empty file, or an empty path,
-    is an InputError."""
+    """Text of an input file, decoded as UTF-8 whatever the locale: RFC
+    8259 requires it of JSON, and a CSV is ASCII.  A missing or empty
+    file, or an empty path, is an InputError; bytes that are not UTF-8
+    are a ConfigError naming the file and the offset of the first."""
     if not os.path.exists(path):
         raise InputError(f"{what} not found: {path!r}")
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise config.ConfigError(
+            f"{path}: not UTF-8 text, {err.reason} at byte offset {err.start}") from err
     if not text.strip():
         raise InputError(f"{what} is empty: {path}")
     return text
@@ -617,6 +634,7 @@ def main(argv=None):
     try:
         with warnings.catch_warnings():
             warnings.showwarning = show_warning
+            config.check_value("--out", args.out, config.PATH)
             config.check_value("--parallel", args.parallel, config.int_at_least(1))
             if args.seed is not None:
                 config.check_value("--seed", args.seed, config.int_at_least(0))
@@ -639,5 +657,16 @@ def main(argv=None):
     return EXIT_OK
 
 
+def run():
+    """Run `main` on the command line of this process with the cyclic
+    garbage collector off, then freeze the heap, and return main's exit
+    code.  For a process that ends with the command: the collector stays
+    off and the heap frozen (see the module docstring)."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,4 +1,6 @@
+import ast
 import functools
+import gc
 import json
 import os
 import warnings
@@ -285,16 +287,36 @@ class TestExitCodes:
         (["--fixture", "paper", "--config", ""], EXIT_IO, "config file not found: ''"),
         (["--fixture", "", "--config", "{paper}"], EXIT_CONFIG,
          "unknown fixture set '' (only 'paper')"),
-    ], ids=["config", "fixture"])
-    def test_empty_value_is_not_an_absent_one(self, tmp_path, capsys, argv, code, message):
-        # an empty --config or --fixture names no file or set; the config
-        # file is complete, so an empty --fixture read as none would run
+        (["--fixture", "paper", "--out", ""], EXIT_CONFIG,
+         "--out must be a nonempty path string, got ''"),
+    ], ids=["config", "fixture", "out"])
+    def test_empty_value_is_not_an_absent_one(self, tmp_path, monkeypatch, capsys, argv, code,
+                                              message):
+        # an empty --config, --fixture or --out names no file, set or
+        # directory; the config file is complete, so an empty --fixture
+        # read as none would run, and an empty --out read as a path is the
+        # working directory
+        monkeypatch.chdir(tmp_path)
         paper = tmp_path / "paper.json"
         paper.write_text(fixtures.paper_defaults())
-        argv = ["budget", *(arg.format(paper=paper) for arg in argv), "--out", str(tmp_path / "x")]
+        argv = ["budget", "--out", str(tmp_path / "x"), *(arg.format(paper=paper) for arg in argv)]
         assert main(argv) == code
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == message
+        assert list(tmp_path.iterdir()) == [paper]
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        # RFC 8259 JSON is UTF-8, whatever the locale's encoding
+        data = '{"analysis": {"saturation": {"mode": "pulsed\xe9"}}}'.encode("latin-1")
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(data)
+        code = main(["saturation", "--fixture", "paper", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        offset = data.index(b"\xe9")
+        assert json.loads(line)["message"] == (
+            f"{cfg}: not UTF-8 text, invalid continuation byte at byte offset {offset}")
         assert not (tmp_path / "x").exists()
 
     def test_invalid_parameter_value(self, tmp_path):
@@ -509,6 +531,38 @@ class TestExitCodes:
         assert main(["--seed", "abc", "saturation"]) == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["command"] is None
+
+    @pytest.mark.parametrize("code", [EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO])
+    @pytest.mark.parametrize("collector", ["on", "off-frozen"])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, code,
+                                                      collector):
+        # only the process entry `run` turns the collector off and freezes
+        # the heap; the in-process API touches neither
+        import cavqed.cli as cli_mod
+
+        extra = {EXIT_OK: [], EXIT_CONFIG: ["--seed", "-1"], EXIT_FIT: [],
+                 EXIT_IO: ["--config", str(tmp_path / "missing.json")]}[code]
+        if code == EXIT_FIT:
+            def explode(config, seed):
+                raise cli_mod.FitError("synthetic non-convergence")
+
+            monkeypatch.setitem(cli_mod._COMMANDS, "budget", explode)
+        if collector == "off-frozen":
+            gc.disable()
+            gc.freeze()
+        try:
+            enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+            assert main(["budget", "--fixture", "paper", "--out", str(tmp_path / "x"),
+                         *extra]) == code
+            after = gc.get_freeze_count()
+            assert gc.isenabled() == enabled
+            # a frozen object that the call frees leaves the frozen
+            # generation, so its count may fall, but neither to 0 (unfreeze)
+            # nor above where it was (freeze)
+            assert after == 0 if frozen == 0 else 0 < after <= frozen
+        finally:
+            gc.unfreeze()
+            gc.enable()
 
     def test_repeated_key_in_the_fixture(self, tmp_path, monkeypatch, capsys):
         text = fixtures.paper_defaults().replace('"decay_ratio": 1.19,',
@@ -743,6 +797,9 @@ class TestInputData:
     @pytest.mark.parametrize("command, key, rows, problem", [
         ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n1,1\n3,1",
          "grid must be uniform to 1 part in 1e9"),
+        # a CSV is ASCII: UTF-16 text, with its byte order mark, is not read
+        ("saturation", "curve_csv", "power,counts\n0,1\n1,2\n2,3".encode("utf-16"),
+         "not UTF-8 text, invalid start byte at byte offset 0"),
         ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,-2\n8,1",
          "counts must be finite and nonnegative"),
         # the library checks of a file's grid and values run as it is read
@@ -763,11 +820,11 @@ class TestInputData:
         ("saturation", "curve_csv", "power,counts\n0,1\n1,x",
          "malformed number in data row 2, column 'counts': "
          "could not convert string to float: 'x'"),
-    ], ids=["envelope-grid", "trace-count", "envelope-coarse", "trace-short", "curve-counts", "curve-power", "curve-overflow",
-            "envelope-header", "curve-number"])
+    ], ids=["envelope-grid", "curve-utf16", "trace-count", "envelope-coarse", "trace-short",
+            "curve-counts", "curve-power", "curve-overflow", "envelope-header", "curve-number"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"
-        path.write_text(rows + "\n")
+        path.write_bytes(rows if isinstance(rows, bytes) else (rows + "\n").encode())
         options = {key: str(path)}
         if command == "lifetime":
             options["fs_trace_csv"] = str(path)
@@ -889,6 +946,41 @@ def test_commands_load_no_dataclasses(tmp_path):
     )
     lines = run_python("-c", code).stderr.splitlines()
     assert lines == [f"{command} 0 False" for command in _COMMANDS]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["budget", "--fixture", "paper", "--out", "{tmp}/out"], EXIT_OK),
+    (["budget", "--fixture", "paper", "--out", ""], EXIT_CONFIG),
+], ids=["ok", "config-error"])
+def test_process_entry_runs_the_command_with_the_collector_off(tmp_path, argv, code):
+    # a spy in place of the command records the collector's state as it runs
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    probe = (
+        "import gc, sys\n"
+        "from cavqed import cli\n"
+        "seen = []\n"
+        "budget = cli._COMMANDS['budget']\n"
+        "def spy(cfg, seed):\n"
+        "    seen.append(gc.isenabled())\n"
+        "    return budget(cfg, seed)\n"
+        "cli._COMMANDS['budget'] = spy\n"
+        f"sys.argv = ['pl', *{argv!r}]\n"
+        "code = cli.run()\n"
+        "print(code, seen, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    ran = "[False]" if code == EXIT_OK else "[]"
+    assert run_python("-c", probe).stderr.splitlines()[-1] == f"{code} {ran} False True"
+
+
+def test_process_entry_is_the_script_and_the_module_entry():
+    # `pl` and `python -m cavqed.cli` both run `run`; tests and batch
+    # callers call `main`
+    import cavqed.cli as cli_mod
+
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\npl = "cavqed.cli:run"\n' in pyproject
+    tree = ast.parse(Path(cli_mod.__file__).read_text())
+    assert ast.unparse(tree.body[-1]) == "if __name__ == '__main__':\n    sys.exit(run())"
 
 
 # the files each command writes with the paper fixture, and with the
