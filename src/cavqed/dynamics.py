@@ -195,11 +195,15 @@ def fit_biexponential(trace):
 
 def _decay_data(trace):
     """`trace` itself, if a biexponential fit can take it: at least 50
-    bins and a positive count."""
+    bins, a positive count and no count above 2**500, so that the fit's
+    squared residuals stay finite."""
     if trace.time_ps.size < 50:
         raise ValueError("need at least 50 bins for a biexponential fit")
-    if trace.counts.max() <= 0:
+    peak = trace.counts.max()
+    if peak <= 0:
         raise ValueError("trace has no counts")
+    if peak > 2.0 ** 500:
+        raise ValueError("counts must be at most 2**500")
     return trace
 
 
@@ -282,9 +286,9 @@ def _saturation_model(powers, i_sat, p_sat, mode):
 
 def _saturation_data(powers, counts):
     """Float (powers, counts) of a saturation curve that can be fitted:
-    matching, >= 3 finite points, no negative power, a positive count and
-    no count above 2**500, so that the fit's squared residuals stay
-    finite."""
+    matching, >= 3 finite points, no negative power, a positive power and
+    a positive count, and no count above 2**500, so that the fit's squared
+    residuals stay finite."""
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if powers.shape != counts.shape or powers.size < 3:
@@ -293,6 +297,8 @@ def _saturation_data(powers, counts):
         raise ValueError("powers and counts must be finite")
     if not np.all(powers >= 0):
         raise ValueError("powers must be >= 0")
+    if not np.any(powers > 0):
+        raise ValueError("powers have no positive value to fit")
     if not np.any(counts > 0):
         raise ValueError("counts have no positive value to fit")
     if not np.all(counts <= 2.0 ** 500):

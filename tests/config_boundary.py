@@ -5,7 +5,10 @@
 Each case overlays one value on one key of `--fixture paper` and runs,
 through `cli.main`, a command that reads that key.  The values of a key
 are those just inside and just outside its rule in `config.CONFIG_KEYS`,
-plus SPECIALS; a table cell is overlaid in the first row.  The readers
+plus SPECIALS; a table cell is overlaid in the first row.  A value
+outside the rule must exit 2 naming the key.  The values are derived
+from each rule's description, never from its test, so that a test
+looser than its description shows as a failed case.  The readers
 of each key are recorded by running each command once on the paper
 config; an overlay that leaves the paper config as it is, such as
 `null` on a key with a default, is that run and is not run again.  The
@@ -28,13 +31,16 @@ ADDRESS_SPACE_BYTES = 2 * 1024 ** 3
 
 TINY, HUGE = 5e-324, sys.float_info.max
 SPECIALS = [0, -0.0, 1e-300, 1e300, math.nan, math.inf, True, "1", [], None]
+# the SPECIALS that no rule admits; a path may be "1"
+UNADMITTED = [math.nan, math.inf, True, []]
+PATH = "a nonempty path string"
 
 # the number rules, by their descriptions, as intervals
 INTERVALS = {"a positive number": f"(0, {HUGE!r}]", "a nonnegative number": f"[0, {HUGE!r}]"}
 
 # (just inside, just outside) the other rules, by their descriptions
 BOUNDARIES = {
-    "a nonempty path string": (["missing.csv"], [""]),
+    PATH: (["missing.csv"], [""]),
     "'cw' or 'pulsed'": (["cw", "pulsed"], ["CW"]),
     "two nonnegative numbers with a positive sum": (
         [[0.0, TINY], [TINY, 0.0]], [[0.0, 0.0], [-TINY, 1.0], [1.0]]),
@@ -50,15 +56,17 @@ def _number(text):
 
 
 def boundary_values(what):
-    """The values just inside and just outside the rule `what`."""
+    """(inside, outside): the values just inside and just outside the rule
+    `what`; outside also holds the SPECIALS that the rule does not admit."""
+    unadmitted = UNADMITTED + ([] if what == PATH else ["1"])
     if what in BOUNDARIES:
         inside, outside = BOUNDARIES[what]
-        return inside + outside
+        return inside, outside + unadmitted
     what = INTERVALS.get(what, what)
     integer = re.fullmatch(r"an integer >= (\d+)", what)
     if integer:
         least = int(integer.group(1))
-        return [least, least - 1]
+        return [least], [least - 1, least + 0.5] + unadmitted
     least = re.fullmatch(r"a number >= (\S+)", what)
     if least:
         what = f"[{least.group(1)}, {HUGE!r}]"
@@ -69,7 +77,7 @@ def boundary_values(what):
         else (lo, math.nextafter(lo, math.inf))
     top, over = (hi, math.nextafter(hi, math.inf)) if closes == "]" \
         else (math.nextafter(hi, -math.inf), hi)
-    return [up, top, down] + ([over] if over < math.inf else [])
+    return [up, top], [down] + ([over] if over < math.inf else []) + unadmitted
 
 
 def leaves(table, prefix=""):
@@ -139,13 +147,16 @@ def _loads(config, text):
         return None
 
 
-def problems(key, code, err, out_exists):
-    """What a case's outcome breaks: a documented exit code, stderr
-    holding JSON lines alone, an exit 2 naming the key, and --out made
-    only by a run that exits 0."""
+def problems(key, code, err, out_exists, outside_rule):
+    """What a case's outcome breaks: a documented exit code, exit 2 for a
+    value outside the key's rule (`outside_rule`), stderr holding JSON
+    lines alone, an exit 2 naming the key, and --out made only by a run
+    that exits 0."""
     found = []
     if code not in (0, 2, 3, 4):
         found.append(f"exit {code}")
+    elif outside_rule and code != 2:
+        found.append(f"exit {code} for a value outside the rule")
     records = []
     for line in err.splitlines():
         try:
@@ -171,8 +182,11 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         reads = readers(cli, config, os.path.join(tmp, "paper"))
         for key, (what, _) in leaves(config.CONFIG_KEYS):
-            values = {json.dumps(value): value for value in boundary_values(what) + SPECIALS}
-            for value in values.values():
+            inside, outside = boundary_values(what)
+            # {JSON text: (value, whether it is outside the rule)}
+            values = {json.dumps(value): (value, False) for value in SPECIALS + inside}
+            values.update((json.dumps(value), (value, True)) for value in outside)
+            for value, outside_rule in values.values():
                 text = json.dumps(overlay(paper_rows, key, value))
                 if _loads(config, text) == paper:
                     continue
@@ -190,7 +204,8 @@ def main():
                                              "--out", out])
                         except Exception as exc:  # a crash is a failed case
                             code = f"raised {type(exc).__name__}: {str(exc)[:200]}"
-                    found = problems(key, code, err.getvalue(), os.path.exists(out))
+                    found = problems(key, code, err.getvalue(), os.path.exists(out),
+                                     outside_rule)
                     if found:
                         failed.append({"command": command, "key": key,
                                        "value": json.dumps(value), "problems": found})

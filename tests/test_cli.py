@@ -1,7 +1,7 @@
 import ast
-import functools
 import gc
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -346,7 +346,10 @@ class TestExitCodes:
 
     # every case has an explicit id, so that deleting one renames no other;
     # the `config<i>-<key>` ids are the names pytest first gave them by
-    # position
+    # position.  A (command, extra arguments, config) tuple runs another
+    # command than spectrum.  A value outside one key's rule is a case of
+    # the boundary table (tests/config_boundary.py), which asserts that it
+    # exits 2 naming the key
     @pytest.mark.parametrize("config, key", [
         pytest.param({"colour": "red"}, "colour", id="config0-colour"),
         pytest.param({"emitter": {"temperatur_k": 300}}, "emitter.temperatur_k",
@@ -360,12 +363,6 @@ class TestExitCodes:
                      id='{"cavity": {"refractive_index": 1e999}}-cavity.refractive_index'),
         pytest.param('{"emitter": {"decay_weights": [2.0, NaN]}}', "emitter.decay_weights",
                      id='{"emitter": {"decay_weights": [2.0, NaN]}}-emitter.decay_weights'),
-        pytest.param({"seed": -1}, "seed", id="config7-seed"),
-        # a (command, extra arguments, config) tuple runs another command
-        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"irf_fwhm_ps": -5.0}}}),
-                     "analysis.lifetime.irf_fwhm_ps", id="config8-analysis.lifetime.irf_fwhm_ps"),
-        pytest.param(("g2", (), {"g2_scheme": {"irf_fwhm_ps": -5.0}}), "g2_scheme.irf_fwhm_ps",
-                     id="config9-g2_scheme.irf_fwhm_ps"),
         # keys removed because they restated others: the rows to sweep are
         # those of cavity.modes, and brightness samples the spectrum's grid
         pytest.param(("purcell", (), {"cavity": {"mode_orders": [6]}}),
@@ -388,57 +385,9 @@ class TestExitCodes:
         pytest.param(("brightness", ("--seed", "-1"), None), "--seed", id="config15---seed"),
         pytest.param(("budget", ("--parallel", "-3"), None), "--parallel",
                      id="config16---parallel"),
-        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"bin_ps": 0}}}),
-                     "analysis.lifetime.bin_ps", id="config17-analysis.lifetime.bin_ps"),
-        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"bin_ps": -4}}}),
-                     "analysis.lifetime.bin_ps", id="config18-analysis.lifetime.bin_ps"),
-        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"peak_counts": 0}}}),
-                     "analysis.lifetime.peak_counts", id="config19-analysis.lifetime.peak_counts"),
-        pytest.param(("lifetime", (), {"analysis": {"lifetime": {"peak_counts": -1e5}}}),
-                     "analysis.lifetime.peak_counts", id="config20-analysis.lifetime.peak_counts"),
-        pytest.param(("brightness", (), {"analysis": {"brightness": {"noise_frac": -0.01}}}),
-                     "analysis.brightness.noise_frac",
-                     id="config21-analysis.brightness.noise_frac"),
-        pytest.param(("saturation", (), {"analysis": {"saturation": {"noise_frac": -0.01}}}),
-                     "analysis.saturation.noise_frac",
-                     id="config22-analysis.saturation.noise_frac"),
-        pytest.param(("saturation", (), {"analysis": {"saturation": {"n_points": 0}}}),
-                     "analysis.saturation.n_points", id="config23-analysis.saturation.n_points"),
-        pytest.param(("saturation", (), {"analysis": {"saturation": {"n_points": 2.5}}}),
-                     "analysis.saturation.n_points", id="config24-analysis.saturation.n_points"),
-        pytest.param(("saturation", (), {"analysis": {"saturation": {"mode": "pulse"}}}),
-                     "analysis.saturation.mode", id="config25-analysis.saturation.mode"),
-        pytest.param(("saturation", (), {"analysis": {"saturation": {"p_sat": -5}}}),
-                     "analysis.saturation.p_sat", id="config26-analysis.saturation.p_sat"),
-        pytest.param(("g2", (), {"analysis": {"g2": {"tau_step_ps": 0}}}),
-                     "analysis.g2.tau_step_ps", id="config27-analysis.g2.tau_step_ps"),
-        pytest.param(("g2", (), {"g2_scheme": {"background": 1.2}}), "g2_scheme.background",
-                     id="config28-g2_scheme.background"),
         # an alias removed in favour of measured.g_spectral_max_uev
         pytest.param(("brightness", (), {"analysis": {"brightness": {"g_max_uev": 25.0}}}),
                      "analysis.brightness.g_max_uev", id="config30-analysis.brightness.g_max_uev"),
-        pytest.param(("brightness", (), {"seed": True}), "seed", id="config31-seed"),
-        pytest.param(("lifetime", (), {"emitter": {"decay_weights": [1]}}),
-                     "emitter.decay_weights", id="config32-emitter.decay_weights"),
-        pytest.param(("purcell", (), {"cavity": {"refractive_index": "x"}}),
-                     "cavity.refractive_index", id="config33-cavity.refractive_index"),
-        pytest.param(("purcell", (), {"emitter": {"eta_qy": 7}}), "emitter.eta_qy",
-                     id="config34-emitter.eta_qy"),
-        pytest.param(("budget", (), {"measured": {"cryostat_optics_quoted": "abc"}}),
-                     "measured.cryostat_optics_quoted",
-                     id="config35-measured.cryostat_optics_quoted"),
-        pytest.param({"analysis": {"spectrum": {"step_uev": 0}}}, "analysis.spectrum.step_uev",
-                     id="config36-analysis.spectrum.step_uev"),
-        pytest.param({"emitter": {"debye_waller": 1.5}}, "emitter.debye_waller",
-                     id="config37-emitter.debye_waller"),
-        pytest.param({"emitter": {"temperature_k": -3}}, "emitter.temperature_k",
-                     id="config38-emitter.temperature_k"),
-        pytest.param({"emitter": {"sideband": {"cutoff_uev": -5}}}, "emitter.sideband.cutoff_uev",
-                     id="config39-emitter.sideband.cutoff_uev"),
-        pytest.param({"emitter": {"zpl_fwhm_uev": True}}, "emitter.zpl_fwhm_uev",
-                     id="config40-emitter.zpl_fwhm_uev"),
-        pytest.param(("brightness", (), {"measured": {"g_spectral_max_uev": -3}}),
-                     "measured.g_spectral_max_uev", id="config41-measured.g_spectral_max_uev"),
         # an alias removed in favour of measured.decay_ratio
         pytest.param(("lifetime", (), {"analysis": {"lifetime": {"decay_ratio": 1.19}}}),
                      "analysis.lifetime.decay_ratio", id="config42-analysis.lifetime.decay_ratio"),
@@ -811,8 +760,14 @@ class TestInputData:
          "counts have no positive value to fit"),
         ("saturation", "curve_csv", "power,counts\n-1,1\n1,2\n2,3\n4,3.5",
          "powers must be >= 0"),
+        ("saturation", "curve_csv", "power,counts\n0,10\n0,20\n0,30\n0,40\n0,50",
+         "powers have no positive value to fit"),
         # a fit's squared residuals would overflow
         ("saturation", "curve_csv", "power,counts\n0,1\n1,1e200\n2,3",
+         "counts must be at most 2**500"),
+        ("lifetime", "cavity_trace_csv",
+         f"time_ps,counts\n0,{math.nextafter(2.0 ** 500, math.inf)!r}"
+         + "".join(f"\n{4 * i},1" for i in range(1, 50)),
          "counts must be at most 2**500"),
         # errors of the parser itself carry the same single prefix
         ("brightness", "envelope_csv", "energy,value\n0,1\n1,1",
@@ -821,7 +776,8 @@ class TestInputData:
          "malformed number in data row 2, column 'counts': "
          "could not convert string to float: 'x'"),
     ], ids=["envelope-grid", "curve-utf16", "trace-count", "envelope-coarse", "trace-short",
-            "curve-counts", "curve-power", "curve-overflow", "envelope-header", "curve-number"])
+            "curve-counts", "curve-power", "curve-powers", "curve-overflow", "trace-overflow",
+            "envelope-header", "curve-number"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"
         path.write_bytes(rows if isinstance(rows, bytes) else (rows + "\n").encode())
@@ -833,6 +789,18 @@ class TestInputData:
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == f"{path}: {problem}"
         assert not out.exists()
+
+    def test_trace_at_the_count_bound_is_fitted(self, tmp_path, paper_runs):
+        # the paper's cavity trace scaled to a peak of 2**500, the largest
+        # count that a fit takes: its overflows are warnings, not a traceback
+        time, counts = np.loadtxt(paper_runs["lifetime"].out / "decay_cavity.csv",
+                                  delimiter=",", skiprows=1, unpack=True)
+        path = tmp_path / "trace.csv"
+        np.savetxt(path, np.column_stack([time, counts / counts.max() * 2.0 ** 500]),
+                   fmt="%.17g", delimiter=",", header="time_ps,counts", comments="")
+        options = {"fs_trace_csv": str(path), "cavity_trace_csv": str(path)}
+        code, _ = run(tmp_path, "lifetime", config={"analysis": {"lifetime": options}})
+        assert code == EXIT_OK
 
     def test_curve_with_a_negative_count_is_fitted(self, tmp_path):
         powers = [0.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0]
@@ -846,63 +814,111 @@ class TestInputData:
         assert read_report(out, "saturation_report.json")["i_sat"] == fit.i_sat
 
 
-_SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+# What each entry of a `pl` process must leave out of sys.modules:
+# - the imports, the photon budget, --help and a run that stops on its
+#   config are scalar work, with no use for numpy or for inspect and
+#   tempfile, which numpy imports;
+# - no run loads csv, as the paper's tables are config sections, nor
+#   dataclasses, as every value type is a units._record named tuple;
+# - scipy is a test dependency only: the fits run the numpy ports of its
+#   bounded Brent and TRF methods;
+# - numpy.ma, which np.median imports, costs a cold start about 17 ms.
+_SCALAR_UNNEEDED = ("numpy", "csv", "dataclasses", "inspect", "tempfile", "scipy")
+
+# (step, argv or None for an import of the step's module), in the order
+# that one fresh interpreter takes them
+_ENTRIES = [
+    ("cavqed.config", None),
+    ("cavqed.cli", None),
+    ("budget", ["budget", "--fixture", "paper", "--out", "{tmp}/budget"]),
+    ("help", ["--help"]),
+    ("missing-config", ["spectrum", "--config", "{tmp}/missing.json"]),
+    *((command, [command, "--fixture", "paper", "--out", f"{{tmp}}/{command}"])
+      for command in _COMMANDS if command != "budget"),
+]
 
 
-def test_cli_import_loads_no_scipy():
-    code = f"import sys, cavqed.cli; print({_SCIPY_LOADED})"
-    assert run_python("-c", code).stdout.strip() == "False"
-
-
-@functools.cache
-def _unneeded():
-    """Modules that `import cavqed.cli`, `budget`, `--help` and a run that
-    stops on its config have no use for: numpy, csv, tempfile, inspect
-    (which numpy imports) and dataclasses, which no command loads (see
-    test_commands_load_no_dataclasses).  Those a bare interpreter already
-    holds, as the site module of some installs loads tempfile, are left
-    out."""
-    code = "import sys; print(' '.join(sys.modules))"
-    bare = run_python("-c", code).stdout.split()
-    return [name for name in ("numpy", "csv", "dataclasses", "inspect", "tempfile")
-            if name not in bare]
-
-
-def test_cli_import_loads_no_numpy():
-    # each command imports numpy and the physics modules in its own body
-    code = f"import sys, cavqed.cli; print([m for m in {_unneeded()!r} if m in sys.modules])"
-    assert run_python("-c", code).stdout.strip() == "[]"
-
-
-def test_config_import_loads_no_numpy():
-    # the builders import the physics modules in their own bodies
-    code = f"import sys, cavqed.config; print([m for m in {_unneeded()!r} if m in sys.modules])"
-    assert run_python("-c", code).stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("argv, outcome", [
-    (["budget", "--fixture", "paper", "--out", "{tmp}/out"], "returned 0"),
-    (["--help"], "exited 0"),
-    (["spectrum", "--config", "{tmp}/missing.json"], "returned 4"),
-], ids=["budget", "help", "missing-config"])
-def test_scalar_paths_load_no_numpy(tmp_path, argv, outcome):
-    # the photon budget is scalar arithmetic, and --help or a run that
-    # stops before computing has no use for numpy either; the paper's
-    # tables are config sections, so no run loads the csv module, and the
-    # budget records are named tuples, so none loads dataclasses
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
-    code = (
+@pytest.fixture(scope="module")
+def entry_modules(tmp_path_factory):
+    """Step of _ENTRIES -> (its outcome, the modules of _SCALAR_UNNEEDED
+    and numpy.ma loaded by then and not held by the bare interpreter),
+    from one fresh interpreter; the first step that lists a module is the
+    one that loaded it."""
+    tmp = tmp_path_factory.mktemp("entries")
+    entries = [(step, None if argv is None else [arg.format(tmp=tmp) for arg in argv])
+               for step, argv in _ENTRIES]
+    probe = (
         "import sys\n"
-        "from cavqed.cli import main\n"
-        "try:\n"
-        f"    outcome = 'returned %d' % main({argv!r})\n"
-        "except SystemExit as exit:\n"
-        "    outcome = f'exited {exit.code}'\n"
-        f"print(outcome, [m for m in {_unneeded()!r} if m in sys.modules], file=sys.stderr)\n"
+        "bare = set(sys.modules)\n"
+        "import contextlib, importlib, io, json\n"
+        f"for step, argv in {entries!r}:\n"
+        "    if argv is None:\n"
+        "        importlib.import_module(step)\n"
+        "        outcome = 'imported'\n"
+        "    else:\n"
+        "        try:\n"
+        "            with contextlib.redirect_stdout(io.StringIO()):\n"
+        "                outcome = 'returned %d' % sys.modules['cavqed.cli'].main(argv)\n"
+        "        except SystemExit as exit:\n"
+        "            outcome = f'exited {exit.code}'\n"
+        f"    watched = {(*_SCALAR_UNNEEDED, 'numpy.ma')!r}\n"
+        "    print(json.dumps([step, outcome,\n"
+        "                      [m for m in watched if m in sys.modules and m not in bare]]))\n"
     )
-    # main prints reports and help on stdout and diagnostics on stderr,
-    # so the probe's line is the last one
-    assert run_python("-c", code).stderr.splitlines()[-1] == f"{outcome} []"
+    lines = run_python("-c", probe).stdout.splitlines()
+    return {step: (outcome, loaded) for step, outcome, loaded in map(json.loads, lines)}
+
+
+def _loaded(entry_modules, step, outcome, names):
+    """The modules among `names` that the interpreter held after `step`,
+    which must have ended in `outcome`."""
+    assert entry_modules[step][0] == outcome
+    return [name for name in names if name in entry_modules[step][1]]
+
+
+def test_config_import_loads_no_numpy(entry_modules):
+    # the builders import the physics modules in their own bodies
+    assert _loaded(entry_modules, "cavqed.config", "imported", _SCALAR_UNNEEDED) == []
+
+
+def test_cli_import_loads_no_numpy(entry_modules):
+    # each command imports numpy and the physics modules in its own body
+    assert _loaded(entry_modules, "cavqed.cli", "imported",
+                   [m for m in _SCALAR_UNNEEDED if m != "scipy"]) == []
+
+
+def test_cli_import_loads_no_scipy(entry_modules):
+    assert _loaded(entry_modules, "cavqed.cli", "imported", ["scipy"]) == []
+
+
+@pytest.mark.parametrize("step, outcome", [
+    ("budget", "returned 0"),
+    ("help", "exited 0"),
+    ("missing-config", "returned 4"),
+], ids=["budget", "help", "missing-config"])
+def test_scalar_paths_load_no_numpy(entry_modules, step, outcome):
+    assert _loaded(entry_modules, step, outcome, _SCALAR_UNNEEDED) == []
+
+
+def _commands_loading(entry_modules, names):
+    """(command, the modules among `names` held after it) for each of
+    the seven commands that loaded one."""
+    loaded = [(command, _loaded(entry_modules, command, "returned 0", names))
+              for command in _COMMANDS]
+    return [(command, modules) for command, modules in loaded if modules]
+
+
+def test_commands_load_no_scipy(entry_modules):
+    assert _commands_loading(entry_modules, ["scipy"]) == []
+
+
+def test_commands_load_no_dataclasses(entry_modules):
+    assert _commands_loading(entry_modules, ["dataclasses", "csv"]) == []
+
+
+def test_saturation_loads_no_numpy_ma(entry_modules):
+    # checked after saturation and after every other command
+    assert _commands_loading(entry_modules, ["numpy.ma"]) == []
 
 
 def test_package_attribute_imports_submodule():
@@ -917,35 +933,6 @@ def test_lazy_submodules_are_the_package_modules():
     assert cavqed._SUBMODULES == {path.stem for path in package.glob("*.py")} - {"__init__"}
     with pytest.raises(AttributeError, match="no_such_module"):
         cavqed.no_such_module
-
-
-def test_commands_load_no_scipy(tmp_path):
-    # scipy is a test dependency only: the fits of brightness, lifetime and
-    # saturation run the numpy ports of its bounded Brent and TRF methods
-    code = (
-        "import sys, cavqed.cli\n"
-        f"for command in {list(_COMMANDS)!r}:\n"
-        f"    out = {str(tmp_path)!r} + '/' + command\n"
-        "    code = cavqed.cli.main([command, '--fixture', 'paper', '--out', out])\n"
-        f"    print(command, code, {_SCIPY_LOADED}, file=sys.stderr)\n"
-    )
-    # main prints each report on stdout, so the probe writes to stderr
-    lines = run_python("-c", code).stderr.splitlines()
-    assert lines == [f"{command} 0 False" for command in _COMMANDS]
-
-
-def test_commands_load_no_dataclasses(tmp_path):
-    # every value type is a units._record named tuple; numpy itself does
-    # not import dataclasses
-    code = (
-        "import sys, cavqed.cli\n"
-        f"for command in {list(_COMMANDS)!r}:\n"
-        f"    out = {str(tmp_path)!r} + '/' + command\n"
-        "    code = cavqed.cli.main([command, '--fixture', 'paper', '--out', out])\n"
-        "    print(command, code, 'dataclasses' in sys.modules, file=sys.stderr)\n"
-    )
-    lines = run_python("-c", code).stderr.splitlines()
-    assert lines == [f"{command} 0 False" for command in _COMMANDS]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1058,16 +1045,6 @@ def test_closed_stdout_and_stderr_exit_4_and_keep_the_files(tmp_path):
     os.close(stderr)
     assert done.returncode == EXIT_IO
     assert sorted(os.listdir(tmp_path / "out")) == _FILES["budget"]
-
-
-def test_saturation_loads_no_numpy_ma(tmp_path):
-    # np.median imports numpy.ma, which costs a cold start about 17 ms
-    code = (
-        "import sys, cavqed.cli\n"
-        f"code = cavqed.cli.main(['saturation', '--fixture', 'paper', '--out', {str(tmp_path)!r}])\n"
-        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
-    )
-    assert run_python("-c", code).stderr.strip() == "0 False"
 
 
 def _within(tree, keys):

@@ -126,7 +126,8 @@ def test_paper_fixture_restates_no_default():
 def test_every_overlay_ends_in_a_documented_exit():
     # one child process runs the whole boundary table: each value just
     # inside and just outside a key's rule, and the special values, on
-    # --fixture paper, under every command that reads the key
+    # --fixture paper, under every command that reads the key; a value
+    # outside the rule must exit 2 naming the key
     done = run_python(str(Path(__file__).with_name("config_boundary.py")))
     result = json.loads(done.stdout)
     assert result["cases"] > 1000
