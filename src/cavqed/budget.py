@@ -2,50 +2,31 @@
 collection paths, count-to-flux conversion, detected port ratios, and
 algebraic calibration of one stage from a measured port ratio.
 
-Chains are ordered lists of named stages, each with an efficiency in
-(0, 1].  A calibration names the stage it solves and leaves that stage's
-listed efficiency out, so the same chains serve both the forward budget
-and the calibration.
+A chain is a mapping of stage name to efficiency in (0, 1], multiplied
+in its order: a path of the config's `budget.chains`.  A calibration
+names the stage it solves and leaves that stage's listed efficiency out,
+so the same chains serve both the forward budget and the calibration.
 """
 
-from .units import _record
 
-
-class Stage(_record("Stage", "name efficiency")):
-    """One transmission/detection stage with its efficiency in (0, 1]."""
-
-    __slots__ = ()
-
-    def __new__(cls, name, efficiency):
+def _product(chain, leave_out=None):
+    """Product of the chain's efficiencies in order, from 1.0, without
+    that of the stage named `leave_out`; every efficiency, that one's
+    too, must be in (0, 1]."""
+    product = 1.0
+    for name, efficiency in chain.items():
         if not 0.0 < efficiency <= 1.0:
-            raise ValueError(
-                f"stage {name!r}: efficiency must be in (0, 1], got {efficiency}"
-            )
-        return super().__new__(cls, name, efficiency)
-
-
-class EfficiencyChain(_record("EfficiencyChain", "path stages")):
-    """Ordered stages of one optical path (free-space, cavity-planar or
-    cavity-fiber); stage names are unique within a chain."""
-
-    __slots__ = ()
-
-    def __new__(cls, path, stages=()):
-        if not stages:
-            raise ValueError("a chain needs at least one stage")
-        names = [stage.name for stage in stages]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"stage {name!r} appears more than once in chain {path!r}")
-        return super().__new__(cls, path, stages)
+            raise ValueError(f"stage {name!r}: efficiency must be in (0, 1], got {efficiency}")
+        if name != leave_out:
+            product *= efficiency
+    return product
 
 
 def chain_efficiency(chain):
     """Product of the stage efficiencies."""
-    product = 1.0
-    for stage in chain.stages:
-        product *= stage.efficiency
-    return product
+    if not chain:
+        raise ValueError("a chain needs at least one stage")
+    return _product(chain)
 
 
 def photons_per_count(chain):
@@ -79,10 +60,10 @@ def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
     ratio between the two ports.
 
     The named stage must appear in exactly one of the chains; the
-    efficiency listed for it is ignored.  The solution makes
-    detected_port_ratio(chain_a, chain_b, ...) equal `measured_ratio`;
-    values outside (0, 1] are returned with a warning flag rather than
-    clipped.
+    efficiency listed for it is checked but otherwise ignored.  The
+    solution makes detected_port_ratio(chain_a, chain_b, ...) equal
+    `measured_ratio`; values outside (0, 1] are returned with a warning
+    flag rather than clipped.
 
     Returns (efficiency, physical) with physical False when the solved
     value is not a valid transmission.
@@ -91,18 +72,9 @@ def calibrate_unknown_stage(chain_a, chain_b, exit_a, exit_b,
         raise ValueError("exit probabilities must be positive")
     if not measured_ratio > 0:
         raise ValueError("measured ratio must be positive")
-
-    def known_product(chain):
-        product, found = 1.0, False
-        for stage in chain.stages:
-            if stage.name == unknown_stage_name:
-                found = True
-            else:
-                product *= stage.efficiency
-        return product, found
-
-    known_a, in_a = known_product(chain_a)
-    known_b, in_b = known_product(chain_b)
+    known_a = _product(chain_a, unknown_stage_name)
+    known_b = _product(chain_b, unknown_stage_name)
+    in_a, in_b = unknown_stage_name in chain_a, unknown_stage_name in chain_b
     if in_a and in_b:
         raise ValueError(f"unknown stage {unknown_stage_name!r} appears in both chains")
     if not in_a and not in_b:

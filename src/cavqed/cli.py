@@ -366,11 +366,12 @@ def cmd_lifetime(cfg, seed):
     fit_cav = dynamics.fit_biexponential(trace_cav)
     _require_converged([fit_fs, fit_cav], "lifetime")
 
+    # each trace is drawn at its own times: measured traces need not share a grid
+    plotted = [(label, trace.time_ps, np.maximum(trace.counts, 1e-1))
+               for label, trace in (("free space", trace_fs), ("cavity", trace_cav))]
     files = {"decay_fs.csv": ("time_ps,counts", trace_fs.time_ps, trace_fs.counts),
              "decay_cavity.csv": ("time_ps,counts", trace_cav.time_ps, trace_cav.counts),
-             "lifetime.svg": (trace_fs.time_ps,
-                              [("free space", np.maximum(trace_fs.counts, 1e-1)),
-                               ("cavity", np.maximum(trace_cav.counts, 1e-1))],
+             "lifetime.svg": (trace_fs.time_ps, plotted,
                               {"title": "Decay traces", "x_label": "time (ps)",
                                "y_label": "counts", "log_y": True})}
     report = {
@@ -462,7 +463,7 @@ def cmd_budget(cfg, seed):
     measured = cfg["measured"]
     extractions = cfg["budget"]["extraction"]
     quoted = cfg["budget"]["overall_quoted"]
-    chains = config.chains_from_config(cfg)
+    chains = cfg["budget"]["chains"]
     exits = config.mode_row(cfg)
 
     overall = {name: extractions[name] * budget_mod.chain_efficiency(chains[name])

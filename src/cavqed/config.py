@@ -4,9 +4,11 @@ builds a run's config and decides whether it can run: a config it returns
 passes every check that the commands' library calls make on config values.
 The `*_from_config` builders turn a checked config into the library's
 value types; they import the physics modules in their own bodies, so at
-module level this module loads only the standard library, `fixtures` and
-the numpy-free `units`.  The derivations that a command and a relation
-share, `lifetime_bins` and `synthetic_couplings`, are stated here once.
+module level this module loads only the standard library and the
+numpy-free `budget`, `fixtures` and `units`.  The derivations that a
+command and a relation share are stated once: `lifetime_bins` and
+`synthetic_couplings` here, and a chain's product in
+`budget.chain_efficiency`.
 """
 
 import functools
@@ -14,7 +16,7 @@ import json
 import math
 import sys
 
-from . import fixtures
+from . import budget, fixtures
 from .units import KB_UEV_PER_K, energy_from_wavelength, lifetime_from_rate, rate_from_lifetime
 
 DEFAULT_SEED = 12345
@@ -249,11 +251,11 @@ RELATIONS = [
      lambda pump, tau, on, off: _within(1e12, pump, rate_from_lifetime(tau), on, off)),
     *(((f"budget.extraction.{path}", f"budget.chains.{path}"),
        "the extraction times the product of the stages must be positive",
-       lambda extraction, chain: extraction * math.prod(chain.values()) > 0)
+       lambda extraction, chain: extraction * budget.chain_efficiency(chain) > 0)
       for path in PATHS),
     *(((f"cavity.modes[].{pct}", f"budget.chains.{path}"),
        f"{pct}/100 times the product of the {path} stages must be positive",
-       lambda pct, chain: pct / 100.0 * math.prod(chain.values()) > 0)
+       lambda pct, chain: pct / 100.0 * budget.chain_efficiency(chain) > 0)
       for pct, path in (("p_subs_pct", "cavity_planar"), ("p_fiber_pct", "cavity_fiber"))),
     (("budget.chains.cavity_planar", "budget.chains.cavity_fiber"),
      "exactly one must list the stage 'cryostat_optics'",
@@ -490,17 +492,6 @@ def scheme_from_config(config):
         gamma_total_uev=rate_from_lifetime(config["emitter"]["lifetime_fs_ps"]),
         k_shelve_uev=g2cfg["k_shelve_uev"], k_deshelve_uev=g2cfg["k_deshelve_uev"],
         background=g2cfg["background"])
-
-
-def chains_from_config(config):
-    """The collection paths' stage chains after extraction (table S2)
-    from a checked config, as {path: budget.EfficiencyChain}."""
-    from . import budget
-
-    chains = config["budget"]["chains"]
-    return {path: budget.EfficiencyChain(path, tuple(
-                budget.Stage(name, efficiency) for name, efficiency in chains[path].items()))
-            for path in PATHS}
 
 
 def mode_rows(config):

@@ -197,7 +197,7 @@ def invert_envelope(e_mod, a, c):
             f"inversion denominator <= 0 at energy {first:g} ueV "
             f"(envelope reaches {values.max():g} >= c = {c:g})"
         )
-    return e_mod.with_values(values / denom)
+    return e_mod._replace(values=values / denom)
 
 
 def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):

@@ -155,10 +155,6 @@ class Spectrum(_record("Spectrum", "energies values normalization", derived="ste
         """Trapezoid integral of the spectrum over its grid."""
         return float(np.trapezoid(self.values, self.energies))
 
-    def with_values(self, values):
-        """This spectrum's grid and tag with new values."""
-        return Spectrum(self.energies, values, self.normalization)
-
 
 class SidebandShape(_record("SidebandShape", "exponent cutoff_uev")):
     """Parametric one-phonon acoustic wing: spectral density
@@ -344,7 +340,7 @@ def convolve_lorentzian(spectrum, kappa_uev):
         if total_out <= 0:
             raise ValueError("convolution lost all spectral weight; grid badly under-spans")
         out *= total_in / total_out
-    return spectrum.with_values(out)
+    return spectrum._replace(values=out)
 
 
 @functools.lru_cache(maxsize=8)

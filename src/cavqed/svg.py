@@ -47,22 +47,28 @@ def _points_attr(px, py):
 
 
 def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=False):
-    """Write one SVG with polylines for each (label, y-array) in `series`."""
-    x = np.asarray(x, dtype=float)
-    ys = [(label, np.asarray(y, dtype=float)) for label, y in series]
-    if not ys or any(y.shape != x.shape for _, y in ys):
-        raise ValueError("series must be nonempty and match the x grid")
+    """Write one SVG with a polyline for each item of `series`: a
+    (label, y) drawn on the shared `x`, or a (label, x, y) on its own x.
+    The x axis spans the x of every item."""
+    shared = np.asarray(x, dtype=float)
+    curves = []
+    for label, *xy in series:
+        cx, y = (shared, *xy) if len(xy) == 1 else xy
+        curves.append((label, np.asarray(cx, dtype=float), np.asarray(y, dtype=float)))
+    if not curves or any(cx.ndim != 1 or y.shape != cx.shape for _, cx, y in curves):
+        raise ValueError("series must be nonempty and each match its x grid")
 
-    stacked = np.concatenate([y for _, y in ys])
+    stacked = np.concatenate([y for _, _, y in curves])
     if log_y:
         positive = stacked[stacked > 0]
         floor = positive.min() if positive.size else 1.0
         stacked = np.log10(np.maximum(stacked, floor))
-        ys = [(label, np.log10(np.maximum(y, floor))) for label, y in ys]
+        curves = [(label, cx, np.log10(np.maximum(y, floor))) for label, cx, y in curves]
     y_lo, y_hi = float(stacked.min()), float(stacked.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    x_lo, x_hi = float(x.min()), float(x.max())
+    x_lo = min(float(cx.min()) for _, cx, _ in curves)
+    x_hi = max(float(cx.max()) for _, cx, _ in curves)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" height="{_H:.0f}" '
@@ -87,8 +93,8 @@ def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=Fals
         lines.append(f'<text x="{_ML - 6:.1f}" y="{py + 4:.1f}" text-anchor="end" '
                      f'font-size="11">{label}</text>')
 
-    px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
-    for i, (label, y) in enumerate(ys):
+    for i, (label, cx, y) in enumerate(curves):
+        px = _scale(cx, x_lo, x_hi, _ML, _W - _MR)
         py = _scale(y, y_lo, y_hi, _H - _MB, _MT)
         keep = _m4_keep(px, py)
         points = _points_attr(px[keep], py[keep])

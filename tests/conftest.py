@@ -10,7 +10,7 @@ import pytest
 
 import cavqed
 from cavqed import config, spectra
-from cavqed.cli import _COMMANDS
+from cavqed.cli import _COMMANDS, main
 from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 
 # shared emitter/cavity scales matching the fixture parameter set
@@ -37,6 +37,32 @@ def run_pl(command, out, *extra, **kwargs):
     fresh process, as the installed `pl` script runs it (see run_python)."""
     return run_python("-m", "cavqed.cli", command, "--fixture", "paper", "--out", str(out),
                       *extra, **kwargs)
+
+
+def run_main(tmp_path, command, *extra, config=None, name="run"):
+    """(exit code, out dir) of `pl <command> --fixture paper` run in this
+    process by `cli.main`, into `tmp_path / name`, with the arguments
+    `extra` and the config overlay `config` (None: no --config; a str is
+    written as it is, for JSON that json.dumps would not produce)."""
+    out = tmp_path / name
+    argv = [command, "--fixture", "paper", "--out", str(out)]
+    if config is not None:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    return main([*argv, *extra]), out
+
+
+def paper_tables(index=None, **cells):
+    """The paper's tables S1 and S2 as a config overlay to edit, with
+    `cells` set in row `index` of cavity.modes."""
+    paper = config.load("paper")
+    tables = {"cavity": {"modes": [dict(row) for row in paper["cavity"]["modes"]]},
+              "budget": {"chains": {path: dict(stages)
+                                    for path, stages in paper["budget"]["chains"].items()}}}
+    if cells:
+        tables["cavity"]["modes"][index].update(cells)
+    return tables
 
 
 # a `pl` run: its exit code, its --out directory and the report that its

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from cavqed import config
 from cavqed.budget import (
-    EfficiencyChain,
-    Stage,
     calibrate_unknown_stage,
     chain_efficiency,
     detected_port_ratio,
@@ -32,7 +30,7 @@ def paper():
 
 @pytest.fixture(scope="module")
 def tables(paper):
-    return paper["budget"]["extraction"], config.chains_from_config(paper), SUMMARY
+    return paper["budget"]["extraction"], paper["budget"]["chains"], SUMMARY
 
 
 def test_quoted_overall_is_the_summary_table(paper):
@@ -42,8 +40,12 @@ def test_quoted_overall_is_the_summary_table(paper):
 
 class TestChainEfficiency:
     def test_single_unity_stage(self):
-        chain = EfficiencyChain("x", (Stage("only", 1.0),))
-        assert chain_efficiency(chain) == 1.0
+        assert chain_efficiency({"only": 1.0}) == 1.0
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError) as info:
+            chain_efficiency({})
+        assert str(info.value) == "a chain needs at least one stage"
 
     def test_free_space_overall(self, tables):
         # 0.19 * 0.035 = 0.665 %, the quoted 0.66 % up to rounding
@@ -64,67 +66,19 @@ class TestChainEfficiency:
         assert overall == pytest.approx(s3["overall"], abs=2e-4)
 
     def test_order_invariant_and_multiplicative(self):
-        stages = [Stage("a", 0.5), Stage("b", 0.25), Stage("c", 0.9)]
-        forward = chain_efficiency(EfficiencyChain("x", tuple(stages)))
-        reverse = chain_efficiency(EfficiencyChain("x", tuple(reversed(stages))))
+        stages = [("a", 0.5), ("b", 0.25), ("c", 0.9)]
+        forward = chain_efficiency(dict(stages))
+        reverse = chain_efficiency(dict(reversed(stages)))
         assert forward == pytest.approx(reverse, rel=1e-15)
-        left = chain_efficiency(EfficiencyChain("x", tuple(stages[:2])))
-        right = chain_efficiency(EfficiencyChain("x", tuple(stages[2:])))
+        left = chain_efficiency(dict(stages[:2]))
+        right = chain_efficiency(dict(stages[2:]))
         assert forward == pytest.approx(left * right, rel=1e-15)
-
-    def test_repeated_stage_name_rejected(self):
-        with pytest.raises(ValueError, match="'a' appears more than once in chain 'x'"):
-            EfficiencyChain("x", (Stage("a", 0.5), Stage("b", 0.9), Stage("a", 0.5)))
 
     def test_stage_bounds(self):
         for efficiency in (0.0, 1.5):
             with pytest.raises(ValueError) as info:
-                Stage("bad", efficiency)
+                chain_efficiency({"good": 0.5, "bad": efficiency})
             assert str(info.value) == f"stage 'bad': efficiency must be in (0, 1], got {efficiency}"
-
-
-class TestRecords:
-    """Stage and EfficiencyChain are checked, immutable named tuples."""
-
-    def test_repr(self):
-        chain = EfficiencyChain("x", (Stage("a", 0.5),))
-        assert repr(chain) \
-            == "EfficiencyChain(path='x', stages=(Stage(name='a', efficiency=0.5),))"
-
-    @pytest.mark.parametrize("record, attribute", [
-        (Stage("a", 0.5), "name"), (Stage("a", 0.5), "efficiency"), (Stage("a", 0.5), "note"),
-        (EfficiencyChain("x", (Stage("a", 0.5),)), "stages"),
-    ])
-    def test_assigning_an_attribute_raises(self, record, attribute):
-        with pytest.raises(AttributeError):
-            setattr(record, attribute, 1.0)
-
-    @pytest.mark.parametrize("build, message", [
-        (lambda: EfficiencyChain("x", ()), "a chain needs at least one stage"),
-        (lambda: EfficiencyChain("x"), "a chain needs at least one stage"),
-        # _make and _replace build through the same checks
-        (lambda: Stage._make(("bad", 0.0)), "stage 'bad': efficiency must be in (0, 1], got 0.0"),
-        (lambda: Stage("a", 0.5)._replace(efficiency=2.0),
-         "stage 'a': efficiency must be in (0, 1], got 2.0"),
-        (lambda: EfficiencyChain("x", (Stage("a", 0.5),))._replace(stages=()),
-         "a chain needs at least one stage"),
-    ], ids=["empty", "no-stages", "make", "replace-stage", "replace-chain"])
-    def test_bad_values_raise(self, build, message):
-        with pytest.raises(ValueError) as info:
-            build()
-        assert str(info.value) == message
-
-    def test_replace_keeps_the_type(self):
-        stage = Stage("a", 0.5)._replace(efficiency=0.25)
-        assert type(stage) is Stage and stage.efficiency == 0.25
-
-    def test_records_are_tuples(self, paper):
-        # they unpack and compare as plain tuples of their fields
-        name, efficiency = stage = Stage("a", 0.5)
-        assert (name, efficiency) == stage == ("a", 0.5)
-        assert hash(stage) == hash(("a", 0.5))
-        chain = config.chains_from_config(paper)["free_space"]
-        assert dict(chain.stages) == paper["budget"]["chains"]["free_space"]
 
 
 class TestPhotonsPerCount:
@@ -138,15 +92,13 @@ class TestPhotonsPerCount:
         assert got == pytest.approx(41.0, rel=0.02)
 
     def test_unity_chain(self):
-        chain = EfficiencyChain("x", (Stage("a", 1.0), Stage("b", 1.0)))
-        assert photons_per_count(chain) == 1.0
+        assert photons_per_count({"a": 1.0, "b": 1.0}) == 1.0
 
     def test_halving_a_stage_doubles_it(self, tables):
         _, chains, _ = tables
-        base = photons_per_count(chains["cavity_planar"])
-        halved = EfficiencyChain("cavity_planar", tuple(
-            Stage(s.name, s.efficiency / 2.0 if s.name == "beamsplitter" else s.efficiency)
-            for s in chains["cavity_planar"].stages))
+        planar = chains["cavity_planar"]
+        base = photons_per_count(planar)
+        halved = dict(planar, beamsplitter=planar["beamsplitter"] / 2.0)
         assert photons_per_count(halved) == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_identity_with_chain_product(self, tables):
@@ -245,11 +197,10 @@ class TestCalibrateUnknownStage:
     def test_synthetic_round_trip(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            a_stages = tuple(Stage(f"a{i}", rng.uniform(0.05, 1.0)) for i in range(3))
-            b_known = tuple(Stage(f"b{i}", rng.uniform(0.05, 1.0)) for i in range(2))
+            chain_a = {f"a{i}": rng.uniform(0.05, 1.0) for i in range(3)}
+            b_known = {f"b{i}": rng.uniform(0.05, 1.0) for i in range(2)}
             unknown_true = rng.uniform(0.05, 1.0)
-            chain_a = EfficiencyChain("a", a_stages)
-            chain_b_full = EfficiencyChain("b", b_known + (Stage("mystery", unknown_true),))
+            chain_b_full = {**b_known, "mystery": unknown_true}
             exit_a, exit_b = rng.uniform(0.01, 0.2, 2)
             measured = detected_port_ratio(chain_a, chain_b_full, exit_a, exit_b)
             solved, physical = calibrate_unknown_stage(
@@ -259,8 +210,8 @@ class TestCalibrateUnknownStage:
 
     def test_planted_known_values(self):
         for planted in (0.33, 1.0):
-            chain_a = EfficiencyChain("a", (Stage("s", 0.5),))
-            chain_b_full = EfficiencyChain("b", (Stage("u", planted),))
+            chain_a = {"s": 0.5}
+            chain_b_full = {"u": planted}
             measured = detected_port_ratio(chain_a, chain_b_full, 0.1, 0.1)
             solved, physical = calibrate_unknown_stage(
                 chain_a, chain_b_full, 0.1, 0.1, measured, "u")
@@ -281,21 +232,21 @@ class TestCalibrateUnknownStage:
         assert abs(solved - 0.33) > 0.2
 
     def test_unknown_in_both_chains_rejected(self):
-        chain_a = EfficiencyChain("a", (Stage("u", 0.5),))
-        chain_b = EfficiencyChain("b", (Stage("u", 0.5),))
         with pytest.raises(ValueError, match="both"):
-            calibrate_unknown_stage(chain_a, chain_b, 0.1, 0.1, 1.0, "u")
+            calibrate_unknown_stage({"u": 0.5}, {"u": 0.5}, 0.1, 0.1, 1.0, "u")
 
     def test_unknown_missing_rejected(self):
-        chain_a = EfficiencyChain("a", (Stage("x", 0.5),))
-        chain_b = EfficiencyChain("b", (Stage("y", 0.5),))
         with pytest.raises(ValueError, match="neither"):
-            calibrate_unknown_stage(chain_a, chain_b, 0.1, 0.1, 1.0, "u")
+            calibrate_unknown_stage({"x": 0.5}, {"y": 0.5}, 0.1, 0.1, 1.0, "u")
+
+    def test_listed_efficiency_of_solved_stage_is_checked(self):
+        # left out of the product, but still a transmission in (0, 1]
+        with pytest.raises(ValueError) as info:
+            calibrate_unknown_stage({"s": 0.5}, {"u": 1.5}, 0.1, 0.1, 1.0, "u")
+        assert str(info.value) == "stage 'u': efficiency must be in (0, 1], got 1.5"
 
     def test_out_of_range_solution_flagged(self):
-        chain_a = EfficiencyChain("a", (Stage("s", 1.0),))
-        chain_b = EfficiencyChain("b", (Stage("u", 0.5),))
-        solved, physical = calibrate_unknown_stage(chain_a, chain_b, 0.1, 0.1, 0.2, "u")
+        solved, physical = calibrate_unknown_stage({"s": 1.0}, {"u": 0.5}, 0.1, 0.1, 0.2, "u")
         assert solved == pytest.approx(5.0, rel=1e-12)
         assert not physical
 
@@ -303,8 +254,8 @@ class TestCalibrateUnknownStage:
            exit_b=st.floats(0.01, 0.5))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, unknown, exit_a, exit_b):
-        chain_a = EfficiencyChain("a", (Stage("fixed", 0.4),))
-        chain_b_full = EfficiencyChain("b", (Stage("u", unknown), Stage("k", 0.6)))
+        chain_a = {"fixed": 0.4}
+        chain_b_full = {"u": unknown, "k": 0.6}
         measured = detected_port_ratio(chain_a, chain_b_full, exit_a, exit_b)
         solved, _ = calibrate_unknown_stage(chain_a, chain_b_full, exit_a, exit_b,
                                             measured, "u")
@@ -316,9 +267,7 @@ class TestCalibrateUnknownStage:
         # the solution depends on the other stages only, bit for bit
         extractions, chains, _ = tables
         planar = chains["cavity_planar"]
-        relisted = EfficiencyChain(planar.path, tuple(
-            Stage(s.name, listed if s.name == "cryostat_optics" else s.efficiency)
-            for s in planar.stages))
+        relisted = dict(planar, cryostat_optics=listed)
         exits = extractions["cavity_fiber"], extractions["cavity_planar"]
 
         def solve(chain):

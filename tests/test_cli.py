@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
@@ -14,20 +15,7 @@ import cavqed
 from cavqed import config, dynamics, fixtures, spectra
 from cavqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, main
 
-from conftest import run_pl, run_python
-
-
-def run(tmp_path, command, *extra, config=None, name="run"):
-    out = tmp_path / name
-    argv = [command, "--fixture", "paper", "--out", str(out)]
-    if config is not None:
-        # a str is written as-is, for JSON that json.dumps would not produce
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
-        argv += ["--config", str(cfg_path)]
-    argv += list(extra)
-    code = main(argv)
-    return code, out
+from conftest import paper_tables, run_main, run_pl, run_python
 
 
 def read_report(out_dir, name):
@@ -43,7 +31,7 @@ class TestSpectrumCommand:
     def test_window_past_the_grid_warns(self, tmp_path, capsys, overlay):
         # the sideband outweighs the ZPL, so the Debye-Waller window centred
         # on the spectrum's maximum runs past the grid
-        code, out = run(tmp_path, "spectrum", config=overlay)
+        code, out = run_main(tmp_path, "spectrum", config=overlay)
         assert code == EXIT_OK
         [line] = capsys.readouterr().err.splitlines()
         warning = json.loads(line)
@@ -66,8 +54,8 @@ class TestSpectrumCommand:
         assert len(polylines) == 3
 
     def test_pure_zpl_config_single_peak(self, tmp_path):
-        code, out = run(tmp_path, "spectrum",
-                        config={"emitter": {"debye_waller": 1.0, "temperature_k": 0.0}})
+        code, out = run_main(tmp_path, "spectrum",
+                             config={"emitter": {"debye_waller": 1.0, "temperature_k": 0.0}})
         assert code == EXIT_OK
         _, values = spectra.parse_two_column_csv((out / "fs_spectrum.csv").read_text(),
                                                  spectra.SPECTRUM_HEADER)
@@ -76,8 +64,8 @@ class TestSpectrumCommand:
         assert peaks == 1
 
     def test_deterministic_rerun(self, tmp_path):
-        _, out_a = run(tmp_path, "spectrum", name="a")
-        _, out_b = run(tmp_path, "spectrum", name="b")
+        _, out_a = run_main(tmp_path, "spectrum", name="a")
+        _, out_b = run_main(tmp_path, "spectrum", name="b")
         for name in ("fs_spectrum.csv", "s_emi_tilde.csv", "s_abs_tilde.csv",
                      "spectrum.svg", "spectrum_report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
@@ -91,7 +79,7 @@ class TestPurcellCommand:
         assert report["solved"]["eta_qy"] == pytest.approx(0.010, abs=5e-4)
 
     def test_zero_yield_config(self, tmp_path):
-        code, out = run(tmp_path, "purcell", config={"emitter": {"eta_qy": 0.0}})
+        code, out = run_main(tmp_path, "purcell", config={"emitter": {"eta_qy": 0.0}})
         assert code == EXIT_OK
         report = read_report(out, "purcell_report.json")
         for mode in report["modes"]:
@@ -118,24 +106,24 @@ class TestBrightnessCommand:
             assert (out / f"recovered_s_dtilde_p{p}.csv").exists()
 
     def test_zero_coupling_flags_noise_floor(self, tmp_path):
-        code, out = run(tmp_path, "brightness",
-                        config={"measured": {"g_spectral_max_uev": 0.0}})
+        code, out = run_main(tmp_path, "brightness",
+                             config={"measured": {"g_spectral_max_uev": 0.0}})
         assert code == EXIT_OK
         report = read_report(out, "brightness_report.json")
         for mode in report["modes"]:
             assert mode["fit"]["flag"] == "below-noise-floor"
 
     def test_deterministic_and_parallel_identical(self, tmp_path):
-        _, out_a = run(tmp_path, "brightness", "--seed", "7", name="a")
-        _, out_b = run(tmp_path, "brightness", "--seed", "7", "--parallel", "3", name="b")
+        _, out_a = run_main(tmp_path, "brightness", "--seed", "7", name="a")
+        _, out_b = run_main(tmp_path, "brightness", "--seed", "7", "--parallel", "3", name="b")
         assert (out_a / "brightness_report.json").read_bytes() \
             == (out_b / "brightness_report.json").read_bytes()
         assert (out_a / "envelope_p6.csv").read_bytes() \
             == (out_b / "envelope_p6.csv").read_bytes()
 
     def test_seed_changes_noise(self, tmp_path):
-        _, out_a = run(tmp_path, "brightness", "--seed", "7", name="a")
-        _, out_b = run(tmp_path, "brightness", "--seed", "8", name="b")
+        _, out_a = run_main(tmp_path, "brightness", "--seed", "7", name="a")
+        _, out_b = run_main(tmp_path, "brightness", "--seed", "8", name="b")
         assert (out_a / "envelope_p6.csv").read_bytes() \
             != (out_b / "envelope_p6.csv").read_bytes()
 
@@ -145,7 +133,7 @@ class TestBrightnessCommand:
         out = paper_runs["brightness-noise-free"].out
         cfg = {"analysis": {"brightness": {
             "envelope_csv": str(out / "envelope_p6.csv")}}}
-        code, out2 = run(tmp_path, "brightness", config=cfg, name="measured")
+        code, out2 = run_main(tmp_path, "brightness", config=cfg, name="measured")
         assert code == EXIT_OK
         report = read_report(out2, "brightness_report.json")
         assert report["mode"] == "measured"
@@ -166,10 +154,39 @@ class TestLifetimeCommand:
         cfg = {"analysis": {"lifetime": {
             "fs_trace_csv": str(out / "decay_fs.csv"),
             "cavity_trace_csv": str(out / "decay_cavity.csv")}}}
-        code, out2 = run(tmp_path, "lifetime", config=cfg, name="measured")
+        code, out2 = run_main(tmp_path, "lifetime", config=cfg, name="measured")
         assert code == EXIT_OK
         report = read_report(out2, "lifetime_report.json")
         assert report["lifetime_ratio"] == pytest.approx(1.19, abs=0.09)
+
+    @staticmethod
+    def run_with_cavity_trace(tmp_path, paper_runs, text):
+        """(exit code, out dir) of `pl lifetime` on the paper's free-space
+        trace and a cavity trace file holding `text`."""
+        cavity = tmp_path / "cavity.csv"
+        cavity.write_text(text)
+        cfg = {"analysis": {"lifetime": {
+            "fs_trace_csv": str(paper_runs["lifetime"].out / "decay_fs.csv"),
+            "cavity_trace_csv": str(cavity)}}}
+        return run_main(tmp_path, "lifetime", config=cfg, name="measured")
+
+    def test_traces_of_different_lengths(self, tmp_path, paper_runs):
+        lines = (paper_runs["lifetime"].out / "decay_cavity.csv").read_text().splitlines()
+        code, out = self.run_with_cavity_trace(tmp_path, paper_runs, "\n".join(lines[:301]))
+        assert code == EXIT_OK
+        assert read_report(out, "lifetime_report.json")["cavity"]["converged"]
+
+    def test_traces_on_different_bins_are_drawn_at_their_own_times(self, tmp_path, paper_runs):
+        # the cavity trace at twice the bin: as many rows, twice the span
+        header, *rows = (paper_runs["lifetime"].out / "decay_cavity.csv").read_text().splitlines()
+        doubled = [f"{2.0 * float(t)!r},{c}" for t, c in (row.split(",") for row in rows)]
+        code, out = self.run_with_cavity_trace(tmp_path, paper_runs, "\n".join([header, *doubled]))
+        assert code == EXIT_OK
+        root = ET.parse(out / "lifetime.svg").getroot()
+        free_space, cavity = ([float(pair.split(",")[0]) for pair in el.get("points").split()]
+                              for el in root.iter() if el.tag.endswith("polyline"))
+        # the x axis ends at pixel 840.00, the cavity trace's last time
+        assert max(cavity) == 840.0 > max(free_space)
 
     def test_reads_no_spectral_parameter(self, tmp_path, paper_runs):
         # no wavelength, ZPL width or Debye-Waller factor: the traces of a
@@ -188,7 +205,7 @@ class TestLifetimeCommand:
         empty.write_text("")
         cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(empty),
                                          "cavity_trace_csv": str(empty)}}}
-        code, _ = run(tmp_path, "lifetime", config=cfg, name="empty")
+        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="empty")
         assert code == EXIT_IO
 
     def test_malformed_input_is_config_error(self, tmp_path):
@@ -196,7 +213,7 @@ class TestLifetimeCommand:
         bad.write_text("time_ps,counts\n0.0,1.0\nnot,numbers\n")
         cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(bad),
                                          "cavity_trace_csv": str(bad)}}}
-        code, _ = run(tmp_path, "lifetime", config=cfg, name="bad")
+        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="bad")
         assert code == EXIT_CONFIG
 
 
@@ -208,8 +225,8 @@ class TestSaturationCommand:
         assert report["eta_qy"] == pytest.approx(0.007, rel=0.05)
 
     def test_cw_mode(self, tmp_path):
-        code, out = run(tmp_path, "saturation",
-                        config={"analysis": {"saturation": {"mode": "cw"}}})
+        code, out = run_main(tmp_path, "saturation",
+                             config={"analysis": {"saturation": {"mode": "cw"}}})
         assert code == EXIT_OK
         report = read_report(out, "saturation_report.json")
         assert report["eta_qy"] is None
@@ -218,7 +235,7 @@ class TestSaturationCommand:
         out = paper_runs["saturation"].out
         first = read_report(out, "saturation_report.json")
         cfg = {"analysis": {"saturation": {"curve_csv": str(out / "saturation.csv")}}}
-        code, out2 = run(tmp_path, "saturation", config=cfg, name="reload")
+        code, out2 = run_main(tmp_path, "saturation", config=cfg, name="reload")
         assert code == EXIT_OK
         second = read_report(out2, "saturation_report.json")
         assert second["i_sat"] == pytest.approx(first["i_sat"], rel=1e-12)
@@ -234,8 +251,8 @@ class TestG2Command:
         assert report["bunching_time_fit_ps"] == pytest.approx(10000.0, rel=0.10)
 
     def test_no_shelving_has_no_bunching(self, tmp_path):
-        code, out = run(tmp_path, "g2",
-                        config={"g2_scheme": {"k_shelve_uev": 0, "k_deshelve_uev": 0}})
+        code, out = run_main(tmp_path, "g2",
+                             config={"g2_scheme": {"k_shelve_uev": 0, "k_deshelve_uev": 0}})
         assert code == EXIT_OK
         report = read_report(out, "g2_report.json")
         assert report["bunching_time_ps"] is None
@@ -275,7 +292,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
     def test_config_root_must_be_an_object(self, tmp_path, capsys):
-        assert run(tmp_path, "purcell", config=[1, 2])[0] == EXIT_CONFIG
+        assert run_main(tmp_path, "purcell", config=[1, 2])[0] == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == "config root must be a JSON object"
 
@@ -431,7 +448,7 @@ class TestExitCodes:
         command, extra = "spectrum", ()
         if isinstance(config, tuple):
             command, extra, config = config
-        code, out = run(tmp_path, command, *extra, config=config)
+        code, out = run_main(tmp_path, command, *extra, config=config)
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert key in json.loads(line)["message"]
@@ -449,7 +466,7 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli_mod._COMMANDS, "purcell", explode)
         with pytest.raises(error, match="synthetic bug"):
-            run(tmp_path, "purcell")
+            run_main(tmp_path, "purcell")
 
     @pytest.mark.parametrize("argv, command", [
         (["spectrum", "--seed", "abc"], "spectrum"),
@@ -471,9 +488,10 @@ class TestExitCodes:
 
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         # the parser is built once per process; each call starts from the defaults
-        assert run(tmp_path, "saturation", "--seed", "7", config={"seed": 5}, name="a")[0] == EXIT_OK
-        assert run(tmp_path, "saturation", config={"seed": 5}, name="b")[0] == EXIT_OK
-        assert run(tmp_path, "saturation", "--seed", "5", name="c")[0] == EXIT_OK
+        assert run_main(tmp_path, "saturation", "--seed", "7", config={"seed": 5},
+                        name="a")[0] == EXIT_OK
+        assert run_main(tmp_path, "saturation", config={"seed": 5}, name="b")[0] == EXIT_OK
+        assert run_main(tmp_path, "saturation", "--seed", "5", name="c")[0] == EXIT_OK
         a, b, c = (read_report(tmp_path / name, "saturation_report.json") for name in "abc")
         assert b == c != a
         capsys.readouterr()
@@ -517,7 +535,7 @@ class TestExitCodes:
         text = fixtures.paper_defaults().replace('"decay_ratio": 1.19,',
                                                  '"decay_ratio": 1.19, "decay_ratio": 1.5,')
         monkeypatch.setattr(fixtures, "paper_defaults", lambda: text)
-        code, out = run(tmp_path, "purcell")
+        code, out = run_main(tmp_path, "purcell")
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] \
@@ -533,7 +551,7 @@ class TestExitCodes:
 
     def test_warnings_are_single_line_json(self, tmp_path, capsys):
         # a 1 kHz repetition rate puts the pulsed quantum yield above one
-        code, _ = run(tmp_path, "saturation", config={"measured": {"f_rep_hz": 1000.0}})
+        code, _ = run_main(tmp_path, "saturation", config={"measured": {"f_rep_hz": 1000.0}})
         assert code == EXIT_OK
         [record] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert record["command"] == "saturation"
@@ -548,7 +566,7 @@ class TestExitCodes:
             raise cli_mod.FitError("synthetic non-convergence")
 
         monkeypatch.setitem(cli_mod._COMMANDS, "lifetime", explode)
-        assert run(tmp_path, "lifetime")[0] == EXIT_FIT
+        assert run_main(tmp_path, "lifetime")[0] == EXIT_FIT
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [(r.get("warning"), r.get("exit_code")) for r in records] \
             == [("UserWarning", None), (None, EXIT_FIT)]
@@ -565,7 +583,7 @@ class TestExitCodes:
 
     def test_unconverged_saturation_fit_exits_3(self, tmp_path, monkeypatch, capsys):
         self._solver_never_converges(monkeypatch)
-        code, out = run(tmp_path, "saturation")
+        code, out = run_main(tmp_path, "saturation")
         assert code == EXIT_FIT
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["exit_code"] == EXIT_FIT
@@ -575,7 +593,7 @@ class TestExitCodes:
     def test_unconverged_lifetime_fit_warns_before_exit_3(self, tmp_path, monkeypatch,
                                                           capsys):
         self._solver_never_converges(monkeypatch)
-        code, out = run(tmp_path, "lifetime")
+        code, out = run_main(tmp_path, "lifetime")
         assert code == EXIT_FIT
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         *warned, failed = records
@@ -600,13 +618,13 @@ class TestExitCodes:
             monkeypatch.setitem(cli_mod._COMMANDS, "brightness", explode)
         else:
             config = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "no.csv")}}}
-        assert run(tmp_path, "brightness", config=config)[0] == code
+        assert run_main(tmp_path, "brightness", config=config)[0] == code
         assert not (tmp_path / "run").exists()
 
     def test_failed_write_leaves_out_dir_as_it_was(self, tmp_path, capsys):
         # a directory in the way of the last file written
         (tmp_path / "run" / "spectrum.svg").mkdir(parents=True)
-        assert run(tmp_path, "spectrum")[0] == EXIT_IO
+        assert run_main(tmp_path, "spectrum")[0] == EXIT_IO
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["exit_code"] == EXIT_IO
         assert [path.name for path in (tmp_path / "run").iterdir()] == ["spectrum.svg"]
@@ -625,7 +643,7 @@ class TestExitCodes:
         out.mkdir()
         (out / "notes.txt").write_text("kept")
         (out / "g2.csv").write_text("stale")
-        assert run(tmp_path, "g2")[0] == EXIT_OK
+        assert run_main(tmp_path, "g2")[0] == EXIT_OK
         assert sorted(path.name for path in out.iterdir()) \
             == ["g2.csv", "g2.svg", "g2_report.json", "notes.txt"]
         assert (out / "notes.txt").read_text() == "kept"
@@ -649,7 +667,7 @@ class TestExitCodes:
             raise OSError(28, "No space left on device", str(path))
 
         monkeypatch.setattr(spectra_mod, "write_two_column_csv", full_disk)
-        assert run(tmp_path, "spectrum")[0] == EXIT_IO
+        assert run_main(tmp_path, "spectrum")[0] == EXIT_IO
         assert len(calls) == 2
         assert [path.name for path in out.iterdir()] == ["notes.txt"]
         assert (out / "notes.txt").read_bytes() == b"kept\n"
@@ -657,13 +675,13 @@ class TestExitCodes:
     def test_run_into_an_existing_out_dir_leaves_no_hidden_file(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
-        assert run(tmp_path, "lifetime")[0] == EXIT_OK
+        assert run_main(tmp_path, "lifetime")[0] == EXIT_OK
         assert sorted(path.name for path in out.iterdir()) \
             == ["decay_cavity.csv", "decay_fs.csv", "lifetime.svg", "lifetime_report.json"]
 
     def test_back_to_back_runs_into_one_out_dir(self, tmp_path):
-        first = run(tmp_path, "spectrum")
-        second = run(tmp_path, "spectrum")
+        first = run_main(tmp_path, "spectrum")
+        second = run_main(tmp_path, "spectrum")
         assert [first[0], second[0]] == [EXIT_OK, EXIT_OK]
         assert sorted(path.name for path in first[1].iterdir()) \
             == ["fs_spectrum.csv", "s_abs_tilde.csv", "s_emi_tilde.csv", "spectrum.svg",
@@ -675,7 +693,7 @@ def test_modes_overlay_chooses_the_rows(tmp_path, paper_runs, command):
     # an overlay replaces cavity.modes whole, so it chooses the rows that
     # the sweep runs, in the order of p whatever the order of the rows
     rows = config.load("paper")["cavity"]["modes"]
-    code, out = run(tmp_path, command, config={"cavity": {"modes": [rows[1], rows[0]]}})
+    code, out = run_main(tmp_path, command, config={"cavity": {"modes": [rows[1], rows[0]]}})
     assert code == EXIT_OK
     assert read_report(out, f"{command}_report.json")["modes"] \
         == paper_runs[command].report["modes"][:2]
@@ -698,7 +716,10 @@ def test_commands_compute_without_writing(tmp_path, monkeypatch, command):
             assert name.endswith(".svg"), name
             x, series, labels = item
             assert isinstance(labels, dict), name
-            assert all(len(values) == len(x) for _, values in series), name
+            # a series item is (label, y) on the shared x or (label, x, y)
+            for _, *xy in series:
+                grid, values = xy if len(xy) == 2 else (x, *xy)
+                assert np.ndim(grid) == 1 and np.shape(grid) == np.shape(values), name
 
 
 class TestInputData:
@@ -713,7 +734,7 @@ class TestInputData:
         path = tmp_path / "envelope.csv"
         path.write_text(text)
         cfg = {"analysis": {"brightness": {"envelope_csv": str(path)}}}
-        return run(tmp_path, "brightness", config=cfg, name="measured")[0]
+        return run_main(tmp_path, "brightness", config=cfg, name="measured")[0]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_envelope_is_config_error(self, tmp_path, envelope_text, bad, capsys):
@@ -728,7 +749,7 @@ class TestInputData:
 
     def test_missing_envelope_is_io_error(self, tmp_path):
         cfg = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "nope.csv")}}}
-        assert run(tmp_path, "brightness", config=cfg)[0] == EXIT_IO
+        assert run_main(tmp_path, "brightness", config=cfg)[0] == EXIT_IO
 
     def test_nan_in_trace_names_the_file(self, tmp_path, capsys, paper_runs):
         out = paper_runs["lifetime"].out
@@ -738,7 +759,7 @@ class TestInputData:
         bad.write_text("".join(lines))
         cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(out / "decay_fs.csv"),
                                          "cavity_trace_csv": str(bad)}}}
-        code, _ = run(tmp_path, "lifetime", config=cfg, name="measured")
+        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="measured")
         assert code == EXIT_CONFIG
         message = json.loads(capsys.readouterr().err)["message"]
         assert "nan_trace.csv" in message and "non-finite" in message
@@ -784,7 +805,7 @@ class TestInputData:
         options = {key: str(path)}
         if command == "lifetime":
             options["fs_trace_csv"] = str(path)
-        code, out = run(tmp_path, command, config={"analysis": {command: options}})
+        code, out = run_main(tmp_path, command, config={"analysis": {command: options}})
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == f"{path}: {problem}"
@@ -799,7 +820,7 @@ class TestInputData:
         np.savetxt(path, np.column_stack([time, counts / counts.max() * 2.0 ** 500]),
                    fmt="%.17g", delimiter=",", header="time_ps,counts", comments="")
         options = {"fs_trace_csv": str(path), "cavity_trace_csv": str(path)}
-        code, _ = run(tmp_path, "lifetime", config={"analysis": {"lifetime": options}})
+        code, _ = run_main(tmp_path, "lifetime", config={"analysis": {"lifetime": options}})
         assert code == EXIT_OK
 
     def test_curve_with_a_negative_count_is_fitted(self, tmp_path):
@@ -807,8 +828,8 @@ class TestInputData:
         counts = [-1.0, 400.0, 900.0, 1300.0, 1600.0, 1750.0]
         path = tmp_path / "curve.csv"
         path.write_text("power,counts\n" + "".join(f"{p},{c}\n" for p, c in zip(powers, counts)))
-        code, out = run(tmp_path, "saturation",
-                        config={"analysis": {"saturation": {"curve_csv": str(path)}}})
+        code, out = run_main(tmp_path, "saturation",
+                             config={"analysis": {"saturation": {"curve_csv": str(path)}}})
         assert code == EXIT_OK
         fit = dynamics.fit_saturation(powers, counts, "pulsed")
         assert read_report(out, "saturation_report.json")["i_sat"] == fit.i_sat
@@ -1054,30 +1075,23 @@ def _within(tree, keys):
     return tree
 
 
-def _paper_tables():
-    """The paper's tables S1 and S2 as a config overlay to edit."""
-    paper = config.load("paper")
-    return {"cavity": {"modes": [dict(row) for row in paper["cavity"]["modes"]]},
-            "budget": {"chains": {path: dict(stages)
-                                  for path, stages in paper["budget"]["chains"].items()}}}
-
-
 class TestTableConfig:
     """Tables S1-S3 are config sections of the paper fixture: an overlay
     replaces a table whole, and a bad cell exits 2 naming its dotted key."""
 
     def test_modes_override_reaches_report(self, tmp_path):
-        tables = _paper_tables()
+        tables = paper_tables()
         tables["cavity"]["modes"][0]["v_eff_lambda3"] = 2.60
-        code, out = run(tmp_path, "purcell", config={"cavity": tables["cavity"]})
+        code, out = run_main(tmp_path, "purcell", config={"cavity": tables["cavity"]})
         assert code == EXIT_OK
         report = read_report(out, "purcell_report.json")
         assert report["modes"][0]["v_eff_lambda3_fixture"] == 2.60
 
     def test_overlay_replaces_the_mode_list(self, tmp_path):
         # cavity.mode_order must be a p of the table for every command
-        [row] = [row for row in _paper_tables()["cavity"]["modes"] if row["p"] == 7]
-        code, out = run(tmp_path, "purcell", config={"cavity": {"modes": [row], "mode_order": 7}})
+        [row] = [row for row in paper_tables()["cavity"]["modes"] if row["p"] == 7]
+        code, out = run_main(tmp_path, "purcell",
+                             config={"cavity": {"modes": [row], "mode_order": 7}})
         assert code == EXIT_OK
         assert [m["p"] for m in read_report(out, "purcell_report.json")["modes"]] == [7]
 
@@ -1098,10 +1112,10 @@ class TestTableConfig:
          "unknown config key cavity.modes[0].note"),
     ], ids=["nan-cell", "inf-cell", "fractional-p", "string-efficiency", "extra-column"])
     def test_bad_cell_names_its_key(self, tmp_path, capsys, command, edit, message):
-        tables = _paper_tables()
+        tables = paper_tables()
         *where, key, value = edit
         _within(tables, where)[key] = value
-        code, out = run(tmp_path, command, config=tables)
+        code, out = run_main(tmp_path, command, config=tables)
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == message
@@ -1112,9 +1126,9 @@ class TestTableConfig:
     def test_missing_cell_is_required(self, tmp_path, capsys, column):
         # budget reads the exit probabilities of one row only; every row
         # must still be complete
-        tables = _paper_tables()
+        tables = paper_tables()
         del tables["cavity"]["modes"][3][column]
-        code, out = run(tmp_path, "budget", config=tables)
+        code, out = run_main(tmp_path, "budget", config=tables)
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == f"config key cavity.modes[3].{column} is required"
@@ -1125,9 +1139,9 @@ class TestTableConfig:
     def test_repeated_p_is_config_error(self, tmp_path, capsys, command):
         # a second p = 6 row would otherwise overwrite the first; load
         # checks it whichever command runs
-        tables = _paper_tables()
+        tables = paper_tables()
         tables["cavity"]["modes"].append(dict(tables["cavity"]["modes"][0], q_exp=5000.0))
-        code, out = run(tmp_path, command, config=tables)
+        code, out = run_main(tmp_path, command, config=tables)
         assert code == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == "config key cavity.modes[*].p: the mode orders " \

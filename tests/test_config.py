@@ -5,21 +5,9 @@ from pathlib import Path
 import pytest
 
 from cavqed import config, fixtures
-from cavqed.cli import EXIT_CONFIG, EXIT_OK, main
+from cavqed.cli import EXIT_CONFIG, EXIT_OK
 
-from conftest import run_python
-
-
-def run(tmp_path, command, overlay=None, name="run"):
-    """(exit code, out dir) of `pl <command> --fixture paper` with the
-    config overlay `overlay` (None: no --config)."""
-    out = tmp_path / name
-    argv = [command, "--fixture", "paper", "--out", str(out)]
-    if overlay is not None:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(overlay))
-        argv += ["--config", str(path)]
-    return main(argv), out
+from conftest import paper_tables, run_main, run_python
 
 
 # RFC 7396, Appendix A: the examples whose target and patch are both objects
@@ -47,9 +35,9 @@ def test_merge_patch_keeps_nulls_inside_arrays():
 
 
 def test_null_removes_a_fixture_stage(tmp_path):
-    _, paper = run(tmp_path, "budget", name="paper")
-    code, out = run(tmp_path, "budget",
-                    {"budget": {"chains": {"cavity_planar": {"beamsplitter": None}}}})
+    _, paper = run_main(tmp_path, "budget", name="paper")
+    code, out = run_main(tmp_path, "budget",
+                         config={"budget": {"chains": {"cavity_planar": {"beamsplitter": None}}}})
     assert code == EXIT_OK
     [before, after] = (json.loads((d / "budget_report.json").read_text())["overall_efficiency"]
                        for d in (paper, out))
@@ -63,8 +51,8 @@ def test_null_removes_a_fixture_stage(tmp_path):
     ("spectrum", {"analysis": {"spectrum": {"dw_window_uev": None}}}),
 ], ids=["seed", "step", "derived-window"])
 def test_null_is_the_default(tmp_path, command, overlay):
-    _, paper = run(tmp_path, command, name="paper")
-    code, out = run(tmp_path, command, overlay)
+    _, paper = run_main(tmp_path, command, name="paper")
+    code, out = run_main(tmp_path, command, config=overlay)
     assert code == EXIT_OK
     names = sorted(path.name for path in paper.iterdir())
     assert sorted(path.name for path in out.iterdir()) == names
@@ -77,7 +65,7 @@ def test_null_is_the_default(tmp_path, command, overlay):
     {"emitter": None},
 ], ids=["key", "section"])
 def test_null_on_a_required_key_is_required(tmp_path, capsys, overlay):
-    code, out = run(tmp_path, "spectrum", overlay)
+    code, out = run_main(tmp_path, "spectrum", config=overlay)
     assert code == EXIT_CONFIG
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line)["message"] == "config key emitter.wavelength_nm is required"
@@ -85,9 +73,7 @@ def test_null_on_a_required_key_is_required(tmp_path, capsys, overlay):
 
 
 def test_null_cell_in_a_table_row_fails_its_rule(tmp_path, capsys):
-    rows = [dict(row) for row in config.load("paper")["cavity"]["modes"]]
-    rows[1]["q_exp"] = None
-    code, out = run(tmp_path, "purcell", {"cavity": {"modes": rows}})
+    code, out = run_main(tmp_path, "purcell", config=paper_tables(1, q_exp=None))
     assert code == EXIT_CONFIG
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line)["message"] \
@@ -134,13 +120,6 @@ def test_every_overlay_ends_in_a_documented_exit():
     assert result["failed"] == []
 
 
-def _paper_rows(index, **cells):
-    """The paper's cavity.modes with `cells` set in row `index`."""
-    rows = [dict(row) for row in config.load("paper")["cavity"]["modes"]]
-    rows[index].update(cells)
-    return {"cavity": {"modes": rows}}
-
-
 # a config that passes every per-key rule but that no command can run:
 # (command, overlay, keys its message names)
 @pytest.mark.parametrize("command, overlay, keys", [
@@ -155,7 +134,7 @@ def _paper_rows(index, **cells):
     # brightness samples the spectrum's grid
     ("brightness", {"analysis": {"spectrum": {"half_span_uev": 10}}},
      ["analysis.spectrum.half_span_uev", "emitter.zpl_fwhm_uev"]),
-    ("purcell", _paper_rows(0, q_exp=60000.0), ["cavity.modes[0].q_exp", "cavity.modes[0].q_th"]),
+    ("purcell", paper_tables(0, q_exp=60000.0), ["cavity.modes[0].q_exp", "cavity.modes[0].q_th"]),
     ("purcell", {"cavity": {"radius_of_curvature_um": 1}},
      ["cavity.modes[0].p", "emitter.wavelength_nm", "cavity.radius_of_curvature_um"]),
     ("spectrum", {"emitter": {"wavelength_nm": 1e-320}}, ["emitter.wavelength_nm"]),
@@ -166,7 +145,7 @@ def _paper_rows(index, **cells):
     ("lifetime", {"analysis": {"lifetime": {"peak_counts": 1e300}}},
      ["analysis.lifetime.peak_counts"]),
     # a row that spectrum does not use and brightness sweeps
-    ("brightness", _paper_rows(1, q_exp=1e6, q_th=2e6),
+    ("brightness", paper_tables(1, q_exp=1e6, q_th=2e6),
      ["analysis.spectrum.step_uev", "cavity.modes[1].q_exp"]),
     ("g2", {"g2_scheme": {"k_deshelve_uev": 0}},
      ["g2_scheme.k_shelve_uev", "g2_scheme.k_deshelve_uev"]),
@@ -181,7 +160,7 @@ def _paper_rows(index, **cells):
      ["analysis.saturation.n_points"]),
 ])
 def test_unrunnable_config_names_its_keys(tmp_path, capsys, command, overlay, keys):
-    code, out = run(tmp_path, command, overlay)
+    code, out = run_main(tmp_path, command, config=overlay)
     assert code == EXIT_CONFIG
     [line] = capsys.readouterr().err.splitlines()
     message = json.loads(line)["message"]
