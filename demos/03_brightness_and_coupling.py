@@ -38,8 +38,7 @@ envelope = spectra.convolve_lorentzian(beta, kappa6)
 # algebraically invertible
 s_dtilde = spectra.convolve_lorentzian(s_tilde, kappa6)
 closed = cqed.hill_envelope(coupling.a, s_dtilde.values, c=1.0)
-recovered = cqed.invert_envelope(
-    spectra.Spectrum(grid, closed, spectra.RAW_COUNTS), coupling.a, 1.0)
+recovered = cqed.invert_envelope(spectra.Spectrum(grid, closed), coupling.a, 1.0)
 round_trip = np.max(np.abs(recovered.values - s_dtilde.values) / s_dtilde.values.max())
 print(f"inversion round trip, max deviation: {round_trip:.2e}")
 
@@ -54,8 +53,7 @@ for p in sorted(table):
     s_dt = spectra.convolve_lorentzian(spectra.convolve_lorentzian(s_fs, kappa), kappa)
     clean = cqed.hill_envelope(g_true ** 2 / gamma, s_dt.values)
     noisy = np.maximum(clean / clean.max() * (1 + 0.01 * rng.standard_normal(grid.size)), 0)
-    fit = cqed.fit_g_from_envelope(
-        spectra.Spectrum(grid, noisy, spectra.RAW_COUNTS), s_dt, gamma)
+    fit = cqed.fit_g_from_envelope(spectra.Spectrum(grid, noisy), s_dt, gamma)
     print(f"{p}   {kappa:5.1f}   {g_true:5.2f}  {fit.g_uev:5.2f}   {fit.residual:.2e}")
     inv_v.append(1.0 / row["v_eff_lambda3"])
     g_sq.append(fit.g_uev ** 2)

@@ -20,8 +20,7 @@ class CavityGeometry(_record("CavityGeometry", "wavelength_nm refractive_index "
 
     __slots__ = ()
 
-    def __new__(cls, wavelength_nm, refractive_index=1.0, radius_of_curvature_um=10.0,
-                mode_order=6):
+    def __new__(cls, wavelength_nm, refractive_index, radius_of_curvature_um, mode_order):
         if not wavelength_nm > 0:
             raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
         if not refractive_index > 0:

@@ -231,7 +231,7 @@ def _synthetic_envelope(s_dtilde, g_uev, gamma_uev, noise_frac, rng):
         values = np.zeros_like(s_dtilde.values)
     if noise_frac > 0:
         values = np.maximum(values * (1.0 + noise_frac * rng.standard_normal(values.size)), 0.0)
-    return spectra.Spectrum(s_dtilde.energies, values, spectra.RAW_COUNTS)
+    return spectra.Spectrum(s_dtilde.energies, values)
 
 
 def cmd_brightness(cfg, seed):

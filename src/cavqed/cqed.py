@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .optimize import _brent_bounded
-from .spectra import RAW_COUNTS, Spectrum
+from .spectra import Spectrum
 from .units import _record
 
 # exciton/photon populations above this are outside the weak-pump regime
@@ -127,9 +127,9 @@ def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):
     beta(w) = (g**2 S~emi(w)/gamma) / (1 + g**2 S~emi(w)/gamma
                                          + g**2 S~abs(w)/kappa)
 
-    Both spectra must share one grid and come from the area-2pi filtered
-    pipeline.  Passing s_abs_tilde=None drops the re-absorption term,
-    which is the right default when kappa >> gamma.  Values are
+    Both spectra must share one grid and be cavity-filtered spectra of
+    trapezoid area 2*pi.  Passing s_abs_tilde=None drops the re-absorption
+    term, which is the right default when kappa >> gamma.  Values are
     dimensionless in [0, 1).
     """
     emi_rate = coupling.a * s_emi_tilde.values
@@ -139,7 +139,7 @@ def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):
             raise ValueError("emission and absorption spectra must share one grid")
         reabs = (coupling.g_uev ** 2 / coupling.kappa_uev) * s_abs_tilde.values
     beta = emi_rate / (1.0 + emi_rate + reabs)
-    return Spectrum(s_emi_tilde.energies, beta, RAW_COUNTS)
+    return Spectrum(s_emi_tilde.energies, beta)
 
 
 def steady_state(pump_rate_uev, coupling, s_emi_tilde_at, s_abs_tilde_at=0.0):

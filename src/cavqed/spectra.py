@@ -4,9 +4,9 @@ transfer.
 
 Sign convention used everywhere: detuning = energy - zpl_energy, so the
 red (phonon emission) sideband sits at negative detuning.  Spectra are
-sampled on uniform energy grids and carry an explicit normalization tag;
-the "area-2pi" tag means the trapezoid integral is 2*pi, which is the
-normalization the coupled-dynamics equations expect.  The grid check,
+sampled on uniform energy grids; the emission and absorption spectra
+have trapezoid area 2*pi, as the coupled-dynamics equations expect, and
+a Lorentzian convolution keeps its input's area.  The grid check,
 convolution and two-column CSV format the whole package uses live here.
 """
 
@@ -18,16 +18,10 @@ import numpy as np
 
 from .units import _record, bose_occupation
 
-AREA_2PI = "area-2pi"
-RAW_COUNTS = "raw-counts"
-_NORMALIZATIONS = (AREA_2PI, RAW_COUNTS)
-
 SPECTRUM_HEADER = "energy_ueV,value"
 
-# relative nonuniformity tolerated in a grid, and the relative window
-# around 2*pi accepted for area-2pi spectra
+# relative nonuniformity tolerated in a grid
 _GRID_RTOL = 1e-9
-_AREA_2PI_RTOL = 1e-6
 
 
 def uniform_step(grid):
@@ -116,7 +110,7 @@ def fft_convolver(kernel, n):
     return convolve
 
 
-class Spectrum(_record("Spectrum", "energies values normalization", derived="step")):
+class Spectrum(_record("Spectrum", "energies values", derived="step")):
     """A spectral density on a uniform energy grid.
 
     Parameters
@@ -126,30 +120,15 @@ class Spectrum(_record("Spectrum", "energies values normalization", derived="ste
         zero-phonon line).
     values : ndarray
         Nonnegative spectral density per ueV (or raw counts).
-    normalization : str
-        One of "area-2pi", "raw-counts".
 
     `step`, derived, is the grid spacing in ueV.
     """
 
     __slots__ = ()
 
-    def __new__(cls, energies, values, normalization=RAW_COUNTS):
+    def __new__(cls, energies, values):
         energies, values, step = _sampled(energies, values, "spectral values")
-        if normalization not in _NORMALIZATIONS:
-            raise ValueError(
-                f"unknown normalization {normalization!r}, "
-                f"expected one of {_NORMALIZATIONS}"
-            )
-        spectrum = super().__new__(cls, energies, values, normalization, step)
-        if normalization == AREA_2PI:
-            area = spectrum.area()
-            if abs(area - 2.0 * np.pi) > _AREA_2PI_RTOL * 2.0 * np.pi:
-                raise ValueError(
-                    f"area-2pi spectrum has trapezoid integral {area:.9g}, "
-                    f"outside 2*pi*(1 +- {_AREA_2PI_RTOL:g})"
-                )
-        return spectrum
+        return super().__new__(cls, energies, values, step)
 
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""
@@ -252,7 +231,7 @@ def build_fs_spectrum(model, energies):
 
     Returns
     -------
-    Spectrum with normalization "area-2pi".
+    Spectrum of trapezoid area 2*pi.
     """
     energies = np.asarray(energies, dtype=float)
     step = uniform_step(energies)
@@ -283,7 +262,7 @@ def build_fs_spectrum(model, energies):
         values = values + ((1.0 - model.debye_waller) / wing_area) * wing
 
     values *= 2.0 * np.pi / np.trapezoid(values, energies)
-    return Spectrum(energies, values, AREA_2PI)
+    return Spectrum(energies, values)
 
 
 def debye_waller(spectrum, zpl_window_uev):
@@ -322,7 +301,7 @@ def convolve_lorentzian(spectrum, kappa_uev):
     matches the input exactly.  Grids should over-span the region of
     interest by >= 10 kappa for the rescaling factor to stay small.
 
-    Returns a Spectrum with the same grid and normalization tag.
+    Returns a Spectrum on the same grid, of the same trapezoid area.
     """
     if not kappa_uev > 0:
         raise ValueError(f"kappa must be positive, got {kappa_uev}")
@@ -370,16 +349,15 @@ def s_tilde_max(dw, gamma_star_uev, kappa_uev):
 
 
 def absorption_spectrum(s_emi, model):
-    """Absorption spectrum matching an area-2pi emission spectrum.
+    """Absorption spectrum matching an emission spectrum.
 
     The spectrum is mirrored about the ZPL energy, which for a spectrum
     obeying detailed balance is the same as reweighting each sideband
     point by exp(detuning/kT): the strong red (phonon emission) wing of
     the emission becomes the strong blue wing of the absorption, and the
-    symmetric ZPL is unchanged.  The result is renormalized to area 2*pi.
+    symmetric ZPL is unchanged.  Returns a Spectrum of trapezoid area 2*pi,
+    whatever the emission spectrum's area.
     """
-    if s_emi.normalization != AREA_2PI:
-        raise ValueError("absorption_spectrum expects an area-2pi emission spectrum")
     mirrored_energies = 2.0 * model.zpl_energy_uev - s_emi.energies
     values = np.interp(
         mirrored_energies[::-1], s_emi.energies, s_emi.values, left=0.0, right=0.0
@@ -388,7 +366,7 @@ def absorption_spectrum(s_emi, model):
     if area <= 0:
         raise ValueError("mirrored spectrum has no weight on the grid; is the ZPL on-grid?")
     values *= 2.0 * np.pi / area
-    return Spectrum(s_emi.energies, values, AREA_2PI)
+    return Spectrum(s_emi.energies, values)
 
 
 def parse_two_column_csv(text, header):

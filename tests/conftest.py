@@ -111,7 +111,7 @@ def lorentzian_area2pi(grid, center, fwhm):
     """Area-2pi Lorentzian renormalized on the grid (tails clipped)."""
     values = spectra.lorentzian(grid, center, fwhm)
     values = values * (2.0 * np.pi / np.trapezoid(values, grid))
-    return spectra.Spectrum(grid, values, spectra.AREA_2PI)
+    return spectra.Spectrum(grid, values)
 
 
 def measure_fwhm(x, y):

@@ -20,7 +20,7 @@ import pytest
 
 from cavqed import config, cqed, dynamics, spectra
 from cavqed.cqed import CouplingParams
-from cavqed.spectra import RAW_COUNTS, Spectrum
+from cavqed.spectra import Spectrum
 from cavqed.units import HBAR_UEV_PS
 
 from conftest import GAMMA, KAPPA
@@ -126,7 +126,7 @@ def test_criterion_6a_envelope_inversion_exact():
             for _ in range(4)], axis=0))
         a = rng.uniform(0.1, 100.0)
         c = rng.uniform(0.5, 10.0)
-        envelope = Spectrum(grid, cqed.hill_envelope(a, s_values, c=c), RAW_COUNTS)
+        envelope = Spectrum(grid, cqed.hill_envelope(a, s_values, c=c))
         recovered = cqed.invert_envelope(envelope, a, c)
         mask = s_values > 1e-9
         worst = max(worst, float(np.max(
@@ -166,7 +166,7 @@ def test_criterion_7_g_extraction(paper_fs_spectrum, paper_runs):
     noiseless_errors = {}
     for g_true in (5.0, 10.0, 25.0):
         a_true = g_true ** 2 / GAMMA
-        envelope = Spectrum(grid, cqed.hill_envelope(a_true, s_dtilde.values, c=2.9), RAW_COUNTS)
+        envelope = Spectrum(grid, cqed.hill_envelope(a_true, s_dtilde.values, c=2.9))
         fit = cqed.fit_g_from_envelope(envelope, s_dtilde, GAMMA)
         noiseless_errors[g_true] = abs(fit.g_uev - g_true) / g_true
     noiseless_ok = max(noiseless_errors.values()) < 1e-3
@@ -179,7 +179,7 @@ def test_criterion_7_g_extraction(paper_fs_spectrum, paper_runs):
     for trial in range(100):
         rng = np.random.Generator(np.random.Philox(seed=[2024, trial]))
         noisy = np.maximum(clean * (1.0 + 0.01 * rng.standard_normal(clean.size)), 0.0)
-        fit = cqed.fit_g_from_envelope(Spectrum(grid, noisy, RAW_COUNTS), s_dtilde, GAMMA)
+        fit = cqed.fit_g_from_envelope(Spectrum(grid, noisy), s_dtilde, GAMMA)
         errors.append(abs(fit.g_uev - g_true) / g_true)
     p95 = float(np.percentile(errors, 95))
     noise_ok = p95 < 0.05

@@ -17,7 +17,7 @@ from cavqed.cqed import (
     steady_state,
 )
 from cavqed.optimize import _brent_bounded
-from cavqed.spectra import RAW_COUNTS, Spectrum, energy_grid, lorentzian
+from cavqed.spectra import Spectrum, energy_grid, lorentzian
 
 from conftest import GAMMA, KAPPA, ZPL_ENERGY
 
@@ -28,7 +28,7 @@ def zpl_filtered_spectrum(grid, dw=1.0, gamma_star=200.0, kappa=KAPPA):
     width = gamma_star + kappa
     peak = 4.0 * dw / width
     x = 2.0 * (grid - ZPL_ENERGY) / width
-    return Spectrum(grid, peak / (1.0 + x * x), RAW_COUNTS)
+    return Spectrum(grid, peak / (1.0 + x * x))
 
 
 class TestPurcellFactor:
@@ -210,7 +210,7 @@ class TestModulationEnvelope:
     # the swept envelope E_mod = L_kappa * beta is spectra.convolve_lorentzian
     def test_constant_profile_preserved(self):
         grid = energy_grid(0.0, 50000.0, 10.0)
-        beta = Spectrum(grid, np.full(grid.size, 0.4), RAW_COUNTS)
+        beta = Spectrum(grid, np.full(grid.size, 0.4))
         out = spectra.convolve_lorentzian(beta, 60.0)
         central = np.abs(grid) <= 10000.0
         assert np.allclose(out.values[central], 0.4, rtol=2e-3)
@@ -219,7 +219,7 @@ class TestModulationEnvelope:
         # Lorentzian tails make the approach to beta first order in
         # kappa, so a 10x kappa reduction shrinks the error ~10x
         grid = energy_grid(0.0, 4000.0, 0.25)
-        beta = Spectrum(grid, 0.7 * np.exp(-0.5 * (grid / 300.0) ** 2), RAW_COUNTS)
+        beta = Spectrum(grid, 0.7 * np.exp(-0.5 * (grid / 300.0) ** 2))
         central = np.abs(grid) <= 1500.0
         errors = []
         for kappa in (50.0, 5.0):
@@ -229,7 +229,7 @@ class TestModulationEnvelope:
 
     def test_grid_resolution_guard(self):
         grid = energy_grid(0.0, 1000.0, 10.0)
-        beta = Spectrum(grid, np.ones(grid.size), RAW_COUNTS)
+        beta = Spectrum(grid, np.ones(grid.size))
         with pytest.raises(ValueError, match="resolution"):
             spectra.convolve_lorentzian(beta, 20.0)
 
@@ -244,7 +244,7 @@ class TestInvertEnvelope:
                 for _ in range(4)], axis=0))
             a = rng.uniform(0.1, 100.0)
             c = rng.uniform(0.5, 10.0)
-            envelope = Spectrum(grid, hill_envelope(a, s_values, c=c), RAW_COUNTS)
+            envelope = Spectrum(grid, hill_envelope(a, s_values, c=c))
             recovered = invert_envelope(envelope, a, c)
             mask = s_values > 1e-9
             assert np.allclose(recovered.values[mask], s_values[mask], rtol=1e-12)
@@ -253,7 +253,7 @@ class TestInvertEnvelope:
         grid = np.arange(64.0)
         s_values = 1e-6 * (1.0 + np.sin(grid / 10.0) ** 2)
         a, c = 2.0, 5.0
-        envelope = Spectrum(grid, hill_envelope(a, s_values, c=c), RAW_COUNTS)
+        envelope = Spectrum(grid, hill_envelope(a, s_values, c=c))
         recovered = invert_envelope(envelope, a, c)
         # E << c: S ~ E/(a c) to first order
         assert np.allclose(recovered.values, envelope.values / (a * c), rtol=1e-5)
@@ -261,7 +261,7 @@ class TestInvertEnvelope:
     def test_denominator_failure_reports_energy(self):
         grid = np.arange(10.0)
         values = np.concatenate([np.full(5, 0.1), np.full(5, 2.0)])
-        envelope = Spectrum(grid, values, RAW_COUNTS)
+        envelope = Spectrum(grid, values)
         with pytest.raises(ValueError, match="energy 5"):
             invert_envelope(envelope, 1.0, 1.5)
 
@@ -273,7 +273,7 @@ class TestInvertEnvelope:
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
         a = 25.0 ** 2 / GAMMA
         c = 2.9
-        envelope = Spectrum(paper_grid, hill_envelope(a, s_dtilde.values, c=c), RAW_COUNTS)
+        envelope = Spectrum(paper_grid, hill_envelope(a, s_dtilde.values, c=c))
         recovered = invert_envelope(envelope, a, c)
         peak = int(np.argmax(s_dtilde.values))
         assert recovered.values[peak] == pytest.approx(s_dtilde.values[peak], rel=1e-3)
@@ -285,8 +285,7 @@ class TestFitGFromEnvelope:
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
         for g_true in (5.0, 25.0):
             a_true = g_true ** 2 / GAMMA
-            envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde.values, c=3.3),
-                                RAW_COUNTS)
+            envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde.values, c=3.3))
             fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
             assert fit.converged
             assert fit.g_uev == pytest.approx(g_true, rel=1e-3)
@@ -296,8 +295,7 @@ class TestFitGFromEnvelope:
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
         a_true = 10.0 ** 2 / GAMMA
         c_true = 3.3
-        envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde.values, c=c_true),
-                            RAW_COUNTS)
+        envelope = Spectrum(paper_grid, hill_envelope(a_true, s_dtilde.values, c=c_true))
         fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
         assert fit.c == pytest.approx(c_true, rel=1e-3)
         record = fit.to_record()
@@ -305,7 +303,7 @@ class TestFitGFromEnvelope:
         assert record["g_ueV"] == fit.g_uev
 
     def test_zero_envelope_flags_noise_floor(self, paper_grid, paper_fs_spectrum):
-        envelope = Spectrum(paper_grid, np.zeros(paper_grid.size), RAW_COUNTS)
+        envelope = Spectrum(paper_grid, np.zeros(paper_grid.size))
         fit = fit_g_from_envelope(envelope, paper_fs_spectrum, GAMMA)
         assert fit.flag == "below-noise-floor"
         assert fit.g_uev == 0.0
@@ -322,7 +320,7 @@ class TestFitGFromEnvelope:
         # a flat envelope is the fully saturated a -> infinity limit
         s_dtilde = spectra.convolve_lorentzian(
             spectra.convolve_lorentzian(paper_fs_spectrum, KAPPA), KAPPA)
-        envelope = Spectrum(paper_grid, np.ones(paper_grid.size), RAW_COUNTS)
+        envelope = Spectrum(paper_grid, np.ones(paper_grid.size))
         fit = fit_g_from_envelope(envelope, s_dtilde, GAMMA)
         assert fit.flag == "at-upper-bound"
         assert fit.converged
@@ -343,7 +341,7 @@ class TestFitGFromEnvelope:
         values = np.ones(paper_grid.size) if flat \
             else hill_envelope(10.0 ** 2 / GAMMA, s_dtilde.values, c=3.3)
         with pytest.warns(UserWarning, match="did not converge") as record:
-            fit = fit_g_from_envelope(Spectrum(paper_grid, values, RAW_COUNTS), s_dtilde, GAMMA)
+            fit = fit_g_from_envelope(Spectrum(paper_grid, values), s_dtilde, GAMMA)
         assert len(record) == 1
         assert fit.flag == flag and not fit.converged
 
@@ -359,7 +357,7 @@ class TestFitGFromEnvelope:
 
     def test_grid_mismatch_rejected(self, paper_fs_spectrum):
         grid = energy_grid(ZPL_ENERGY, 1000.0, 10.0)
-        envelope = Spectrum(grid, np.ones(grid.size), RAW_COUNTS)
+        envelope = Spectrum(grid, np.ones(grid.size))
         with pytest.raises(ValueError, match="grid"):
             fit_g_from_envelope(envelope, paper_fs_spectrum, GAMMA)
 

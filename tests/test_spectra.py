@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from cavqed import cqed, dynamics, spectra
 from cavqed.dynamics import DecayTrace, LevelScheme, g2_correlation
 from cavqed.spectra import (
-    AREA_2PI,
-    RAW_COUNTS,
     EmitterModel,
     SidebandShape,
     Spectrum,
@@ -43,19 +41,6 @@ class TestSpectrumType:
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):
             Spectrum(np.arange(4.0)[::-1], np.ones(4))
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(ValueError, match="normalization"):
-            Spectrum(np.arange(4.0), np.ones(4), "percent")
-
-    def test_area_2pi_tag_enforced(self):
-        grid = np.arange(-50.0, 50.5, 0.5)
-        values = np.ones_like(grid)
-        with pytest.raises(ValueError, match="2"):
-            Spectrum(grid, values, AREA_2PI)
-        values = values * (2.0 * np.pi / np.trapezoid(values, grid))
-        s = Spectrum(grid, values, AREA_2PI)
-        assert abs(s.area() - 2.0 * np.pi) <= 1e-6 * 2.0 * np.pi
 
     def test_values_are_immutable(self):
         s = Spectrum(np.arange(4.0), np.ones(4))
@@ -168,7 +153,8 @@ class TestCurveContract:
         with pytest.raises(ValueError, match="step"):
             s._replace(step=1.0)
         with pytest.raises(TypeError):
-            Spectrum(s.energies, s.values, RAW_COUNTS, 1.0)
+            Spectrum(s.energies, s.values, 1.0)
+        assert Spectrum._fields == ("energies", "values", "step")
 
     @pytest.mark.parametrize("builder", ["Spectrum", "DecayTrace"])
     def test_pickle_rebuilds_through_the_checks(self, builder):
@@ -244,7 +230,6 @@ class TestBuildFsSpectrum:
         grid = energy_grid(0.0, 6000.0, 1.0)
         s = build_fs_spectrum(model, grid)
         assert s.values.max() == pytest.approx(4.0 / 10.0, rel=2e-3)
-        assert s.normalization == AREA_2PI
 
     def test_zero_temperature_kills_blue_sideband(self):
         model = EmitterModel(0.0, 200.0, 0.65, temperature_k=0.0)
@@ -353,7 +338,7 @@ class TestConvolveLorentzian:
         grid = energy_grid(0.0, 2000.0, 1.0)
         values = np.zeros_like(grid)
         values[grid.size // 2] = 1.0  # discrete spike of unit trapezoid area
-        out = convolve_lorentzian(Spectrum(grid, values, RAW_COUNTS), 40.0)
+        out = convolve_lorentzian(Spectrum(grid, values), 40.0)
         # the output is the cavity line carrying the spike's full area on
         # this grid, i.e. the on-grid unit-area Lorentzian at the spike
         reference = lorentzian(grid, 0.0, 40.0)
@@ -365,14 +350,13 @@ class TestConvolveLorentzian:
     def test_area_preserved(self, paper_fs_spectrum):
         out = convolve_lorentzian(paper_fs_spectrum, 86.824)
         assert out.area() == pytest.approx(paper_fs_spectrum.area(), rel=1e-4)
-        assert out.normalization == AREA_2PI
 
     def test_zpl_peak_after_cavity_filter(self):
         # width-addition rule: peak of the filtered ZPL is 4 DW/(fwhm+kappa)
         grid = energy_grid(0.0, 10000.0, 10.0)
         zpl = lorentzian(grid, 0.0, 200.0)
         zpl *= 2.0 * np.pi * 0.65 / np.trapezoid(zpl, grid)
-        out = convolve_lorentzian(Spectrum(grid, zpl, RAW_COUNTS), 87.0)
+        out = convolve_lorentzian(Spectrum(grid, zpl), 87.0)
         assert out.values.max() == pytest.approx(4.0 * 0.65 / 287.0, rel=2e-2)
 
     def test_kernel_is_built_once_per_grid_and_width(self, monkeypatch):
@@ -492,11 +476,28 @@ class TestAbsorptionSpectrum:
         assert ratio == pytest.approx(n_b / (n_b + 1.0), abs=1e-3)
         assert ratio == pytest.approx(0.962, abs=2e-3)
 
-    def test_requires_area_2pi(self):
-        model = EmitterModel(0.0, 10.0, 0.5)
-        s = Spectrum(np.arange(-50.0, 51.0), np.ones(101), RAW_COUNTS)
-        with pytest.raises(ValueError, match="area-2pi"):
-            absorption_spectrum(s, model)
+    def test_emission_area_does_not_matter(self, paper_model, paper_fs_spectrum):
+        # the mirrored spectrum is rescaled to area 2*pi whatever the
+        # emission spectrum's area
+        scaled = paper_fs_spectrum._replace(values=3.0 * paper_fs_spectrum.values)
+        expected = absorption_spectrum(paper_fs_spectrum, paper_model).values
+        got = absorption_spectrum(scaled, paper_model).values
+        assert np.max(np.abs(got - expected)) <= 1e-15 * expected.max()
+
+
+# the spectra the coupled-dynamics equations take, each of trapezoid area
+# 2*pi to 1 part in 1e6
+_TWO_PI_PRODUCERS = {
+    "build_fs_spectrum": lambda model, s_fs: build_fs_spectrum(model, s_fs.energies),
+    "absorption_spectrum": lambda model, s_fs: absorption_spectrum(s_fs, model),
+    "convolve_lorentzian": lambda model, s_fs: convolve_lorentzian(s_fs, 86.824),
+}
+
+
+@pytest.mark.parametrize("produce", _TWO_PI_PRODUCERS.values(), ids=_TWO_PI_PRODUCERS)
+def test_producers_return_area_2pi(produce, paper_model, paper_fs_spectrum):
+    area = produce(paper_model, paper_fs_spectrum).area()
+    assert abs(area - 2.0 * np.pi) <= 1e-6 * 2.0 * np.pi
 
 
 class TestCsvRoundTrip:

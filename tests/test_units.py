@@ -50,9 +50,9 @@ CONSTRUCTORS = [
     (7, SidebandShape, (1.0, NAN)),
     (8, LevelScheme, (NAN, 2.5, 0.0, 0.0, 0.0)),
     (9, LevelScheme, (0.4, 2.5, NAN, 0.0, 0.0)),
-    (10, CavityGeometry, (NAN,)),
-    (11, CavityGeometry, (1275.0, NAN)),
-    (12, CavityGeometry, (1275.0, 1.0, NAN)),
+    (10, CavityGeometry, (NAN, 1.0, 10.0, 6)),
+    (11, CavityGeometry, (1275.0, NAN, 10.0, 6)),
+    (12, CavityGeometry, (1275.0, 1.0, NAN, 6)),
     (13, LossBudget, (NAN,)),
     (14, kappa_from_q, (972000.0, NAN)),
     (15, kappa_from_q, (NAN, 1.12e4)),
