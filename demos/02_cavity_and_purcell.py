@@ -36,16 +36,16 @@ print("loss partition:", {k: f"{v:.3f}" for k, v in cavity.exit_probabilities(bu
 # effective Q folds in the emitter linewidth
 q_emitter = zpl_energy / 200.0
 q_eff = cavity.q_eff(table[6]["q_exp"], q_emitter)
-f_p_theory = cqed.purcell_factor(1.0, table[6]["v_eff_lambda3"], q_eff)
+f_p_theory = cavity.purcell_factor(1.0, table[6]["v_eff_lambda3"], q_eff)
 print(f"\nQ_emitter {q_emitter:.0f}, Q_eff {q_eff:.0f} -> ideal Purcell factor "
       f"{f_p_theory:.0f} (point emitter at the antinode)")
 
 # measured-ratio closure: saturation brightening 19 and lifetime ratio
 # 1.19 with DW = 0.65 give F_P ~ 29 and a ~1% quantum yield
-f_p, eta_qy = cqed.solve_fp_and_qy(19.0, 1.19, 0.65)
+f_p, eta_qy = cavity.solve_fp_and_qy(19.0, 1.19, 0.65)
 print(f"solved from measured ratios: F_P = {f_p:.1f}, eta_QY = {eta_qy:.2%}")
 
-ratios = cqed.brightening_ratios(0.65, f_p, eta_qy)
+ratios = cavity.brightening_ratios(0.65, f_p, eta_qy)
 print(f"round trip: sat ratio {ratios.flux_ratio_sat:.1f}, linear ratio "
       f"{ratios.flux_ratio_linear:.1f}, decay ratio {ratios.decay_ratio:.3f}")
 

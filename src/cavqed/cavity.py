@@ -1,15 +1,19 @@
-"""Fabry-Perot microcavity modes: geometry, Gaussian-beam mode volume,
-finesse and quality factor from round-trip losses, internal-loss
-deduction from measured vs simulated Q, and loss-partition exit
-probabilities.
+"""Fabry-Perot microcavity modes and the Purcell bookkeeping: geometry,
+Gaussian-beam mode volume, finesse and quality factor from round-trip
+losses, internal-loss deduction from measured vs simulated Q,
+loss-partition exit probabilities, the Purcell factor, and the
+brightening and decay ratios with their inversion for (F_P, eta_QY).
 
 The analytic mode volume ignores field penetration into the mirror
 stacks (geometric length only), which is good to ~20% against full-field
 simulations of short cavities; simulated values should be loaded as
 fixtures where that matters.
+
+All of it is scalar algebra on Python floats, and the module loads no
+numpy.
 """
 
-import numpy as np
+import math
 
 from .units import _record
 
@@ -80,8 +84,8 @@ def mode_volume_gaussian(geometry):
     n = geometry.refractive_index
     length = geometry.length_um
     radius = geometry.radius_of_curvature_um
-    waist_sq = (lam_um / (np.pi * n)) * np.sqrt(length * (radius - length))
-    volume_um3 = (np.pi / 4.0) * waist_sq * length
+    waist_sq = (lam_um / (math.pi * n)) * math.sqrt(length * (radius - length))
+    volume_um3 = (math.pi / 4.0) * waist_sq * length
     return volume_um3 / (lam_um / n) ** 3
 
 
@@ -90,7 +94,7 @@ def q_from_losses(budget, mode_order):
     if mode_order < 1:
         raise ValueError(f"mode order must be >= 1, got {mode_order}")
     l_rt = budget.round_trip_ppm * 1e-6
-    finesse = 2.0 * np.pi / l_rt
+    finesse = 2.0 * math.pi / l_rt
     return finesse, finesse * mode_order
 
 
@@ -107,7 +111,7 @@ def internal_loss_from_q(q_measured, q_theory, mode_order):
             f"Q_measured = {q_measured:g} >= Q_theory = {q_theory:g}: "
             "no internal loss can be deduced"
         )
-    excess_round_trip = 2.0 * np.pi * mode_order * (1.0 / q_measured - 1.0 / q_theory)
+    excess_round_trip = 2.0 * math.pi * mode_order * (1.0 / q_measured - 1.0 / q_theory)
     return 0.5 * excess_round_trip * 1e6
 
 
@@ -142,3 +146,62 @@ def kappa_from_q(energy_uev, q):
     if not (energy_uev > 0 and q > 0):
         raise ValueError("energy and Q must be positive")
     return energy_uev / q
+
+
+class PurcellResult(_record("PurcellResult", "flux_ratio_linear flux_ratio_sat decay_ratio")):
+    __slots__ = ()
+
+
+def purcell_factor(refractive_index, v_eff_lambda3, q_eff):
+    """Purcell factor (3/4 pi**2) * (lambda/n)**3 / V_eff * Q_eff.
+
+    `v_eff_lambda3` is the mode volume in units of lambda**3 (as quoted
+    for microcavity modes), so the wavelength cancels; the refractive
+    index converts it to the (lambda/n)**3 units of the formula.
+    """
+    if not all(v > 0 for v in (refractive_index, v_eff_lambda3, q_eff)):
+        raise ValueError("purcell_factor requires strictly positive inputs")
+    v_in_lambda_over_n = v_eff_lambda3 * refractive_index ** 3
+    return (3.0 / (4.0 * math.pi ** 2)) * q_eff / v_in_lambda_over_n
+
+
+def brightening_ratios(dw, f_p, eta_qy):
+    """Flux and decay-rate ratios of the cavity-coupled emitter vs free space.
+
+    linear-regime flux ratio   DW*F_P / (1 + eta*DW*F_P)
+    saturation flux ratio      DW*F_P
+    decay-rate ratio           1 + eta*DW*F_P
+
+    The free-space flux in the ratios is the total one, sidebands included.
+    """
+    if not 0.0 < dw <= 1.0:
+        raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")
+    if not f_p >= 0:
+        raise ValueError(f"Purcell factor must be >= 0, got {f_p}")
+    if not 0.0 <= eta_qy <= 1.0:
+        raise ValueError(f"quantum yield must be in [0, 1], got {eta_qy}")
+    enhancement = dw * f_p
+    return PurcellResult(
+        flux_ratio_linear=enhancement / (1.0 + eta_qy * enhancement),
+        flux_ratio_sat=enhancement,
+        decay_ratio=1.0 + eta_qy * enhancement,
+    )
+
+
+def solve_fp_and_qy(flux_ratio_sat, decay_ratio, dw):
+    """Invert the brightening relations for (Purcell factor, quantum yield).
+
+    F_P = flux_ratio_sat / DW and eta_QY = (decay_ratio - 1) / (DW * F_P),
+    the exact inverse of brightening_ratios.
+    """
+    if not flux_ratio_sat > 0:
+        raise ValueError(f"saturation flux ratio must be > 0, got {flux_ratio_sat}")
+    if not decay_ratio >= 1.0:
+        raise ValueError(
+            f"decay ratio {decay_ratio} < 1: cavity coupling cannot slow the decay"
+        )
+    if not 0.0 < dw <= 1.0:
+        raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")
+    f_p = flux_ratio_sat / dw
+    eta_qy = (decay_ratio - 1.0) / (dw * f_p)
+    return f_p, eta_qy

@@ -32,9 +32,11 @@ the standard streams run.
 
 Imports: this module loads only the standard library and the numpy-free
 `config`; each function imports numpy and the physics modules it uses
-in its own body, so `budget`, `--help` and a run that stops on a bad
-config load neither numpy nor `inspect`, and no command loads
-`dataclasses`.
+in its own body, and `write_outputs` imports `spectra` for a CSV and
+`svg` for an SVG.  So `budget`, `purcell` (the numpy-free `cavity` and a
+4-point plot that `svg` draws in pure Python), `--help` and a run that
+stops on a bad config load neither numpy nor `inspect`, and no command
+loads `dataclasses`.
 """
 
 import argparse
@@ -166,22 +168,25 @@ def cmd_spectrum(cfg, seed):
 
 def cmd_purcell(cfg, seed):
     from . import cavity as cavity_mod
-    from . import cqed
+    from .units import energy_from_wavelength
 
-    model = config.emitter_from_config(cfg)
+    # read in emitter_from_config's order, so that the first missing key
+    # is named alike; load's checks cover the EmitterModel's
+    em = cfg["emitter"]
+    wavelength = em["wavelength_nm"]
+    energy = energy_from_wavelength(wavelength)
+    q_emitter = energy / em["zpl_fwhm_uev"]
+    dw = em["debye_waller"]
     measured = cfg["measured"]
     cav = cfg["cavity"]
-    energy = model.zpl_energy_uev
-    q_emitter = energy / model.zpl_fwhm_uev
 
     modes = []
     for row in config.mode_rows(cfg):
         geometry = cavity_mod.CavityGeometry(
-            cfg["emitter"]["wavelength_nm"], cav["refractive_index"],
-            cav["radius_of_curvature_um"], row["p"])
+            wavelength, cav["refractive_index"], cav["radius_of_curvature_um"], row["p"])
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
-        f_p = cqed.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
-        ratios = cqed.brightening_ratios(model.debye_waller, f_p, cfg["emitter"]["eta_qy"])
+        f_p = cavity_mod.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
+        ratios = cavity_mod.brightening_ratios(dw, f_p, em["eta_qy"])
         modes.append({
             "p": row["p"],
             "v_eff_lambda3_fixture": row["v_eff_lambda3"],
@@ -198,10 +203,10 @@ def cmd_purcell(cfg, seed):
             "decay_ratio": ratios.decay_ratio,
         })
 
-    f_p_solved, eta_solved = cqed.solve_fp_and_qy(
-        measured["flux_ratio_sat"], measured["decay_ratio"], model.debye_waller)
+    f_p_solved, eta_solved = cavity_mod.solve_fp_and_qy(
+        measured["flux_ratio_sat"], measured["decay_ratio"], dw)
     report = {
-        "debye_waller": model.debye_waller,
+        "debye_waller": dw,
         "q_emitter": q_emitter,
         "modes": modes,
         "solved": {
@@ -542,8 +547,13 @@ def write_outputs(out_dir, command, report, files):
     temps = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if files:
-            from . import spectra, svg
+        # each writer is imported before the first write: `svg` imported
+        # after a large CSV was written raised the peak RSS of a process
+        # running the seven commands by 0.5 to 0.9 MB
+        if any(name.endswith(".csv") for name in files):
+            from . import spectra
+        if not all(name.endswith(".csv") for name in files):
+            from . import svg
         for name, item in files.items():
             path = out_dir / (prefix + name)
             temps.append(path)

@@ -1,7 +1,8 @@
-"""Cavity-QED figures of merit: Purcell factor, brightening and decay
-ratios, the brightness spectral profile beta(w_cav), weak-pump steady
-state, the modulated-detuning envelope, its algebraic inversion, and the
-two estimators of the vacuum Rabi coupling g.
+"""Cavity-QED figures of merit on spectra: the brightness spectral
+profile beta(w_cav), weak-pump steady state, the modulated-detuning
+envelope, its algebraic inversion, and the two estimators of the vacuum
+Rabi coupling g.  The scalar Purcell bookkeeping is in the numpy-free
+`cavity` module.
 
 The incoherent emitter <-> cavity transfer rates are g**2 * S~(w_cav)
 where S~ is the free-space spectrum convolved with the cavity Lorentzian
@@ -45,10 +46,6 @@ class CouplingParams(_record("CouplingParams", "g_uev gamma_uev kappa_uev")):
         return self.g_uev ** 2 / self.gamma_uev
 
 
-class PurcellResult(_record("PurcellResult", "flux_ratio_linear flux_ratio_sat decay_ratio")):
-    __slots__ = ()
-
-
 class SteadyStateResult(_record("SteadyStateResult",
                                 "exciton_population photon_number weak_pump")):
     __slots__ = ()
@@ -64,61 +61,6 @@ class EnvelopeFit(_record("EnvelopeFit", "g_uev a c residual iterations converge
         record = self._asdict()
         record["g_ueV"] = record.pop("g_uev")
         return record
-
-
-def purcell_factor(refractive_index, v_eff_lambda3, q_eff):
-    """Purcell factor (3/4 pi**2) * (lambda/n)**3 / V_eff * Q_eff.
-
-    `v_eff_lambda3` is the mode volume in units of lambda**3 (as quoted
-    for microcavity modes), so the wavelength cancels; the refractive
-    index converts it to the (lambda/n)**3 units of the formula.
-    """
-    if not all(v > 0 for v in (refractive_index, v_eff_lambda3, q_eff)):
-        raise ValueError("purcell_factor requires strictly positive inputs")
-    v_in_lambda_over_n = v_eff_lambda3 * refractive_index ** 3
-    return (3.0 / (4.0 * np.pi ** 2)) * q_eff / v_in_lambda_over_n
-
-
-def brightening_ratios(dw, f_p, eta_qy):
-    """Flux and decay-rate ratios of the cavity-coupled emitter vs free space.
-
-    linear-regime flux ratio   DW*F_P / (1 + eta*DW*F_P)
-    saturation flux ratio      DW*F_P
-    decay-rate ratio           1 + eta*DW*F_P
-
-    The free-space flux in the ratios is the total one, sidebands included.
-    """
-    if not 0.0 < dw <= 1.0:
-        raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")
-    if not f_p >= 0:
-        raise ValueError(f"Purcell factor must be >= 0, got {f_p}")
-    if not 0.0 <= eta_qy <= 1.0:
-        raise ValueError(f"quantum yield must be in [0, 1], got {eta_qy}")
-    enhancement = dw * f_p
-    return PurcellResult(
-        flux_ratio_linear=enhancement / (1.0 + eta_qy * enhancement),
-        flux_ratio_sat=enhancement,
-        decay_ratio=1.0 + eta_qy * enhancement,
-    )
-
-
-def solve_fp_and_qy(flux_ratio_sat, decay_ratio, dw):
-    """Invert the brightening relations for (Purcell factor, quantum yield).
-
-    F_P = flux_ratio_sat / DW and eta_QY = (decay_ratio - 1) / (DW * F_P),
-    the exact inverse of brightening_ratios.
-    """
-    if not flux_ratio_sat > 0:
-        raise ValueError(f"saturation flux ratio must be > 0, got {flux_ratio_sat}")
-    if not decay_ratio >= 1.0:
-        raise ValueError(
-            f"decay ratio {decay_ratio} < 1: cavity coupling cannot slow the decay"
-        )
-    if not 0.0 < dw <= 1.0:
-        raise ValueError(f"Debye-Waller factor must be in (0, 1], got {dw}")
-    f_p = flux_ratio_sat / dw
-    eta_qy = (decay_ratio - 1.0) / (dw * f_p)
-    return f_p, eta_qy
 
 
 def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):

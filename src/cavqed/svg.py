@@ -10,24 +10,47 @@ column, floor of the pixel x; a run of more than 4 points keeps only its
 first, last, lowest and highest point, in their original order, and a
 run of 4 or fewer keeps every point.  That draws the same line at the
 plot's width, with at most 4 points per pixel column.
+
+A plot whose every x and y is a list or tuple of at most 4 finite
+numbers, which M4 keeps whole, is drawn in pure Python, so `pl purcell`
+loads no numpy; any other plot imports numpy to scale and decimate its
+curves.  The pure branch repeats numpy's float operations in numpy's
+order, so both write the same bytes, with one exception: for `log_y` it
+takes `math.log10`, which may differ from numpy's in the last bit, and
+the two-decimal text shows that only at a rounding tie.  The frame, the
+ticks, the text and the file write are shared.
 """
 
-import numpy as np
+import math
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 860.0, 520.0
 _ML, _MR, _MT, _MB = 70.0, 20.0, 40.0, 50.0
+_BAD_SERIES = "series must be nonempty and each match its x grid"
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
+    """A float or a numpy array mapped from [lo, hi] onto [out_lo, out_hi]."""
     span = hi - lo
     if span <= 0:
         span = 1.0
-    return out_lo + (np.asarray(values, float) - lo) * (out_hi - out_lo) / span
+    return out_lo + (values - lo) * (out_hi - out_lo) / span
+
+
+def _ticks(lo, hi):
+    """np.linspace(lo, hi, 5) by numpy's operations: i * step + lo, or
+    (i / 4) * delta + lo where the step underflows to 0, and hi last."""
+    delta = hi - lo
+    step = delta / 4
+    if step == 0:
+        return [(i / 4) * delta + lo for i in range(4)] + [hi]
+    return [i * step + lo for i in range(4)] + [hi]
 
 
 def _m4_keep(px, py):
     """Boolean mask of the points the M4 rule keeps (module docstring)."""
+    import numpy as np
+
     column = np.floor(px)
     new_run = np.r_[True, column[1:] != column[:-1]]
     starts = np.flatnonzero(new_run)
@@ -43,32 +66,90 @@ def _m4_keep(px, py):
 def _points_attr(px, py):
     """The `points` attribute "x,y x,y ..." at 2 decimals, formatted in
     one % operation."""
-    return (("%.2f,%.2f " * px.size) % tuple(np.column_stack((px, py)).ravel().tolist()))[:-1]
+    flat = [0.0] * (2 * len(px))
+    flat[::2], flat[1::2] = px, py
+    return (("%.2f,%.2f " * len(px)) % tuple(flat))[:-1]
 
 
-def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=False):
-    """Write one SVG with a polyline for each item of `series`: a
-    (label, y) drawn on the shared `x`, or a (label, x, y) on its own x.
-    The x axis spans the x of every item."""
-    shared = np.asarray(x, dtype=float)
-    curves = []
-    for label, *xy in series:
-        cx, y = (shared, *xy) if len(xy) == 1 else xy
-        curves.append((label, np.asarray(cx, dtype=float), np.asarray(y, dtype=float)))
-    if not curves or any(cx.ndim != 1 or y.shape != cx.shape for _, cx, y in curves):
-        raise ValueError("series must be nonempty and each match its x grid")
+def _short(values):
+    """`values` as a list of floats if it is a list or tuple of at most 4
+    finite numbers, else None."""
+    if isinstance(values, (list, tuple)) and len(values) <= 4 and all(
+            isinstance(v, (int, float)) for v in values):
+        floats = [float(v) for v in values]
+        if all(map(math.isfinite, floats)):
+            return floats
+    return None
 
+
+def _python_curves(curves, log_y):
+    """The curves, given as lists of floats, with y on the plotted scale,
+    and their extremes (x_lo, x_hi, y_lo, y_hi), as _numpy_curves
+    computes them."""
+    if not curves or any(not cx or len(y) != len(cx) for _, cx, y in curves):
+        raise ValueError(_BAD_SERIES)
+    if log_y:
+        positive = [v for _, _, y in curves for v in y if v > 0]
+        floor = min(positive) if positive else 1.0
+        curves = [(label, cx, [math.log10(max(v, floor)) for v in y])
+                  for label, cx, y in curves]
+    # of equal values (0.0 and -0.0), numpy's min and max of up to 8 keep
+    # the last and Python's the first, so these read the values reversed
+    stacked = [v for _, _, y in reversed(curves) for v in reversed(y)]
+    return curves, (min(min(reversed(cx)) for _, cx, _ in curves),
+                    max(max(reversed(cx)) for _, cx, _ in curves),
+                    min(stacked), max(stacked))
+
+
+def _python_points(cx, y, x_lo, x_hi, y_lo, y_hi):
+    """A curve's `points` text, every point kept."""
+    return _points_attr([_scale(v, x_lo, x_hi, _ML, _W - _MR) for v in cx],
+                        [_scale(v, y_lo, y_hi, _H - _MB, _MT) for v in y])
+
+
+def _numpy_curves(items, log_y):
+    """The (label, x, y) items as float arrays with y on the plotted scale,
+    and their extremes (x_lo, x_hi, y_lo, y_hi)."""
+    import numpy as np
+
+    curves = [(label, np.asarray(cx, dtype=float), np.asarray(y, dtype=float))
+              for label, cx, y in items]
+    if any(cx.ndim != 1 or y.shape != cx.shape or not cx.size for _, cx, y in curves):
+        raise ValueError(_BAD_SERIES)
     stacked = np.concatenate([y for _, _, y in curves])
     if log_y:
         positive = stacked[stacked > 0]
         floor = positive.min() if positive.size else 1.0
         stacked = np.log10(np.maximum(stacked, floor))
         curves = [(label, cx, np.log10(np.maximum(y, floor))) for label, cx, y in curves]
-    y_lo, y_hi = float(stacked.min()), float(stacked.max())
+    return curves, (min(float(cx.min()) for _, cx, _ in curves),
+                    max(float(cx.max()) for _, cx, _ in curves),
+                    float(stacked.min()), float(stacked.max()))
+
+
+def _numpy_points(cx, y, x_lo, x_hi, y_lo, y_hi):
+    """A curve's `points` text, M4-decimated."""
+    px = _scale(cx, x_lo, x_hi, _ML, _W - _MR)
+    py = _scale(y, y_lo, y_hi, _H - _MB, _MT)
+    keep = _m4_keep(px, py)
+    return _points_attr(px[keep].tolist(), py[keep].tolist())
+
+
+def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=False):
+    """Write one SVG with a polyline for each item of `series`: a
+    (label, y) drawn on the shared `x`, or a (label, x, y) on its own x.
+    The x axis spans the x of every item."""
+    items = [(label, *((x, *xy) if len(xy) == 1 else xy)) for label, *xy in series]
+    short = [(label, _short(cx), _short(y)) for label, cx, y in items]
+    if all(cx is not None and y is not None for _, cx, y in short):
+        curves, bounds = _python_curves(short, log_y)
+        points = _python_points
+    else:
+        curves, bounds = _numpy_curves(items, log_y)
+        points = _numpy_points
+    x_lo, x_hi, y_lo, y_hi = bounds
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    x_lo = min(float(cx.min()) for _, cx, _ in curves)
-    x_hi = max(float(cx.max()) for _, cx, _ in curves)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" height="{_H:.0f}" '
@@ -83,24 +164,20 @@ def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=Fals
         f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" font-size="13" '
         f'transform="rotate(-90 18 {_H / 2:.1f})">{y_label}</text>',
     ]
-    for tick in np.linspace(x_lo, x_hi, 5):
-        px = float(_scale(tick, x_lo, x_hi, _ML, _W - _MR))
+    for tick in _ticks(x_lo, x_hi):
+        px = _scale(tick, x_lo, x_hi, _ML, _W - _MR)
         lines.append(f'<text x="{px:.1f}" y="{_H - _MB + 18:.1f}" text-anchor="middle" '
                      f'font-size="11">{tick:.6g}</text>')
-    for tick in np.linspace(y_lo, y_hi, 5):
-        py = float(_scale(tick, y_lo, y_hi, _H - _MB, _MT))
+    for tick in _ticks(y_lo, y_hi):
+        py = _scale(tick, y_lo, y_hi, _H - _MB, _MT)
         label = f"1e{tick:.2f}" if log_y else f"{tick:.6g}"
         lines.append(f'<text x="{_ML - 6:.1f}" y="{py + 4:.1f}" text-anchor="end" '
                      f'font-size="11">{label}</text>')
 
     for i, (label, cx, y) in enumerate(curves):
-        px = _scale(cx, x_lo, x_hi, _ML, _W - _MR)
-        py = _scale(y, y_lo, y_hi, _H - _MB, _MT)
-        keep = _m4_keep(px, py)
-        points = _points_attr(px[keep], py[keep])
         color = _COLORS[i % len(_COLORS)]
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{points}"/>')
+                     f'points="{points(cx, y, x_lo, x_hi, y_lo, y_hi)}"/>')
         lines.append(f'<text x="{_W - _MR - 8:.1f}" y="{_MT + 16 * (i + 1):.1f}" '
                      f'text-anchor="end" font-size="12" fill="{color}">{label}</text>')
 

@@ -18,7 +18,7 @@ xfail(strict).  See the Known limitations section of the README.
 import numpy as np
 import pytest
 
-from cavqed import config, cqed, dynamics, spectra
+from cavqed import cavity, config, cqed, dynamics, spectra
 from cavqed.cqed import CouplingParams
 from cavqed.spectra import Spectrum
 from cavqed.units import HBAR_UEV_PS
@@ -47,8 +47,8 @@ def test_criterion_1_purcell_qy_closure(paper_runs):
     ok = 28.9 <= f_p <= 29.5 and 0.0095 <= eta <= 0.0105
     round_trip_ok = True
     for dw, fp0, eta0 in [(0.65, 29.0, 0.01), (0.4, 80.0, 0.3)]:
-        ratios = cqed.brightening_ratios(dw, fp0, eta0)
-        fp_back, eta_back = cqed.solve_fp_and_qy(
+        ratios = cavity.brightening_ratios(dw, fp0, eta0)
+        fp_back, eta_back = cavity.solve_fp_and_qy(
             ratios.flux_ratio_sat, ratios.decay_ratio, dw)
         round_trip_ok &= abs(fp_back - fp0) <= 1e-12 * fp0
         round_trip_ok &= abs(eta_back - eta0) <= 1e-12 * max(eta0, 1e-12)

@@ -183,7 +183,7 @@ class TestCollectionRatio:
 
     def test_feeds_purcell_closure(self, tables):
         # raw count ratio x collection ratio ~ 19 feeds the F_P solver
-        from cavqed.cqed import solve_fp_and_qy
+        from cavqed.cavity import solve_fp_and_qy
         extractions, chains, _ = tables
         ratio = detected_port_ratio(
             chains["free_space"], chains["cavity_planar"],

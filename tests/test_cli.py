@@ -836,9 +836,10 @@ class TestInputData:
 
 
 # What each entry of a `pl` process must leave out of sys.modules:
-# - the imports, the photon budget, --help and a run that stops on its
-#   config are scalar work, with no use for numpy or for inspect and
-#   tempfile, which numpy imports;
+# - the imports, the photon budget, the Purcell bookkeeping and its
+#   4-point plot, --help and a run that stops on its config are scalar
+#   work, with no use for numpy or for inspect and tempfile, which numpy
+#   imports;
 # - no run loads csv, as the paper's tables are config sections, nor
 #   dataclasses, as every value type is a units._record named tuple;
 # - scipy is a test dependency only: the fits run the numpy ports of its
@@ -847,15 +848,17 @@ class TestInputData:
 _SCALAR_UNNEEDED = ("numpy", "csv", "dataclasses", "inspect", "tempfile", "scipy")
 
 # (step, argv or None for an import of the step's module), in the order
-# that one fresh interpreter takes them
+# that one fresh interpreter takes them: the scalar steps first, then the
+# commands that load numpy
 _ENTRIES = [
     ("cavqed.config", None),
     ("cavqed.cli", None),
     ("budget", ["budget", "--fixture", "paper", "--out", "{tmp}/budget"]),
     ("help", ["--help"]),
     ("missing-config", ["spectrum", "--config", "{tmp}/missing.json"]),
+    ("purcell", ["purcell", "--fixture", "paper", "--out", "{tmp}/purcell"]),
     *((command, [command, "--fixture", "paper", "--out", f"{{tmp}}/{command}"])
-      for command in _COMMANDS if command != "budget"),
+      for command in _COMMANDS if command not in ("budget", "purcell")),
 ]
 
 
@@ -916,7 +919,8 @@ def test_cli_import_loads_no_scipy(entry_modules):
     ("budget", "returned 0"),
     ("help", "exited 0"),
     ("missing-config", "returned 4"),
-], ids=["budget", "help", "missing-config"])
+    ("purcell", "returned 0"),
+], ids=["budget", "help", "missing-config", "purcell"])
 def test_scalar_paths_load_no_numpy(entry_modules, step, outcome):
     assert _loaded(entry_modules, step, outcome, _SCALAR_UNNEEDED) == []
 

@@ -4,16 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavqed import spectra
+from cavqed.cavity import brightening_ratios, purcell_factor, solve_fp_and_qy
 from cavqed.cqed import (
     CouplingParams,
-    brightening_ratios,
     brightness_profile,
     fit_g_from_envelope,
     g_from_lifetime,
     hill_envelope,
     invert_envelope,
-    purcell_factor,
-    solve_fp_and_qy,
     steady_state,
 )
 from cavqed.optimize import _brent_bounded

@@ -79,3 +79,45 @@ def test_decimation_needs_no_sorted_x():
     py = np.array([5.0, 9.0, 1.0, 4.0, 6.0, 0.0, 2.0, 2.0])
     keep = svg._m4_keep(px, py)
     assert keep.tolist() == [True, True, True, False, True, True, True, True]
+
+
+def on_both_branches(monkeypatch, tmp_path, x, series, **labels):
+    """What write_line_svg gives for one plot on its pure-Python branch,
+    where taking the numpy branch would fail, and on its numpy branch: the
+    file's bytes, or the ValueError raised."""
+    results = []
+    for name, replacement in (("_numpy_curves", None), ("_short", lambda values: None)):
+        with monkeypatch.context() as patch:
+            patch.setattr(svg, name, replacement)
+            path = tmp_path / f"{name}.svg"
+            try:
+                svg.write_line_svg(path, x, series, **labels)
+                results.append(path.read_bytes())
+            except ValueError as err:
+                results.append(repr(err))
+    return results
+
+
+@pytest.mark.parametrize("x, series, labels", [
+    ([6, 7, 8, 9], [("fixture", [2.49, 2.86, 3.53, 4.23]),
+                    ("Gaussian", [2.8597, 3.2127, 3.5412, 3.8473])],
+     {"title": "Mode volume", "x_label": "p"}),
+    ([0.5, 1.0, 2.0, 4.0], [("counts", [0.0, 12.5, 3e4, 7.0])], {"log_y": True}),
+    ([1.0, 2.0], [("shared", (1.0, -2.0)), ("own", [4.0, -3.0, 0.5], (0.75, 0.25, 0.5))], {}),
+    ([1.0, 2.0, 3.0], [("flat", [5.0, 5.0, 5.0])], {}),
+    ([7], [("one", [0.125])], {}),
+], ids=["integer-x", "log-y-with-zero", "own-x", "flat", "single-point"])
+def test_short_plots_are_the_same_bytes_on_both_branches(monkeypatch, tmp_path, x, series,
+                                                        labels):
+    python, numpy_ = on_both_branches(monkeypatch, tmp_path, x, series, **labels)
+    assert isinstance(python, bytes)
+    assert python == numpy_
+
+
+@pytest.mark.parametrize("x, series", [
+    ([1.0, 2.0, 3.0], [("short y", [1.0, 2.0])]),
+    ([], [("empty", [])]),
+], ids=["mismatch", "empty-curve"])
+def test_invalid_short_series_raise_alike_on_both_branches(monkeypatch, tmp_path, x, series):
+    python, numpy_ = on_both_branches(monkeypatch, tmp_path, x, series)
+    assert python == numpy_ == repr(ValueError(svg._BAD_SERIES))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavqed import budget, cqed, dynamics, spectra
+from cavqed import budget, cavity, cqed, dynamics, spectra
 from cavqed.cavity import (
     CavityGeometry,
     LossBudget,
@@ -71,11 +71,11 @@ COUPLING = CouplingParams(10.0, 2.5, 100.0)
 
 
 SCALAR_CHECKS = [
-    (0, cqed.purcell_factor, (NAN, 2.49, 1e4)),
-    (1, cqed.purcell_factor, (1.0, NAN, 1e4)),
-    (2, cqed.brightening_ratios, (0.65, NAN, 0.01)),
-    (3, cqed.solve_fp_and_qy, (NAN, 2.0, 0.65)),
-    (4, cqed.solve_fp_and_qy, (10.0, NAN, 0.65)),
+    (0, cavity.purcell_factor, (NAN, 2.49, 1e4)),
+    (1, cavity.purcell_factor, (1.0, NAN, 1e4)),
+    (2, cavity.brightening_ratios, (0.65, NAN, 0.01)),
+    (3, cavity.solve_fp_and_qy, (NAN, 2.0, 0.65)),
+    (4, cavity.solve_fp_and_qy, (10.0, NAN, 0.65)),
     (5, cqed.steady_state, (NAN, COUPLING, 0.01)),
     (6, cqed.steady_state, (1.0, COUPLING, NAN)),
     (7, cqed.steady_state, (1.0, COUPLING, 0.01, NAN)),
