@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset({"budget", "cavity", "cli", "config", "cqed", "dynamics",
-                         "fixtures", "optimize", "spectra", "svg", "units"})
+                         "fixtures", "numtext", "optimize", "spectra", "svg", "units"})
 
 
 def __getattr__(name):

@@ -241,6 +241,9 @@ RELATIONS = [
     (("analysis.g2.tau_span_ps", "analysis.g2.tau_step_ps"),
      f"the delay grid must have 3 to {MAX_GRID_POINTS} points",
      lambda span, step: 3 <= _grid_points(span, step) <= MAX_GRID_POINTS),
+    (("analysis.g2.tau_span_ps", "analysis.g2.tau_step_ps"),
+     "the delay grid's extent 2 ceil(tau_span_ps/tau_step_ps) tau_step_ps must be finite",
+     lambda span, step: (_grid_points(span, step) - 1) * step < math.inf),
     (("g2_scheme.k_shelve_uev", "g2_scheme.k_deshelve_uev"),
      "shelving (k_shelve_uev > 0) needs deshelving (k_deshelve_uev > 0)",
      lambda on, off: on == 0 or off > 0),

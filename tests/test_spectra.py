@@ -546,17 +546,40 @@ class TestCsvRoundTrip:
         grids = [energy_grid(1e6, 300.0, 0.2), np.arange(-40.0, 385.0) * 4.0,
                  np.geomspace(30.0, 3e4, 25), np.linspace(-1.5e5, 1.5e5, 30001)]
         rng = np.random.default_rng(5)
-        spectra._row_template.cache_clear()
+        spectra._grid_column.cache_clear()
         for round_ in range(2):
-            before = spectra._row_template.cache_info()
+            before = spectra._grid_column.cache_info()
             for index, x in enumerate(grids):
                 y = rng.exponential(size=x.size)
                 path = tmp_path / f"{round_}-{index}.csv"
                 spectra.write_two_column_csv(path, "a,b", x, y)
                 rows = np.column_stack((x, y)).ravel().tolist()
                 assert path.read_text() == "a,b\n" + ("%.17g,%.17g\n" * x.size) % tuple(rows)
-            after = spectra._row_template.cache_info()
+            after = spectra._grid_column.cache_info()
             assert after.misses - before.misses == (len(grids) if round_ == 0 else 0)
+
+    @pytest.mark.parametrize("rows", [spectra._KERNEL_ROWS - 1, spectra._KERNEL_ROWS,
+                                      2 * spectra._BLOCK + 1])
+    def test_both_row_paths_write_the_format_generators_bytes(self, tmp_path, rows):
+        # below _KERNEL_ROWS Python's % formats the values, from it on the
+        # kernel does, block by block
+        bits = np.random.default_rng(rows).integers(0, 2 ** 64, 3 * rows, dtype=np.uint64)
+        values = bits.view(np.float64)
+        x, y = values[np.isfinite(values)][:2 * rows - 6].reshape(2, -1)
+        x, y = np.r_[x, 0.0, -0.0, 1e16], np.r_[y, 1e-300, 100.0, 0.5]
+        spectra.write_two_column_csv(tmp_path / "bits.csv", "a,b", x, y)
+        old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
+        assert (tmp_path / "bits.csv").read_text() == "a,b\n" + old
+
+    @pytest.mark.parametrize("column", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_and_writes_no_file(self, tmp_path, column, bad):
+        x, y = np.arange(3.0), np.ones(3)
+        (x if column == "x" else y)[1] = bad
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="^non-finite value in data row 2$"):
+            spectra.write_two_column_csv(path, "a,b", x, y)
+        assert not path.exists()
 
     @pytest.mark.parametrize("x, y", [
         (np.arange(3.0), np.arange(4.0)),
