@@ -564,7 +564,7 @@ def write_outputs(out_dir, command, report, files):
                 svg.write_line_svg(path, x, series, **labels)
         temps.append(out_dir / (prefix + names[-1]))
         with open(temps[-1], "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for name in names:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(f"a directory is in the way: {out_dir / name}")
@@ -654,7 +654,7 @@ def main(argv=None):
             report, files = _COMMANDS[args.command](cfg, seed)
             write_outputs(out_dir, args.command, report, files)
             print(json.dumps({"command": args.command, "out_dir": str(out_dir),
-                              "report": report}, sort_keys=True), flush=True)
+                              "report": report}, sort_keys=True, allow_nan=False), flush=True)
     except config.ConfigError as err:
         return _fail(args.command, EXIT_CONFIG, err)
     except FitError as err:

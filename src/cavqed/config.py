@@ -5,10 +5,11 @@ passes every check that the commands' library calls make on config values.
 The `*_from_config` builders turn a checked config into the library's
 value types; they import the physics modules in their own bodies, so at
 module level this module loads only the standard library and the
-numpy-free `budget`, `fixtures` and `units`.  The derivations that a
-command and a relation share are stated once: `lifetime_bins` and
-`synthetic_couplings` here, and a chain's product in
-`budget.chain_efficiency`.
+numpy-free `budget`, `cavity`, `fixtures` and `units`.  The derivations
+that a command and a relation share are stated once: `lifetime_bins` and
+`synthetic_couplings` here, a chain's product in
+`budget.chain_efficiency`, and the report quantities that the relations
+keep finite in `cavity` and `budget`.
 """
 
 import functools
@@ -16,7 +17,7 @@ import json
 import math
 import sys
 
-from . import budget, fixtures
+from . import budget, cavity, fixtures
 from .units import KB_UEV_PER_K, energy_from_wavelength, lifetime_from_rate, rate_from_lifetime
 
 DEFAULT_SEED = 12345
@@ -263,6 +264,29 @@ RELATIONS = [
     (("budget.chains.cavity_planar", "budget.chains.cavity_fiber"),
      "exactly one must list the stage 'cryostat_optics'",
      lambda planar, fiber: ("cryostat_optics" in planar) != ("cryostat_optics" in fiber)),
+    # the numbers a report holds must be finite: JSON has no NaN or Infinity
+    (("emitter.wavelength_nm", "cavity.refractive_index", "cavity.radius_of_curvature_um",
+      "cavity.modes[].p"), "the Gaussian mode volume of each mode must be finite",
+     lambda wl, n, radius, p: cavity.mode_volume_gaussian(
+         cavity.CavityGeometry(wl, n, radius, p)) < math.inf),
+    (("measured.flux_ratio_sat", "measured.decay_ratio", "emitter.debye_waller"),
+     "the solved F_P = flux_ratio_sat/debye_waller and eta_qy = (decay_ratio - 1)/"
+     "(debye_waller F_P) must be finite",
+     lambda flux, decay, dw: max(cavity.solve_fp_and_qy(flux, decay, dw)) < math.inf),
+    (("measured.ccd_rate_at_saturation_per_s", "measured.photons_into_fiber_per_ccd_count"),
+     "the fiber flux, their product, must be finite",
+     lambda rate, photons: budget.fiber_flux_from_ccd(rate, photons) < math.inf),
+    (("budget.chains.cavity_fiber", "budget.chains.cavity_planar", "cavity.mode_order",
+      "cavity.modes[*].p", "cavity.modes[*].p_fiber_pct", "cavity.modes[*].p_subs_pct",
+      "measured.exit_ratio_fiber_over_planar"),
+     "the cryostat_optics efficiency solved from the mode_order row's exits must be finite",
+     lambda fiber, planar, order, ps, fiber_pct, subs_pct, ratio: budget.calibrate_unknown_stage(
+         fiber, planar, fiber_pct[ps.index(order)] / 100.0, subs_pct[ps.index(order)] / 100.0,
+         ratio, "cryostat_optics")[0] < math.inf),
+    (("analysis.saturation.mode", "analysis.saturation.i_sat", "budget.overall_quoted.free_space",
+      "measured.f_rep_hz"),
+     "in pulsed mode, eta_qy = i_sat/(overall_quoted.free_space f_rep_hz) must be finite",
+     lambda mode, i_sat, eta, f_rep: mode != "pulsed" or i_sat / (eta * f_rep) < math.inf),
 ]
 
 

@@ -1,11 +1,15 @@
 """Exact decimal text of float64 arrays, without a Python call per value.
 
-`g17(values)` gives the bytes of Python's `"%.17g" % v` and `f2(values)`
-those of `"%.2f" % v`, for every value, as "cells": a (n, width) uint8
-array whose row i holds the text of values[i] in order, with NUL pads
-anywhere between its bytes.  `join(cells, b",", cells, b"\\n")` lays
-cells and separators side by side and drops the pads, which gives the
-rows of a CSV file or of an SVG `points` attribute.
+`g17(values)` gives the text of Python's `"%.17g" % v` and `f2(values)`
+that of `"%.2f" % v` as word columns, uint32 arrays that hold four text
+bytes of every row each (first byte lowest) with NUL pads anywhere
+between a row's bytes, and the mask of the values whose text only
+Python's `%` gives.  `rows(("%.17g", x), b",", ("%.2f", y), b"\\n")` is the
+one row layout: it places the words of each field and separator side by
+side in a uint32 matrix (`layout`), writes each masked value's `%` text
+over its own field, widened where that text is longer, and drops the
+pads with one `bytes.translate`, which gives the rows of a CSV file or
+of an SVG `points` attribute.
 
 The digits are computed in float64 and int64 arithmetic only, with no
 extended precision, so the same code runs, and gives the same bytes, on
@@ -30,12 +34,14 @@ fixed notation for -4 <= e < 17, else d.ddd e+XX with at least two
 exponent digits; trailing zeros of the fraction are dropped, and the
 point when no fraction is left.
 
-%.2f.  For |v| < 1e7, the value's hundredths n = round(|v| 100), ties to
-even, are exact: p = fl(|v| 100) with its exact error err (the same
-two-product).  p rounds to n unless p is exactly k + 1/2, where the sign
-of err decides and a zero err is a true tie, which rounds to even.  The
-sign is that of v, so a negative value that rounds to zero reads -0.00,
-as in Python.  Other values are formatted by Python.
+%.2f.  For |v| < 9999999.5, whose hundredths have at most 7 integer
+digits, so that the sign and the first three share one word, the
+hundredths n = round(|v| 100), ties to even, are exact: p = fl(|v| 100)
+with its exact error err (the same two-product).  p rounds to n unless p
+is exactly k + 1/2, where the sign of err decides and a zero err is a
+true tie, which rounds to even.  The sign is that of v, so a negative
+value that rounds to zero reads -0.00, as in Python.  Other values are
+formatted by Python.
 """
 
 import functools
@@ -79,48 +85,9 @@ def _quads():
 
 @functools.cache
 def _exponents():
-    """The "e+XX" text of exponents -400 to 399, one 8-byte word each."""
-    e = np.arange(-400, 400)
-    magnitude = np.abs(e)
-    text = np.zeros((e.size, 8), np.uint8)
-    text[:, 0] = ord("e")
-    text[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    text[:, 2] = np.where(magnitude >= 100, magnitude // 100 + ord("0"), 0)
-    text[:, 3] = magnitude // 10 % 10 + ord("0")
-    text[:, 4] = magnitude % 10 + ord("0")
-    return text.view("<u8").ravel()
-
-
-def _first_bytes(count):
-    """Masks of a word's first `count` bytes, `count` an int array from
-    -16 to 31 that is clipped to 0..4."""
-    return _FIRST[count + 16]
-
-
-def _cells(words, values, fmt, slow):
-    """The cells of a list of word columns: the bytes that some row uses
-    of each word, side by side, with the `slow` values written over
-    their rows by Python's `fmt % value`."""
-    n = len(values)
-    spans = []
-    for word in words:
-        used = int(np.bitwise_or.reduce(word))
-        if used:
-            # from the lowest to the highest byte that some row uses
-            spans.append((word.view(np.uint8).reshape(n, -1),
-                          ((used & -used).bit_length() - 1) // 8, (used.bit_length() + 7) // 8))
-    width = sum(hi - lo for _, lo, hi in spans)
-    rows = np.flatnonzero(slow).tolist()
-    texts = [(fmt % value).encode() for value in values[rows].tolist()]
-    cells = np.zeros((n, max([width, *map(len, texts)])), np.uint8)
-    at = 0
-    for word, lo, hi in spans:
-        cells[:, at:at + hi - lo] = word[:, lo:hi]
-        at += hi - lo
-    for row, text in zip(rows, texts):
-        cells[row] = 0
-        cells[row, :len(text)] = np.frombuffer(text, np.uint8)
-    return cells
+    """The "e+XX" text of exponent k at k + 400, 8 bytes each; at 0, none."""
+    text = b"".join(("e%+03d" % k).encode().ljust(8, b"\0") for k in range(-399, 400))
+    return np.frombuffer(bytes(8) + text, "<u8")
 
 
 def _significands(v):
@@ -146,10 +113,11 @@ def _significands(v):
 
 
 def g17(values):
-    """Cells of `"%.17g" % v` for each v of a 1-d float array."""
+    """The word columns of `"%.17g" % v` for each v of a 1-d float array,
+    and the mask of the values that Python's % formats."""
     v = np.asarray(values, dtype=float)
     if not v.size:
-        return np.zeros((0, 0), np.uint8)
+        return [], np.zeros(0, bool)
     d, e, exact = _significands(v)
     slow = ~exact & (v != 0)
     if not exact.all():
@@ -166,41 +134,47 @@ def g17(values):
     zero_after = ((groups[1] == 0) & (lower == 0), lower == 0, groups[3] == 0)
     full, no_trailing, _ = _quads()
 
-    # each digit goes to the integer or the fraction copy; the layout is
-    # sign and "0" | integer digits | "." and the zeros of 0.000d |
-    # fraction digits | exponent
+    # each digit goes to the integer or the fraction copy; the words are
+    # sign, "0." and an integer first digit | integer digits | "." or 0.000d's
+    # zeros, and a fractional first digit | fraction digits | exponent
     fixed = (e >= -4) & (e < 17)
     whole_digits = np.where(fixed, e + 1, 1)
     most = int(whole_digits.max())
     small = fixed & (e < 0)
     # the first digit is the last byte of its word
     first = (top.astype(_WORD) + ord("0")) << 24
-    mask = _first_bytes(whole_digits + 3)
+    mask = _FIRST[whole_digits + 3 + 16]
     whole, fraction = [first & mask], [first & ~mask]
     for i, g in enumerate(groups):
         digits = np.where(zero_after[i], no_trailing[g], full[g]) if i < 3 else no_trailing[g]
         if most > 1 + 4 * i:
-            mask = _first_bytes(whole_digits - 1 - 4 * i)
+            mask = _FIRST[whole_digits - 1 - 4 * i + 16]
             whole.append(full[g] & mask)
             digits &= ~mask
         fraction.append(digits)
     point = (fraction[0] | fraction[1] | fraction[2] | fraction[3] | fraction[4]) != 0
-    head = np.signbit(v) * _MINUS
-    middle = point * _POINT
+    whole[0] |= np.signbit(v) * _MINUS
+    fraction[0] |= point * _POINT
     if small.any():
-        head |= small * np.uint32(ord("0") << 8)
-        middle |= _first_bytes(-e * small) & np.uint32(0x30303000)
-    words = [head, *whole, middle, *fraction]
+        # "0." goes to the first word, and the zeros of 0.000d before d
+        whole[0] |= small * np.uint32(ord("0") << 8 | ord(".") << 16)
+        fraction[0] ^= small * _POINT
+        fraction[0] |= _FIRST[-e * small - 1 + 16] & np.uint32(0x303030)
+    # no fraction words where no row has a point: integers
+    words = whole + fraction if point.any() else whole
     if not fixed.all():
-        words.append(np.where(fixed, np.uint64(0), _exponents()[e + 400]))
-    return _cells(words, v, "%.17g", slow)
+        exponent = _exponents()[(e + 400) * ~fixed].view(_WORD).reshape(-1, 2)
+        # the second word holds only a third digit
+        words.append(exponent if exponent[:, 1].any() else exponent[:, 0])
+    return words, slow
 
 
 def f2(values):
-    """Cells of `"%.2f" % v` for each v of a 1-d float array."""
+    """The word columns of `"%.2f" % v` for each v of a 1-d float array,
+    and the mask of the values that Python's % formats."""
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
-    fast = a < 1e7
+    fast = a < 9999999.5
     a = np.where(fast, a, 0.0)
     # |v| 100 = p + err, exactly
     p = a * 100.0
@@ -214,25 +188,51 @@ def f2(values):
     lower = whole - upper * 10 ** 4
     full, _, no_leading = _quads()
     tail = full[n - whole * 100] & np.uint32(0xFFFF0000) | _POINT << 8
-    words = [np.signbit(v) * _MINUS, np.where(upper > 0, no_leading[upper], 0),
-             np.where(upper > 0, full[lower], no_leading[lower]), tail]
-    return _cells(words, v, "%.2f", ~fast)
+    head = np.where(upper > 0, no_leading[upper], 0) | np.signbit(v) * _MINUS
+    words = [head, np.where(upper > 0, full[lower], no_leading[lower]), tail]
+    # without the sign and the first three digits where no row has them
+    return words[not head.any():], ~fast
 
 
-def join(*columns):
-    """The bytes of rows laid out from `columns`, each a (n, width) cell
-    array or a bytes separator repeated on every row, without the pads."""
-    n = next(len(c) for c in columns if not isinstance(c, bytes))
-    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
-    rows = np.empty((n, sum(widths)), np.uint8)
+def layout(*columns):
+    """The rows laid out from `columns` as a uint32 matrix, one row of
+    words per row of text, with NUL pads.  A column is a bytes separator,
+    the same on every row, a matrix from `layout`, or a field (format,
+    values), "%.17g" or "%.2f": the kernel's words, with the text of each
+    value it leaves to Python written over its own row of the field."""
+    n = next(len(c) if isinstance(c, np.ndarray) else len(c[1])
+             for c in columns if not isinstance(c, bytes))
+    pieces, texts = [], []
+    for column in columns:
+        if isinstance(column, bytes):
+            pieces.append(np.frombuffer(column + bytes(-len(column) % 4), _WORD)[None])
+        elif isinstance(column, np.ndarray):
+            pieces.append(column)
+        else:
+            fmt, values = column
+            words, slow = {"%.17g": g17, "%.2f": f2}[fmt](values)
+            start = sum(piece.shape[1] for piece in pieces)
+            pieces += [word if word.ndim == 2 else word[:, None] for word in words]
+            width = sum(piece.shape[1] for piece in pieces) - start
+            if slow.any():
+                rows = np.flatnonzero(slow)
+                text = [(fmt % value).encode() for value in np.asarray(values)[rows].tolist()]
+                # a text longer than the words widens the field
+                wider = max(width, *(-(-len(t) // 4) for t in text))
+                pieces.append(np.zeros((1, wider - width), _WORD))
+                texts.append((rows, start, wider, text))
+    matrix = np.empty((n, sum(piece.shape[1] for piece in pieces)), _WORD)
     at = 0
-    for column, width in zip(columns, widths):
-        rows[:, at:at + width] = (np.frombuffer(column, np.uint8)
-                                  if isinstance(column, bytes) else column)
-        at += width
-    text = rows.tobytes()
-    # both give the same bytes; replace costs about 16 ns a pad and
-    # translate 0.8 ns a byte, so replace is the faster below 1 pad in 20
-    if rows.size - np.count_nonzero(rows) < rows.size // 20:
-        return text.replace(b"\0", b"")
-    return text.translate(None, b"\0")
+    for piece in pieces:
+        matrix[:, at:at + piece.shape[1]] = piece
+        at += piece.shape[1]
+    for rows, start, width, text in texts:
+        padded = b"".join(t.ljust(4 * width, b"\0") for t in text)
+        matrix[rows, start:start + width] = np.frombuffer(padded, _WORD).reshape(-1, width)
+    return matrix
+
+
+def rows(*columns):
+    """The bytes of the rows laid out from `columns` (`layout`), without
+    the pads."""
+    return layout(*columns).tobytes().translate(None, b"\0")

@@ -423,29 +423,37 @@ def _plain_float(cell):
 
 
 # The CSV writer formats and writes blocks of _BLOCK rows, so that the
-# kernel's arrays stay small.  Below _KERNEL_ROWS rows Python's % formats
-# the value column: the kernel's fixed cost per call, about 0.15 ms, is
-# then more than what it saves (value column after a cached x column, one
-# CPU of a 2-core Xeon: 425 integer counts 119 us by %, 283 us by the
-# kernel; 800 17-digit values 832 us by %, 456 us by the kernel).
-_BLOCK = 2048
+# kernel's arrays stay small, and a 3,001-row file is one block (one CPU
+# of a 2-core Xeon, writes of the paper run's files with a cached x
+# column, blocks of 2,048 / 3,072 / 4,096 rows: a 3,001-row spectrum 901 /
+# 746 / 750 us, the 30,001-row g2 file 5.3 / 4.7 / 4.4 ms with transient
+# peaks of 342 / 495 / 646 kB; batch-synthetic's peak RSS was 0.3 MB
+# lower at 3,072 than at 4,096 rows in three pairs).  Below _KERNEL_ROWS
+# rows Python's % formats the value column: the kernel's fixed cost per
+# call, about 0.08 ms, is then not always repaid (425 integer counts
+# 74 us by %, 144 us by the kernel; 425 17-digit values 204 and 137 us).
+_BLOCK = 3072
 _KERNEL_ROWS = 1000
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_column(grid_bytes):
     """The x column of a float64 grid given as its bytes, formatted once
-    by numtext.g17, so the files of a sweep that share one grid each
-    format only their y column: for fewer than _KERNEL_ROWS points the
-    rows' text "<x>,%.17g\n", a template for Python's %, else the cells
+    by numtext, so the files of a sweep that share one grid each format
+    only their y column: for fewer than _KERNEL_ROWS points the rows'
+    text "<x>,%.17g\n", a template for Python's %, else the words of "<x>,"
     of each block of _BLOCK rows.  Four grids are kept, as many as the
     commands write under one config (energy, decay time, saturation
     power, g2 delay).  Keyed by the grid's bytes, so an edited grid never
     gets stale text."""
     grid = np.frombuffer(grid_bytes)
     if grid.size < _KERNEL_ROWS:
-        return numtext.join(numtext.g17(grid), b",%.17g\n").decode()
-    return tuple(numtext.g17(grid[i:i + _BLOCK]) for i in range(0, grid.size, _BLOCK))
+        return numtext.rows(("%.17g", grid), b",%.17g\n").decode()
+    blocks = [numtext.layout(("%.17g", grid[i:i + _BLOCK]), b",")
+              for i in range(0, grid.size, _BLOCK)]
+    # without the word columns that no row uses, such as an integer grid's
+    # fraction
+    return tuple(words[:, np.bitwise_or.reduce(words, axis=0) != 0] for words in blocks)
 
 
 def write_two_column_csv(path, header, x, y):
@@ -463,8 +471,8 @@ def write_two_column_csv(path, header, x, y):
     if x.size < _KERNEL_ROWS:
         rows = [(column % tuple(y.tolist())).encode()]
     else:
-        rows = (numtext.join(cells, b",", numtext.g17(y[i * _BLOCK:(i + 1) * _BLOCK]), b"\n")
-                for i, cells in enumerate(column))
+        rows = (numtext.rows(words, ("%.17g", y[i * _BLOCK:(i + 1) * _BLOCK]), b"\n")
+                for i, words in enumerate(column))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         fh.writelines(rows)

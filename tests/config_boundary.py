@@ -6,15 +6,17 @@ Each case overlays one value on one key of `--fixture paper` and runs,
 through `cli.main`, a command that reads that key.  The values of a key
 are those just inside and just outside its rule in `config.CONFIG_KEYS`,
 plus SPECIALS; a table cell is overlaid in the first row.  A value
-outside the rule must exit 2 naming the key.  The values are derived
-from each rule's description, never from its test, so that a test
-looser than its description shows as a failed case.  The readers
-of each key are recorded by running each command once on the paper
-config; an overlay that leaves the paper config as it is, such as
-`null` on a key with a default, is that run and is not run again.  The
-process caps its address space at about 2 GB, so a grid that no limit
-stopped fails fast instead of swapping.  It prints one JSON object: the
-number of cases run, and each case that broke a rule of `problems`.
+outside the rule must exit 2 naming the key, and a run that exits 0
+must write only finite numbers to stdout and to its SVG points.  The
+values are derived from each rule's description, never from its test,
+so that a test looser than its description shows as a failed case.
+The readers of each key are recorded by running each command once on
+the paper config; an overlay that leaves the paper config as it is,
+such as `null` on a key with a default, is that run and is not run
+again.  The process caps its address space at about 2 GB, so a grid
+that no limit stopped fails fast instead of swapping.  It prints one
+JSON object: the number of cases run, and each case that broke a rule
+of `problems`.
 """
 
 import contextlib
@@ -147,11 +149,34 @@ def _loads(config, text):
         return None
 
 
-def problems(key, code, err, out_exists, outside_rule):
+def _refuse(constant):
+    raise ValueError(f"non-finite number {constant}")
+
+
+def non_finite(stdout, out):
+    """The outputs of a run that hold a non-finite number: its stdout
+    report, which JSON allows no NaN or Infinity in, and the points of the
+    SVG files in `out`."""
+    found = []
+    try:
+        json.loads(stdout, parse_constant=_refuse)
+    except ValueError:
+        found.append("stdout")
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".svg"):
+            with open(os.path.join(out, name)) as fh:
+                points = re.findall(r'points="([^"]*)"', fh.read())
+            if not all(math.isfinite(float(v)) for p in points for v in re.split("[ ,]", p)):
+                found.append(name)
+    return found
+
+
+def problems(key, code, err, out, outside_rule, stdout):
     """What a case's outcome breaks: a documented exit code, exit 2 for a
     value outside the key's rule (`outside_rule`), stderr holding JSON
-    lines alone, an exit 2 naming the key, and --out made only by a run
-    that exits 0."""
+    lines alone, an exit 2 naming the key, --out made only by a run that
+    exits 0, and only finite numbers on the stdout and in the SVG points
+    of a run that exits 0."""
     found = []
     if code not in (0, 2, 3, 4):
         found.append(f"exit {code}")
@@ -167,8 +192,11 @@ def problems(key, code, err, out_exists, outside_rule):
         message = records[-1]["message"] if records else ""
         if key not in message and key.replace("[0]", "[*]") not in message:
             found.append(f"exit 2 message names no {key}: {message[:300]}")
-    if out_exists and code != 0:
+    if os.path.exists(out) and code != 0:
         found.append(f"exit {code} wrote --out")
+    if code == 0:
+        found += [f"exit 0 wrote a non-finite number to {what}"
+                  for what in non_finite(stdout, out)]
     return found
 
 
@@ -196,16 +224,15 @@ def main():
                 for command in reads.get(key, []):
                     cases += 1
                     out = os.path.join(tmp, f"out{cases}")
-                    err = io.StringIO()
-                    with contextlib.redirect_stderr(err), \
-                            contextlib.redirect_stdout(io.StringIO()):
+                    err, stdout = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
                         try:
                             code = cli.main([command, "--fixture", "paper", "--config", path,
                                              "--out", out])
                         except Exception as exc:  # a crash is a failed case
                             code = f"raised {type(exc).__name__}: {str(exc)[:200]}"
-                    found = problems(key, code, err.getvalue(), os.path.exists(out),
-                                     outside_rule)
+                    found = problems(key, code, err.getvalue(), out, outside_rule,
+                                     stdout.getvalue())
                     if found:
                         failed.append({"command": command, "key": key,
                                        "value": json.dumps(value), "problems": found})

@@ -13,7 +13,7 @@ import pytest
 
 import cavqed
 from cavqed import config, dynamics, fixtures, spectra
-from cavqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, main
+from cavqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, main, write_outputs
 
 from conftest import paper_tables, run_main, run_pl, run_python
 
@@ -720,6 +720,15 @@ def test_commands_compute_without_writing(tmp_path, monkeypatch, command):
             for _, *xy in series:
                 grid, values = xy if len(xy) == 2 else (x, *xy)
                 assert np.ndim(grid) == 1 and np.shape(grid) == np.shape(values), name
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_report_number_raises_and_writes_nothing(tmp_path, value):
+    # behind the relations that keep every report finite: JSON has no NaN
+    # or Infinity, so a report holding one is a bug, not a file
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_outputs(tmp_path / "out", "purcell", {"solved": {"f_p": value}}, {})
+    assert not (tmp_path / "out").exists()
 
 
 class TestInputData:

@@ -559,6 +559,7 @@ class TestCsvRoundTrip:
             assert after.misses - before.misses == (len(grids) if round_ == 0 else 0)
 
     @pytest.mark.parametrize("rows", [spectra._KERNEL_ROWS - 1, spectra._KERNEL_ROWS,
+                                      spectra._BLOCK - 1, spectra._BLOCK, spectra._BLOCK + 1,
                                       2 * spectra._BLOCK + 1])
     def test_both_row_paths_write_the_format_generators_bytes(self, tmp_path, rows):
         # below _KERNEL_ROWS Python's % formats the values, from it on the
@@ -570,6 +571,17 @@ class TestCsvRoundTrip:
         spectra.write_two_column_csv(tmp_path / "bits.csv", "a,b", x, y)
         old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
         assert (tmp_path / "bits.csv").read_text() == "a,b\n" + old
+
+    @pytest.mark.parametrize("slow", [5e-324, 1e300, 100.0, -0.0, 1e16])
+    def test_slow_values_among_small_integers_keep_their_text(self, tmp_path, slow):
+        # the small integers' words are narrower than the text that Python's
+        # % writes over a slow value's own row, in both columns and blocks
+        x, y = np.arange(1.0, spectra._BLOCK + 2), np.arange(spectra._BLOCK + 1) % 7.0
+        for column in (x, y):
+            column[[0, spectra._BLOCK // 2, -1]] = slow
+        spectra.write_two_column_csv(tmp_path / "slow.csv", "a,b", x, y)
+        old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
+        assert (tmp_path / "slow.csv").read_text() == "a,b\n" + old
 
     @pytest.mark.parametrize("column", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -81,6 +81,34 @@ def test_decimation_needs_no_sorted_x():
     assert keep.tolist() == [True, True, True, False, True, True, True, True]
 
 
+def lexsort_m4_keep(px, py):
+    """The M4 rule by one stable sort of the points by run, then by y: the
+    oracle for svg._m4_keep."""
+    column = np.floor(px)
+    new_run = np.r_[True, column[1:] != column[:-1]]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], px.size) - 1
+    keep = np.repeat(ends - starts < 4, ends - starts + 1)
+    by_y = np.lexsort((py, np.cumsum(new_run)))
+    keep[starts] = keep[ends] = keep[by_y[starts]] = keep[by_y[ends]] = True
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_decimation_keeps_what_the_lexsort_rule_keeps(seed):
+    # runs of 1 to 40 points in random columns, so x is unsorted, with
+    # tied y (-0.0 among them) in half the cases; some plots have no run
+    # of more than 4 points
+    rng = np.random.default_rng(seed)
+    for case in range(100):
+        sizes = rng.integers(1, rng.choice([5, 41]), rng.integers(1, 30))
+        columns = np.repeat(rng.integers(0, 12, sizes.size), sizes)
+        px = columns + rng.uniform(0, 1, sizes.sum())
+        py = (rng.choice([-1.0, -0.0, 0.0, 2.5], sizes.sum()) if case % 2
+              else rng.normal(size=sizes.sum()))
+        assert svg._m4_keep(px, py).tolist() == lexsort_m4_keep(px, py).tolist(), case
+
+
 def on_both_branches(monkeypatch, tmp_path, x, series, **labels):
     """What write_line_svg gives for one plot on its pure-Python branch,
     where taking the numpy branch would fail, and on its numpy branch: the
@@ -121,3 +149,23 @@ def test_short_plots_are_the_same_bytes_on_both_branches(monkeypatch, tmp_path, 
 def test_invalid_short_series_raise_alike_on_both_branches(monkeypatch, tmp_path, x, series):
     python, numpy_ = on_both_branches(monkeypatch, tmp_path, x, series)
     assert python == numpy_ == repr(ValueError(svg._BAD_SERIES))
+
+
+@pytest.mark.parametrize("x, series", [
+    ([-1.7976931348623157e308, 1.7976931348623157e308], [("x span", [1.0, 2.0])]),
+    ([6, 7], [("y span", [2.49, 1.7976931348623157e308]), ("small", [2.86, 3.21])]),
+], ids=["x-span-overflows", "y-span-overflows"])
+def test_finite_values_draw_finite_points_alike_on_both_branches(monkeypatch, tmp_path, x,
+                                                                 series):
+    python, numpy_ = on_both_branches(monkeypatch, tmp_path, x, series)
+    assert python == numpy_
+    for curve in polyline_points(tmp_path / "_numpy_curves.svg"):
+        assert all(np.isfinite(float(v)) for point in curve for v in point)
+
+
+def test_non_finite_value_raises_and_writes_no_file(tmp_path):
+    y = np.linspace(0.0, 1.0, 300)
+    y[7] = np.nan
+    with pytest.raises(ValueError, match=svg._NON_FINITE):
+        svg.write_line_svg(tmp_path / "nan.svg", np.arange(300.0), [("y", y)])
+    assert not (tmp_path / "nan.svg").exists()
