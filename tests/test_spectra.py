@@ -560,7 +560,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("rows", [spectra._KERNEL_ROWS - 1, spectra._KERNEL_ROWS,
                                       spectra._BLOCK - 1, spectra._BLOCK, spectra._BLOCK + 1,
-                                      2 * spectra._BLOCK + 1])
+                                      4097, 2 * spectra._BLOCK + 1])
     def test_both_row_paths_write_the_format_generators_bytes(self, tmp_path, rows):
         # below _KERNEL_ROWS Python's % formats the values, from it on the
         # kernel does, block by block
