@@ -410,8 +410,18 @@ def cmd_saturation(cfg, seed):
     _require_converged([fit], "saturation")
 
     eta_coll = cfg["budget"]["overall_quoted"]["free_space"]
-    eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, cfg["measured"]["f_rep_hz"]) \
-        if mode == "pulsed" else None
+    f_rep = cfg["measured"]["f_rep_hz"]
+    eta_qy = None
+    if mode == "pulsed":
+        # load checks the yield of the configured i_sat; the fitted one
+        # follows the counts, those of a curve file included
+        if fit.i_sat / (eta_coll * f_rep) == float("inf"):
+            source = f"{options['curve_csv']}: " if options["curve_csv"] else ""
+            raise config.ConfigError(
+                f"{source}config keys budget.overall_quoted.free_space and measured.f_rep_hz: "
+                "in pulsed mode, eta_qy = i_sat/(overall_quoted.free_space f_rep_hz) must be "
+                f"finite for the fitted i_sat {fit.i_sat!r}, got {eta_coll!r} and {f_rep!r}")
+        eta_qy = dynamics.qy_from_saturation(fit.i_sat, eta_coll, f_rep)
 
     fitted = dynamics.saturation_curve(powers, fit.i_sat, fit.p_sat, mode)
     files = {"saturation.csv": ("power,counts", powers, counts),

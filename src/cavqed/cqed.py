@@ -51,8 +51,7 @@ class SteadyStateResult(_record("SteadyStateResult",
     __slots__ = ()
 
 
-class EnvelopeFit(_record("EnvelopeFit", "g_uev a c residual iterations converged flag",
-                          defaults=("",))):
+class EnvelopeFit(_record("EnvelopeFit", "g_uev a c residual iterations converged flag")):
     """Result of fitting the normalized modulation envelope."""
 
     __slots__ = ()

@@ -32,7 +32,7 @@ class DecayTrace(_record("DecayTrace", "time_ps counts irf", derived="bin_ps")):
 
 
 class BiexpFit(_record("BiexpFit", "tau1_ps tau2_ps a1 a2 long_weight sigma_tau1_ps "
-                                   "sigma_tau2_ps converged flag", defaults=("",))):
+                                   "sigma_tau2_ps converged flag")):
     __slots__ = ()
 
     def to_record(self):
@@ -155,8 +155,9 @@ def fit_biexponential(trace):
 
     Residuals carry Poisson weights 1/sqrt(max(counts, 1)).  If the two
     lifetimes converge to within 5% of each other the fit collapses to a
-    monoexponential and is flagged; non-convergence returns the best
-    iterate with a flag and a warning.
+    monoexponential and is flagged; non-convergence of either stage
+    returns the best iterate flagged "not-converged", after the collapse's
+    flag and a ";", and that of the biexponential stage warns.
     """
     _decay_data(trace)
     t = trace.time_ps
@@ -185,7 +186,7 @@ def fit_biexponential(trace):
         warnings.warn("biexponential fit did not converge; returning best iterate")
 
     if abs(tau2 - tau1) < _DEGENERATE_TAU_RTOL * tau2:
-        return _monoexp_collapse(c, sigma, model, tau2, a1 + a2)
+        return _monoexp_collapse(c, sigma, model, tau2, a1 + a2, converged)
 
     sigma_tau1, sigma_tau2 = _parameter_sigmas(result)[order]
     long_weight = a2 * tau2 / (a1 * tau1 + a2 * tau2)
@@ -230,7 +231,10 @@ def _initial_biexp_guess(t, c, model):
     return [tau1_0, tau2_0, a1_0, a2_0]
 
 
-def _monoexp_collapse(c, sigma, model, tau0, a0):
+def _monoexp_collapse(c, sigma, model, tau0, a0, converged):
+    """The monoexponential fit of a degenerate biexponential one, which
+    had `converged` or not."""
+
     def residuals(params):
         tau, a = _columns(params)
         return (model(tau, tau, 0.0, a) - c) / sigma
@@ -238,8 +242,9 @@ def _monoexp_collapse(c, sigma, model, tau0, a0):
     result = _trf_lower_bounded(residuals, [tau0, a0], [1e-6, 0.0])
     tau, a = result.x
     sig = _parameter_sigmas(result)
-    return BiexpFit(float(tau), float(tau), 0.0, float(a), 1.0, sig[0], sig[0],
-                    bool(result.status > 0), "degenerate-collapsed-to-monoexponential")
+    converged = converged and bool(result.status > 0)
+    flag = "degenerate-collapsed-to-monoexponential" + ("" if converged else ";not-converged")
+    return BiexpFit(float(tau), float(tau), 0.0, float(a), 1.0, sig[0], sig[0], converged, flag)
 
 
 def _parameter_sigmas(result):

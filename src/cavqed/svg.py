@@ -59,9 +59,13 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 def _ticks(lo, hi):
     """np.linspace(lo, hi, 5) by numpy's operations: i * step + lo, or
-    (i / 4) * delta + lo where the step underflows to 0, and hi last."""
+    (i / 4) * delta + lo where the step underflows to 0, and hi last.
+    Where the step overflows, the ticks are those of the bounds scaled
+    by 2**-12, as _scale scales them, scaled back."""
     delta = hi - lo
     step = delta / 4
+    if step == math.inf:
+        return [tick * 2.0 ** 12 for tick in _ticks(lo * 2.0 ** -12, hi * 2.0 ** -12)[:4]] + [hi]
     if step == 0:
         return [(i / 4) * delta + lo for i in range(4)] + [hi]
     return [i * step + lo for i in range(4)] + [hi]

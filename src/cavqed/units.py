@@ -22,7 +22,7 @@ HC_UEV_NM = 1.23984198e9
 KB_UEV_PER_K = 86.17333262
 
 
-def _record(typename, field_names, derived="", defaults=()):
+def _record(typename, field_names, derived=""):
     """A namedtuple base for an immutable value type that its subclass
     checks in `__new__`.
 
@@ -30,13 +30,12 @@ def _record(typename, field_names, derived="", defaults=()):
     so no path gives a record that fails a check.  The `derived` fields
     come last: `__new__` computes them from the others, so a caller
     cannot pass them, `_make` takes the other fields and `_replace`
-    recomputes them.  `defaults`, for a subclass without its own
-    `__new__`, are those of its last fields.  A record is a tuple: it
-    unpacks and indexes, and compares equal to a plain tuple, or another
-    record, that holds the same values.  Each subclass sets
-    `__slots__ = ()`, so assigning an attribute raises AttributeError.
+    recomputes them.  A record is a tuple: it unpacks and indexes, and
+    compares equal to a plain tuple, or another record, that holds the
+    same values.  Each subclass sets `__slots__ = ()`, so assigning an
+    attribute raises AttributeError.
     """
-    base = namedtuple(typename, f"{field_names} {derived}", defaults=defaults)
+    base = namedtuple(typename, f"{field_names} {derived}")
     given = field_names.split()
 
     def _replace(self, /, **changes):

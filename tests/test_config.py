@@ -113,10 +113,12 @@ def test_every_overlay_ends_in_a_documented_exit():
     # one child process runs the whole boundary table: each value just
     # inside and just outside a key's rule, and the special values, on
     # --fixture paper, under every command that reads the key; a value
-    # outside the rule must exit 2 naming the key
+    # outside the rule must exit 2 naming the key.  A path's values inside
+    # its rule are the input files derived from the paper run's own
     done = run_python(str(Path(__file__).with_name("config_boundary.py")))
     result = json.loads(done.stdout)
-    assert result["cases"] > 1000
+    assert result["cases"]["config"] > 1000
+    assert result["cases"]["input file"] == 91
     assert result["failed"] == []
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import config, dynamics
+from cavqed import config, dynamics, spectra
 from cavqed.dynamics import (
     DecayTrace,
     LevelScheme,
@@ -153,6 +153,18 @@ class TestFitBiexponential:
         assert fit.long_weight == 1.0
         assert fit.converged
 
+    def test_collapse_keeps_the_flag_of_an_unconverged_stage(self, paper_runs):
+        # the paper's cavity trace with bin 212 (688 ps) at 5e-324 counts:
+        # the biexponential stage stops at its evaluation limit with two
+        # lifetimes within 5% of each other, and collapses
+        t, counts = spectra.parse_two_column_csv(
+            (paper_runs["lifetime"].out / "decay_cavity.csv").read_text(), "time_ps,counts")
+        counts[212] = 5e-324
+        with pytest.warns(UserWarning, match="did not converge"):
+            fit = fit_biexponential(DecayTrace(t, counts, 32.0))
+        assert fit.flag == "degenerate-collapsed-to-monoexponential;not-converged"
+        assert not fit.converged
+
     def test_swapped_lifetimes_keep_their_sigmas(self):
         # the solver ends with x[0] > x[1] on this single-lifetime trace;
         # reordering the lifetimes must reorder their sigmas too
@@ -215,12 +227,16 @@ class TestFitBiexponential:
         assert np.array_equal(got[2], convolve(rows[2]))
 
     def test_needs_enough_bins(self):
-        with pytest.raises(ValueError, match="50 bins"):
+        with pytest.raises(ValueError, match="^need at least 50 bins for a biexponential fit$"):
             fit_biexponential(DecayTrace(np.arange(10.0), np.ones(10), 32.0))
 
     def test_needs_counts(self):
         with pytest.raises(ValueError, match="no counts"):
             fit_biexponential(DecayTrace(np.arange(60.0), np.zeros(60), 32.0))
+
+    def test_needs_counts_at_most_2_to_the_500(self):
+        with pytest.raises(ValueError, match=r"^counts must be at most 2\*\*500$"):
+            fit_biexponential(DecayTrace(np.arange(60.0), np.full(60, 1e200), 32.0))
 
 
 class TestDecayTraceType:
@@ -229,7 +245,7 @@ class TestDecayTraceType:
             DecayTrace(np.array([0.0, 1.0, 3.0]), np.ones(3), 32.0)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
             DecayTrace(np.arange(3.0), np.array([1.0, -1.0, 1.0]), 32.0)
 
 
@@ -269,8 +285,17 @@ class TestSaturation:
 
     @pytest.mark.parametrize("counts", [[-1.0, -2.0, -3.0, -3.5], [0.0, 0.0, 0.0, 0.0]])
     def test_fit_needs_a_positive_count(self, counts):
-        with pytest.raises(ValueError, match="no positive value"):
+        with pytest.raises(ValueError, match="^counts have no positive value to fit$"):
             fit_saturation(np.array([0.0, 1.0, 2.0, 4.0]), np.array(counts), "cw")
+
+    @pytest.mark.parametrize("powers, counts, message", [
+        ([-1.0, 1.0, 2.0, 4.0], [1.0, 2.0, 3.0, 3.5], r"^powers must be >= 0$"),
+        ([0.0, 0.0, 0.0, 0.0], [10.0, 20.0, 30.0, 40.0], r"^powers have no positive value to fit$"),
+        ([0.0, 1.0, 2.0], [1.0, 1e200, 3.0], r"^counts must be at most 2\*\*500$"),
+    ], ids=["negative-power", "no-positive-power", "count-overflow"])
+    def test_fit_names_the_data_it_cannot_take(self, powers, counts, message):
+        with pytest.raises(ValueError, match=message):
+            fit_saturation(powers, counts, "cw")
 
     @pytest.mark.parametrize("powers, counts", [
         ([0.0, 1.0, 2.0, 4.0], [np.nan, 1.0, 2.0, 3.0]),

@@ -31,7 +31,7 @@ from conftest import lorentzian_area2pi, measure_fwhm
 class TestSpectrumType:
     def test_rejects_nonuniform_grid(self):
         grid = np.array([0.0, 1.0, 2.5, 3.0])
-        with pytest.raises(ValueError, match="uniform"):
+        with pytest.raises(ValueError, match="^grid must be uniform to 1 part in 1e9$"):
             Spectrum(grid, np.ones(4))
 
     def test_rejects_negative_values(self):
@@ -268,7 +268,7 @@ class TestBuildFsSpectrum:
 
     def test_grid_too_coarse_rejected(self):
         model = EmitterModel(0.0, 10.0, 1.0)
-        with pytest.raises(ValueError, match="too coarse"):
+        with pytest.raises(ValueError, match="^grid too coarse: spacing 2 ueV exceeds zpl_fwhm/10 = 1 ueV$"):
             build_fs_spectrum(model, energy_grid(0.0, 500.0, 2.0))
 
     def test_grid_too_narrow_rejected(self):
@@ -622,6 +622,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("text, message", [
         ("", "header"),
         ("energy_ueV, value\n1,2\n2,3\n", "header"),
+        ("energy,value\n0,1\n1,1\n", "^expected header 'energy_ueV,value', got 'energy,value'$"),
         ("energy_ueV,value,extra\n1,2,3\n2,3,4\n", "header"),
         ("energy_ueV,value\n1,2\n", "two data rows"),
         ("energy_ueV,value\n1,2\n2,3,4\n", "two columns"),

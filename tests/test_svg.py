@@ -154,13 +154,19 @@ def test_invalid_short_series_raise_alike_on_both_branches(monkeypatch, tmp_path
 @pytest.mark.parametrize("x, series", [
     ([-1.7976931348623157e308, 1.7976931348623157e308], [("x span", [1.0, 2.0])]),
     ([6, 7], [("y span", [2.49, 1.7976931348623157e308]), ("small", [2.86, 3.21])]),
-], ids=["x-span-overflows", "y-span-overflows"])
+    ([6, 7], [("y step", [-1.7976931348623157e308, 1.7976931348623157e308])]),
+], ids=["x-span-overflows", "y-span-overflows", "y-tick-step-overflows"])
 def test_finite_values_draw_finite_points_alike_on_both_branches(monkeypatch, tmp_path, x,
                                                                  series):
     python, numpy_ = on_both_branches(monkeypatch, tmp_path, x, series)
     assert python == numpy_
     for curve in polyline_points(tmp_path / "_numpy_curves.svg"):
         assert all(np.isfinite(float(v)) for point in curve for v in point)
+    # and the ticks, also where the step (hi - lo)/4 overflows
+    ticks = [el for el in ET.parse(tmp_path / "_numpy_curves.svg").getroot()
+             if el.get("font-size") == "11"]
+    assert len(ticks) == 10
+    assert all(np.isfinite(float(v)) for el in ticks for v in (el.get("x"), el.get("y"), el.text))
 
 
 def test_non_finite_value_raises_and_writes_no_file(tmp_path):
@@ -169,3 +175,4 @@ def test_non_finite_value_raises_and_writes_no_file(tmp_path):
     with pytest.raises(ValueError, match=svg._NON_FINITE):
         svg.write_line_svg(tmp_path / "nan.svg", np.arange(300.0), [("y", y)])
     assert not (tmp_path / "nan.svg").exists()
+
