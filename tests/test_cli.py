@@ -127,6 +127,18 @@ class TestBrightnessCommand:
         assert (out_a / "envelope_p6.csv").read_bytes() \
             != (out_b / "envelope_p6.csv").read_bytes()
 
+    def test_measured_envelope_path(self, tmp_path, paper_runs):
+        # a synthetic envelope written to CSV comes back through the
+        # measured-data route with the coupling it was built with
+        out = paper_runs["brightness-noise-free"].out
+        cfg = {"analysis": {"brightness": {
+            "envelope_csv": str(out / "envelope_p6.csv")}}}
+        code, out2 = run_main(tmp_path, "brightness", config=cfg, name="measured")
+        assert code == EXIT_OK
+        report = read_report(out2, "brightness_report.json")
+        assert report["mode"] == "measured"
+        assert report["fit"]["g_ueV"] == pytest.approx(25.0, rel=1e-3)
+
 
 class TestLifetimeCommand:
     def test_paper_ratio_reproduced(self, paper_runs):
@@ -136,16 +148,39 @@ class TestLifetimeCommand:
         assert report["free_space"]["tau2_ps"] == pytest.approx(256.0, abs=4.0)
         assert report["free_space"]["long_weight"] > 0.8
 
+    def test_measured_csv_path(self, tmp_path, paper_runs):
+        # synthesize, save, then reload through the measured-data path
+        out = paper_runs["lifetime"].out
+        cfg = {"analysis": {"lifetime": {
+            "fs_trace_csv": str(out / "decay_fs.csv"),
+            "cavity_trace_csv": str(out / "decay_cavity.csv")}}}
+        code, out2 = run_main(tmp_path, "lifetime", config=cfg, name="measured")
+        assert code == EXIT_OK
+        report = read_report(out2, "lifetime_report.json")
+        assert report["lifetime_ratio"] == pytest.approx(1.19, abs=0.09)
+
+    @staticmethod
+    def run_with_cavity_trace(tmp_path, paper_runs, text):
+        """(exit code, out dir) of `pl lifetime` on the paper's free-space
+        trace and a cavity trace file holding `text`."""
+        cavity = tmp_path / "cavity.csv"
+        cavity.write_text(text)
+        cfg = {"analysis": {"lifetime": {
+            "fs_trace_csv": str(paper_runs["lifetime"].out / "decay_fs.csv"),
+            "cavity_trace_csv": str(cavity)}}}
+        return run_main(tmp_path, "lifetime", config=cfg, name="measured")
+
+    def test_traces_of_different_lengths(self, tmp_path, paper_runs):
+        lines = (paper_runs["lifetime"].out / "decay_cavity.csv").read_text().splitlines()
+        code, out = self.run_with_cavity_trace(tmp_path, paper_runs, "\n".join(lines[:301]))
+        assert code == EXIT_OK
+        assert read_report(out, "lifetime_report.json")["cavity"]["converged"]
+
     def test_traces_on_different_bins_are_drawn_at_their_own_times(self, tmp_path, paper_runs):
         # the cavity trace at twice the bin: as many rows, twice the span
-        paper = paper_runs["lifetime"].out
-        t, counts = spectra.parse_two_column_csv((paper / "decay_cavity.csv").read_text(),
-                                                 "time_ps,counts")
-        cavity = tmp_path / "cavity.csv"
-        spectra.write_two_column_csv(cavity, "time_ps,counts", 2.0 * t, counts)
-        cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(paper / "decay_fs.csv"),
-                                         "cavity_trace_csv": str(cavity)}}}
-        code, out = run_main(tmp_path, "lifetime", config=cfg)
+        header, *rows = (paper_runs["lifetime"].out / "decay_cavity.csv").read_text().splitlines()
+        doubled = [f"{2.0 * float(t)!r},{c}" for t, c in (row.split(",") for row in rows)]
+        code, out = self.run_with_cavity_trace(tmp_path, paper_runs, "\n".join([header, *doubled]))
         assert code == EXIT_OK
         root = ET.parse(out / "lifetime.svg").getroot()
         free_space, cavity = ([float(pair.split(",")[0]) for pair in el.get("points").split()]
@@ -165,6 +200,22 @@ class TestLifetimeCommand:
         for name in ("decay_fs.csv", "decay_cavity.csv"):
             assert (out / name).read_bytes() == (paper / name).read_bytes()
 
+    def test_empty_input_is_io_error(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(empty),
+                                         "cavity_trace_csv": str(empty)}}}
+        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="empty")
+        assert code == EXIT_IO
+
+    def test_malformed_input_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_ps,counts\n0.0,1.0\nnot,numbers\n")
+        cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(bad),
+                                         "cavity_trace_csv": str(bad)}}}
+        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="bad")
+        assert code == EXIT_CONFIG
+
 
 class TestSaturationCommand:
     def test_pulsed_yield(self, paper_runs):
@@ -179,6 +230,16 @@ class TestSaturationCommand:
         assert code == EXIT_OK
         report = read_report(out, "saturation_report.json")
         assert report["eta_qy"] is None
+
+    def test_written_curve_reingests_losslessly(self, tmp_path, paper_runs):
+        out = paper_runs["saturation"].out
+        first = read_report(out, "saturation_report.json")
+        cfg = {"analysis": {"saturation": {"curve_csv": str(out / "saturation.csv")}}}
+        code, out2 = run_main(tmp_path, "saturation", config=cfg, name="reload")
+        assert code == EXIT_OK
+        second = read_report(out2, "saturation_report.json")
+        assert second["i_sat"] == pytest.approx(first["i_sat"], rel=1e-12)
+        assert second["p_sat"] == pytest.approx(first["p_sat"], rel=1e-12)
 
     def test_curve_whose_yield_overflows_names_the_file(self, tmp_path, capsys, paper_runs):
         # load checks the yield of the configured i_sat, not of the fitted one
@@ -288,6 +349,13 @@ class TestExitCodes:
         assert json.loads(line)["message"] == (
             f"{cfg}: not UTF-8 text, invalid continuation byte at byte offset {offset}")
         assert not (tmp_path / "x").exists()
+
+    def test_invalid_parameter_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"emitter": {"debye_waller": 2.0}}))
+        code = main(["spectrum", "--fixture", "paper", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
 
     def test_diagnostics_are_single_line_json(self, tmp_path, capsys):
         main(["purcell", "--out", str(tmp_path / "x")])
@@ -550,6 +618,23 @@ class TestExitCodes:
         assert failed["message"] == "lifetime: 2 fit(s) did not converge"
         assert not out.exists()
 
+    @pytest.mark.parametrize("code", [EXIT_CONFIG, EXIT_FIT, EXIT_IO])
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, code):
+        import cavqed.cli as cli_mod
+
+        def explode(config, seed):
+            raise cli_mod.FitError("synthetic non-convergence")
+
+        config = None
+        if code == EXIT_CONFIG:
+            config = {"emitter": {"debye_waller": 2.0}}
+        elif code == EXIT_FIT:
+            monkeypatch.setitem(cli_mod._COMMANDS, "brightness", explode)
+        else:
+            config = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "no.csv")}}}
+        assert run_main(tmp_path, "brightness", config=config)[0] == code
+        assert not (tmp_path / "run").exists()
+
     def test_failed_write_leaves_out_dir_as_it_was(self, tmp_path, capsys):
         # a directory in the way of the last file written
         (tmp_path / "run" / "spectrum.svg").mkdir(parents=True)
@@ -658,6 +743,119 @@ def test_non_finite_report_number_raises_and_writes_nothing(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_outputs(tmp_path / "out", "purcell", {"solved": {"f_p": value}}, {})
     assert not (tmp_path / "out").exists()
+
+
+class TestInputData:
+    """Exit codes for bad input CSVs: unreadable or empty files are I/O
+    errors (4), bad contents are validation errors (2)."""
+
+    @pytest.fixture(scope="class")
+    def envelope_text(self, paper_runs):
+        return (paper_runs["brightness"].out / "envelope_p6.csv").read_text()
+
+    def run_envelope(self, tmp_path, text):
+        path = tmp_path / "envelope.csv"
+        path.write_text(text)
+        cfg = {"analysis": {"brightness": {"envelope_csv": str(path)}}}
+        return run_main(tmp_path, "brightness", config=cfg, name="measured")[0]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_envelope_is_config_error(self, tmp_path, envelope_text, bad, capsys):
+        lines = envelope_text.splitlines(keepends=True)
+        energy = lines[100].split(",")[0]
+        lines[100] = f"{energy},{bad}\n"
+        assert self.run_envelope(tmp_path, "".join(lines)) == EXIT_CONFIG
+        assert "envelope.csv" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_empty_envelope_is_io_error(self, tmp_path):
+        assert self.run_envelope(tmp_path, "") == EXIT_IO
+
+    def test_missing_envelope_is_io_error(self, tmp_path):
+        cfg = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "nope.csv")}}}
+        assert run_main(tmp_path, "brightness", config=cfg)[0] == EXIT_IO
+
+    def test_nan_in_trace_names_the_file(self, tmp_path, capsys, paper_runs):
+        out = paper_runs["lifetime"].out
+        lines = (out / "decay_cavity.csv").read_text().splitlines(keepends=True)
+        lines[60] = lines[60].split(",")[0] + ",nan\n"
+        bad = tmp_path / "nan_trace.csv"
+        bad.write_text("".join(lines))
+        cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(out / "decay_fs.csv"),
+                                         "cavity_trace_csv": str(bad)}}}
+        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="measured")
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "nan_trace.csv" in message and "non-finite" in message
+
+    @pytest.mark.parametrize("command, key, rows, problem", [
+        ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n1,1\n3,1",
+         "grid must be uniform to 1 part in 1e9"),
+        # a CSV is ASCII: UTF-16 text, with its byte order mark, is not read
+        ("saturation", "curve_csv", "power,counts\n0,1\n1,2\n2,3".encode("utf-16"),
+         "not UTF-8 text, invalid start byte at byte offset 0"),
+        ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,-2\n8,1",
+         "counts must be finite and nonnegative"),
+        # the library checks of a file's grid and values run as it is read
+        ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n40,1\n80,1",
+         "grid too coarse: spacing 40 ueV exceeds zpl_fwhm/10 = 20 ueV"),
+        ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,2\n8,1",
+         "need at least 50 bins for a biexponential fit"),
+        ("saturation", "curve_csv", "power,counts\n0,-1\n1,-2\n2,-3\n4,-3.5",
+         "counts have no positive value to fit"),
+        ("saturation", "curve_csv", "power,counts\n-1,1\n1,2\n2,3\n4,3.5",
+         "powers must be >= 0"),
+        ("saturation", "curve_csv", "power,counts\n0,10\n0,20\n0,30\n0,40\n0,50",
+         "powers have no positive value to fit"),
+        # a fit's squared residuals would overflow
+        ("saturation", "curve_csv", "power,counts\n0,1\n1,1e200\n2,3",
+         "counts must be at most 2**500"),
+        ("lifetime", "cavity_trace_csv",
+         f"time_ps,counts\n0,{math.nextafter(2.0 ** 500, math.inf)!r}"
+         + "".join(f"\n{4 * i},1" for i in range(1, 50)),
+         "counts must be at most 2**500"),
+        # errors of the parser itself carry the same single prefix
+        ("brightness", "envelope_csv", "energy,value\n0,1\n1,1",
+         "expected header 'energy_ueV,value', got 'energy,value'"),
+        ("saturation", "curve_csv", "power,counts\n0,1\n1,x",
+         "malformed number in data row 2, column 'counts': "
+         "could not convert string to float: 'x'"),
+    ], ids=["envelope-grid", "curve-utf16", "trace-count", "envelope-coarse", "trace-short",
+            "curve-counts", "curve-power", "curve-powers", "curve-overflow", "trace-overflow",
+            "envelope-header", "curve-number"])
+    def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
+        path = tmp_path / "input.csv"
+        path.write_bytes(rows if isinstance(rows, bytes) else (rows + "\n").encode())
+        options = {key: str(path)}
+        if command == "lifetime":
+            options["fs_trace_csv"] = str(path)
+        code, out = run_main(tmp_path, command, config={"analysis": {command: options}})
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == f"{path}: {problem}"
+        assert not out.exists()
+
+    def test_trace_at_the_count_bound_is_fitted(self, tmp_path, paper_runs):
+        # the paper's cavity trace scaled to a peak of 2**500, the largest
+        # count that a fit takes: its overflows are warnings, not a traceback
+        time, counts = np.loadtxt(paper_runs["lifetime"].out / "decay_cavity.csv",
+                                  delimiter=",", skiprows=1, unpack=True)
+        path = tmp_path / "trace.csv"
+        np.savetxt(path, np.column_stack([time, counts / counts.max() * 2.0 ** 500]),
+                   fmt="%.17g", delimiter=",", header="time_ps,counts", comments="")
+        options = {"fs_trace_csv": str(path), "cavity_trace_csv": str(path)}
+        code, _ = run_main(tmp_path, "lifetime", config={"analysis": {"lifetime": options}})
+        assert code == EXIT_OK
+
+    def test_curve_with_a_negative_count_is_fitted(self, tmp_path):
+        powers = [0.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0]
+        counts = [-1.0, 400.0, 900.0, 1300.0, 1600.0, 1750.0]
+        path = tmp_path / "curve.csv"
+        path.write_text("power,counts\n" + "".join(f"{p},{c}\n" for p, c in zip(powers, counts)))
+        code, out = run_main(tmp_path, "saturation",
+                             config={"analysis": {"saturation": {"curve_csv": str(path)}}})
+        assert code == EXIT_OK
+        fit = dynamics.fit_saturation(powers, counts, "pulsed")
+        assert read_report(out, "saturation_report.json")["i_sat"] == fit.i_sat
 
 
 # What each entry of a `pl` process must leave out of sys.modules:
