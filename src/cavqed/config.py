@@ -2,6 +2,8 @@
 rules are CONFIG_KEYS, and whose cross-key rules are RELATIONS.  `load`
 builds a run's config and decides whether it can run: a config it returns
 passes every check that the commands' library calls make on config values.
+One walk of the config checks each value and records it by its dotted
+name, and the relations read the values that walk records.
 The `*_from_config` builders turn a checked config into the library's
 value types; they import the physics modules in their own bodies, so at
 module level this module loads only the standard library and the
@@ -12,7 +14,6 @@ that a command and a relation share are stated once: `lifetime_bins` and
 keep finite in `cavity` and `budget`.
 """
 
-import functools
 import json
 import math
 import sys
@@ -164,7 +165,8 @@ def _within(factor, *rates):
 
 
 # The rules between config values, each (keys, what, test): a config
-# can run only if test(*values) is true for the values at `keys`.  A
+# can run only if test(*values) is true for the values at `keys`, which
+# are the names under which `_checked` records each value it checks.  A
 # relation is skipped when one of its keys is absent, as the command
 # that reads that key requires it.  A key's `[]` row makes the relation
 # one per row of that table, and a `[*]` row gives the column of every
@@ -344,11 +346,13 @@ def _known(tree, table=CONFIG_KEYS, prefix=""):
     return tree
 
 
-def _checked(tree, table=CONFIG_KEYS, prefix=""):
+def _checked(tree, flat, table=CONFIG_KEYS, prefix=""):
     """Copy of a config (sub)tree, whose keys `_known` has checked, with
     every absent default filled in.  Sections must be JSON objects,
-    tables nonempty JSON arrays of complete rows, and values must pass
-    their rule."""
+    tables nonempty JSON arrays of rows that give every key, and values
+    must pass their rule.  Each value is also recorded in `flat` under
+    the name RELATIONS reads it by: `a.b`, a table's rows at `t`, each
+    cell at `t[i].c` and each column, as a list, at `t[*].c`."""
     out = _Section(prefix)
     for key, entry in table.items():
         path = prefix + key
@@ -356,35 +360,31 @@ def _checked(tree, table=CONFIG_KEYS, prefix=""):
             value = tree[key] if key in tree else {}
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {path} must be a JSON object")
-            out[key] = _checked(value, entry, path + ".")
-            continue
-        if isinstance(entry, list):
+            out[key] = _checked(value, flat, entry, path + ".")
+        elif isinstance(entry, list):
+            if key not in tree:
+                continue
+            rows = tree[key]
+            if type(rows) is not list or rows == []:
+                raise ConfigError(f"config key {path} must be a nonempty JSON array of rows")
+            out[key] = flat[path] = []
+            for index, row in enumerate(rows):
+                name = f"{path}[{index}]"
+                if not isinstance(row, dict):
+                    raise ConfigError(f"config section {name} must be a JSON object")
+                out[key].append(_checked(row, flat, entry[0], name + "."))
+                for cell in entry[0]:
+                    if cell not in out[key][-1]:
+                        raise ConfigError(f"config key {name}.{cell} is required")
+            for cell in entry[0]:
+                flat[f"{path}[*].{cell}"] = [row[cell] for row in out[key]]
+        else:
+            default, rule = entry
             if key in tree:
-                out[key] = _checked_rows(tree[key], entry[0], path)
-            continue
-        default, rule = entry
-        if key in tree:
-            check_value(f"config key {path}", tree[key], rule)
-            out[key] = tree[key]
-        elif default is not REQUIRED:
-            out[key] = default
-    return out
-
-
-def _checked_rows(rows, row_table, path):
-    """The checked rows of the table at `path`: each row is a section of
-    `row_table` that must give every key, and errors name `path[i].key`."""
-    if type(rows) is not list or rows == []:
-        raise ConfigError(f"config key {path} must be a nonempty JSON array of rows")
-    out = []
-    for index, row in enumerate(rows):
-        name = f"{path}[{index}]"
-        if not isinstance(row, dict):
-            raise ConfigError(f"config section {name} must be a JSON object")
-        out.append(_checked(row, row_table, name + "."))
-        for key in row_table:
-            if key not in out[-1]:
-                raise ConfigError(f"config key {name}.{key} is required")
+                check_value(f"config key {path}", tree[key], rule)
+                out[key] = flat[path] = tree[key]
+            elif default is not REQUIRED:
+                out[key] = flat[path] = default
     return out
 
 
@@ -428,62 +428,28 @@ def load(fixture, text=None):
         tree = merge_patch(tree, _parse(text))
     if not tree:
         raise ConfigError("no configuration given (use --config and/or --fixture paper)")
-    checked = _checked(tree)
+    flat = {}
+    checked = _checked(tree, flat)
     for relation in RELATIONS:
-        _check_relation(checked, *relation)
+        _check_relation(flat, *relation)
     return checked
 
 
-_ABSENT = object()
-
-
-@functools.cache
-def _paths(keys):
-    """The (name, row) steps of each of a relation's keys, and those of
-    the table whose rows its `[]` keys index (None: no such key); a row
-    is None, "" for `[]` or "*" for `[*]`."""
-
-    def steps(key):
-        return tuple((name, row[:-1] if bracket else None)
-                     for name, bracket, row in (part.partition("[") for part in key.split(".")))
-
-    table = next((key.partition("[]")[0] for key in keys if "[]" in key), None)
-    return tuple(steps(key) for key in keys), table and steps(table)
-
-
-def _value(tree, steps, index):
-    """The value at a key's steps in a checked config, `[]` taking row
-    `index`, or _ABSENT when a key on its path is absent; a `[*]` row
-    gives the list of every row's value."""
-    for at, (name, row) in enumerate(steps):
-        if name not in tree:
-            return _ABSENT
-        tree = tree[name]
-        if row == "*":
-            column = [_value(cells, steps[at + 1:], index) for cells in tree]
-            return _ABSENT if _ABSENT in column else column
-        if row == "":
-            tree = tree[index]
-    return tree
-
-
-def _check_relation(config, keys, what, test):
+def _check_relation(flat, keys, what, test):
     """Raise a ConfigError naming every key of a relation whose test
-    fails; a relation with `[]` keys is checked for each table row."""
-    paths, table = _paths(keys)
-    rows = _value(config, table, None) if table else [None]
-    if rows is _ABSENT:
-        return
-    for index in range(len(rows)):
-        values = [_value(config, steps, index) for steps in paths]
-        if _ABSENT in values:
+    fails on the values that `_checked` recorded in `flat`; a relation
+    with `[]` keys is checked for each row of that table."""
+    table = next((key.partition("[]")[0] for key in keys if "[]" in key), None)
+    for index in range(len(flat.get(table, ())) if table else 1):
+        names = [key.replace("[]", f"[{index}]") for key in keys]
+        if not all(name in flat for name in names):
             continue
+        values = [flat[name] for name in names]
         try:
             holds = test(*values)
         except OverflowError:  # past the float range, or the ceil of inf
             holds = False
         if not holds:
-            names = [key.replace("[]", f"[{index}]") for key in keys]
             raise ConfigError(f"config key{'s' if len(names) > 1 else ''} {_and(names)}: "
                               f"{what}, got {_and(map(repr, values))}")
 

@@ -250,7 +250,8 @@ def build_fs_spectrum(model, energies):
     hi = energies[-1] - model.zpl_energy_uev
     if min(lo, hi) < 10.0 * model.zpl_fwhm_uev * (1.0 - _GRID_RTOL):
         raise ValueError(
-            f"grid too narrow: spans -{lo:g}/+{hi:g} ueV around the ZPL, "
+            f"grid too narrow: spans {energies[0] - model.zpl_energy_uev:+g}/"
+            f"{energies[-1] - model.zpl_energy_uev:+g} ueV around the ZPL, "
             f"needs at least +-10*zpl_fwhm = {10.0 * model.zpl_fwhm_uev:g} ueV"
         )
 

@@ -200,14 +200,6 @@ class TestLifetimeCommand:
         for name in ("decay_fs.csv", "decay_cavity.csv"):
             assert (out / name).read_bytes() == (paper / name).read_bytes()
 
-    def test_empty_input_is_io_error(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        cfg = {"analysis": {"lifetime": {"fs_trace_csv": str(empty),
-                                         "cavity_trace_csv": str(empty)}}}
-        code, _ = run_main(tmp_path, "lifetime", config=cfg, name="empty")
-        assert code == EXIT_IO
-
     def test_malformed_input_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time_ps,counts\n0.0,1.0\nnot,numbers\n")
@@ -766,13 +758,6 @@ class TestInputData:
         lines[100] = f"{energy},{bad}\n"
         assert self.run_envelope(tmp_path, "".join(lines)) == EXIT_CONFIG
         assert "envelope.csv" in json.loads(capsys.readouterr().err)["message"]
-
-    def test_empty_envelope_is_io_error(self, tmp_path):
-        assert self.run_envelope(tmp_path, "") == EXIT_IO
-
-    def test_missing_envelope_is_io_error(self, tmp_path):
-        cfg = {"analysis": {"brightness": {"envelope_csv": str(tmp_path / "nope.csv")}}}
-        assert run_main(tmp_path, "brightness", config=cfg)[0] == EXIT_IO
 
     def test_nan_in_trace_names_the_file(self, tmp_path, capsys, paper_runs):
         out = paper_runs["lifetime"].out

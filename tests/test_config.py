@@ -109,6 +109,16 @@ def test_paper_fixture_restates_no_default():
     assert list(restated(json.loads(fixtures.paper_defaults()), config.CONFIG_KEYS)) == []
 
 
+def test_every_relation_key_is_recorded(monkeypatch):
+    # a relation whose key the walk does not record is skipped, so a
+    # misspelt key would switch its relation off without a word
+    recorded = []
+    monkeypatch.setattr(config, "_check_relation", lambda flat, *relation: recorded.append(flat))
+    config.load("paper")
+    assert [key for keys, _, _ in config.RELATIONS for key in keys
+            if key.replace("[]", "[0]") not in recorded[0]] == []
+
+
 def test_every_overlay_ends_in_a_documented_exit():
     # one child process runs the whole boundary table: each value just
     # inside and just outside a key's rule, and the special values, on

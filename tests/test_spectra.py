@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,19 @@ class TestBuildFsSpectrum:
         model = EmitterModel(0.0, 100.0, 1.0)
         with pytest.raises(ValueError, match="too narrow"):
             build_fs_spectrum(model, energy_grid(0.0, 500.0, 5.0))
+
+    # each end's signed offset from the ZPL, also for a grid that does not
+    # hold the ZPL
+    @pytest.mark.parametrize("grid, spans", [
+        (energy_grid(120000.0, 6000.0, 4.0), "+114000/+126000"),
+        (energy_grid(0.0, 6000.0, 4.0)[:2], "-6000/-5996"),
+    ], ids=["moved", "two rows"])
+    def test_grid_too_narrow_message_signs_each_end(self, grid, spans):
+        model = EmitterModel(0.0, 100.0, 1.0)
+        message = f"grid too narrow: spans {spans} ueV around the ZPL, " \
+                  "needs at least +-10*zpl_fwhm = 1000 ueV"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_fs_spectrum(model, grid)
 
 
 class TestEmitterModelValidation:
