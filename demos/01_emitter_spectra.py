@@ -21,7 +21,8 @@ model = spectra.EmitterModel(
     zpl_energy_uev=zpl_energy,
     zpl_fwhm_uev=200.0,
     debye_waller=0.65,
-    sideband=spectra.SidebandShape(exponent=1.0, cutoff_uev=1000.0),
+    sideband_exponent=1.0,
+    sideband_cutoff_uev=1000.0,
     temperature_k=4.2,
 )
 

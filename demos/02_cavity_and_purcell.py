@@ -13,8 +13,7 @@ zpl_energy = energy_from_wavelength(1275.0)
 table = {row["p"]: row for row in config.load("paper")["cavity"]["modes"]}
 print("p   V_gauss  V_fixture  Q_exp    kappa(ueV)")
 for p in sorted(table):
-    geometry = cavity.CavityGeometry(1275.0, 1.0, 10.0, p)
-    v_gauss = cavity.mode_volume_gaussian(geometry)
+    v_gauss = cavity.mode_volume_gaussian(1275.0, 1.0, 10.0, p)
     row = table[p]
     kappa = cavity.kappa_from_q(zpl_energy, row["q_exp"])
     print(f"{p}   {v_gauss:6.2f}   {row['v_eff_lambda3']:6.2f}    "

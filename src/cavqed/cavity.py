@@ -18,34 +18,6 @@ import math
 from .units import _record
 
 
-class CavityGeometry(_record("CavityGeometry", "wavelength_nm refractive_index "
-                                               "radius_of_curvature_um mode_order")):
-    """Plano-concave cavity of longitudinal order p (length p*lambda/2)."""
-
-    __slots__ = ()
-
-    def __new__(cls, wavelength_nm, refractive_index, radius_of_curvature_um, mode_order):
-        if not wavelength_nm > 0:
-            raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
-        if not refractive_index > 0:
-            raise ValueError(f"refractive index must be positive, got {refractive_index}")
-        if not mode_order >= 1:
-            raise ValueError(f"mode order must be >= 1, got {mode_order}")
-        geometry = super().__new__(cls, wavelength_nm, refractive_index,
-                                   radius_of_curvature_um, mode_order)
-        if not geometry.length_um < radius_of_curvature_um:
-            raise ValueError(
-                f"unstable cavity: length {geometry.length_um:g} um >= radius of "
-                f"curvature {radius_of_curvature_um:g} um"
-            )
-        return geometry
-
-    @property
-    def length_um(self):
-        """Geometric cavity length p * lambda / 2 in um."""
-        return self.mode_order * self.wavelength_nm * 1e-3 / 2.0
-
-
 class LossBudget(_record("LossBudget", "t_flat t_fiber internal_per_pass spillout cladding")):
     """Per-round-trip losses of one cavity mode, in ppm.
 
@@ -73,18 +45,27 @@ class LossBudget(_record("LossBudget", "t_flat t_fiber internal_per_pass spillou
                 + self.spillout + self.cladding)
 
 
-def mode_volume_gaussian(geometry):
-    """Gaussian-beam effective mode volume, in units of (lambda/n)**3.
+def mode_volume_gaussian(wavelength_nm, refractive_index, radius_of_curvature_um, mode_order):
+    """Gaussian-beam effective mode volume, in units of (lambda/n)**3, of
+    a plano-concave cavity of longitudinal order p (length L = p*lambda/2).
 
     V = (pi/4) * w0**2 * L with the standard plano-concave waist
     w0**2 = (lambda/(pi*n)) * sqrt(L*(R - L)).  Strictly increasing in
     the mode order while L < 3R/4.
     """
-    lam_um = geometry.wavelength_nm * 1e-3
-    n = geometry.refractive_index
-    length = geometry.length_um
-    radius = geometry.radius_of_curvature_um
-    waist_sq = (lam_um / (math.pi * n)) * math.sqrt(length * (radius - length))
+    if not wavelength_nm > 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
+    if not refractive_index > 0:
+        raise ValueError(f"refractive index must be positive, got {refractive_index}")
+    if not mode_order >= 1:
+        raise ValueError(f"mode order must be >= 1, got {mode_order}")
+    length = mode_order * wavelength_nm * 1e-3 / 2.0
+    if not length < radius_of_curvature_um:
+        raise ValueError(f"unstable cavity: length {length:g} um >= radius of "
+                         f"curvature {radius_of_curvature_um:g} um")
+    lam_um = wavelength_nm * 1e-3
+    n = refractive_index
+    waist_sq = (lam_um / (math.pi * n)) * math.sqrt(length * (radius_of_curvature_um - length))
     volume_um3 = (math.pi / 4.0) * waist_sq * length
     return volume_um3 / (lam_um / n) ** 3
 

@@ -182,15 +182,15 @@ def cmd_purcell(cfg, seed):
 
     modes = []
     for row in config.mode_rows(cfg):
-        geometry = cavity_mod.CavityGeometry(
+        v_gaussian = cavity_mod.mode_volume_gaussian(
             wavelength, cav["refractive_index"], cav["radius_of_curvature_um"], row["p"])
         q_eff = cavity_mod.q_eff(row["q_exp"], q_emitter)
-        f_p = cavity_mod.purcell_factor(geometry.refractive_index, row["v_eff_lambda3"], q_eff)
+        f_p = cavity_mod.purcell_factor(cav["refractive_index"], row["v_eff_lambda3"], q_eff)
         ratios = cavity_mod.brightening_ratios(dw, f_p, em["eta_qy"])
         modes.append({
             "p": row["p"],
             "v_eff_lambda3_fixture": row["v_eff_lambda3"],
-            "v_eff_lambda3_gaussian": cavity_mod.mode_volume_gaussian(geometry),
+            "v_eff_lambda3_gaussian": v_gaussian,
             "q_exp": row["q_exp"],
             "q_th": row["q_th"],
             "q_eff": q_eff,

@@ -269,8 +269,7 @@ RELATIONS = [
     # the numbers a report holds must be finite: JSON has no NaN or Infinity
     (("emitter.wavelength_nm", "cavity.refractive_index", "cavity.radius_of_curvature_um",
       "cavity.modes[].p"), "the Gaussian mode volume of each mode must be finite",
-     lambda wl, n, radius, p: cavity.mode_volume_gaussian(
-         cavity.CavityGeometry(wl, n, radius, p)) < math.inf),
+     lambda wl, n, radius, p: cavity.mode_volume_gaussian(wl, n, radius, p) < math.inf),
     (("measured.flux_ratio_sat", "measured.decay_ratio", "emitter.debye_waller"),
      "the solved F_P = flux_ratio_sat/debye_waller and eta_qy = (decay_ratio - 1)/"
      "(debye_waller F_P) must be finite",
@@ -469,8 +468,8 @@ def emitter_from_config(config):
         zpl_energy_uev=energy_from_wavelength(em["wavelength_nm"]),
         zpl_fwhm_uev=em["zpl_fwhm_uev"],
         debye_waller=em["debye_waller"],
-        sideband=spectra.SidebandShape(em["sideband"]["exponent"],
-                                       em["sideband"]["cutoff_uev"]),
+        sideband_exponent=em["sideband"]["exponent"],
+        sideband_cutoff_uev=em["sideband"]["cutoff_uev"],
         temperature_k=em["temperature_k"],
     )
 

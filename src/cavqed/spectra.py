@@ -139,46 +139,37 @@ class Spectrum(_record("Spectrum", "energies values", derived="step")):
         return float(np.trapezoid(self.values, self.energies))
 
 
-class SidebandShape(_record("SidebandShape", "exponent cutoff_uev")):
-    """Parametric one-phonon acoustic wing: spectral density
-    J(w) = (w/cutoff)**exponent * exp(-w/cutoff)."""
-
-    __slots__ = ()
-
-    def __new__(cls, exponent=1.0, cutoff_uev=1000.0):
-        if not exponent > 0:
-            raise ValueError(f"sideband exponent must be > 0, got {exponent}")
-        if not cutoff_uev > 0:
-            raise ValueError(f"sideband cutoff must be > 0, got {cutoff_uev}")
-        return super().__new__(cls, exponent, cutoff_uev)
-
-    def density(self, energy_uev):
-        """J evaluated at |energy| (vectorized)."""
-        w = np.abs(np.asarray(energy_uev, dtype=float))
-        return (w / self.cutoff_uev) ** self.exponent * np.exp(-w / self.cutoff_uev)
-
-
 class EmitterModel(_record("EmitterModel", "zpl_energy_uev zpl_fwhm_uev debye_waller "
-                                           "sideband temperature_k")):
+                                           "sideband_exponent sideband_cutoff_uev "
+                                           "temperature_k")):
     """Free-space spectral parameters of one emitter.
 
     zpl_fwhm_uev lumps pure dephasing and fast spectral diffusion into a
-    single ZPL width.  The decay rate and quantum yield are not held here:
-    the functions that use them take them as arguments.
+    single ZPL width.  The one-phonon acoustic wing has the spectral
+    density J(w) = (w/cutoff)**exponent * exp(-w/cutoff), with the
+    exponent `sideband_exponent` and the cutoff `sideband_cutoff_uev`.
+    The decay rate and quantum yield are not held here: the functions
+    that use them take them as arguments.
     """
 
     __slots__ = ()
 
-    def __new__(cls, zpl_energy_uev, zpl_fwhm_uev, debye_waller, sideband=SidebandShape(),
-                temperature_k=4.2):
+    def __new__(cls, zpl_energy_uev, zpl_fwhm_uev, debye_waller, sideband_exponent=1.0,
+                sideband_cutoff_uev=1000.0, temperature_k=4.2):
+        if not np.isfinite(zpl_energy_uev):
+            raise ValueError(f"ZPL energy must be finite, got {zpl_energy_uev}")
+        if not sideband_exponent > 0:
+            raise ValueError(f"sideband exponent must be > 0, got {sideband_exponent}")
+        if not sideband_cutoff_uev > 0:
+            raise ValueError(f"sideband cutoff must be > 0, got {sideband_cutoff_uev}")
         if not 0.0 < debye_waller <= 1.0:
             raise ValueError(f"Debye-Waller factor must be in (0, 1], got {debye_waller}")
         if not zpl_fwhm_uev > 0:
             raise ValueError(f"ZPL width must be > 0, got {zpl_fwhm_uev}")
         if not temperature_k >= 0:
             raise ValueError(f"temperature must be >= 0, got {temperature_k}")
-        return super().__new__(cls, zpl_energy_uev, zpl_fwhm_uev, debye_waller, sideband,
-                               temperature_k)
+        return super().__new__(cls, zpl_energy_uev, zpl_fwhm_uev, debye_waller,
+                               sideband_exponent, sideband_cutoff_uev, temperature_k)
 
 
 def energy_grid(center_uev, half_span_uev, step_uev):
@@ -212,8 +203,10 @@ def sideband_profile(model, energies):
     wing = np.zeros_like(detuning)
     off = detuning != 0.0
     if np.any(off):
-        j = model.sideband.density(detuning[off])
-        n_b = bose_occupation(np.abs(detuning[off]), model.temperature_k)
+        w = np.abs(detuning[off])
+        cutoff = model.sideband_cutoff_uev
+        j = (w / cutoff) ** model.sideband_exponent * np.exp(-w / cutoff)
+        n_b = bose_occupation(w, model.temperature_k)
         wing[off] = j * np.where(detuning[off] < 0, n_b + 1.0, n_b)
     return wing
 

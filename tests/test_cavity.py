@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cavqed import config
 from cavqed.cavity import (
-    CavityGeometry,
     LossBudget,
     exit_probabilities,
     internal_loss_from_q,
@@ -19,9 +18,9 @@ from cavqed.units import HBAR_UEV_PS, energy_from_wavelength
 TABLE_V_EFF = {6: 2.49, 7: 2.86, 8: 3.53, 9: 4.23}
 
 
-def paper_geometry(p):
-    return CavityGeometry(wavelength_nm=1275.0, refractive_index=1.0,
-                          radius_of_curvature_um=10.0, mode_order=p)
+def paper_volume(p):
+    return mode_volume_gaussian(wavelength_nm=1275.0, refractive_index=1.0,
+                                radius_of_curvature_um=10.0, mode_order=p)
 
 
 class TestModeVolume:
@@ -31,21 +30,21 @@ class TestModeVolume:
         waist_sq = (1.275 / np.pi) * np.sqrt(length * (10.0 - length))
         expected = (np.pi / 4.0) * waist_sq * length / 1.275 ** 3
         assert expected == pytest.approx(2.86, abs=0.01)
-        assert mode_volume_gaussian(paper_geometry(6)) == pytest.approx(expected, rel=1e-12)
+        assert paper_volume(6) == pytest.approx(expected, rel=1e-12)
 
     def test_within_20_percent_of_simulated_p6(self):
-        v = mode_volume_gaussian(paper_geometry(6))
+        v = paper_volume(6)
         assert abs(v - TABLE_V_EFF[6]) / TABLE_V_EFF[6] < 0.20
 
     def test_monotone_in_mode_order(self):
-        volumes = [mode_volume_gaussian(paper_geometry(p)) for p in (6, 7, 8, 9)]
+        volumes = [paper_volume(p) for p in (6, 7, 8, 9)]
         assert all(a < b for a, b in zip(volumes, volumes[1:]))
         fixture = [TABLE_V_EFF[p] for p in (6, 7, 8, 9)]
         assert all(a < b for a, b in zip(fixture, fixture[1:]))
 
     def test_unstable_cavity_rejected(self):
         with pytest.raises(ValueError, match="unstable"):
-            CavityGeometry(1275.0, 1.0, 3.0, 6)
+            mode_volume_gaussian(1275.0, 1.0, 3.0, 6)
 
     @given(wavelength=st.floats(900.0, 1600.0), radius=st.floats(8.0, 40.0))
     @settings(max_examples=30, deadline=None)
@@ -55,8 +54,7 @@ class TestModeVolume:
             length = p * wavelength * 1e-3 / 2.0
             if length >= 0.75 * radius:
                 break
-            volumes.append(mode_volume_gaussian(
-                CavityGeometry(wavelength, 1.0, radius, p)))
+            volumes.append(mode_volume_gaussian(wavelength, 1.0, radius, p))
         assert all(a < b for a, b in zip(volumes, volumes[1:]))
 
 
@@ -188,5 +186,5 @@ class TestFixtureTable:
 
     def test_gaussian_volume_within_25_percent_everywhere(self, table):
         for p, row in table.items():
-            v = mode_volume_gaussian(paper_geometry(p))
+            v = paper_volume(p)
             assert abs(v - row["v_eff_lambda3"]) / row["v_eff_lambda3"] < 0.25

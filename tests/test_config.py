@@ -1,10 +1,12 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from cavqed import config, fixtures
+from cavqed.cavity import mode_volume_gaussian
 from cavqed.cli import EXIT_CONFIG, EXIT_OK
 
 from conftest import paper_tables, run_main, run_python
@@ -178,3 +180,28 @@ def test_unrunnable_config_names_its_keys(tmp_path, capsys, command, overlay, ke
     message = json.loads(line)["message"]
     assert all(key in message for key in keys), message
     assert not out.exists()
+
+
+def test_cavity_length_relation_and_mode_volume_share_the_stability_edge(tmp_path, capsys):
+    # a radius equal to the p = 6 length fails the config's length relation
+    # and mode_volume_gaussian's own check alike; one float above it, both pass
+    edge = 6 * 1275.0 * 1e-3 / 2.0
+    assert edge == 3.825
+    tables = paper_tables()
+    tables["cavity"]["modes"] = [row for row in tables["cavity"]["modes"] if row["p"] == 6]
+    tables["cavity"]["radius_of_curvature_um"] = edge
+    code, out = run_main(tmp_path, "purcell", config=tables, name="at-edge")
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    message = json.loads(line)["message"]
+    keys = ["cavity.modes[0].p", "emitter.wavelength_nm", "cavity.radius_of_curvature_um"]
+    assert all(key in message for key in keys), message
+    assert not out.exists()
+    with pytest.raises(ValueError, match="unstable"):
+        mode_volume_gaussian(1275.0, 1.0, edge, 6)
+
+    tables["cavity"]["radius_of_curvature_um"] = math.nextafter(edge, math.inf)
+    code, out = run_main(tmp_path, "purcell", config=tables, name="above-edge")
+    assert code == EXIT_OK
+    [mode] = json.loads((out / "purcell_report.json").read_text())["modes"]
+    assert 0 < mode["v_eff_lambda3_gaussian"] < math.inf

@@ -10,7 +10,6 @@ from cavqed import cqed, dynamics, spectra
 from cavqed.dynamics import DecayTrace, LevelScheme, g2_correlation
 from cavqed.spectra import (
     EmitterModel,
-    SidebandShape,
     Spectrum,
     absorption_spectrum,
     build_fs_spectrum,
@@ -481,7 +480,7 @@ class TestAbsorptionSpectrum:
         n_b = bose_occupation(1000.0, 300.0)
         assert n_b == pytest.approx(25.35, abs=0.01)
         model = EmitterModel(0.0, 10.0, 0.01, temperature_k=300.0,
-                             sideband=SidebandShape(1.0, 1000.0))
+                             sideband_exponent=1.0, sideband_cutoff_uev=1000.0)
         grid = energy_grid(0.0, 8000.0, 1.0)
         s_emi = build_fs_spectrum(model, grid)
         s_abs = absorption_spectrum(s_emi, model)

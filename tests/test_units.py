@@ -3,15 +3,15 @@ import pytest
 
 from cavqed import budget, cavity, cqed, dynamics, spectra
 from cavqed.cavity import (
-    CavityGeometry,
     LossBudget,
     internal_loss_from_q,
     kappa_from_q,
+    mode_volume_gaussian,
     q_eff,
 )
 from cavqed.cqed import CouplingParams
 from cavqed.dynamics import LevelScheme
-from cavqed.spectra import EmitterModel, SidebandShape
+from cavqed.spectra import EmitterModel
 from cavqed.units import (
     bose_occupation,
     energy_from_wavelength,
@@ -45,19 +45,20 @@ CONSTRUCTORS = [
     (1, CouplingParams, (10.0, NAN, 100.0)),
     (2, CouplingParams, (10.0, 2.5, NAN)),
     (3, EmitterModel, (1e6, NAN, 0.65)),
-    (4, EmitterModel, (1e6, 200.0, 0.65, SidebandShape(), NAN)),
-    (6, SidebandShape, (NAN, 1000.0)),
-    (7, SidebandShape, (1.0, NAN)),
+    (4, EmitterModel, (1e6, 200.0, 0.65, 1.0, 1000.0, NAN)),
+    (6, EmitterModel, (1e6, 200.0, 0.65, NAN, 1000.0)),
+    (7, EmitterModel, (1e6, 200.0, 0.65, 1.0, NAN)),
     (8, LevelScheme, (NAN, 2.5, 0.0, 0.0, 0.0)),
     (9, LevelScheme, (0.4, 2.5, NAN, 0.0, 0.0)),
-    (10, CavityGeometry, (NAN, 1.0, 10.0, 6)),
-    (11, CavityGeometry, (1275.0, NAN, 10.0, 6)),
-    (12, CavityGeometry, (1275.0, 1.0, NAN, 6)),
+    (10, mode_volume_gaussian, (NAN, 1.0, 10.0, 6)),
+    (11, mode_volume_gaussian, (1275.0, NAN, 10.0, 6)),
+    (12, mode_volume_gaussian, (1275.0, 1.0, NAN, 6)),
     (13, LossBudget, (NAN,)),
     (14, kappa_from_q, (972000.0, NAN)),
     (15, kappa_from_q, (NAN, 1.12e4)),
     (16, q_eff, (NAN, 4860.0)),
     (17, internal_loss_from_q, (NAN, 56900.0, 6)),
+    (18, EmitterModel, (NAN, 200.0, 0.65)),
 ]
 
 
