@@ -4,6 +4,11 @@ builds a run's config and decides whether it can run: a config it returns
 passes every check that the commands' library calls make on config values.
 One walk of the config checks each value and records it by its dotted
 name, and the relations read the values that walk records.
+A checked config is read-only all the way down: a section is a
+`_Section` that refuses assignment and deletion, a table or a JSON array
+is a tuple and a chain a mappingproxy, so a command only reads it.  The
+paper fixture is parsed and checked once per process, and every
+`load("paper")` returns that one shared config.
 The `*_from_config` builders turn a checked config into the library's
 value types; they import the physics modules in their own bodies, so at
 module level this module loads only the standard library and the
@@ -14,9 +19,11 @@ that a command and a relation share are stated once: `lifetime_bins` and
 keep finite in `cavity` and `budget`.
 """
 
+import functools
 import json
 import math
 import sys
+from types import MappingProxyType
 
 from . import budget, cavity, fixtures
 from .units import KB_UEV_PER_K, energy_from_wavelength, lifetime_from_rate, rate_from_lifetime
@@ -296,14 +303,34 @@ class ConfigError(Exception):
 
 
 class _Section(dict):
-    """One checked config section; `prefix` is its dotted path plus "."."""
+    """One checked config section, holding `items`; `prefix` is its
+    dotted path plus ".".  It refuses assignment and deletion: a checked
+    config may be shared, so a command only reads it."""
 
-    def __init__(self, prefix):
-        super().__init__()
+    def __init__(self, prefix, items):
+        super().__init__(items)
         self.prefix = prefix
 
     def __missing__(self, key):
         raise ConfigError(f"config key {self.prefix}{key} is required")
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"config section {self.prefix[:-1] or '(root)'} is read-only; "
+                        "merge_patch a copy to change a config")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+def _frozen(value):
+    """A checked value as the config holds it: a JSON array (decay
+    weights) as a tuple, a JSON object (a chain) as a mappingproxy of a
+    copy; no rule lets either hold a container."""
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, dict):
+        return MappingProxyType(dict(value))
+    return value
 
 
 def merge_patch(target, patch):
@@ -346,45 +373,48 @@ def _known(tree, table=CONFIG_KEYS, prefix=""):
 
 
 def _checked(tree, flat, table=CONFIG_KEYS, prefix=""):
-    """Copy of a config (sub)tree, whose keys `_known` has checked, with
-    every absent default filled in.  Sections must be JSON objects,
-    tables nonempty JSON arrays of rows that give every key, and values
-    must pass their rule.  Each value is also recorded in `flat` under
-    the name RELATIONS reads it by: `a.b`, a table's rows at `t`, each
-    cell at `t[i].c` and each column, as a list, at `t[*].c`."""
-    out = _Section(prefix)
+    """Read-only copy of a config (sub)tree, whose keys `_known` has
+    checked, with every absent default filled in.  Sections must be JSON
+    objects, tables nonempty JSON arrays of rows that give every key, and
+    values must pass their rule.  Each value is also recorded in `flat`,
+    as the tree gives it, under the name RELATIONS reads it by: `a.b`, a
+    table's rows at `t`, each cell at `t[i].c` and each column, as a
+    list, at `t[*].c`."""
+    items = {}
     for key, entry in table.items():
         path = prefix + key
         if isinstance(entry, dict):
             value = tree[key] if key in tree else {}
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {path} must be a JSON object")
-            out[key] = _checked(value, flat, entry, path + ".")
+            items[key] = _checked(value, flat, entry, path + ".")
         elif isinstance(entry, list):
             if key not in tree:
                 continue
             rows = tree[key]
             if type(rows) is not list or rows == []:
                 raise ConfigError(f"config key {path} must be a nonempty JSON array of rows")
-            out[key] = flat[path] = []
+            checked = flat[path] = []
             for index, row in enumerate(rows):
                 name = f"{path}[{index}]"
                 if not isinstance(row, dict):
                     raise ConfigError(f"config section {name} must be a JSON object")
-                out[key].append(_checked(row, flat, entry[0], name + "."))
+                checked.append(_checked(row, flat, entry[0], name + "."))
                 for cell in entry[0]:
-                    if cell not in out[key][-1]:
+                    if cell not in checked[-1]:
                         raise ConfigError(f"config key {name}.{cell} is required")
+            items[key] = tuple(checked)
             for cell in entry[0]:
-                flat[f"{path}[*].{cell}"] = [row[cell] for row in out[key]]
+                flat[f"{path}[*].{cell}"] = [row[cell] for row in checked]
         else:
             default, rule = entry
             if key in tree:
                 check_value(f"config key {path}", tree[key], rule)
-                out[key] = flat[path] = tree[key]
+                flat[path] = tree[key]
+                items[key] = _frozen(tree[key])
             elif default is not REQUIRED:
-                out[key] = flat[path] = default
-    return out
+                items[key] = flat[path] = default
+    return _Section(prefix, items)
 
 
 def _unique_keys(pairs):
@@ -417,21 +447,46 @@ def load(fixture, text=None):
     result so far, starting from {}: a null member removes its key, so it
     reaches the key's default, and a null on an unknown key is an error.
     Every relation of RELATIONS holds on the result: a config that `load`
-    returns is one that every command can run."""
-    tree = {}
-    if fixture is not None:
-        if fixture != "paper":
-            raise ConfigError(f"unknown fixture set {fixture!r} (only 'paper')")
-        tree = merge_patch(tree, _parse(fixtures.paper_defaults()))
-    if text is not None:
-        tree = merge_patch(tree, _parse(text))
-    if not tree:
+    returns is one that every command can run.
+
+    The result is read-only.  The paper fixture is parsed and checked
+    once per process: `load("paper")` returns that one shared config, and
+    `load("paper", text)` patches `text` onto its parsed tree and checks
+    the result anew."""
+    if fixture is not None and fixture != "paper":
+        raise ConfigError(f"unknown fixture set {fixture!r} (only 'paper')")
+    if fixture is None and text is None:
         raise ConfigError("no configuration given (use --config and/or --fixture paper)")
+    if text is None:
+        return _paper_config(fixtures.paper_defaults())
+    tree = _paper_tree(fixtures.paper_defaults()) if fixture is not None else {}
+    return _walk(merge_patch(tree, _parse(text)))
+
+
+def _walk(tree):
+    """The checked config of a parsed tree whose keys are known: one walk
+    checks each value, fills in the defaults and records the values that
+    the relations then check."""
     flat = {}
     checked = _checked(tree, flat)
     for relation in RELATIONS:
         _check_relation(flat, *relation)
     return checked
+
+
+# keyed on the fixture's text, so that a process that changes the text
+# gets it parsed anew
+@functools.lru_cache(maxsize=1)
+def _paper_tree(text):
+    """The parsed tree of the paper fixture's text, shared read by every
+    `load` of it and changed by none: merge_patch copies what it changes."""
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=1)
+def _paper_config(text):
+    """The checked config of the paper fixture's text alone."""
+    return _walk(_paper_tree(text))
 
 
 def _check_relation(flat, keys, what, test):

@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 
 from .optimize import _brent_bounded
-from .spectra import Spectrum
 from .units import _record
 
 # exciton/photon populations above this are outside the weak-pump regime
@@ -80,7 +79,7 @@ def brightness_profile(coupling, s_emi_tilde, s_abs_tilde=None):
             raise ValueError("emission and absorption spectra must share one grid")
         reabs = (coupling.g_uev ** 2 / coupling.kappa_uev) * s_abs_tilde.values
     beta = emi_rate / (1.0 + emi_rate + reabs)
-    return Spectrum(s_emi_tilde.energies, beta)
+    return s_emi_tilde._replace(values=beta)
 
 
 def steady_state(pump_rate_uev, coupling, s_emi_tilde_at, s_abs_tilde_at=0.0):

@@ -30,6 +30,14 @@ class DecayTrace(_record("DecayTrace", "time_ps counts irf", derived="bin_ps")):
         time_ps, counts, bin_ps = _sampled(time_ps, counts, "counts")
         return super().__new__(cls, time_ps, counts, irf, bin_ps)
 
+    def _replace(self, /, **changes):
+        """The trace with fields changed; new counts alone keep this grid
+        and its bin width, and only the counts are checked."""
+        if changes.keys() != {"counts"}:
+            return super()._replace(**changes)
+        counts = _sampled(self.time_ps, changes["counts"], "counts", self.bin_ps)[1]
+        return super().__new__(type(self), self.time_ps, counts, self.irf, self.bin_ps)
+
 
 class BiexpFit(_record("BiexpFit", "tau1_ps tau2_ps a1 a2 long_weight sigma_tau1_ps "
                                    "sigma_tau2_ps converged flag")):

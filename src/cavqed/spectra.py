@@ -44,12 +44,13 @@ def uniform_step(grid):
     return (grid[-1] - grid[0]) / (grid.size - 1)
 
 
-def _sampled(grid, values, what):
+def _sampled(grid, values, what, step=None):
     """Read-only (grid, values, step) of a curve sampled on a uniform grid,
     with finite, nonnegative `what` values: the one check of every
     Spectrum and DecayTrace.  A writable input is copied before it is
     frozen, so the caller's arrays stay writable; a read-only one, such as
-    another curve's grid, is shared."""
+    another curve's grid, is shared.  `step` is given only with the grid
+    of a checked curve, whose step it is: that grid is not checked again."""
 
     def read_only(array):
         array = np.asarray(array, dtype=float)
@@ -59,7 +60,8 @@ def _sampled(grid, values, what):
         return array
 
     grid, values = read_only(grid), read_only(values)
-    step = uniform_step(grid)
+    if step is None:
+        step = uniform_step(grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid and {what} must have the same shape")
     if not np.all(np.isfinite(values) & (values >= 0)):
@@ -133,6 +135,14 @@ class Spectrum(_record("Spectrum", "energies values", derived="step")):
     def __new__(cls, energies, values):
         energies, values, step = _sampled(energies, values, "spectral values")
         return super().__new__(cls, energies, values, step)
+
+    def _replace(self, /, **changes):
+        """The spectrum with fields changed; new values alone keep this
+        grid and its step, and only the values are checked."""
+        if changes.keys() != {"values"}:
+            return super()._replace(**changes)
+        values = _sampled(self.energies, changes["values"], "spectral values", self.step)[1]
+        return super().__new__(type(self), self.energies, values, self.step)
 
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""
@@ -230,8 +240,9 @@ def build_fs_spectrum(model, energies):
     -------
     Spectrum of trapezoid area 2*pi.
     """
-    energies = np.asarray(energies, dtype=float)
-    step = uniform_step(energies)
+    # the spectrum's grid, checked once: the result takes its values
+    curve = Spectrum(energies, np.zeros(np.shape(energies)))
+    energies, step = curve.energies, curve.step
     # a grid rounds its step and span: the limits allow for the grid's
     # uniformity tolerance, so a step or span given exactly at a limit passes
     if step > model.zpl_fwhm_uev / 10.0 * (1.0 + _GRID_RTOL):
@@ -260,7 +271,7 @@ def build_fs_spectrum(model, energies):
         values = values + ((1.0 - model.debye_waller) / wing_area) * wing
 
     values *= 2.0 * np.pi / np.trapezoid(values, energies)
-    return Spectrum(energies, values)
+    return curve._replace(values=values)
 
 
 def debye_waller(spectrum, zpl_window_uev):
@@ -364,7 +375,7 @@ def absorption_spectrum(s_emi, model):
     if area <= 0:
         raise ValueError("mirrored spectrum has no weight on the grid; is the ZPL on-grid?")
     values *= 2.0 * np.pi / area
-    return Spectrum(s_emi.energies, values)
+    return s_emi._replace(values=values)
 
 
 def parse_two_column_csv(text, header):

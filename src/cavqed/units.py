@@ -30,10 +30,11 @@ def _record(typename, field_names, derived=""):
     so no path gives a record that fails a check.  The `derived` fields
     come last: `__new__` computes them from the others, so a caller
     cannot pass them, `_make` takes the other fields and `_replace`
-    recomputes them.  A record is a tuple: it unpacks and indexes, and
-    compares equal to a plain tuple, or another record, that holds the
-    same values.  Each subclass sets `__slots__ = ()`, so assigning an
-    attribute raises AttributeError.
+    recomputes them (a curve's `_replace` of its values alone keeps its
+    checked grid and step, and checks the values).  A record is a tuple:
+    it unpacks and indexes, and compares equal to a plain tuple, or
+    another record, that holds the same values.  Each subclass sets
+    `__slots__ = ()`, so assigning an attribute raises AttributeError.
     """
     base = namedtuple(typename, f"{field_names} {derived}")
     given = field_names.split()

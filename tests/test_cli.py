@@ -13,7 +13,8 @@ import pytest
 
 import cavqed
 from cavqed import config, dynamics, fixtures, spectra
-from cavqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, main, write_outputs
+from cavqed.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _COMMANDS, _read_input, main,
+                        write_outputs)
 
 from conftest import paper_tables, run_main, run_pl, run_python
 
@@ -341,6 +342,29 @@ class TestExitCodes:
         assert json.loads(line)["message"] == (
             f"{cfg}: not UTF-8 text, invalid continuation byte at byte offset {offset}")
         assert not (tmp_path / "x").exists()
+
+    def test_input_file_that_is_not_utf8(self, tmp_path):
+        # a CSV is ASCII: UTF-16 text, with its byte order mark, is not read
+        path = tmp_path / "curve.csv"
+        path.write_bytes("power,counts\n0,1\n1,2\n2,3\n".encode("utf-16"))
+        with pytest.raises(config.ConfigError) as err:
+            _read_input(str(path), "input file")
+        assert str(err.value) == f"{path}: not UTF-8 text, invalid start byte at byte offset 0"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no configuration given (use --config and/or --fixture paper)"),
+        # a config file was given: the run fails on the first key it reads
+        (["--config", "{empty}"], "config key cavity.modes is required"),
+    ], ids=["none", "empty-file"])
+    def test_no_configuration_is_named(self, tmp_path, capsys, argv, message):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        out = tmp_path / "x"
+        argv = ["budget", "--out", str(out), *(arg.format(empty=empty) for arg in argv)]
+        assert main(argv) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == message
+        assert not out.exists()
 
     def test_invalid_parameter_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -705,6 +729,17 @@ def test_modes_overlay_chooses_the_rows(tmp_path, paper_runs, command):
         == paper_runs[command].report["modes"][:2]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "brightness"])
+def test_energy_grid_is_checked_once(monkeypatch, command):
+    # every curve on the grid shares it, so a command checks its energy
+    # grid once, not once per curve
+    checked, real = [], spectra.uniform_step
+    monkeypatch.setattr(spectra, "uniform_step",
+                        lambda grid: checked.append(len(grid)) or real(grid))
+    _COMMANDS[command](config.load("paper"), config.DEFAULT_SEED)
+    assert checked == [3001]
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS.values()))
 def test_commands_compute_without_writing(tmp_path, monkeypatch, command):
     # every file item has one of the two shapes write_outputs takes
@@ -775,9 +810,6 @@ class TestInputData:
     @pytest.mark.parametrize("command, key, rows, problem", [
         ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n1,1\n3,1",
          "grid must be uniform to 1 part in 1e9"),
-        # a CSV is ASCII: UTF-16 text, with its byte order mark, is not read
-        ("saturation", "curve_csv", "power,counts\n0,1\n1,2\n2,3".encode("utf-16"),
-         "not UTF-8 text, invalid start byte at byte offset 0"),
         ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,-2\n8,1",
          "counts must be finite and nonnegative"),
         # the library checks of a file's grid and values run as it is read
@@ -798,18 +830,11 @@ class TestInputData:
          f"time_ps,counts\n0,{math.nextafter(2.0 ** 500, math.inf)!r}"
          + "".join(f"\n{4 * i},1" for i in range(1, 50)),
          "counts must be at most 2**500"),
-        # errors of the parser itself carry the same single prefix
-        ("brightness", "envelope_csv", "energy,value\n0,1\n1,1",
-         "expected header 'energy_ueV,value', got 'energy,value'"),
-        ("saturation", "curve_csv", "power,counts\n0,1\n1,x",
-         "malformed number in data row 2, column 'counts': "
-         "could not convert string to float: 'x'"),
-    ], ids=["envelope-grid", "curve-utf16", "trace-count", "envelope-coarse", "trace-short",
-            "curve-counts", "curve-power", "curve-powers", "curve-overflow", "trace-overflow",
-            "envelope-header", "curve-number"])
+    ], ids=["envelope-grid", "trace-count", "envelope-coarse", "trace-short", "curve-counts",
+            "curve-power", "curve-powers", "curve-overflow", "trace-overflow"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"
-        path.write_bytes(rows if isinstance(rows, bytes) else (rows + "\n").encode())
+        path.write_bytes((rows + "\n").encode())
         options = {key: str(path)}
         if command == "lifetime":
             options["fs_trace_csv"] = str(path)

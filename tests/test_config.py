@@ -1,6 +1,8 @@
+import collections.abc
 import copy
 import json
 import math
+import operator
 from pathlib import Path
 
 import pytest
@@ -116,9 +118,51 @@ def test_every_relation_key_is_recorded(monkeypatch):
     # misspelt key would switch its relation off without a word
     recorded = []
     monkeypatch.setattr(config, "_check_relation", lambda flat, *relation: recorded.append(flat))
-    config.load("paper")
+    # an overlay walks the paper tree anew; load("paper") may be cached
+    config.load("paper", "{}")
     assert [key for keys, _, _ in config.RELATIONS for key in keys
             if key.replace("[]", "[0]") not in recorded[0]] == []
+
+
+def test_paper_config_is_built_once_and_shared():
+    paper = config.load("paper")
+    assert config.load("paper") is paper
+    # the shared config is the one a fresh walk of the fixture builds
+    fresh = config.load("paper", "{}")
+    assert fresh is not paper and fresh == paper
+
+
+# the three ways to a checked paper config: the shared one, a fresh walk
+# under an overlay, and the fixture's text given as a config file
+_PAPER_LOADS = {"shared": lambda: config.load("paper"),
+                "overlay": lambda: config.load("paper", "{}"),
+                "config-file": lambda: config.load(None, fixtures.paper_defaults())}
+
+
+@pytest.mark.parametrize("where", ["root", "section", "modes", "row", "chain", "weights"])
+@pytest.mark.parametrize("load", sorted(_PAPER_LOADS))
+def test_checked_config_is_read_only(load, where):
+    cfg = _PAPER_LOADS[load]()
+    part = {"root": cfg, "section": cfg["emitter"], "modes": cfg["cavity"]["modes"],
+            "row": cfg["cavity"]["modes"][0], "chain": cfg["budget"]["chains"]["free_space"],
+            "weights": cfg["emitter"]["decay_weights"]}[where]
+    key = next(iter(part)) if isinstance(part, collections.abc.Mapping) else 0
+    value = part[key]
+    with pytest.raises(TypeError):
+        part[key] = value
+    with pytest.raises(TypeError):
+        del part[key]
+    assert part[key] is value
+
+
+def test_a_section_refuses_every_dict_mutator():
+    section = config.load("paper")["emitter"]
+    for mutate in (lambda d: d.clear(), lambda d: d.popitem(), lambda d: d.pop("wavelength_nm"),
+                   lambda d: d.setdefault("seed", 1), lambda d: d.update(seed=1),
+                   lambda d: operator.ior(d, {"seed": 1})):
+        with pytest.raises(TypeError, match="config section emitter is read-only"):
+            mutate(section)
+    assert section == config.load("paper", "{}")["emitter"]
 
 
 def test_every_overlay_ends_in_a_documented_exit():

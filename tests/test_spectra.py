@@ -116,9 +116,14 @@ class TestCurveContract:
 
     @pytest.mark.parametrize("derive", ["_replace", "convolve_lorentzian",
                                         "absorption_spectrum", "brightness_profile"])
-    def test_derived_curve_shares_the_grid(self, derive):
+    def test_derived_curve_shares_the_grid(self, monkeypatch, derive):
         model = EmitterModel(0.0, 50.0, 0.8)
         s = build_fs_spectrum(model, energy_grid(0.0, 3000.0, 1.0))
+
+        def fail(grid):
+            raise AssertionError("a derived curve checked its parent's grid again")
+
+        monkeypatch.setattr(spectra, "uniform_step", fail)
         derived = {
             "_replace": lambda: s._replace(values=s.values.copy()),
             "convolve_lorentzian": lambda: convolve_lorentzian(s, 40.0),
@@ -140,18 +145,37 @@ class TestCurveContract:
         assert (s.step, trace.bin_ps) == (0.5, 4.0)
 
     def test_replace_rebuilds_through_the_checks(self, monkeypatch):
-        # the step is recomputed, never carried over, and no caller sets it
+        # new values alone keep the checked grid and its step and are
+        # checked themselves; any other change rebuilds through every
+        # check, and no caller sets the step
         s = Spectrum(0.5 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
+        trace = DecayTrace(4.0 * _GOOD_GRID, np.ones(_GOOD_GRID.size), 32.0)
         steps = []
         monkeypatch.setattr(spectra, "uniform_step",
                             lambda grid: steps.append(grid) or uniform_step(grid))
-        assert s._replace(values=np.full(_GOOD_GRID.size, 2.0)).step == 0.5
+        values = np.full(_GOOD_GRID.size, 2.0)
+        replaced = s._replace(values=values)
+        assert (replaced.energies is s.energies, replaced.step) == (True, 0.5)
+        assert replaced.values is not values and not replaced.values.flags.writeable
+        recounted = trace._replace(counts=values)
+        assert (recounted.time_ps is trace.time_ps, recounted[2:]) == (True, (32.0, 4.0))
+        assert steps == []
         assert s._replace(energies=_GOOD_GRID).step == 1.0
+        assert trace._replace(irf=0.0)[2:] == (0.0, 4.0)
         assert len(steps) == 2
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            s._replace(values=-s.values)
+        for bad in (-s.values, np.full(_GOOD_GRID.size, np.nan), np.full(_GOOD_GRID.size, np.inf)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                s._replace(values=bad)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                trace._replace(counts=bad)
+        with pytest.raises(ValueError, match="same shape"):
+            s._replace(values=np.ones(3))
+        with pytest.raises(ValueError, match="uniform"):
+            s._replace(energies=_BAD_GRIDS["nonuniform"][0])
         with pytest.raises(ValueError, match="step"):
             s._replace(step=1.0)
+        with pytest.raises(ValueError, match="step"):
+            s._replace(values=s.values, step=1.0)
         with pytest.raises(TypeError):
             Spectrum(s.energies, s.values, 1.0)
         assert Spectrum._fields == ("energies", "values", "step")
@@ -644,6 +668,8 @@ class TestCsvRoundTrip:
         # the shape is checked line by line: four cells in all are not enough
         ("energy_ueV,value\n1,2,3\n4\n", "two columns"),
         ("energy_ueV,value\n1,2\n2,x\n", "malformed"),
+        ("energy_ueV,value\n0,1\n1,x\n",
+         "^malformed number in data row 2, column 'value': could not convert string to float: 'x'$"),
         ("energy_ueV,value\n1,2\n2,\n",
          "^malformed number in data row 2, column 'value': could not convert string to float: ''$"),
         ("energy_ueV,value\n,2\n2,3\n", "^malformed number in data row 1, column 'energy_ueV': "),
