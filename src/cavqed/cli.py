@@ -259,8 +259,8 @@ def cmd_brightness(cfg, seed):
         p, kappa = _mode_kappa(cfg, model.zpl_energy_uev)
 
         def filtered(energies, values):
-            envelope = spectra.Spectrum(energies, values)
-            s_fs = spectra.build_fs_spectrum(model, envelope.energies)
+            s_fs = spectra.build_fs_spectrum(model, energies)
+            envelope = s_fs._replace(values=values)
             return envelope, spectra.convolve_lorentzian(
                 spectra.convolve_lorentzian(s_fs, kappa), kappa)
 
@@ -365,7 +365,7 @@ def cmd_lifetime(cfg, seed):
             noisy = rng.poisson(clean.counts * scale).astype(float)
             if not noisy.any():
                 raise FitError("lifetime: a synthetic trace drew no counts to fit")
-            return dynamics.DecayTrace(clean.time_ps, noisy, irf)
+            return clean._replace(counts=noisy)
 
         trace_fs = synthesize(0, 1.0)
         trace_cav = synthesize(1, decay_ratio)

@@ -158,8 +158,6 @@ def fit_g_from_envelope(e_mod_measured, s_dtilde, gamma_uev):
     """
     if not np.array_equal(e_mod_measured.energies, s_dtilde.energies):
         raise ValueError("envelope and filtered spectrum must share one grid")
-    if np.any(e_mod_measured.values < 0):
-        raise ValueError("measured envelope must be nonnegative")
 
     measured_max = float(np.max(e_mod_measured.values))
     if measured_max <= 0:

@@ -12,31 +12,21 @@ import warnings
 import numpy as np
 
 from .optimize import _trf_lower_bounded
-from .spectra import _sampled, fft_convolver, uniform_step
+from .spectra import _Curve, fft_convolver, uniform_step
 from .units import HBAR_UEV_PS, _record
 
 # relative tau1/tau2 separation below which a biexponential fit collapses
 _DEGENERATE_TAU_RTOL = 0.05
 
 
-class DecayTrace(_record("DecayTrace", "time_ps counts irf", derived="bin_ps")):
+class DecayTrace(_Curve, _record("DecayTrace", "time_ps counts irf")):
     """Time-binned photon counts with the instrument response that
     produced them: `irf` is its Gaussian FWHM in ps, 0 for none, and
-    `bin_ps`, derived, the bin width."""
+    `bin_ps` the bin width."""
 
     __slots__ = ()
-
-    def __new__(cls, time_ps, counts, irf):
-        time_ps, counts, bin_ps = _sampled(time_ps, counts, "counts")
-        return super().__new__(cls, time_ps, counts, irf, bin_ps)
-
-    def _replace(self, /, **changes):
-        """The trace with fields changed; new counts alone keep this grid
-        and its bin width, and only the counts are checked."""
-        if changes.keys() != {"counts"}:
-            return super()._replace(**changes)
-        counts = _sampled(self.time_ps, changes["counts"], "counts", self.bin_ps)[1]
-        return super().__new__(type(self), self.time_ps, counts, self.irf, self.bin_ps)
+    _what = "counts"
+    bin_ps = _Curve.step
 
 
 class BiexpFit(_record("BiexpFit", "tau1_ps tau2_ps a1 a2 long_weight sigma_tau1_ps "
@@ -151,11 +141,12 @@ def simulate_decay(gamma_fs_uev, decay_ratio, weights, tau_short_ps, irf, time_g
             f"grid too short: ends at {time_grid_ps[-1]:g} ps, needs >= 5*tau_long "
             f"= {5.0 * tau_long:g} ps"
         )
-    bin_ps = uniform_step(time_grid_ps)
-    model = _decay_model(time_grid_ps, _irf_convolver(irf, bin_ps, time_grid_ps.size))
+    # the trace's grid, checked once: the result takes its counts
+    trace = DecayTrace(time_grid_ps, np.zeros(time_grid_ps.shape), irf)
+    model = _decay_model(trace.time_ps, _irf_convolver(irf, trace.bin_ps, trace.time_ps.size))
     a1, a2 = weights
     counts = model(tau_short_ps, tau_long, a1, a2)
-    return DecayTrace(time_grid_ps, np.maximum(counts, 0.0), irf)
+    return trace._replace(counts=np.maximum(counts, 0.0))
 
 
 def fit_biexponential(trace):

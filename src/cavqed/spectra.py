@@ -6,8 +6,9 @@ Sign convention used everywhere: detuning = energy - zpl_energy, so the
 red (phonon emission) sideband sits at negative detuning.  Spectra are
 sampled on uniform energy grids; the emission and absorption spectra
 have trapezoid area 2*pi, as the coupled-dynamics equations expect, and
-a Lorentzian convolution keeps its input's area.  The grid check,
-convolution and two-column CSV format the whole package uses live here.
+a Lorentzian convolution keeps its input's area.  The grid check, the
+curve base of Spectrum and DecayTrace, the convolution and the
+two-column CSV format the whole package uses live here.
 A CSV number is Python's "%.17g" text of the value; files of
 _KERNEL_ROWS rows or more are formatted by cavqed.numtext, which writes
 those bytes without a Python call per value.
@@ -44,29 +45,52 @@ def uniform_step(grid):
     return (grid[-1] - grid[0]) / (grid.size - 1)
 
 
-def _sampled(grid, values, what, step=None):
-    """Read-only (grid, values, step) of a curve sampled on a uniform grid,
-    with finite, nonnegative `what` values: the one check of every
-    Spectrum and DecayTrace.  A writable input is copied before it is
-    frozen, so the caller's arrays stay writable; a read-only one, such as
-    another curve's grid, is shared.  `step` is given only with the grid
-    of a checked curve, whose step it is: that grid is not checked again."""
+def _read_only(array):
+    """`array` as a read-only float array.  A writable input is copied
+    before it is frozen, so the caller's array stays writable; a read-only
+    one, such as another curve's grid, is shared."""
+    array = np.asarray(array, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
 
-    def read_only(array):
-        array = np.asarray(array, dtype=float)
-        if array.flags.writeable:
-            array = array.copy()
-            array.setflags(write=False)
-        return array
 
-    grid, values = read_only(grid), read_only(values)
-    if step is None:
-        step = uniform_step(grid)
-    if values.shape != grid.shape:
-        raise ValueError(f"grid and {what} must have the same shape")
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        raise ValueError(f"{what} must be finite and nonnegative")
-    return grid, values, step
+class _Curve:
+    """Base of Spectrum and DecayTrace: a record whose first field is a
+    uniform grid and whose second holds finite, nonnegative values (named
+    `_what` in messages) of the same shape, both read-only; the one curve
+    check of the package.  `_replace` of the values alone keeps the
+    checked grid and checks only the new values; any other `_replace`
+    rebuilds through every check.  The step is read from the grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, grid, values, *rest):
+        grid = _read_only(grid)
+        uniform_step(grid)
+        return super().__new__(cls, grid, cls._checked(grid, values), *rest)
+
+    @classmethod
+    def _checked(cls, grid, values):
+        values = _read_only(values)
+        if values.shape != grid.shape:
+            raise ValueError(f"grid and {cls._what} must have the same shape")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError(f"{cls._what} must be finite and nonnegative")
+        return values
+
+    def _replace(self, /, **changes):
+        if changes.keys() != {self._fields[1]}:
+            return super()._replace(**changes)
+        grid, _, *rest = self
+        return tuple.__new__(type(self), (grid, self._checked(grid, *changes.values()), *rest))
+
+    @property
+    def step(self):
+        """The grid spacing, bit for bit what `uniform_step` returns."""
+        grid = self[0]
+        return (grid[-1] - grid[0]) / (grid.size - 1)
 
 
 def _fast_length(n):
@@ -116,7 +140,7 @@ def fft_convolver(kernel, n):
     return convolve
 
 
-class Spectrum(_record("Spectrum", "energies values", derived="step")):
+class Spectrum(_Curve, _record("Spectrum", "energies values")):
     """A spectral density on a uniform energy grid.
 
     Parameters
@@ -127,22 +151,11 @@ class Spectrum(_record("Spectrum", "energies values", derived="step")):
     values : ndarray
         Nonnegative spectral density per ueV (or raw counts).
 
-    `step`, derived, is the grid spacing in ueV.
+    `step` is the grid spacing in ueV.
     """
 
     __slots__ = ()
-
-    def __new__(cls, energies, values):
-        energies, values, step = _sampled(energies, values, "spectral values")
-        return super().__new__(cls, energies, values, step)
-
-    def _replace(self, /, **changes):
-        """The spectrum with fields changed; new values alone keep this
-        grid and its step, and only the values are checked."""
-        if changes.keys() != {"values"}:
-            return super()._replace(**changes)
-        values = _sampled(self.energies, changes["values"], "spectral values", self.step)[1]
-        return super().__new__(type(self), self.energies, values, self.step)
+    _what = "spectral values"
 
     def area(self):
         """Trapezoid integral of the spectrum over its grid."""

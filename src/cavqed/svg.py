@@ -15,14 +15,12 @@ per run, and needs finite points: a curve with a value that is not
 finite raises ValueError before it is decimated, and every finite value
 is drawn at a finite point.
 
-A plot whose every x and y is a list or tuple of at most 4 finite
-numbers, which M4 keeps whole, is drawn in pure Python, so `pl purcell`
-loads no numpy; any other plot imports numpy to scale and decimate its
-curves.  The pure branch repeats numpy's float operations in numpy's
-order, so both write the same bytes, with one exception: for `log_y` it
-takes `math.log10`, which may differ from numpy's in the last bit, and
-the two-decimal text shows that only at a rounding tie.  The frame, the
-ticks, the text and the file write are shared.
+A plot without a log y axis whose every x and y is a list or tuple of at
+most 4 finite numbers, which M4 keeps whole, is drawn in pure Python, so
+`pl purcell` loads no numpy; any other plot imports numpy to scale and
+decimate its curves.  The pure branch repeats numpy's float operations
+in numpy's order, so both write the same bytes.  The frame, the ticks,
+the text and the file write are shared.
 
 Every coordinate is Python's "%.2f" text.  A curve of _KERNEL_POINTS or
 more points after decimation is laid out by cavqed.numtext's one row
@@ -112,17 +110,11 @@ def _short(values):
     return None
 
 
-def _python_curves(curves, log_y):
-    """The curves, given as lists of floats, with y on the plotted scale,
-    and their extremes (x_lo, x_hi, y_lo, y_hi), as _numpy_curves
-    computes them."""
+def _python_curves(curves):
+    """The curves, given as lists of floats, and their extremes (x_lo,
+    x_hi, y_lo, y_hi), as _numpy_curves computes them on a linear y axis."""
     if not curves or any(not cx or len(y) != len(cx) for _, cx, y in curves):
         raise ValueError(_BAD_SERIES)
-    if log_y:
-        positive = [v for _, _, y in curves for v in y if v > 0]
-        floor = min(positive) if positive else 1.0
-        curves = [(label, cx, [math.log10(max(v, floor)) for v in y])
-                  for label, cx, y in curves]
     # of equal values (0.0 and -0.0), numpy's min and max of up to 8 keep
     # the last and Python's the first, so these read the values reversed
     stacked = [v for _, _, y in reversed(curves) for v in reversed(y)]
@@ -182,8 +174,8 @@ def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=Fals
     The x axis spans the x of every item."""
     items = [(label, *((x, *xy) if len(xy) == 1 else xy)) for label, *xy in series]
     short = [(label, _short(cx), _short(y)) for label, cx, y in items]
-    if all(cx is not None and y is not None for _, cx, y in short):
-        curves, bounds = _python_curves(short, log_y)
+    if not log_y and all(cx is not None and y is not None for _, cx, y in short):
+        curves, bounds = _python_curves(short)
         points = _python_points
     else:
         curves, bounds = _numpy_curves(items, log_y)

@@ -22,32 +22,20 @@ HC_UEV_NM = 1.23984198e9
 KB_UEV_PER_K = 86.17333262
 
 
-def _record(typename, field_names, derived=""):
+def _record(typename, field_names):
     """A namedtuple base for an immutable value type that its subclass
     checks in `__new__`.
 
-    `_make`, `_replace`, copy and pickle all build through that `__new__`,
-    so no path gives a record that fails a check.  The `derived` fields
-    come last: `__new__` computes them from the others, so a caller
-    cannot pass them, `_make` takes the other fields and `_replace`
-    recomputes them (a curve's `_replace` of its values alone keeps its
-    checked grid and step, and checks the values).  A record is a tuple:
-    it unpacks and indexes, and compares equal to a plain tuple, or
-    another record, that holds the same values.  Each subclass sets
-    `__slots__ = ()`, so assigning an attribute raises AttributeError.
+    `_make` builds through that `__new__`, and so do namedtuple's own
+    `_replace`, which calls `_make`, and copy and pickle, which call
+    `__new__` with the fields: no path gives a record that fails a check.
+    A record is a tuple: it unpacks and indexes, and compares equal to a
+    plain tuple, or another record, that holds the same values.  Each
+    subclass sets `__slots__ = ()`, so assigning an attribute raises
+    AttributeError.
     """
-    base = namedtuple(typename, f"{field_names} {derived}")
-    given = field_names.split()
-
-    def _replace(self, /, **changes):
-        values = [changes.pop(name, value) for name, value in zip(given, self)]
-        if changes:
-            raise ValueError(f"{typename} has no field to replace named {sorted(changes)}")
-        return type(self)(*values)
-
+    base = namedtuple(typename, field_names)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    base._replace = _replace
-    base.__getnewargs__ = lambda self: tuple(self)[:len(given)]
     return base
 
 

@@ -729,15 +729,25 @@ def test_modes_overlay_chooses_the_rows(tmp_path, paper_runs, command):
         == paper_runs[command].report["modes"][:2]
 
 
-@pytest.mark.parametrize("command", ["spectrum", "brightness"])
-def test_energy_grid_is_checked_once(monkeypatch, command):
+@pytest.mark.parametrize("command, overlay, sizes", [
+    ("spectrum", None, [3001]),
+    ("brightness", None, [3001]),
+    ("brightness", "envelope_p6.csv", [3001]),
+    ("lifetime", None, [425, 425]),
+], ids=["spectrum", "brightness", "measured-brightness", "lifetime"])
+def test_energy_grid_is_checked_once(monkeypatch, paper_runs, command, overlay, sizes):
     # every curve on the grid shares it, so a command checks its energy
-    # grid once, not once per curve
+    # grid (a trace its time grid) once, not once per curve
+    cfg = config.load("paper")
+    if overlay:
+        envelope = paper_runs["brightness"].out / overlay
+        cfg = config.load("paper", json.dumps(
+            {"analysis": {"brightness": {"envelope_csv": str(envelope)}}}))
     checked, real = [], spectra.uniform_step
     monkeypatch.setattr(spectra, "uniform_step",
                         lambda grid: checked.append(len(grid)) or real(grid))
-    _COMMANDS[command](config.load("paper"), config.DEFAULT_SEED)
-    assert checked == [3001]
+    _COMMANDS[command](cfg, config.DEFAULT_SEED)
+    assert checked == sizes
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS.values()))
@@ -819,10 +829,6 @@ class TestInputData:
          "need at least 50 bins for a biexponential fit"),
         ("saturation", "curve_csv", "power,counts\n0,-1\n1,-2\n2,-3\n4,-3.5",
          "counts have no positive value to fit"),
-        ("saturation", "curve_csv", "power,counts\n-1,1\n1,2\n2,3\n4,3.5",
-         "powers must be >= 0"),
-        ("saturation", "curve_csv", "power,counts\n0,10\n0,20\n0,30\n0,40\n0,50",
-         "powers have no positive value to fit"),
         # a fit's squared residuals would overflow
         ("saturation", "curve_csv", "power,counts\n0,1\n1,1e200\n2,3",
          "counts must be at most 2**500"),
@@ -831,7 +837,7 @@ class TestInputData:
          + "".join(f"\n{4 * i},1" for i in range(1, 50)),
          "counts must be at most 2**500"),
     ], ids=["envelope-grid", "trace-count", "envelope-coarse", "trace-short", "curve-counts",
-            "curve-power", "curve-powers", "curve-overflow", "trace-overflow"])
+            "curve-overflow", "trace-overflow"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"
         path.write_bytes((rows + "\n").encode())

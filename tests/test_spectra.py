@@ -134,15 +134,27 @@ class TestCurveContract:
         assert derived.energies is s.energies
 
     def test_step_is_stored(self, monkeypatch):
-        s = Spectrum(0.5 * _GOOD_GRID, np.ones(_GOOD_GRID.size))
-        trace = DecayTrace(4.0 * _GOOD_GRID, np.ones(_GOOD_GRID.size), 32.0)
+        # the step is read from the checked grid, bit for bit uniform_step's,
+        # without running the grid check again
+        rng = np.random.default_rng(2718)
+        grids = [0.5 * _GOOD_GRID]
+        for _ in range(200):
+            step = 10.0 ** rng.uniform(-3.0, 3.0)
+            offset = step * rng.uniform(-1e4, 1e4) * rng.choice([0.0, 1.0])
+            grids.append(offset + step * np.arange(int(rng.integers(2, 5001))))
+        steps = [uniform_step(grid) for grid in grids]
+        curves = [(Spectrum(grid, np.ones(grid.size)), DecayTrace(grid, np.ones(grid.size), 32.0))
+                  for grid in grids]
 
         def fail(grid):
             raise AssertionError("uniform_step called on read")
 
         monkeypatch.setattr(spectra, "uniform_step", fail)
         monkeypatch.setattr(dynamics, "uniform_step", fail)
-        assert (s.step, trace.bin_ps) == (0.5, 4.0)
+        assert (curves[0][0].step, curves[0][1].bin_ps) == (0.5, 0.5)
+        for (s, trace), step in zip(curves, steps):
+            assert type(s.step) is type(step) and s.step.tobytes() == step.tobytes()
+            assert trace.bin_ps.tobytes() == step.tobytes()
 
     def test_replace_rebuilds_through_the_checks(self, monkeypatch):
         # new values alone keep the checked grid and its step and are
@@ -158,10 +170,12 @@ class TestCurveContract:
         assert (replaced.energies is s.energies, replaced.step) == (True, 0.5)
         assert replaced.values is not values and not replaced.values.flags.writeable
         recounted = trace._replace(counts=values)
-        assert (recounted.time_ps is trace.time_ps, recounted[2:]) == (True, (32.0, 4.0))
+        assert (recounted.time_ps is trace.time_ps,
+                (recounted.irf, recounted.bin_ps)) == (True, (32.0, 4.0))
         assert steps == []
         assert s._replace(energies=_GOOD_GRID).step == 1.0
-        assert trace._replace(irf=0.0)[2:] == (0.0, 4.0)
+        re_irf = trace._replace(irf=0.0)
+        assert (re_irf.irf, re_irf.bin_ps) == (0.0, 4.0)
         assert len(steps) == 2
         for bad in (-s.values, np.full(_GOOD_GRID.size, np.nan), np.full(_GOOD_GRID.size, np.inf)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -178,7 +192,7 @@ class TestCurveContract:
             s._replace(values=s.values, step=1.0)
         with pytest.raises(TypeError):
             Spectrum(s.energies, s.values, 1.0)
-        assert Spectrum._fields == ("energies", "values", "step")
+        assert Spectrum._fields == ("energies", "values")
 
     @pytest.mark.parametrize("builder", ["Spectrum", "DecayTrace"])
     def test_pickle_rebuilds_through_the_checks(self, builder):

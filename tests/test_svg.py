@@ -130,16 +130,28 @@ def on_both_branches(monkeypatch, tmp_path, x, series, **labels):
     ([6, 7, 8, 9], [("fixture", [2.49, 2.86, 3.53, 4.23]),
                     ("Gaussian", [2.8597, 3.2127, 3.5412, 3.8473])],
      {"title": "Mode volume", "x_label": "p"}),
-    ([0.5, 1.0, 2.0, 4.0], [("counts", [0.0, 12.5, 3e4, 7.0])], {"log_y": True}),
     ([1.0, 2.0], [("shared", (1.0, -2.0)), ("own", [4.0, -3.0, 0.5], (0.75, 0.25, 0.5))], {}),
     ([1.0, 2.0, 3.0], [("flat", [5.0, 5.0, 5.0])], {}),
     ([7], [("one", [0.125])], {}),
-], ids=["integer-x", "log-y-with-zero", "own-x", "flat", "single-point"])
+], ids=["integer-x", "own-x", "flat", "single-point"])
 def test_short_plots_are_the_same_bytes_on_both_branches(monkeypatch, tmp_path, x, series,
                                                         labels):
     python, numpy_ = on_both_branches(monkeypatch, tmp_path, x, series, **labels)
     assert isinstance(python, bytes)
     assert python == numpy_
+
+
+def test_short_log_y_plot_takes_the_numpy_branch(monkeypatch, tmp_path):
+    # a log y axis takes the numpy branch, also for a plot short enough for
+    # the pure one
+    monkeypatch.setattr(svg, "_python_curves", None)
+    path = tmp_path / "log.svg"
+    svg.write_line_svg(path, [0.5, 1.0, 2.0, 4.0], [("counts", [0.0, 12.5, 3e4, 7.0])],
+                       log_y=True)
+    assert polyline_points(path) == [[("70.00", "470.00"), ("180.00", "440.19"),
+                                      ("400.00", "40.00"), ("840.00", "470.00")]]
+    labels = [el.text for el in ET.parse(path).getroot() if el.get("text-anchor") == "end"]
+    assert labels == ["1e0.85", "1e1.75", "1e2.66", "1e3.57", "1e4.48", "counts"]
 
 
 @pytest.mark.parametrize("x, series", [
