@@ -9,7 +9,9 @@ one row layout: it places the words of each field and separator side by
 side in a uint32 matrix (`layout`), writes each masked value's `%` text
 over its own field, widened where that text is longer, and drops the
 pads with one `bytes.translate`, which gives the rows of a CSV file or
-of an SVG `points` attribute.
+of an SVG `points` attribute.  `cells(body)` reads the other way: the
+float64 value of each cell of the rows of a plain two-column CSV, bit
+for bit Python's `float(cell)`.
 
 The digits are computed in float64 and int64 arithmetic only, with no
 extended precision, so the same code runs, and gives the same bytes, on
@@ -42,6 +44,34 @@ is exactly k + 1/2, where the sign of err decides and a zero err is a
 true tie, which rounds to even.  The sign is that of v, so a negative
 value that rounds to zero reads -0.00, as in Python.  Other values are
 formatted by Python.
+
+Reading.  A body is plain when it is ASCII rows of two cells, split by
+one "," and each ended by a newline, and each cell is
+-?digits[.digits][e(+|-)digits]; `cells` returns None for any other
+body, which its caller then reads cell by cell.  A cell is d 10**k:
+np.fromstring reads its digits without the point as an int64 m, and its
+exponent, and k is the exponent less the digits after the point.
+np.fromstring silently saturates a number outside int64's range, so d =
+|m| is taken only for |m| < 1e18, at most 18 significant digits.  d = 0
+is a zero of the cell's sign.  For d <= 2**53 and |k| <= 22, d and
+10**|k| are exact doubles, so one multiplication or division rounds
+d 10**k once, correctly (Clinger, PLDI 1990).  Otherwise, for
+-290 <= k <= 289, where x = d 10**k is normal and below 1e307, d = dh + dl
+exactly (dh = fl(d), dl = d - dh in int64) and 10**k = hi + lo + eps with
+the double-double above, |eps| < 2**-106 10**k; the two-product gives
+dh hi = p + err exactly, and r = err + (dh lo + dl hi + dl lo) differs
+from x - p by less than 2**-100 |p|: two products of about 2**-53 |p|,
+each rounded to 2**-53 of itself, three sums below 2**-50 |p|, d eps, and
+absolute errors below 2**-1074 where a term is subnormal.  With the
+margin m = 2**-80 |p|, far above that error and the rounding of r -+ m,
+x lies between p + (r - m) and p + (r + m); rounding is monotonic, so
+when both round to the same double, x rounds to it.  They differ only
+when x lies within about 2**-79 |x| of a midpoint between two doubles,
+about 2**-26 ulp: a tie, or a share near 2e-8 of cells with random
+digits.  Python's float() reads each cell the kernel does not prove: one
+of more than 18 significant digits, one with d != 0 and k outside
+[-290, 289] (subnormal, overflowing and the smallest and largest normal
+values), and a near-tie.  An exponent cell is computed like any other.
 """
 
 import functools
@@ -236,3 +266,120 @@ def rows(*columns):
     """The bytes of the rows laid out from `columns` (`layout`), without
     the pads."""
     return layout(*columns).tobytes().translate(None, b"\0")
+
+
+# The reader's bytes: a digit is 0, any other byte its kind; an "-" that
+# follows an "e" is read as the exponent's sign
+_COMMA, _NEWLINE, _EXP, _DOT, _DASH, _SIGN, _OTHER = range(1, 8)
+_KIND = np.full(256, _OTHER, np.uint8)
+_KIND[np.frombuffer(b",\n.e-+", np.uint8)] = (_COMMA, _NEWLINE, _DOT, _EXP, _DASH, _SIGN)
+# _FOLLOWS[8 prev + kind]: 2 where a non-digit byte of `kind` may follow
+# one of kind `prev` after one digit or more, 1 where it follows it
+# directly, 0 never: -?digits[.digits][e(+|-)digits] between separators
+_FOLLOWS = np.zeros((8, 8), np.uint8)
+_FOLLOWS[[_COMMA, _NEWLINE, _DASH, _DOT, _SIGN], _COMMA] = 2
+_FOLLOWS[[_COMMA, _NEWLINE, _DASH, _DOT, _SIGN], _NEWLINE] = 2
+_FOLLOWS[[_COMMA, _NEWLINE, _DASH], _DOT] = 2
+_FOLLOWS[[_COMMA, _NEWLINE, _DASH, _DOT], _EXP] = 2
+_FOLLOWS[[_COMMA, _NEWLINE], _DASH] = 1
+_FOLLOWS[_EXP, _SIGN] = 1
+_FOLLOWS = _FOLLOWS.ravel()
+# a cell's digits without its point, then its exponent, as int64 fields
+_FIELDS = bytes.maketrans(b"e\n", b",,")
+# d 10**k with |d| < 1e18 in this range of k is a normal double
+_K_RANGE = (-290, 289)
+_READ_MARGIN = 2.0 ** -80
+
+
+def _fields(body):
+    """(m, k, negative, separator) of the cells of a plain body: the
+    digits of each without its point, as an int64 m, its power of ten k,
+    whether it is negative, and the position of the comma or newline
+    after it; None if the body is not plain."""
+    if not body.endswith(b"\n"):
+        return None
+    b = np.frombuffer(body, np.uint8)
+    at = np.flatnonzero((b - 48) > 9)  # the non-digits
+    kind = np.take(_KIND, b[at])
+    kind[1:][(kind[1:] == _DASH) & (kind[:-1] == _EXP)] = _SIGN
+    prev = np.empty_like(kind)
+    prev[0] = _NEWLINE
+    prev[1:] = kind[:-1]
+    step = np.diff(at, prepend=-1)  # one more than the digits before each
+    separated = kind <= _NEWLINE
+    separators = np.compress(separated, kind)
+    if (not np.array_equal(np.take(_FOLLOWS, prev * 8 + kind), (step > 1) + 1)
+            or separators.size % 2
+            or not np.all(separators.reshape(-1, 2) == (_COMMA, _NEWLINE))):
+        return None
+    # the field that ends at each comma, "e" or newline: a cell's digits,
+    # or the exponent after a sign
+    ints = np.fromstring(body.translate(_FIELDS, b"."), np.int64, sep=",")
+    ends = np.flatnonzero(kind <= _EXP)
+    digits = np.take(prev, ends) != _SIGN
+    end = np.compress(digits, ends)
+    pointed = np.take(prev, end) == _DOT
+    k = np.where(pointed, 1 - np.take(step, end), 0)
+    if end.size < ends.size:
+        k[np.take(kind, end) == _EXP] += np.clip(np.compress(~digits, ints), -9999, 9999)
+    negative = (kind == _DASH).any() and np.take(kind, end - 1 - pointed) == _DASH
+    return np.compress(digits, ints), k, negative, np.compress(separated, at)
+
+
+def _nearest(d, k):
+    """The double nearest d 10**k for each d, 0 <= d < 1e18, and k, and
+    whether it is proven (module docstring)."""
+    kk = np.clip(k, *_K_RANGE)
+    k0 = int(kk.min())
+    # _power(k) and 10**-k, exact for -22 <= k <= 0, for each k that occurs
+    hi, lo, high, low, inverse = np.array([_power(k) + _power(-k)[:1]
+                                           for k in range(k0, int(kk.max()) + 1)]).T
+    row = kk - k0
+    df = d.astype(float)
+    # Clinger's path: d and 10**|k| are exact, and one operation rounds once
+    exact = (d <= 2 ** 53) & (np.abs(k) <= 22)
+    clinger = np.where(k < 0, df / np.take(inverse, row), df * np.take(hi, row))
+    if exact.all():
+        return clinger, exact
+    hi, lo, high, low = (np.take(column, row) for column in (hi, lo, high, low))
+    dl = (d - df.astype(np.int64)).astype(float)
+    # (df + dl)(hi + lo), with df hi = p + err exactly
+    p = df * hi
+    t = df * _SPLIT
+    d_high = t - (t - df)
+    d_low = df - d_high
+    err = ((d_high * high - p) + d_high * low + d_low * high) + d_low * low
+    r = err + (df * lo + dl * hi + dl * lo)
+    margin = np.abs(p) * _READ_MARGIN
+    value = p + (r - margin)
+    proven = ((value == p + (r + margin)) & (kk == k)) | (d == 0)
+    return np.where(exact, clinger, value), proven | exact
+
+
+def _read(body):
+    """(value, slow, separator): the value of each cell of a plain body
+    where `slow` is False, and the position of the comma or newline after
+    each; None if the body is not plain."""
+    fields = _fields(body)
+    if fields is None:
+        return None
+    m, k, negative, separator = fields
+    # np.fromstring saturates a field out of int64's range
+    short = (m > -10 ** 18) & (m < 10 ** 18)
+    value, proven = _nearest(np.where(short, np.abs(m), 0), k)
+    np.negative(value, out=value, where=negative)
+    return value, ~(short & proven), separator
+
+
+def cells(body):
+    """The float64 value of each cell of `body`, bytes that hold the rows
+    of a plain two-column CSV without its header, in reading order, bit
+    for bit `float(cell)`; None if `body` is not plain (module
+    docstring)."""
+    read = _read(body)
+    if read is None:
+        return None
+    value, slow, separator = read
+    for i in np.flatnonzero(slow).tolist():
+        value[i] = float(body[separator[i - 1] + 1 if i else 0:separator[i]])
+    return value

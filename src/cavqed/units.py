@@ -27,8 +27,9 @@ def _record(typename, field_names):
     checks in `__new__`.
 
     `_make` builds through that `__new__`, and so do namedtuple's own
-    `_replace`, which calls `_make`, and copy and pickle, which call
-    `__new__` with the fields: no path gives a record that fails a check.
+    `_replace`, which calls `_make`, and copy and pickle, which under
+    every protocol call the class with the fields (`__reduce__`): no path
+    gives a record that fails a check.
     A record is a tuple: it unpacks and indexes, and compares equal to a
     plain tuple, or another record, that holds the same values.  Each
     subclass sets `__slots__ = ()`, so assigning an attribute raises
@@ -36,6 +37,9 @@ def _record(typename, field_names):
     """
     base = namedtuple(typename, field_names)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    # not copyreg's default for protocols 0 and 1, which builds the tuple
+    # without the subclass's __new__
+    base.__reduce__ = lambda self: (type(self), tuple(self))
     return base
 
 

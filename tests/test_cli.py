@@ -786,24 +786,6 @@ class TestInputData:
     """Exit codes for bad input CSVs: unreadable or empty files are I/O
     errors (4), bad contents are validation errors (2)."""
 
-    @pytest.fixture(scope="class")
-    def envelope_text(self, paper_runs):
-        return (paper_runs["brightness"].out / "envelope_p6.csv").read_text()
-
-    def run_envelope(self, tmp_path, text):
-        path = tmp_path / "envelope.csv"
-        path.write_text(text)
-        cfg = {"analysis": {"brightness": {"envelope_csv": str(path)}}}
-        return run_main(tmp_path, "brightness", config=cfg, name="measured")[0]
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_envelope_is_config_error(self, tmp_path, envelope_text, bad, capsys):
-        lines = envelope_text.splitlines(keepends=True)
-        energy = lines[100].split(",")[0]
-        lines[100] = f"{energy},{bad}\n"
-        assert self.run_envelope(tmp_path, "".join(lines)) == EXIT_CONFIG
-        assert "envelope.csv" in json.loads(capsys.readouterr().err)["message"]
-
     def test_nan_in_trace_names_the_file(self, tmp_path, capsys, paper_runs):
         out = paper_runs["lifetime"].out
         lines = (out / "decay_cavity.csv").read_text().splitlines(keepends=True)
@@ -823,8 +805,6 @@ class TestInputData:
         ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,-2\n8,1",
          "counts must be finite and nonnegative"),
         # the library checks of a file's grid and values run as it is read
-        ("brightness", "envelope_csv", "energy_ueV,value\n0,1\n40,1\n80,1",
-         "grid too coarse: spacing 40 ueV exceeds zpl_fwhm/10 = 20 ueV"),
         ("lifetime", "cavity_trace_csv", "time_ps,counts\n0,1\n4,2\n8,1",
          "need at least 50 bins for a biexponential fit"),
         ("saturation", "curve_csv", "power,counts\n0,-1\n1,-2\n2,-3\n4,-3.5",
@@ -836,7 +816,7 @@ class TestInputData:
          f"time_ps,counts\n0,{math.nextafter(2.0 ** 500, math.inf)!r}"
          + "".join(f"\n{4 * i},1" for i in range(1, 50)),
          "counts must be at most 2**500"),
-    ], ids=["envelope-grid", "trace-count", "envelope-coarse", "trace-short", "curve-counts",
+    ], ids=["envelope-grid", "trace-count", "trace-short", "curve-counts",
             "curve-overflow", "trace-overflow"])
     def test_bad_contents_name_the_file(self, tmp_path, capsys, command, key, rows, problem):
         path = tmp_path / "input.csv"

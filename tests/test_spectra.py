@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavqed import cqed, dynamics, spectra
+from cavqed import cqed, dynamics, numtext, spectra
 from cavqed.dynamics import DecayTrace, LevelScheme, g2_correlation
 from cavqed.spectra import (
     EmitterModel,
@@ -551,6 +551,82 @@ def test_producers_return_area_2pi(produce, paper_model, paper_fs_spectrum):
     assert abs(area - 2.0 * np.pi) <= 1e-6 * 2.0 * np.pi
 
 
+_REJECTED = [
+    ("", "header"),
+    ("energy_ueV, value\n1,2\n2,3\n", "header"),
+    ("energy,value\n0,1\n1,1\n", "^expected header 'energy_ueV,value', got 'energy,value'$"),
+    ("energy_ueV,value,extra\n1,2,3\n2,3,4\n", "header"),
+    ("energy_ueV,value\n1,2\n", "two data rows"),
+    ("energy_ueV,value\n1,2\n2,3,4\n", "two columns"),
+    ("energy_ueV,value\n1,2\n\n2,3\n", "two columns"),
+    ("energy_ueV,value\n1,2\n2,3\n\n", "two columns"),
+    # the shape is checked line by line: four cells in all are not enough
+    ("energy_ueV,value\n1,2,3\n4\n", "two columns"),
+    ("energy_ueV,value\n1,2\n2,x\n", "malformed"),
+    ("energy_ueV,value\n0,1\n1,x\n",
+     "^malformed number in data row 2, column 'value': could not convert string to float: 'x'$"),
+    ("energy_ueV,value\n1,2\n2,\n",
+     "^malformed number in data row 2, column 'value': could not convert string to float: ''$"),
+    ("energy_ueV,value\n,2\n2,3\n", "^malformed number in data row 1, column 'energy_ueV': "),
+    # of two bad cells the first in reading order is named
+    ("energy_ueV,value\n1,2\n2,y\nx,3\n", "^malformed number in data row 2, column 'value': .*'y'$"),
+    # float() takes both, but neither is a CSV number
+    ("energy_ueV,value\n1,2\n1_000,3\n",
+     "^malformed number in data row 2, column 'energy_ueV': not a plain ASCII number: '1_000'$"),
+    ("energy_ueV,value\n1,2\n2,٣\n",
+     "^malformed number in data row 2, column 'value': not a plain ASCII number: '٣'$"),
+    ("energy_ueV,value\n1,x\n2,1_0\n", "^malformed number in data row 1, column 'value': .*'x'$"),
+    ("energy_ueV,value\n1,2\n2,nan\n", "non-finite value in data row 2"),
+    ("energy_ueV,value\n-inf,2\n2,3\n", "non-finite value in data row 1"),
+    # cells that numtext.cells must not take either
+    ("energy_ueV,value\n1,2\n2,1.2.3\n",
+     "^malformed number in data row 2, column 'value': could not convert string to float: '1.2.3'$"),
+    ("energy_ueV,value\n1,2\n1e+5e+3,2\n", "^malformed number in data row 2, column 'energy_ueV': "),
+    ("energy_ueV,value\n1,2\n2,1-2\n", "^malformed number in data row 2, column 'value': "),
+    ("energy_ueV,value\n1,2\n2,1e+\n", "^malformed number in data row 2, column 'value': "),
+    ("energy_ueV,value\n1,2\n2,-\n", "^malformed number in data row 2, column 'value': "),
+    # a non-finite value is named by its row, by either path
+    ("energy_ueV,value\n0,1\n1,inf\n", "^non-finite value in data row 2$"),
+    ("energy_ueV,value\n0,1\n1,nan\n2,1\n", "^non-finite value in data row 2$"),
+]
+_ACCEPTED = [
+    "energy_ueV,value\r\n1,2\r\n2.5,3e-3\r\n",
+    "energy_ueV,value\n 1 ,\t2\n2.5 , 3e-3 \n",
+    "energy_ueV,value\n-0.0,1e-320\n1e308,-2.2250738585072014e-308",
+    # numbers that float() reads but numtext.cells leaves to it
+    "energy_ueV,value\n1e5,+2\n.5,5.\n1E5,-.5e-3\n1.e5,0e7\n",
+]
+
+
+# random finite bit patterns, more rows than either kernel's threshold
+_LONG = max(spectra._READ_ROWS, spectra._KERNEL_ROWS) + 1
+_LONG_ROWS = np.random.default_rng(8).integers(0, 2 ** 64, 4 * _LONG, dtype=np.uint64).view(float)
+_LONG_ROWS = [*zip(*_LONG_ROWS[np.isfinite(_LONG_ROWS)][:2 * _LONG].reshape(2, -1).tolist()),
+              (-0.0, 5e-324), (1e16, 1e-320)]
+
+
+def _after_plain_rows(text):
+    """`text` with spectra._READ_ROWS plain rows after its first line."""
+    header, newline, body = text.partition("\n")
+    plain = "".join(f"{i},{i}.5\n" for i in range(spectra._READ_ROWS)) if newline else ""
+    return header + newline + plain + body
+
+
+def _spy_on_cells(monkeypatch):
+    """The list of what each later call of numtext.cells returns."""
+    returned, cells = [], numtext.cells
+    monkeypatch.setattr(numtext, "cells", lambda body: returned.append(cells(body)) or returned[-1])
+    return returned
+
+
+def _assert_read_as_float(text):
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    x, y = parse_two_column_csv(text, spectra.SPECTRUM_HEADER)
+    assert x.tobytes() == np.array([float(row[0]) for row in rows]).tobytes()
+    assert y.tobytes() == np.array([float(row[1]) for row in rows]).tobytes()
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path, paper_fs_spectrum):
         path = tmp_path / "spectrum.csv"
@@ -658,6 +734,8 @@ class TestCsvRoundTrip:
                          min_size=2, max_size=40))
     @example(rows=[(-0.0, 5e-324), (1e308, -1e308), (2.2250738585072014e-308, -1e-310),
                    (1.7976931348623157e308, 0.0), (1e16, 123456789012345678.0)])
+    # rows that both the reader's kernel and the writer's read or write
+    @example(rows=_LONG_ROWS)
     @settings(max_examples=200, deadline=None)
     def test_bytes_are_the_format_generators_and_read_back_bit_exact(self, tmp_path_factory,
                                                                      rows):
@@ -670,46 +748,34 @@ class TestCsvRoundTrip:
         x_back, y_back = parse_two_column_csv(text, "a,b")
         assert x_back.tobytes() == x.tobytes() and y_back.tobytes() == y.tobytes()
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "header"),
-        ("energy_ueV, value\n1,2\n2,3\n", "header"),
-        ("energy,value\n0,1\n1,1\n", "^expected header 'energy_ueV,value', got 'energy,value'$"),
-        ("energy_ueV,value,extra\n1,2,3\n2,3,4\n", "header"),
-        ("energy_ueV,value\n1,2\n", "two data rows"),
-        ("energy_ueV,value\n1,2\n2,3,4\n", "two columns"),
-        ("energy_ueV,value\n1,2\n\n2,3\n", "two columns"),
-        ("energy_ueV,value\n1,2\n2,3\n\n", "two columns"),
-        # the shape is checked line by line: four cells in all are not enough
-        ("energy_ueV,value\n1,2,3\n4\n", "two columns"),
-        ("energy_ueV,value\n1,2\n2,x\n", "malformed"),
-        ("energy_ueV,value\n0,1\n1,x\n",
-         "^malformed number in data row 2, column 'value': could not convert string to float: 'x'$"),
-        ("energy_ueV,value\n1,2\n2,\n",
-         "^malformed number in data row 2, column 'value': could not convert string to float: ''$"),
-        ("energy_ueV,value\n,2\n2,3\n", "^malformed number in data row 1, column 'energy_ueV': "),
-        # of two bad cells the first in reading order is named
-        ("energy_ueV,value\n1,2\n2,y\nx,3\n", "^malformed number in data row 2, column 'value': .*'y'$"),
-        # float() takes both, but neither is a CSV number
-        ("energy_ueV,value\n1,2\n1_000,3\n",
-         "^malformed number in data row 2, column 'energy_ueV': not a plain ASCII number: '1_000'$"),
-        ("energy_ueV,value\n1,2\n2,٣\n",
-         "^malformed number in data row 2, column 'value': not a plain ASCII number: '٣'$"),
-        ("energy_ueV,value\n1,x\n2,1_0\n", "^malformed number in data row 1, column 'value': .*'x'$"),
-        ("energy_ueV,value\n1,2\n2,nan\n", "non-finite value in data row 2"),
-        ("energy_ueV,value\n-inf,2\n2,3\n", "non-finite value in data row 1"),
-    ])
+    @pytest.mark.parametrize("text, message", _REJECTED)
     def test_parse_rejects(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_two_column_csv(text, spectra.SPECTRUM_HEADER)
 
-    @pytest.mark.parametrize("text", [
-        "energy_ueV,value\r\n1,2\r\n2.5,3e-3\r\n",
-        "energy_ueV,value\n 1 ,\t2\n2.5 , 3e-3 \n",
-        "energy_ueV,value\n-0.0,1e-320\n1e308,-2.2250738585072014e-308",
-    ])
+    @pytest.mark.parametrize("text", _ACCEPTED)
     def test_parse_accepts(self, text):
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-        x, y = parse_two_column_csv(text, spectra.SPECTRUM_HEADER)
-        assert x.tobytes() == np.array([float(row[0]) for row in rows]).tobytes()
-        assert y.tobytes() == np.array([float(row[1]) for row in rows]).tobytes()
-        assert x.flags.c_contiguous and y.flags.c_contiguous
+        _assert_read_as_float(text)
+
+    # A body of _READ_ROWS rows or more goes to numtext.cells first, which
+    # must leave every text that it does not read as float() would to the
+    # same code as a short one: the same text after that many plain rows
+    # gets the same message, its row moved by them, or the same values.
+    # A text of fewer than two rows has no such twin.
+    @pytest.mark.parametrize("text, message", [case for case in _REJECTED
+                                               if case[1] != "two data rows"])
+    def test_parse_rejects_the_same_after_plain_rows(self, monkeypatch, text, message):
+        with pytest.raises(ValueError) as short:
+            parse_two_column_csv(text, spectra.SPECTRUM_HEADER)
+        tried = _spy_on_cells(monkeypatch)
+        with pytest.raises(ValueError) as long:
+            parse_two_column_csv(_after_plain_rows(text), spectra.SPECTRUM_HEADER)
+        assert str(long.value) == re.sub(r"data row (\d+)",
+                                         lambda row: f"data row {int(row[1]) + spectra._READ_ROWS}",
+                                         str(short.value))
+        plain = text.startswith(spectra.SPECTRUM_HEADER + "\n") and text.isascii()
+        assert tried == ([None] if plain else [])
+
+    @pytest.mark.parametrize("text", _ACCEPTED)
+    def test_parse_accepts_the_same_after_plain_rows(self, text):
+        _assert_read_as_float(_after_plain_rows(text))

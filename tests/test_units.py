@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,27 @@ def test_scalar_checks_reject_nan(check, args):
     # the check's own message, not a numpy error further on
     with pytest.raises(ValueError, match=r"positive|>=? 0|< 1"):
         check(*args)
+
+
+_GRID = np.linspace(0.0, 10.0, 11)
+# (record, valid fields, fields one of its checks refuses, that check's message)
+PICKLED = {
+    "LossBudget": (LossBudget, (100.0, 100.0, 10.0, 0.0, 0.0), (-1.0, 100.0, 10.0, 0.0, 0.0),
+                   "^loss channel t_flat must be >= 0$"),
+    "Spectrum": (spectra.Spectrum, (_GRID, np.ones(11)), (_GRID, -np.ones(11)),
+                 "^spectral values must be finite and nonnegative$"),
+}
+
+
+@pytest.mark.parametrize("protocol", range(6))
+@pytest.mark.parametrize("record, good, bad, message", PICKLED.values(), ids=PICKLED.keys())
+def test_pickle_builds_through_the_checks_under_every_protocol(record, good, bad, message,
+                                                               protocol):
+    # a stream that holds fields a check refuses, as an edited one would,
+    # raises the constructor's error; a valid record comes back equal
+    tampered = pickle.dumps(tuple.__new__(record, bad), protocol)
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(tampered)
+    copy = pickle.loads(pickle.dumps(record(*good), protocol))
+    assert type(copy) is record and len(copy) == len(good)
+    assert all(np.array_equal(field, value) for field, value in zip(copy, good))
