@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cavqed import spectra, svg
+from cavqed import numtext, spectra, svg
 from cavqed.units import energy_from_wavelength
 
 OUT = Path("demo_out")
@@ -52,7 +52,7 @@ print(f"filtered peak = {s_tilde.values.max():.4e} /ueV, closed form "
 # absorption mirror: the strong wing flips to the blue side
 s_abs = spectra.absorption_spectrum(s_fs, model)
 
-spectra.write_two_column_csv(OUT / "demo_fs_spectrum.csv", spectra.SPECTRUM_HEADER,
+numtext.write_two_column_csv(OUT / "demo_fs_spectrum.csv", spectra.SPECTRUM_HEADER,
                              s_fs.energies, s_fs.values)
 svg.write_line_svg(
     OUT / "demo_spectra.svg", detuning,

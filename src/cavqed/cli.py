@@ -35,7 +35,7 @@ the standard streams run.
 
 Imports: this module loads only the standard library and the numpy-free
 `config`; each function imports numpy and the physics modules it uses
-in its own body, and `write_outputs` imports `spectra` for a CSV and
+in its own body, and `write_outputs` imports `numtext` for a CSV and
 `svg` for an SVG.  So `budget`, `purcell` (the numpy-free `cavity` and a
 4-point plot that `svg` draws in pure Python), `--help` and a run that
 stops on a bad config load neither numpy nor `inspect`, and no command
@@ -87,14 +87,14 @@ def _read_input(path, what):
 
 def _load_csv(path, header, build):
     """`build(x, y)` of the two columns of an input CSV (see
-    spectra.parse_two_column_csv).  `build` makes every library call that
+    numtext.parse_two_column_csv).  `build` makes every library call that
     checks the file's grid or values, so that a ValueError it raises is a
     ConfigError naming the file."""
-    from . import spectra
+    from . import numtext
 
     text = _read_input(path, "input file")
     try:
-        return build(*spectra.parse_two_column_csv(text, header))
+        return build(*numtext.parse_two_column_csv(text, header))
     except ValueError as err:
         raise config.ConfigError(f"{path}: {err}") from err
 
@@ -564,19 +564,19 @@ def write_outputs(out_dir, command, report, files):
         # after a large CSV was written raised the peak RSS of a process
         # running the seven commands by 0.5 to 0.9 MB
         if any(name.endswith(".csv") for name in files):
-            from . import spectra
+            from . import numtext
         if not all(name.endswith(".csv") for name in files):
             from . import svg
         for name, item in files.items():
             path = out_dir / (prefix + name)
             temps.append(path)
             if name.endswith(".csv"):
-                spectra.write_two_column_csv(path, *item)
+                numtext.write_two_column_csv(path, *item)
             else:
                 x, series, labels = item
                 svg.write_line_svg(path, x, series, **labels)
         temps.append(out_dir / (prefix + names[-1]))
-        with open(temps[-1], "w") as fh:
+        with open(temps[-1], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for name in names:
             if (out_dir / name).is_dir():

@@ -1,17 +1,21 @@
-"""Exact decimal text of float64 arrays, without a Python call per value.
+"""The package's two-column CSV format, and the exact decimal text of
+float64 arrays, without a Python call per value, for it and SVG points.
 
-`g17(values)` gives the text of Python's `"%.17g" % v` and `f2(values)`
-that of `"%.2f" % v` as word columns, uint32 arrays that hold four text
-bytes of every row each (first byte lowest) with NUL pads anywhere
-between a row's bytes, and the mask of the values whose text only
-Python's `%` gives.  `rows(("%.17g", x), b",", ("%.2f", y), b"\\n")` is the
-one row layout: it places the words of each field and separator side by
-side in a uint32 matrix (`layout`), writes each masked value's `%` text
-over its own field, widened where that text is longer, and drops the
-pads with one `bytes.translate`, which gives the rows of a CSV file or
-of an SVG `points` attribute.  `cells(body)` reads the other way: the
-float64 value of each cell of the rows of a plain two-column CSV, bit
-for bit Python's `float(cell)`.
+A CSV file is a header line "a,b" and two rows or more of two finite
+numbers, each written as Python's "%.17g" text (`write_two_column_csv`)
+and read bit for bit as `float` reads it (`parse_two_column_csv`), so a
+file read back is bit-exact.  `g17(values)` gives the text of Python's
+`"%.17g" % v` and `f2(values)` that of `"%.2f" % v` as word columns,
+uint32 arrays that hold four text bytes of every row each (first byte
+lowest) with NUL pads anywhere between a row's bytes, and the mask of
+the values whose text only Python's `%` gives.
+`rows(("%.17g", x), b",", ("%.2f", y), b"\\n")` is the one row layout:
+it places the words of each field and separator side by side in a uint32
+matrix (`layout`), writes each masked value's `%` text over its own
+field, widened where that text is longer, and drops the pads with one
+`bytes.translate`, which gives the rows of a CSV file or of an SVG
+`points` attribute.  `cells(body)` reads the other way: the float64
+value of each cell of a plain CSV body, bit for bit `float(cell)`.
 
 The digits are computed in float64 and int64 arithmetic only, with no
 extended precision, so the same code runs, and gives the same bytes, on
@@ -95,9 +99,21 @@ def _power(s):
     num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
     hi = num / den
     hi_num, hi_den = hi.as_integer_ratio()
-    t = hi * _SPLIT
-    high = t - (t - hi)
-    return hi, (num * hi_den - hi_num * den) / (den * hi_den), high, hi - high
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den), *_split(hi)
+
+
+def _split(a):
+    """Veltkamp's halves of a, high + low = a exactly, of 26 bits each."""
+    t = a * _SPLIT
+    high = t - (t - a)
+    return high, a - high
+
+
+def _two_product(a, b, b_high, b_low):
+    """Dekker's (p, err), p = fl(a b) and a b = p + err exactly, b in halves."""
+    p = a * b
+    a_high, a_low = _split(a)
+    return p, ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
 
 
 @functools.cache
@@ -130,12 +146,7 @@ def _significands(v):
     e0 = int(e.min())
     table = np.array([_power(16 - k) for k in range(e0, int(e.max()) + 1)]).T
     hi, lo, high, low = np.take(table, e - e0, axis=1)
-    # |v| hi = p + err, exactly
-    p = a * hi
-    t = a * _SPLIT
-    a_high = t - (t - a)
-    a_low = a - a_high
-    err = ((a_high * high - p) + a_high * low + a_low * high) + a_low * low
+    p, err = _two_product(a, hi, high, low)
     r = err + a * lo
     k = np.rint(r)
     d = p.astype(np.int64) + k.astype(np.int64)
@@ -206,11 +217,7 @@ def f2(values):
     a = np.abs(v)
     fast = a < 9999999.5
     a = np.where(fast, a, 0.0)
-    # |v| 100 = p + err, exactly
-    p = a * 100.0
-    t = a * _SPLIT
-    a_high = t - (t - a)
-    err = (a_high * 100.0 - p) + (a - a_high) * 100.0
+    p, err = _two_product(a, 100.0, 100.0, 0.0)
     floor = np.floor(p)
     n = np.where((p - floor == 0.5) & (err != 0), floor + (err > 0), np.rint(p)).astype(np.int64)
     whole = n // 100
@@ -343,12 +350,8 @@ def _nearest(d, k):
         return clinger, exact
     hi, lo, high, low = (np.take(column, row) for column in (hi, lo, high, low))
     dl = (d - df.astype(np.int64)).astype(float)
-    # (df + dl)(hi + lo), with df hi = p + err exactly
-    p = df * hi
-    t = df * _SPLIT
-    d_high = t - (t - df)
-    d_low = df - d_high
-    err = ((d_high * high - p) + d_high * low + d_low * high) + d_low * low
+    # (df + dl)(hi + lo), with df hi = p + err
+    p, err = _two_product(df, hi, high, low)
     r = err + (df * lo + dl * hi + dl * lo)
     margin = np.abs(p) * _READ_MARGIN
     value = p + (r - margin)
@@ -383,3 +386,130 @@ def cells(body):
     for i in np.flatnonzero(slow).tolist():
         value[i] = float(body[separator[i - 1] + 1 if i else 0:separator[i]])
     return value
+
+
+def parse_two_column_csv(text, header):
+    """Parse CSV text whose first line is exactly `header` ("a,b") and
+    whose other lines are each two finite numbers; at least two rows.
+
+    Returns the two columns as float arrays.  A body of _READ_ROWS rows
+    or more is first given to `cells`, which reads a plain body (module
+    docstring) without a Python call per cell.  Any other text is read by
+    `_float_cells`: the shape check counts each line's commas, the lines
+    are split into one list of cells, and `float` converts them straight
+    into one array; only a body with a non-ASCII character or a "_", which
+    `float` would misread, is checked cell by cell.  Both paths accept the
+    same text and give the same values and messages.  A content error
+    names the data row, and a malformed number also the column, of the
+    first bad cell in reading order.
+    """
+    xy = None
+    if text.startswith(header + "\n") and text.isascii() and text.count("\n") > _READ_ROWS:
+        xy = cells(text[len(header) + 1:].encode())
+    if xy is None:
+        xy = _float_cells(text, header)
+    x, y = xy.reshape(-1, 2).T.copy()  # each column contiguous
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"non-finite value in data row {int(np.argmin(finite)) + 1}")
+    return x, y
+
+
+def _float_cells(text, header):
+    """The cells of `parse_two_column_csv`'s text in reading order, each
+    read by `float`, after its header and shape checks."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        got = lines[0] if lines else ""
+        raise ValueError(f"expected header {header!r}, got {got!r}")
+    body = lines[1:]
+    # per line, not in total: "1,2,3" and "4" have four cells between them
+    commas = list(map(str.count, body, [","] * len(body)))
+    if len(body) < 2 or commas.count(1) != len(body):
+        raise ValueError("need at least two data rows of two columns")
+    joined = ",".join(body)
+    texts = joined.split(",")
+    unread = iter(texts)
+    convert = float if joined.isascii() and "_" not in joined else _plain_float
+    try:
+        return np.fromiter(map(convert, unread), float, len(texts))
+    except ValueError as err:
+        # convert stopped at the first bad cell; what it left unread follows it
+        i = len(texts) - len(list(unread)) - 1
+        column = header.split(",")[i % 2]
+        raise ValueError(f"malformed number in data row {i // 2 + 1}, column {column!r}: "
+                         f"{err}") from err
+
+
+def _plain_float(cell):
+    """float() of a CSV cell, refusing the "1_000" and non-ASCII digits
+    that float() itself takes."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not a plain ASCII number: {cell!r}")
+    return float(cell)
+
+
+# From _READ_ROWS data rows on, parse_two_column_csv tries `cells` first:
+# below it the kernel's fixed cost, about 0.15 ms, is not repaid.
+# Kernel time over float()'s, one CPU of a 2-core Xeon, median of 150
+# alternating parses: rows of 17-digit cells, 25 rows 5.2, 200 rows 1.35,
+# 400 rows 0.99, 600 rows 0.70, 3,000 rows 0.55; rows of small integers
+# (a decay trace), 200 rows 1.9, 400 rows 1.25, 600 rows 1.02, 800 rows
+# 0.82, 3,000 rows 0.55.
+_READ_ROWS = 500
+
+
+# The CSV writer formats and writes blocks of _BLOCK rows, so that the
+# kernel's arrays stay small, and a 3,001-row file is one block (one CPU
+# of a 2-core Xeon, writes of the paper run's files with a cached x
+# column, blocks of 2,048 / 3,072 / 4,096 rows: a 3,001-row spectrum 901 /
+# 746 / 750 us, the 30,001-row g2 file 5.3 / 4.7 / 4.4 ms with transient
+# peaks of 342 / 495 / 646 kB; batch-synthetic's peak RSS was 0.3 MB
+# lower at 3,072 than at 4,096 rows in three pairs).  Below _KERNEL_ROWS
+# rows Python's % formats the value column: the kernel's fixed cost per
+# call, about 0.08 ms, is then not always repaid (425 integer counts
+# 74 us by %, 144 us by the kernel; 425 17-digit values 204 and 137 us).
+_BLOCK = 3072
+_KERNEL_ROWS = 1000
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_column(grid_bytes):
+    """The x column of a float64 grid given as its bytes, formatted once
+    by the kernel, so the files of a sweep that share one grid each format
+    only their y column: for fewer than _KERNEL_ROWS points the rows'
+    text "<x>,%.17g\n", a template for Python's %, else the words of "<x>,"
+    of each block of _BLOCK rows.  Four grids are kept, as many as the
+    commands write under one config (energy, decay time, saturation
+    power, g2 delay).  Keyed by the grid's bytes, so an edited grid never
+    gets stale text."""
+    grid = np.frombuffer(grid_bytes)
+    if grid.size < _KERNEL_ROWS:
+        return rows(("%.17g", grid), b",%.17g\n").decode()
+    blocks = [layout(("%.17g", grid[i:i + _BLOCK]), b",")
+              for i in range(0, grid.size, _BLOCK)]
+    # without the word columns that no row uses, such as an integer grid's
+    # fraction
+    return tuple(words[:, np.bitwise_or.reduce(words, axis=0) != 0] for words in blocks)
+
+
+def write_two_column_csv(path, header, x, y):
+    """Write two finite columns under `header`, each value as Python's
+    "%.17g" text, so that parsing the file back is bit-exact.  A
+    non-finite value raises ValueError, and no file is written."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"columns must be 1-d of one length, got shapes {x.shape} and {y.shape}")
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"non-finite value in data row {int(np.argmin(finite)) + 1}")
+    column = _grid_column(x.tobytes())
+    if x.size < _KERNEL_ROWS:
+        body = [(column % tuple(y.tolist())).encode()]
+    else:
+        body = (rows(words, ("%.17g", y[i * _BLOCK:(i + 1) * _BLOCK]), b"\n")
+                for i, words in enumerate(column))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.writelines(body)

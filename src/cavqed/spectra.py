@@ -7,21 +7,14 @@ red (phonon emission) sideband sits at negative detuning.  Spectra are
 sampled on uniform energy grids; the emission and absorption spectra
 have trapezoid area 2*pi, as the coupled-dynamics equations expect, and
 a Lorentzian convolution keeps its input's area.  The grid check, the
-curve base of Spectrum and DecayTrace, the convolution and the
-two-column CSV format the whole package uses live here.
-A CSV number is Python's "%.17g" text of the value; files of
-_KERNEL_ROWS rows or more are formatted by cavqed.numtext, which writes
-those bytes without a Python call per value, and files of _READ_ROWS
-rows or more are read by it, bit for bit as `float` reads each cell.
+curve base of Spectrum and DecayTrace and the convolution live here.
 """
 
 import functools
-import itertools
 import warnings
 
 import numpy as np
 
-from . import numtext
 from .units import _record, bose_occupation
 
 SPECTRUM_HEADER = "energy_ueV,value"
@@ -390,132 +383,3 @@ def absorption_spectrum(s_emi, model):
         raise ValueError("mirrored spectrum has no weight on the grid; is the ZPL on-grid?")
     values *= 2.0 * np.pi / area
     return s_emi._replace(values=values)
-
-
-def parse_two_column_csv(text, header):
-    """Parse CSV text whose first line is exactly `header` ("a,b") and
-    whose other lines are each two finite numbers; at least two rows.
-
-    Returns the two columns as float arrays.  A body of _READ_ROWS rows
-    or more is first given to cavqed.numtext.cells, which reads a plain
-    body (ASCII, "-?digits[.digits][e(+|-)digits]" cells, each row ended
-    by a newline) without a Python call per cell, bit for bit as `float`
-    would.  Any other text is read as before: the shape check counts each
-    line's commas, the lines are split into one list of cells, and `float`
-    converts the cells straight into one array; only a body with a
-    non-ASCII character or a "_", which `float` would misread, is checked
-    cell by cell in Python.  So both paths accept the same text and give
-    the same values and messages.  A content error names the data row,
-    and a malformed number also the column, of the first bad cell in
-    reading order.
-    """
-    xy = None
-    if text.startswith(header + "\n") and text.isascii() and text.count("\n") > _READ_ROWS:
-        xy = numtext.cells(text[len(header) + 1:].encode())
-    if xy is None:
-        xy = _float_cells(text, header)
-    x, y = xy.reshape(-1, 2).T.copy()  # each column contiguous
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not finite.all():
-        raise ValueError(f"non-finite value in data row {int(np.argmin(finite)) + 1}")
-    return x, y
-
-
-def _float_cells(text, header):
-    """The cells of `parse_two_column_csv`'s text in reading order, each
-    read by `float`, after its header and shape checks."""
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        got = lines[0] if lines else ""
-        raise ValueError(f"expected header {header!r}, got {got!r}")
-    body = lines[1:]
-    # per line, not in total: "1,2,3" and "4" have four cells between them
-    commas = list(map(str.count, body, itertools.repeat(",")))
-    if len(body) < 2 or commas.count(1) != len(body):
-        raise ValueError("need at least two data rows of two columns")
-    joined = ",".join(body)
-    cells = joined.split(",")
-    unread = iter(cells)
-    convert = float if joined.isascii() and "_" not in joined else _plain_float
-    try:
-        return np.fromiter(map(convert, unread), float, len(cells))
-    except ValueError as err:
-        # convert stopped at the first bad cell; what it left unread follows it
-        i = len(cells) - len(list(unread)) - 1
-        column = header.split(",")[i % 2]
-        raise ValueError(f"malformed number in data row {i // 2 + 1}, column {column!r}: "
-                         f"{err}") from err
-
-
-def _plain_float(cell):
-    """float() of a CSV cell, refusing the "1_000" and non-ASCII digits
-    that float() itself takes."""
-    if not cell.isascii() or "_" in cell:
-        raise ValueError(f"not a plain ASCII number: {cell!r}")
-    return float(cell)
-
-
-# From _READ_ROWS data rows on, parse_two_column_csv tries numtext.cells
-# first: below it the kernel's fixed cost, about 0.15 ms, is not repaid.
-# Kernel time over float()'s, one CPU of a 2-core Xeon, median of 150
-# alternating parses: rows of 17-digit cells, 25 rows 5.2, 200 rows 1.35,
-# 400 rows 0.99, 600 rows 0.70, 3,000 rows 0.55; rows of small integers
-# (a decay trace), 200 rows 1.9, 400 rows 1.25, 600 rows 1.02, 800 rows
-# 0.82, 3,000 rows 0.55.
-_READ_ROWS = 500
-
-
-# The CSV writer formats and writes blocks of _BLOCK rows, so that the
-# kernel's arrays stay small, and a 3,001-row file is one block (one CPU
-# of a 2-core Xeon, writes of the paper run's files with a cached x
-# column, blocks of 2,048 / 3,072 / 4,096 rows: a 3,001-row spectrum 901 /
-# 746 / 750 us, the 30,001-row g2 file 5.3 / 4.7 / 4.4 ms with transient
-# peaks of 342 / 495 / 646 kB; batch-synthetic's peak RSS was 0.3 MB
-# lower at 3,072 than at 4,096 rows in three pairs).  Below _KERNEL_ROWS
-# rows Python's % formats the value column: the kernel's fixed cost per
-# call, about 0.08 ms, is then not always repaid (425 integer counts
-# 74 us by %, 144 us by the kernel; 425 17-digit values 204 and 137 us).
-_BLOCK = 3072
-_KERNEL_ROWS = 1000
-
-
-@functools.lru_cache(maxsize=4)
-def _grid_column(grid_bytes):
-    """The x column of a float64 grid given as its bytes, formatted once
-    by numtext, so the files of a sweep that share one grid each format
-    only their y column: for fewer than _KERNEL_ROWS points the rows'
-    text "<x>,%.17g\n", a template for Python's %, else the words of "<x>,"
-    of each block of _BLOCK rows.  Four grids are kept, as many as the
-    commands write under one config (energy, decay time, saturation
-    power, g2 delay).  Keyed by the grid's bytes, so an edited grid never
-    gets stale text."""
-    grid = np.frombuffer(grid_bytes)
-    if grid.size < _KERNEL_ROWS:
-        return numtext.rows(("%.17g", grid), b",%.17g\n").decode()
-    blocks = [numtext.layout(("%.17g", grid[i:i + _BLOCK]), b",")
-              for i in range(0, grid.size, _BLOCK)]
-    # without the word columns that no row uses, such as an integer grid's
-    # fraction
-    return tuple(words[:, np.bitwise_or.reduce(words, axis=0) != 0] for words in blocks)
-
-
-def write_two_column_csv(path, header, x, y):
-    """Write two finite columns under `header`, each value as Python's
-    "%.17g" text, so that parsing the file back is bit-exact.  A
-    non-finite value raises ValueError, and no file is written."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"columns must be 1-d of one length, got shapes {x.shape} and {y.shape}")
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not finite.all():
-        raise ValueError(f"non-finite value in data row {int(np.argmin(finite)) + 1}")
-    column = _grid_column(x.tobytes())
-    if x.size < _KERNEL_ROWS:
-        rows = [(column % tuple(y.tolist())).encode()]
-    else:
-        rows = (numtext.rows(words, ("%.17g", y[i * _BLOCK:(i + 1) * _BLOCK]), b"\n")
-                for i, words in enumerate(column))
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.writelines(rows)

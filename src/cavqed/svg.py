@@ -20,7 +20,7 @@ most 4 finite numbers, which M4 keeps whole, is drawn in pure Python, so
 `pl purcell` loads no numpy; any other plot imports numpy to scale and
 decimate its curves.  The pure branch repeats numpy's float operations
 in numpy's order, so both write the same bytes.  The frame, the ticks,
-the text and the file write are shared.
+the escaped text and the UTF-8 file write are shared.
 
 Every coordinate is Python's "%.2f" text.  A curve of _KERNEL_POINTS or
 more points after decimation is laid out by cavqed.numtext's one row
@@ -97,6 +97,11 @@ def _points_attr(px, py):
     flat = [0.0] * (2 * len(px))
     flat[::2], flat[1::2] = px, py
     return (("%.2f,%.2f " * len(px)) % tuple(flat))[:-1]
+
+
+def _escaped(text):
+    """`text` as XML character data, which reads back as `text`."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _short(values):
@@ -184,6 +189,7 @@ def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=Fals
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
+    title, x_label, y_label = map(_escaped, (title, x_label, y_label))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" height="{_H:.0f}" '
         f'viewBox="0 0 {_W:.0f} {_H:.0f}">',
@@ -212,8 +218,8 @@ def write_line_svg(path, x, series, title="", x_label="", y_label="", log_y=Fals
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points(cx, y, x_lo, x_hi, y_lo, y_hi)}"/>')
         lines.append(f'<text x="{_W - _MR - 8:.1f}" y="{_MT + 16 * (i + 1):.1f}" '
-                     f'text-anchor="end" font-size="12" fill="{color}">{label}</text>')
+                     f'text-anchor="end" font-size="12" fill="{color}">{_escaped(label)}</text>')
 
     lines.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqed import config, dynamics, spectra
+from cavqed import config, dynamics, numtext
 from cavqed.dynamics import (
     DecayTrace,
     LevelScheme,
@@ -157,7 +157,7 @@ class TestFitBiexponential:
         # the paper's cavity trace with bin 212 (688 ps) at 5e-324 counts:
         # the biexponential stage stops at its evaluation limit with two
         # lifetimes within 5% of each other, and collapses
-        t, counts = spectra.parse_two_column_csv(
+        t, counts = numtext.parse_two_column_csv(
             (paper_runs["lifetime"].out / "decay_cavity.csv").read_text(), "time_ps,counts")
         counts[212] = 5e-324
         with pytest.warns(UserWarning, match="did not converge"):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavqed import numtext, spectra
+from cavqed import numtext
 
 
 def _around(values):
@@ -116,10 +116,10 @@ def test_python_formats_only_what_the_kernel_cannot_prove(kernel, in_range, valu
 
 def _read(texts):
     """The cells that numtext.cells leaves to float(), of `texts` laid out
-    two to a row, repeated to a body of spectra._READ_ROWS rows or more;
+    two to a row, repeated to a body of numtext._READ_ROWS rows or more;
     each value must be float()'s, bit for bit."""
     texts = list(texts)
-    cells = texts * -(-2 * spectra._READ_ROWS // len(texts))
+    cells = texts * -(-2 * numtext._READ_ROWS // len(texts))
     cells += cells[:len(cells) % 2]
     body = "".join(map("{},{}\n".format, cells[::2], cells[1::2])).encode()
     got = numtext.cells(body)
@@ -236,7 +236,7 @@ def test_every_paper_and_measured_input_csv_reads_as_before(paper_runs):
     assert len(texts) > 40
     for name, text in texts.items():
         header = text.partition("\n")[0]
-        before = spectra._float_cells(text, header)
+        before = numtext._float_cells(text, header)
         assert numtext.cells(text[len(header) + 1:].encode()).tobytes() == before.tobytes(), name
-        assert np.column_stack(spectra.parse_two_column_csv(text, header)).tobytes() == (
+        assert np.column_stack(numtext.parse_two_column_csv(text, header)).tobytes() == (
             before.tobytes()), name

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cavqed import cqed, dynamics, numtext, spectra
 from cavqed.dynamics import DecayTrace, LevelScheme, g2_correlation
+from cavqed.numtext import parse_two_column_csv
 from cavqed.spectra import (
     EmitterModel,
     Spectrum,
@@ -18,7 +19,6 @@ from cavqed.spectra import (
     energy_grid,
     fft_convolver,
     lorentzian,
-    parse_two_column_csv,
     s_tilde_max,
     sideband_profile,
     uniform_step,
@@ -599,16 +599,16 @@ _ACCEPTED = [
 
 
 # random finite bit patterns, more rows than either kernel's threshold
-_LONG = max(spectra._READ_ROWS, spectra._KERNEL_ROWS) + 1
+_LONG = max(numtext._READ_ROWS, numtext._KERNEL_ROWS) + 1
 _LONG_ROWS = np.random.default_rng(8).integers(0, 2 ** 64, 4 * _LONG, dtype=np.uint64).view(float)
 _LONG_ROWS = [*zip(*_LONG_ROWS[np.isfinite(_LONG_ROWS)][:2 * _LONG].reshape(2, -1).tolist()),
               (-0.0, 5e-324), (1e16, 1e-320)]
 
 
 def _after_plain_rows(text):
-    """`text` with spectra._READ_ROWS plain rows after its first line."""
+    """`text` with numtext._READ_ROWS plain rows after its first line."""
     header, newline, body = text.partition("\n")
-    plain = "".join(f"{i},{i}.5\n" for i in range(spectra._READ_ROWS)) if newline else ""
+    plain = "".join(f"{i},{i}.5\n" for i in range(numtext._READ_ROWS)) if newline else ""
     return header + newline + plain + body
 
 
@@ -630,7 +630,7 @@ def _assert_read_as_float(text):
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path, paper_fs_spectrum):
         path = tmp_path / "spectrum.csv"
-        spectra.write_two_column_csv(path, spectra.SPECTRUM_HEADER, paper_fs_spectrum.energies,
+        numtext.write_two_column_csv(path, spectra.SPECTRUM_HEADER, paper_fs_spectrum.energies,
                                      paper_fs_spectrum.values)
         energies, values = parse_two_column_csv(path.read_text(), spectra.SPECTRUM_HEADER)
         assert np.array_equal(energies, paper_fs_spectrum.energies)
@@ -638,7 +638,7 @@ class TestCsvRoundTrip:
 
     def test_written_bytes(self, tmp_path):
         path = tmp_path / "two.csv"
-        spectra.write_two_column_csv(path, "a,b", np.array([0.1, 2.0]), np.array([1e-300, 3]))
+        numtext.write_two_column_csv(path, "a,b", np.array([0.1, 2.0]), np.array([1e-300, 3]))
         assert path.read_text() == "a,b\n0.10000000000000001,1e-300\n2,3\n"
 
     def test_shared_grids_write_the_one_shot_bytes(self, tmp_path):
@@ -657,13 +657,13 @@ class TestCsvRoundTrip:
         cases += [(3 ** np.arange(40), np.arange(40)), (np.arange(5.0), np.arange(-2, 3))]
         for index, (x, y) in enumerate(cases):
             path = tmp_path / f"{index}.csv"
-            spectra.write_two_column_csv(path, "a,b", x, y)
+            numtext.write_two_column_csv(path, "a,b", x, y)
             assert path.read_text() == one_shot(x, y), index
 
         # a grid edited in place between two writes gets fresh text
         writable, y = np.linspace(0.0, 1.0, 5), np.ones(5)
         for _ in range(2):
-            spectra.write_two_column_csv(tmp_path / "edited.csv", "a,b", writable, y)
+            numtext.write_two_column_csv(tmp_path / "edited.csv", "a,b", writable, y)
             assert (tmp_path / "edited.csv").read_text() == one_shot(writable, y)
             writable *= 3.0
 
@@ -673,21 +673,21 @@ class TestCsvRoundTrip:
         grids = [energy_grid(1e6, 300.0, 0.2), np.arange(-40.0, 385.0) * 4.0,
                  np.geomspace(30.0, 3e4, 25), np.linspace(-1.5e5, 1.5e5, 30001)]
         rng = np.random.default_rng(5)
-        spectra._grid_column.cache_clear()
+        numtext._grid_column.cache_clear()
         for round_ in range(2):
-            before = spectra._grid_column.cache_info()
+            before = numtext._grid_column.cache_info()
             for index, x in enumerate(grids):
                 y = rng.exponential(size=x.size)
                 path = tmp_path / f"{round_}-{index}.csv"
-                spectra.write_two_column_csv(path, "a,b", x, y)
+                numtext.write_two_column_csv(path, "a,b", x, y)
                 rows = np.column_stack((x, y)).ravel().tolist()
                 assert path.read_text() == "a,b\n" + ("%.17g,%.17g\n" * x.size) % tuple(rows)
-            after = spectra._grid_column.cache_info()
+            after = numtext._grid_column.cache_info()
             assert after.misses - before.misses == (len(grids) if round_ == 0 else 0)
 
-    @pytest.mark.parametrize("rows", [spectra._KERNEL_ROWS - 1, spectra._KERNEL_ROWS,
-                                      spectra._BLOCK - 1, spectra._BLOCK, spectra._BLOCK + 1,
-                                      4097, 2 * spectra._BLOCK + 1])
+    @pytest.mark.parametrize("rows", [numtext._KERNEL_ROWS - 1, numtext._KERNEL_ROWS,
+                                      numtext._BLOCK - 1, numtext._BLOCK, numtext._BLOCK + 1,
+                                      4097, 2 * numtext._BLOCK + 1])
     def test_both_row_paths_write_the_format_generators_bytes(self, tmp_path, rows):
         # below _KERNEL_ROWS Python's % formats the values, from it on the
         # kernel does, block by block
@@ -695,7 +695,7 @@ class TestCsvRoundTrip:
         values = bits.view(np.float64)
         x, y = values[np.isfinite(values)][:2 * rows - 6].reshape(2, -1)
         x, y = np.r_[x, 0.0, -0.0, 1e16], np.r_[y, 1e-300, 100.0, 0.5]
-        spectra.write_two_column_csv(tmp_path / "bits.csv", "a,b", x, y)
+        numtext.write_two_column_csv(tmp_path / "bits.csv", "a,b", x, y)
         old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
         assert (tmp_path / "bits.csv").read_text() == "a,b\n" + old
 
@@ -703,10 +703,10 @@ class TestCsvRoundTrip:
     def test_slow_values_among_small_integers_keep_their_text(self, tmp_path, slow):
         # the small integers' words are narrower than the text that Python's
         # % writes over a slow value's own row, in both columns and blocks
-        x, y = np.arange(1.0, spectra._BLOCK + 2), np.arange(spectra._BLOCK + 1) % 7.0
+        x, y = np.arange(1.0, numtext._BLOCK + 2), np.arange(numtext._BLOCK + 1) % 7.0
         for column in (x, y):
-            column[[0, spectra._BLOCK // 2, -1]] = slow
-        spectra.write_two_column_csv(tmp_path / "slow.csv", "a,b", x, y)
+            column[[0, numtext._BLOCK // 2, -1]] = slow
+        numtext.write_two_column_csv(tmp_path / "slow.csv", "a,b", x, y)
         old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
         assert (tmp_path / "slow.csv").read_text() == "a,b\n" + old
 
@@ -717,7 +717,7 @@ class TestCsvRoundTrip:
         (x if column == "x" else y)[1] = bad
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="^non-finite value in data row 2$"):
-            spectra.write_two_column_csv(path, "a,b", x, y)
+            numtext.write_two_column_csv(path, "a,b", x, y)
         assert not path.exists()
 
     @pytest.mark.parametrize("x, y", [
@@ -727,7 +727,7 @@ class TestCsvRoundTrip:
     ])
     def test_columns_must_match(self, tmp_path, x, y):
         with pytest.raises(ValueError, match="1-d of one length"):
-            spectra.write_two_column_csv(tmp_path / "bad.csv", "a,b", x, y)
+            numtext.write_two_column_csv(tmp_path / "bad.csv", "a,b", x, y)
 
     @given(rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                                    st.floats(allow_nan=False, allow_infinity=False)),
@@ -741,7 +741,7 @@ class TestCsvRoundTrip:
                                                                      rows):
         path = tmp_path_factory.getbasetemp() / "property.csv"
         x, y = (np.array(column) for column in zip(*rows))
-        spectra.write_two_column_csv(path, "a,b", x, y)
+        numtext.write_two_column_csv(path, "a,b", x, y)
         text = path.read_text()
         old = "".join(map("{:.17g},{:.17g}\n".format, x.tolist(), y.tolist()))
         assert text == "a,b\n" + old
@@ -771,7 +771,7 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError) as long:
             parse_two_column_csv(_after_plain_rows(text), spectra.SPECTRUM_HEADER)
         assert str(long.value) == re.sub(r"data row (\d+)",
-                                         lambda row: f"data row {int(row[1]) + spectra._READ_ROWS}",
+                                         lambda row: f"data row {int(row[1]) + numtext._READ_ROWS}",
                                          str(short.value))
         plain = text.startswith(spectra.SPECTRUM_HEADER + "\n") and text.isascii()
         assert tried == ([None] if plain else [])

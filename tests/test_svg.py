@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cavqed import spectra, svg
+from cavqed import numtext, svg
 from cavqed.cli import EXIT_OK, main
 
 
@@ -26,7 +26,7 @@ def test_g2_plot_keeps_first_last_min_max_of_each_column(tmp_path):
     assert len(kept) <= 3100
 
     # the undecimated pixel points, as write_line_svg scales them
-    tau, g2 = spectra.parse_two_column_csv((out / "g2.csv").read_text(), "tau_ps,g2")
+    tau, g2 = numtext.parse_two_column_csv((out / "g2.csv").read_text(), "tau_ps,g2")
     px = svg._scale(tau, tau.min(), tau.max(), svg._ML, svg._W - svg._MR)
     py = svg._scale(g2, g2.min(), g2.max(), svg._H - svg._MB, svg._MT)
     full = [(f"{a:.2f}", f"{b:.2f}") for a, b in zip(px, py)]
@@ -188,3 +188,16 @@ def test_non_finite_value_raises_and_writes_no_file(tmp_path):
         svg.write_line_svg(tmp_path / "nan.svg", np.arange(300.0), [("y", y)])
     assert not (tmp_path / "nan.svg").exists()
 
+
+
+@pytest.mark.parametrize("x", [[0, 1], np.arange(300.0)], ids=["pure", "numpy"])
+def test_title_and_labels_read_back_as_given(tmp_path, x):
+    # XML's markup characters, an entity's text and a non-ASCII character
+    # in every text the writer takes, on both branches
+    labels = {"title": "a & b <c>", "x_label": "x < 1 & y > 2", "y_label": "&amp; (µeV)"}
+    y = np.linspace(1.0, 2.0, len(x)).tolist()
+    path = tmp_path / "text.svg"
+    svg.write_line_svg(path, x, [("<&>", y), ("a&b", y[::-1])], **labels)
+    texts = [el.text for el in ET.parse(path).getroot().iter() if el.tag.endswith("text")]
+    assert texts[:3] == [labels["title"], labels["x_label"], labels["y_label"]]
+    assert texts[-2:] == ["<&>", "a&b"]
